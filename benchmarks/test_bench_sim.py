@@ -6,8 +6,11 @@ POWER5 (15360-line L2) and writes machine-readable results to
 
 Four paths are measured, one row each:
 
-* **solo** -- one process, prefetch off: the closed-form LRU kernel
-  path (``repro.sim.fastsim._drive_kernel``).  Gate: >= 5x the scalar
+* **solo** -- one process, prefetch off: ``drive_batch`` dispatches
+  this to the compiled native engine (``repro.sim._native``) whenever
+  it is available, so the row measures native, not the closed-form LRU
+  kernel (``repro.sim.fastsim._drive_kernel``), which only runs without
+  a compiler or under ``REPRO_NATIVE=0``.  Gate: >= 5x the scalar
   ``drive`` loop's accesses/sec on every measured workload.
 * **prefetch_on** -- one process with the stream prefetcher enabled:
   the compiled native engine (``repro.sim._native``).  Gate: >= 5x

@@ -297,6 +297,13 @@ class RunReport:
                     f"({per_engine})")
         else:
             out("simulation engine: scalar")
+        channels = self.counter_by_label("pmu.channel", "engine")
+        if channels:
+            detail = ", ".join(
+                f"{engine} {count} probe{'' if count == 1 else 's'}"
+                for engine, count in sorted(channels.items())
+            )
+            out(f"pmu channel engine: {detail}")
         out("")
         out("per-stage cost breakdown (paper Table 2 structure):")
         out(f"  {'stage':<20} {'count':>7} {'total ms':>12} "

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs import get_telemetry
 from repro.pmu.sampling import BatchEventConsumer, ProbeTrace
 from repro.pmu.tracelog import TraceLog
 from repro.sim.hierarchy import AccessResult
@@ -57,6 +58,7 @@ class IdealTraceCollector(BatchEventConsumer):
         self.stale_entries = 0    # always 0: wishlist item 3
         self.exceptions = 0
         self._buffered = 0
+        self.channel_engine = "python"   # see TraceCollector
 
     @property
     def done(self) -> bool:
@@ -97,6 +99,9 @@ class IdealTraceCollector(BatchEventConsumer):
             # Final partial drain when the probe is stopped by software.
             self.exceptions += 1
             self._buffered = 0
+        get_telemetry().registry.counter(
+            "pmu.channel", engine=self.channel_engine
+        ).inc()
         return ProbeTrace(
             entries=self.log.entries(),
             instructions=self.instructions,

@@ -42,7 +42,10 @@ class BatchEventConsumer:
     ``done`` first turns true -- exactly where a per-access drive loop
     checking its stop predicate between accesses would have stopped --
     so a run-ahead engine (the native slab engine) can rewind its
-    simulation to the true stop point.
+    simulation to the true stop point.  The native engine only needs
+    this for collectors whose channel it does not model itself (the
+    fault-injecting wrapper); the stock real and ideal collectors run
+    inside it (see :func:`repro.sim.native.channel_kind`).
     """
 
     def observe_events(self, lines, l1_hits, prefetched=None) -> int:
@@ -152,6 +155,10 @@ class TraceCollector(BatchEventConsumer):
         self.dropped_events = 0
         self.stale_entries = 0
         self.exceptions = 0
+        #: Which engine ran the channel model: "python" (this class's
+        #: per-event methods) or "native" (set when the compiled engine
+        #: collected, see repro.sim.native.NativeSession).
+        self.channel_engine = "python"
 
     @property
     def done(self) -> bool:
@@ -242,6 +249,7 @@ class TraceCollector(BatchEventConsumer):
         registry.counter("pmu.exceptions").inc(self.exceptions)
         registry.counter("pmu.dropped_events").inc(self.dropped_events)
         registry.counter("pmu.stale_entries").inc(self.stale_entries)
+        registry.counter("pmu.channel", engine=self.channel_engine).inc()
         return ProbeTrace(
             entries=self.log.entries(),
             instructions=self.instructions,

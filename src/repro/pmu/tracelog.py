@@ -29,6 +29,10 @@ class TraceLog:
         self._entries.append(line)
         return True
 
+    def extend(self, lines: List[int]) -> None:
+        """Append entries in order, dropping those that arrive once full."""
+        self._entries.extend(lines[: self.capacity - len(self._entries)])
+
     @property
     def is_full(self) -> bool:
         return len(self._entries) >= self.capacity

@@ -40,6 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.mrc import MissRateCurve
 from repro.core.rapidmrc import RapidMRCResult
 from repro.obs import get_telemetry
@@ -212,6 +214,14 @@ def _record_verdict(quality: ProbeQuality) -> ProbeQuality:
     return quality
 
 
+def _unique_count(lines) -> int:
+    """Distinct line numbers in a trace, without a per-entry ``int()``:
+    one sort for an array-backed trace, one ``set`` for a list."""
+    if isinstance(lines, np.ndarray):
+        return int(np.unique(lines).size)
+    return len(set(lines))
+
+
 def assess_probe(
     probe: ProbeTrace,
     result: Optional[RapidMRCResult],
@@ -312,8 +322,7 @@ def assess_probe(
     # array-backed corrected traces.
     judged = result.correction.trace if result.correction else entries
     unique_fraction = (
-        len(set(int(line) for line in judged)) / len(judged)
-        if len(judged) else 0.0
+        _unique_count(judged) / len(judged) if len(judged) else 0.0
     )
     streaming = unique_fraction >= config.streaming_unique_fraction
     checks.append(QualityCheck(

@@ -20,7 +20,12 @@
  *  - The prefetcher RNG is CPython's MT19937 (random.Random): state
  *    words travel in, genrand_res53 draws happen here, and the
  *    advanced state travels back so later scalar draws continue
- *    seamlessly.
+ *    seamlessly.  The PMU channel's drop RNG travels the same way.
+ *  - The PMU trace channel (TraceCollector / IdealTraceCollector) runs
+ *    here too: every access is applied to it at the end of its step,
+ *    exactly as the scalar driver's observer call would, and a solo run
+ *    stops (STOP_LOG_FULL) right after the access that fills the log --
+ *    where the scalar loop's CollectorStop predicate fires.
  */
 
 #include <stdint.h>
@@ -40,6 +45,7 @@ typedef uint32_t u32;
 #define STOP_GROW_PFSET    4   /* prefetched-line set near capacity */
 #define STOP_GROW_NEWPAGES 5   /* allocation log full */
 #define STOP_GROW_EVENTS   6   /* event buffer full (drain + resume) */
+#define STOP_LOG_FULL      7   /* PMU trace log filled by the last access */
 
 /* ----------------------------------------------------------------- */
 /* MT19937 (CPython random.Random core)                               */
@@ -455,6 +461,112 @@ typedef struct {
 } NEvents;
 
 /* ----------------------------------------------------------------- */
+/* PMU trace channel (TraceCollector / IdealTraceCollector)           */
+/* ----------------------------------------------------------------- */
+
+#define PMU_REAL  1   /* POWER5 SDAR + PMC(threshold 1) + dual-LSU drops */
+#define PMU_IDEAL 2   /* Section 6 trace buffer */
+
+typedef struct {
+    i64 kind;
+    i64 stop_on_full;    /* repro_solo stops with STOP_LOG_FULL */
+    i64 *log;            /* the log's remaining capacity, preallocated */
+    i64 log_cap;
+    i64 log_n;
+    /* real channel */
+    i64 sdar_valid, sdar_value, sdar_updates;
+    i64 pmc_total;
+    i64 since_miss;      /* _accesses_since_miss; -1 == None */
+    i64 inflight_window;
+    double drop_p;
+    i64 dual_lsu;
+    i64 stale_on_prefetch;
+    NMt mt;              /* drop RNG */
+    /* ideal channel */
+    i64 buffer_entries;
+    i64 record_prefetches;
+    i64 buffered;
+    /* collector counters */
+    i64 l1d_misses, dropped, stale, exceptions;
+} NPmu;
+
+static inline int pmu_full(const NPmu *u)
+{
+    return u->log_n >= u->log_cap;
+}
+
+static inline void pmu_tick(NPmu *u)
+{
+    if (u->since_miss >= 0)
+        u->since_miss++;
+}
+
+/* TraceCollector.observe_event with threshold 1: every count()
+ * overflows, so every counted event takes one exception. */
+static void pmu_real(NPmu *u, i64 line, int l1_hit,
+                     const i64 *pf, i64 npf)
+{
+    if (pmu_full(u) || l1_hit) {
+        pmu_tick(u);
+        return;
+    }
+    u->l1d_misses++;
+    if (u->dual_lsu && u->since_miss >= 0
+            && u->since_miss < u->inflight_window
+            && mt_random(&u->mt) < u->drop_p) {
+        u->dropped++;
+        u->since_miss = 0;
+        return;
+    }
+    u->sdar_value = line;
+    u->sdar_valid = 1;
+    u->sdar_updates++;
+    u->pmc_total++;
+    u->exceptions++;
+    u->log[u->log_n++] = line;
+    u->since_miss = 0;
+    if (!u->stale_on_prefetch)
+        return;
+    for (i64 j = 0; j < npf; j++) {
+        if (pmu_full(u))
+            break;
+        u->pmc_total++;
+        u->exceptions++;
+        u->log[u->log_n++] = u->sdar_value;
+        u->stale++;
+    }
+}
+
+/* IdealTraceCollector._record */
+static void pmu_ideal_record(NPmu *u, i64 line)
+{
+    if (pmu_full(u))
+        return;
+    u->log[u->log_n++] = line;
+    u->buffered++;
+    if (u->buffered >= u->buffer_entries || pmu_full(u)) {
+        u->exceptions++;
+        u->buffered = 0;
+    }
+}
+
+static void pmu_ideal(NPmu *u, i64 line, int l1_hit,
+                      const i64 *pf, i64 npf)
+{
+    if (pmu_full(u) || l1_hit)
+        return;
+    u->l1d_misses++;
+    pmu_ideal_record(u, line);
+    if (!u->record_prefetches)
+        return;
+    for (i64 j = 0; j < npf; j++) {
+        if (pmu_full(u))
+            break;
+        pmu_ideal_record(u, pf[j]);
+    }
+}
+
+/* ----------------------------------------------------------------- */
 /* Translation (line_cache miss -> translate_page_lines -> _frame_for)*/
 /* ----------------------------------------------------------------- */
 
@@ -591,7 +703,7 @@ static i64 step_precheck(const NProc *p, const NEvents *ev)
     return STOP_NONE;
 }
 
-static void step_one(NShared *sh, NProc *p, NEvents *ev)
+static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
 {
     i64 vaddr = p->vaddrs[p->pos];
     int is_store = p->stores[p->pos] != 0;
@@ -611,6 +723,7 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev)
     double penalty = 0.0;
     int l1_hit, l2_hit = 0, l3_hit = 0, memory = 0, was_pf = 0;
     i64 pf_emitted = 0;
+    i64 pf_lines[PF_MAX_DEPTH];   /* this access's prefetches, issue order */
     i64 victim;
 
     l1_hit = cache_access(&p->l1, line, &victim);
@@ -661,7 +774,7 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev)
                  * late ones that install nothing. */
                 if (ev)
                     ev->pf_lines[ev->pf_n++] = pf_line;
-                pf_emitted++;
+                pf_lines[pf_emitted++] = pf_line;
                 if (mt_random(&p->mt) < p->pf.late_p)
                     continue;
                 int install_l1 = mt_random(&p->mt) < p->pf.install_p;
@@ -691,6 +804,13 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev)
                             | (is_store ? 32 : 0));
         ev->pf_count[k] = pf_emitted;
     }
+
+    if (pmu) {
+        if (pmu->kind == PMU_REAL)
+            pmu_real(pmu, line, l1_hit, pf_lines, pf_emitted);
+        else
+            pmu_ideal(pmu, line, l1_hit, pf_lines, pf_emitted);
+    }
 }
 
 /* ----------------------------------------------------------------- */
@@ -698,8 +818,10 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev)
 /* ----------------------------------------------------------------- */
 
 /* Solo drive: execute up to n accesses; returns the number executed.
- * When < n, p->stop_reason says why (refill / grow / drain). */
-EXPORT i64 repro_solo(NShared *sh, NProc *p, i64 n, NEvents *ev)
+ * When < n, p->stop_reason says why (refill / grow / drain / log full).
+ * pmu, when given, observes every access; with stop_on_full set the run
+ * ends right after the access that fills its log. */
+EXPORT i64 repro_solo(NShared *sh, NProc *p, i64 n, NEvents *ev, NPmu *pmu)
 {
     p->stop_reason = STOP_NONE;
     for (i64 i = 0; i < n; i++) {
@@ -712,7 +834,11 @@ EXPORT i64 repro_solo(NShared *sh, NProc *p, i64 n, NEvents *ev)
             p->stop_reason = reason;
             return i;
         }
-        step_one(sh, p, ev);
+        step_one(sh, p, ev, pmu);
+        if (pmu && pmu->stop_on_full && pmu_full(pmu)) {
+            p->stop_reason = STOP_LOG_FULL;
+            return i + 1;
+        }
     }
     return n;
 }
@@ -748,7 +874,7 @@ EXPORT i64 repro_corun(NShared *sh, NProc **procs, i64 nproc,
             sh->stop_proc = best;
             return -1;
         }
-        step_one(sh, p, 0);
+        step_one(sh, p, 0, 0);
         if (p->accesses - start[best] >= target_extra)
             return best;
     }

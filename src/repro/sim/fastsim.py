@@ -870,16 +870,21 @@ def _drive_native(
     stop: Optional[Callable[[], bool]],
     source: BatchAccessSource,
     slab_size: int,
+    channel=None,
 ) -> Tuple[int, int, bool]:
     """Solo drive on the compiled C engine.
 
-    ``events_fn`` is the collector's ``observe_events`` bound method (or
-    None for an unobserved run).  Observed chunks run ahead of the
-    collector and are rewound to the exact access on which the stop
-    predicate first fired: snapshot, simulate, feed the recorded events,
-    and if the collector consumed fewer events than the engine produced,
-    restore the snapshot and deterministically re-run exactly the
-    consumed prefix.
+    ``channel`` is a collector the C trace channel models exactly
+    (:func:`repro.sim.native.channel_kind`): C applies every access to
+    it and stops on the access that fills its log, so the drive needs
+    no Python per-event work at all.  Otherwise ``events_fn`` is the
+    collector's ``observe_events`` bound method (or None for an
+    unobserved run): observed chunks run ahead of the collector and are
+    rewound to the exact access on which the stop predicate first
+    fired -- snapshot, simulate, feed the recorded events, and if the
+    collector consumed fewer events than the engine produced, restore
+    the snapshot and deterministically re-run exactly the consumed
+    prefix.
 
     Returns ``(executed, chunks, finished)``.  ``finished`` False means
     the native path bailed (a chunk held negative virtual addresses,
@@ -889,7 +894,10 @@ def _drive_native(
     """
     from repro.sim import native as _native
 
-    session = _native.NativeSession(hierarchy, [process])
+    session = _native.NativeSession(
+        hierarchy, [process], channel=channel,
+        stop_on_full=channel is not None and stop is not None,
+    )
     proc = session.procs[0]
     events = None
     if events_fn is not None:
@@ -902,11 +910,13 @@ def _drive_native(
     limit = num_accesses
     session.adopt()
     try:
-        if events is None and stop is not None and stop():
+        if (channel is None and events is None
+                and stop is not None and stop()):
             # Scalar parity: the per-access loop executes one access and
             # only then consults the predicate, so a predicate that is
             # already true still consumes exactly one access.  (Without
-            # an observer the predicate's state cannot change mid-run.)
+            # an observer the predicate's state cannot change mid-run;
+            # the C channel checks its own log after every access.)
             limit = 1
         while executed < limit:
             if session.chunk_remaining(0) == 0:
@@ -925,6 +935,8 @@ def _drive_native(
                 if ran == quota:
                     break
                 reason = proc.stop_reason
+                if reason == _native.STOP_LOG_FULL:
+                    break
                 if reason != _native.STOP_REFILL:
                     session.grow(0, reason)
                 continue
@@ -1053,23 +1065,32 @@ def drive_batch(
     started = time.perf_counter()
     source = _source_for(process, slab_size)
 
-    # Native dispatch: an observer must be a collector exposing the
-    # batched ``observe_events`` protocol, and the stop predicate must
-    # be absent or a ``CollectorStop`` over that same collector (so the
-    # run-ahead engine can locate the exact stop access by rewinding).
+    # Native dispatch: an observer must be a collector, and the stop
+    # predicate must be absent or a ``CollectorStop`` over that same
+    # collector.  A stock collector runs its channel model inside C;
+    # any other one must expose the batched ``observe_events`` protocol
+    # (so the run-ahead engine can locate the exact stop access by
+    # rewinding).
     use_native = False
     native_events = None
+    channel = None
     if native_eligible(process, hierarchy):
         if observer is None:
             use_native = stop is None or isinstance(stop, CollectorStop)
         else:
+            from repro.sim.native import channel_kind
+
             owner = getattr(observer, "__self__", None)
-            native_events = getattr(owner, "observe_events", None)
-            use_native = native_events is not None and (
-                stop is None
-                or (isinstance(stop, CollectorStop)
-                    and stop.collector is owner)
+            use_native = stop is None or (
+                isinstance(stop, CollectorStop) and stop.collector is owner
             )
+            if (channel_kind(owner) is not None
+                    and getattr(observer, "__func__", None)
+                    is type(owner).observe):
+                channel = owner
+            else:
+                native_events = getattr(owner, "observe_events", None)
+                use_native = use_native and native_events is not None
 
     engine = None
     executed = 0
@@ -1079,7 +1100,7 @@ def drive_batch(
         engine = "native"
         executed, slabs, finished = _drive_native(
             process, hierarchy, num_accesses, native_events, stop,
-            source, slab_size,
+            source, slab_size, channel,
         )
     if not finished and executed < num_accesses:
         # Either native was ineligible, or it bailed mid-run (negative

@@ -20,7 +20,9 @@ other half of the contract:
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
 entirely (the batch engine then behaves exactly as before this engine
-existed).
+existed).  That is silent; a native engine that is wanted but cannot be
+built (no compiler, failed compile) warns once per process and counts
+``sim.native_unavailable{reason}`` on every lookup that falls back.
 """
 
 from __future__ import annotations
@@ -30,17 +32,22 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import get_telemetry
+
 __all__ = [
     "NativeSession",
+    "channel_kind",
     "native_lib",
     "native_available",
     "STOP_NONE",
     "STOP_REFILL",
     "STOP_GROW_EVENTS",
+    "STOP_LOG_FULL",
 ]
 
 i64 = ctypes.c_int64
@@ -59,6 +66,10 @@ STOP_GROW_PT = 3
 STOP_GROW_PFSET = 4
 STOP_GROW_NEWPAGES = 5
 STOP_GROW_EVENTS = 6
+STOP_LOG_FULL = 7
+
+PMU_REAL = 1
+PMU_IDEAL = 2
 
 HT_EMPTY = -1
 _M64 = (1 << 64) - 1
@@ -139,6 +150,21 @@ class _NEvents(ctypes.Structure):
     ]
 
 
+class _NPmu(ctypes.Structure):
+    _fields_ = [
+        ("kind", i64), ("stop_on_full", i64),
+        ("log", P_i64), ("log_cap", i64), ("log_n", i64),
+        ("sdar_valid", i64), ("sdar_value", i64), ("sdar_updates", i64),
+        ("pmc_total", i64), ("since_miss", i64), ("inflight_window", i64),
+        ("drop_p", f64), ("dual_lsu", i64), ("stale_on_prefetch", i64),
+        ("mt", _NMt),
+        ("buffer_entries", i64), ("record_prefetches", i64),
+        ("buffered", i64),
+        ("l1d_misses", i64), ("dropped", i64), ("stale", i64),
+        ("exceptions", i64),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Build & load
 # ---------------------------------------------------------------------------
@@ -146,6 +172,10 @@ class _NEvents(ctypes.Structure):
 _CFLAGS = ["-O2", "-shared", "-fPIC", "-fvisibility=hidden"]
 _LIB: Optional[ctypes.CDLL] = None
 _LIB_TRIED = False
+#: Why the last build attempt produced no engine ("no_compiler" or
+#: "build_failed"); None after a successful build.
+_LIB_FAILURE: Optional[str] = None
+_WARNED = False
 
 
 def _enabled() -> bool:
@@ -163,25 +193,26 @@ def _find_cc() -> Optional[str]:
     return None
 
 
-def _build_lib() -> Optional[ctypes.CDLL]:
+def _build_lib() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """``(lib, None)`` on success, ``(None, reason)`` otherwise."""
     source = os.path.join(os.path.dirname(__file__), "_native.c")
     try:
         with open(source, "rb") as src:
             blob = src.read()
     except OSError:
-        return None
+        return None, "build_failed"
     tag = hashlib.sha256(blob + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     name = f"_repro_native_{tag}.so"
     for cache_dir in (os.path.dirname(source), tempfile.gettempdir()):
         so_path = os.path.join(cache_dir, name)
         if os.path.exists(so_path):
             try:
-                return ctypes.CDLL(so_path)
+                return ctypes.CDLL(so_path), None
             except OSError:
                 continue
         cc = _find_cc()
         if cc is None:
-            return None
+            return None, "no_compiler"
         tmp_path = so_path + f".tmp{os.getpid()}"
         try:
             subprocess.run(
@@ -189,45 +220,82 @@ def _build_lib() -> Optional[ctypes.CDLL]:
                 check=True, capture_output=True, timeout=120,
             )
             os.replace(tmp_path, so_path)
-            return ctypes.CDLL(so_path)
+            return ctypes.CDLL(so_path), None
         except (OSError, subprocess.SubprocessError):
             try:
                 os.unlink(tmp_path)
             except OSError:
                 pass
             continue
-    return None
+    return None, "build_failed"
+
+
+def _report_unavailable(reason: str) -> None:
+    """Make a wanted-but-missing engine visible: a counter per lookup, a
+    warning once per process."""
+    global _WARNED
+    get_telemetry().registry.counter(
+        "sim.native_unavailable", reason=reason
+    ).inc()
+    if not _WARNED:
+        _WARNED = True
+        warnings.warn(
+            f"native simulation engine unavailable ({reason}); batched "
+            "drives fall back to the slower Python paths",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def native_lib() -> Optional[ctypes.CDLL]:
     """The loaded native engine, building it on first call (None when
-    disabled via ``REPRO_NATIVE=0`` or no C compiler is available)."""
-    global _LIB, _LIB_TRIED
+    disabled via ``REPRO_NATIVE=0`` or when it cannot be built)."""
+    global _LIB, _LIB_TRIED, _LIB_FAILURE
     if not _enabled():
         return None
-    if _LIB_TRIED:
-        return _LIB
-    _LIB_TRIED = True
-    lib = _build_lib()
-    if lib is not None:
-        lib.repro_mt_fill.argtypes = [P_u32, P_i64, P_f64, i64]
-        lib.repro_mt_fill.restype = None
-        lib.repro_solo.argtypes = [
-            ctypes.POINTER(_NShared), ctypes.POINTER(_NProc), i64,
-            ctypes.POINTER(_NEvents),
-        ]
-        lib.repro_solo.restype = i64
-        lib.repro_corun.argtypes = [
-            ctypes.POINTER(_NShared),
-            ctypes.POINTER(ctypes.POINTER(_NProc)), i64, P_i64, i64,
-        ]
-        lib.repro_corun.restype = i64
-    _LIB = lib
-    return lib
+    if not _LIB_TRIED:
+        _LIB_TRIED = True
+        lib, _LIB_FAILURE = _build_lib()
+        if lib is not None:
+            lib.repro_mt_fill.argtypes = [P_u32, P_i64, P_f64, i64]
+            lib.repro_mt_fill.restype = None
+            lib.repro_solo.argtypes = [
+                ctypes.POINTER(_NShared), ctypes.POINTER(_NProc), i64,
+                ctypes.POINTER(_NEvents), ctypes.POINTER(_NPmu),
+            ]
+            lib.repro_solo.restype = i64
+            lib.repro_corun.argtypes = [
+                ctypes.POINTER(_NShared),
+                ctypes.POINTER(ctypes.POINTER(_NProc)), i64, P_i64, i64,
+            ]
+            lib.repro_corun.restype = i64
+        _LIB = lib
+    if _LIB is None:
+        _report_unavailable(_LIB_FAILURE)
+    return _LIB
 
 
 def native_available() -> bool:
     return native_lib() is not None
+
+
+def channel_kind(collector) -> Optional[int]:
+    """``PMU_REAL`` / ``PMU_IDEAL`` when the C trace channel models
+    ``collector`` exactly, else None.
+
+    Only the two stock collectors qualify (a subclass or wrapper may
+    override any per-event hook), and the real one only with the
+    paper's overflow threshold of one.
+    """
+    from repro.pmu.ideal import IdealTraceCollector
+    from repro.pmu.sampling import TraceCollector
+
+    kind = type(collector)
+    if kind is TraceCollector and collector.pmc.threshold == 1:
+        return PMU_REAL
+    if kind is IdealTraceCollector:
+        return PMU_IDEAL
+    return None
 
 
 def mt_fill(rng_state: tuple, n: int) -> Tuple[np.ndarray, tuple]:
@@ -306,6 +374,26 @@ def _bind_map(
         vals_arr.ctypes.data_as(P_i64) if vals_arr is not None else P_i64()
     )
     return {"keys": keys_arr, "vals": vals_arr}
+
+
+# ---------------------------------------------------------------------------
+# RNG marshalling (CPython random.Random <-> C MT19937)
+# ---------------------------------------------------------------------------
+
+def _bind_mt(struct: _NMt, rng) -> Tuple[np.ndarray, tuple]:
+    """Adopt ``rng``'s key words and position; returns the key array and
+    the ``(version, gauss_next)`` pair :func:`_commit_mt` needs back."""
+    version, internal, gauss_next = rng.getstate()
+    key = np.array(internal[:624], dtype=np.uint32)
+    struct.key = key.ctypes.data_as(P_u32)
+    struct.pos = internal[624]
+    return key, (version, gauss_next)
+
+
+def _commit_mt(struct: _NMt, key: np.ndarray, extra: tuple, rng) -> None:
+    version, gauss_next = extra
+    rng.setstate((version, tuple(key.tolist()) + (int(struct.pos),),
+                  gauss_next))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +494,18 @@ class EventBuffer:
         return lines, hits, prefetched
 
 
+def _shared_runs(values: np.ndarray) -> List[int]:
+    """``values.tolist()``, but with one int object per run of equal
+    entries.  The scalar collector logs stale repeats as the SDAR's own
+    object; a POWER5 log is ~40% such repeats, so sharing keeps a
+    committed log no larger in memory than a scalar-collected one."""
+    new_run = np.empty(values.size, dtype=np.bool_)
+    new_run[0] = True
+    np.not_equal(values[1:], values[:-1], out=new_run[1:])
+    heads = np.array(values[new_run].tolist(), dtype=object)
+    return heads[np.cumsum(new_run) - 1].tolist()
+
+
 # ---------------------------------------------------------------------------
 # The session: adopt / run / grow / commit
 # ---------------------------------------------------------------------------
@@ -423,9 +523,16 @@ class NativeSession:
     :meth:`commit`.  Between adopt and commit the C-side arrays are the
     single source of truth for everything they cover; nothing else may
     touch the hierarchy, allocator, prefetchers or RNGs.
+
+    ``channel`` optionally binds a trace collector accepted by
+    :func:`channel_kind` to solo runs: C applies every access to it and,
+    with ``stop_on_full``, stops right after the access that fills its
+    log (``STOP_LOG_FULL``).  The collector is adopted and committed with
+    the rest of the state.
     """
 
-    def __init__(self, hierarchy, processes: Sequence, lib=None):
+    def __init__(self, hierarchy, processes: Sequence, lib=None,
+                 channel=None, stop_on_full: bool = False):
         self.lib = lib if lib is not None else native_lib()
         if self.lib is None:
             raise RuntimeError("native engine unavailable")
@@ -445,6 +552,19 @@ class NativeSession:
             None for _ in self.processes
         ]
         self._gauss: List[object] = [None for _ in self.processes]
+        self.channel = channel
+        self.pmu: Optional[_NPmu] = None
+        if channel is not None:
+            kind = channel_kind(channel)
+            if kind is None:
+                raise ValueError(
+                    f"{type(channel).__name__} has no native trace channel"
+                )
+            self.pmu = _NPmu()
+            self.pmu.kind = kind
+            self.pmu.stop_on_full = 1 if stop_on_full else 0
+        self._pmu_arrs: Dict[str, object] = {}
+        self._channel_steps = 0   # accesses the C channel observed
         self._adopted = False
 
     # -- adopt --------------------------------------------------------------
@@ -485,6 +605,8 @@ class NativeSession:
 
         for index, process in enumerate(self.processes):
             self._adopt_proc(index, process)
+        if self.pmu is not None:
+            self._adopt_channel()
         self._adopted = True
 
     def _adopt_proc(self, index: int, process) -> None:
@@ -573,12 +695,7 @@ class NativeSession:
         pf.last_use = pf_last.ctypes.data_as(P_i64)
         arrs["pf"] = (pf_next, pf_hits, pf_conf, pf_last)
 
-        version, internal, gauss_next = process._pf_rng.getstate()
-        mt_key = np.array(internal[:624], dtype=np.uint32)
-        p.mt.key = mt_key.ctypes.data_as(P_u32)
-        p.mt.pos = internal[624]
-        arrs["mt"] = mt_key
-        self._gauss[index] = (version, gauss_next)
+        arrs["mt"], self._gauss[index] = _bind_mt(p.mt, process._pf_rng)
 
         counters = hierarchy.counters[core]
         p.c_instructions = counters.instructions
@@ -625,7 +742,77 @@ class NativeSession:
 
         for index, process in enumerate(self.processes):
             self._commit_proc(index, process)
+        if self.pmu is not None:
+            self._commit_channel()
         self._adopted = False
+
+    # -- trace channel ------------------------------------------------------
+
+    def _adopt_channel(self) -> None:
+        collector = self.channel
+        u = self.pmu
+        log = collector.log
+        remaining = log.capacity - len(log)
+        buf = np.empty(max(remaining, 1), dtype=np.int64)
+        u.log = buf.ctypes.data_as(P_i64)
+        u.log_cap = remaining
+        u.log_n = 0
+        u.l1d_misses = collector.l1d_misses
+        u.dropped = collector.dropped_events
+        u.stale = collector.stale_entries
+        u.exceptions = collector.exceptions
+        self._pmu_arrs = {"log": buf}
+        if u.kind == PMU_IDEAL:
+            u.since_miss = -1
+            u.buffer_entries = collector.buffer_entries
+            u.record_prefetches = 1 if collector.record_prefetches else 0
+            u.buffered = collector._buffered
+            return
+        value = collector.sdar.read()
+        u.sdar_valid = 0 if value is None else 1
+        u.sdar_value = 0 if value is None else value
+        u.sdar_updates = collector.sdar.updates
+        u.pmc_total = collector.pmc.total
+        since = collector._accesses_since_miss
+        u.since_miss = -1 if since is None else since
+        u.inflight_window = collector.inflight_window
+        u.drop_p = collector.drop_probability
+        u.dual_lsu = 1 if collector.issue_mode.dual_lsu else 0
+        u.stale_on_prefetch = (
+            1 if collector.pmu_model.prefetch_raises_stale_entry else 0
+        )
+        self._pmu_arrs["mt"], self._pmu_arrs["gauss"] = _bind_mt(
+            u.mt, collector._rng
+        )
+
+    def _commit_channel(self) -> None:
+        collector = self.channel
+        u = self.pmu
+        arrs = self._pmu_arrs
+        if u.log_n:
+            collector.log.extend(_shared_runs(arrs["log"][: u.log_n]))
+        collector.l1d_misses = u.l1d_misses
+        collector.dropped_events = u.dropped
+        collector.stale_entries = u.stale
+        collector.exceptions = u.exceptions
+        if self._channel_steps:
+            collector.channel_engine = "native"
+        if u.kind == PMU_IDEAL:
+            collector._buffered = u.buffered
+            return
+        sdar = collector.sdar
+        sdar._value = u.sdar_value if u.sdar_valid else None
+        sdar.updates = u.sdar_updates
+        pmc = collector.pmc
+        if u.pmc_total != pmc.total:
+            # Threshold one: every count overflowed and was taken at once.
+            pmc.total = u.pmc_total
+            pmc._since_overflow = 0
+            pmc._pending = False
+        collector._accesses_since_miss = (
+            None if u.since_miss < 0 else u.since_miss
+        )
+        _commit_mt(u.mt, arrs["mt"], arrs["gauss"], collector._rng)
 
     def _commit_proc(self, index: int, process) -> None:
         from repro.sim.prefetcher import _Stream
@@ -679,9 +866,7 @@ class NativeSession:
         process.prefetcher._clock = p.pf.clock
         process.prefetcher.issued = p.pf.issued
 
-        version, gauss_next = self._gauss[index]
-        words = tuple(int(w) for w in arrs["mt"]) + (int(p.mt.pos),)
-        process._pf_rng.setstate((version, words, gauss_next))
+        _commit_mt(p.mt, arrs["mt"], self._gauss[index], process._pf_rng)
 
         counters = hierarchy.counters[core]
         counters.instructions = p.c_instructions
@@ -826,9 +1011,14 @@ class NativeSession:
     def run_solo(self, index: int, n: int,
                  events: Optional[EventBuffer] = None) -> int:
         ev = ctypes.byref(events.struct) if events is not None else None
-        return int(self.lib.repro_solo(
-            ctypes.byref(self.sh), ctypes.byref(self.procs[index]), n, ev
+        pmu = ctypes.byref(self.pmu) if self.pmu is not None else None
+        ran = int(self.lib.repro_solo(
+            ctypes.byref(self.sh), ctypes.byref(self.procs[index]), n, ev,
+            pmu,
         ))
+        if pmu is not None:
+            self._channel_steps += ran
+        return ran
 
     def run_corun(self, start: Sequence[int],
                   target_extra: int) -> Tuple[int, int, int]:

@@ -184,3 +184,14 @@ class TestRender:
     def test_render_empty_capture(self):
         text = RunReport().render()
         assert "no probe spans recorded" in text
+        assert "pmu channel engine" not in text
+
+    def test_render_pmu_channel_engine_next_to_sim_engine(self):
+        telemetry = _capture_sample()
+        telemetry.registry.counter("pmu.channel", engine="native").inc(3)
+        telemetry.registry.counter("pmu.channel", engine="python").inc()
+        lines = RunReport.from_telemetry(telemetry).render().splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("simulation engine:"))
+        assert lines[at + 1] == (
+            "pmu channel engine: native 3 probes, python 1 probe")

@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.mrc import MissRateCurve
@@ -12,6 +13,7 @@ from repro.reliability.quality import (
     ProbeQuality,
     QualityCheck,
     QualityConfig,
+    _unique_count,
     assess_anchor,
     assess_probe,
 )
@@ -122,6 +124,25 @@ class TestGates:
         check = quality.check("cold-fraction")
         assert check.passed
         assert "streaming" in check.detail
+
+    @pytest.mark.parametrize("entries", [
+        healthy_entries(),
+        list(range(LOG)),
+        [5, 5, 6, 5, 7, 7, 1 << 40, 6] * (LOG // 8),
+    ])
+    def test_unique_count_same_for_list_and_array(self, entries):
+        """The streaming exemption's unique count must not depend on
+        whether the corrected trace is list- or array-backed."""
+        expected = len(set(int(line) for line in entries))
+        assert _unique_count(list(entries)) == expected
+        assert _unique_count(np.asarray(entries, dtype=np.int64)) == expected
+        trace = make_trace(entries)
+        by_list = assess_probe(trace, compute(entries), LOG)
+        batch = RapidMRC(MACHINE, ProbeConfig(stack_engine="batch"))
+        array_result = batch.compute(list(entries), 50_000)
+        assert isinstance(array_result.correction.trace, np.ndarray)
+        by_array = assess_probe(trace, array_result, LOG)
+        assert by_list.checks == by_array.checks
 
     def test_monotonicity_gate_catches_broken_curve(self):
         # Stack-distance MRCs are monotone by construction, so a rising

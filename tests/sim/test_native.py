@@ -7,24 +7,33 @@ scalar driver on every covered configuration -- counters, cache
 residency in LRU order, float cycle clocks, the process RNG state, the
 PMU-visible event stream, and co-run interleavings.  These tests pin
 the pieces the pure-Python paths do not exercise: the CPython-exact
-MT19937, the chunk rollback protocol of observed runs, the
-negative-address bail-out into the Python paths, and the kill switch.
+MT19937, the C trace channel (real and ideal collectors, stopping on
+the access that fills the log), the chunk rollback protocol that other
+observers still use, the negative-address bail-out into the Python
+paths, the kill switch, and the visible build fallback.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.report import RunReport
-from repro.pmu.sampling import TraceCollector
+from repro.pmu.ideal import IdealTraceCollector
+from repro.pmu.sampling import PMUModel, TraceCollector
+from repro.reliability.faults import FaultPlan, FaultyTraceCollector
 from repro.runner.corun import CorunSpec, corun
 from repro.runner.driver import Process, drive, drive_batch
 from repro.runner.offline import OfflineConfig, real_mrc
+from repro.runner.online import OnlineProbeConfig, collect_trace
+from repro.sim import native
+from repro.sim.cpu import IssueMode
 from repro.sim.fastsim import CollectorStop, native_eligible
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
@@ -42,7 +51,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _build(machine, name, prefetch=True, colors=None, seed_offset=0):
+def _build(machine, name, prefetch=True, colors=None, seed_offset=0,
+           issue_mode=IssueMode.COMPLEX):
     hierarchy = MemoryHierarchy(machine, num_cores=1)
     process = Process(
         pid=0,
@@ -50,10 +60,76 @@ def _build(machine, name, prefetch=True, colors=None, seed_offset=0):
         core=0,
         allocator=PageAllocator(machine),
         colors=colors,
+        issue_mode=issue_mode,
         prefetcher=PrefetcherConfig(enabled=prefetch),
         seed_offset=seed_offset,
     )
     return hierarchy, process
+
+
+def _channel_state(collector):
+    """Everything a trace collector holds, for exact comparison."""
+    state = {
+        "entries": collector.log.entries(),
+        "instructions": collector.instructions,
+        "l1d_misses": collector.l1d_misses,
+        "dropped_events": collector.dropped_events,
+        "stale_entries": collector.stale_entries,
+        "exceptions": collector.exceptions,
+    }
+    if isinstance(collector, IdealTraceCollector):
+        state["buffered"] = collector._buffered
+    else:
+        state.update(
+            rng=collector._rng.getstate(),
+            since_miss=collector._accesses_since_miss,
+            sdar=collector.sdar.read(),
+            sdar_updates=collector.sdar.updates,
+            pmc_total=collector.pmc.total,
+            pmc_pending=collector.pmc.overflow_pending,
+        )
+    return state
+
+
+def _observed_run(machine, driver, make_collector, name="mcf",
+                  prefetch=True, issue_mode=IssueMode.COMPLEX,
+                  accesses=50_000, with_stop=True):
+    hierarchy, process = _build(machine, name, prefetch=prefetch,
+                                issue_mode=issue_mode)
+    collector = make_collector()
+    executed = driver(
+        process, hierarchy, accesses,
+        observer=collector.observe,
+        stop=CollectorStop(collector) if with_stop else None,
+    )
+    return executed, collector, _state(hierarchy, process)
+
+
+def _assert_channel_identical(make_collector, **kwargs):
+    """Scalar drive vs the C trace channel: identical in every field."""
+    executed_s, coll_s, state_s = _observed_run(
+        MACHINE, drive, make_collector, **kwargs)
+    executed_b, coll_b, state_b = _observed_run(
+        BATCH, drive_batch, make_collector, **kwargs)
+    assert coll_b.channel_engine == "native"
+    assert executed_s == executed_b
+    assert _channel_state(coll_s) == _channel_state(coll_b)
+    assert state_s == state_b
+    return coll_b
+
+
+def _mid_event_stale_capacity(name="mcf"):
+    """A log capacity that fills on the first stale prefetch entry of an
+    event that still has prefetches left to log."""
+    hierarchy, process = _build(MACHINE, name, prefetch=True)
+    collector = TraceCollector(log_capacity=1 << 20, seed=5)
+    for _ in range(50_000):
+        result = process.step(hierarchy)
+        before = len(collector.log)
+        collector.observe(result)
+        if len(collector.log) - before >= 3:  # miss + two stale repeats
+            return before + 2
+    raise AssertionError("no multi-prefetch event found")
 
 
 def _state(hierarchy, process):
@@ -164,9 +240,15 @@ class TestNativeSoloIdentity:
 
 
 class _NegativePattern(AccessPattern):
-    """Strided sweep that dips into negative virtual addresses."""
+    """Strided sweep that dips into negative virtual addresses, after
+    ``lead`` accesses of random lines in a positive-only region."""
+
+    def __init__(self, lead: int = 0):
+        self.lead = lead
 
     def generate(self, rng):
+        for _ in range(self.lead):
+            yield MemoryAccess(128 * rng.randrange(4096))
         vaddr = 4096
         while True:
             yield MemoryAccess(vaddr)
@@ -207,6 +289,33 @@ class TestMixedEngineContinuity:
         assert by_engine == {"native": 5_000}
         assert report.counter_total("sim.batch_fallbacks") == 0
 
+    def test_channel_hands_over_to_python_mid_probe(self):
+        """Native chunks log through the C channel until a negative
+        chunk bails; the committed collector then keeps logging in
+        Python with no gap, exactly as one scalar run would."""
+        def run(machine, driver):
+            workload = Workload("neg", _NegativePattern(lead=3_000), seed=3)
+            hierarchy = MemoryHierarchy(machine, num_cores=1)
+            process = Process(
+                pid=0, workload=workload, core=0,
+                allocator=PageAllocator(machine),
+                prefetcher=PrefetcherConfig(enabled=True),
+            )
+            collector = TraceCollector(log_capacity=4_000, seed=5)
+            kwargs = {"slab_size": 512} if driver is drive_batch else {}
+            executed = driver(process, hierarchy, 8_000,
+                              observer=collector.observe,
+                              stop=CollectorStop(collector), **kwargs)
+            return executed, collector, _state(hierarchy, process)
+
+        executed_s, coll_s, state_s = run(MACHINE, drive)
+        executed_b, coll_b, state_b = run(BATCH, drive_batch)
+        assert coll_b.channel_engine == "native"
+        assert executed_s > 3_000  # the log fills after the hand-over
+        assert executed_s == executed_b
+        assert _channel_state(coll_s) == _channel_state(coll_b)
+        assert state_s == state_b
+
     def test_corun_negative_vaddr_fallback(self):
         def specs(machine):
             neg = Workload("neg", _NegativePattern(), seed=3)
@@ -227,41 +336,125 @@ class TestMixedEngineContinuity:
 class TestObservedRollback:
     @pytest.mark.parametrize("log_capacity", [1, 7, 333])
     def test_stop_mid_chunk_rewinds_exactly(self, log_capacity):
-        """The collector fills mid-chunk; the native engine must stop on
-        the exact access the scalar loop would have stopped on."""
-        def run(machine, driver):
-            hierarchy, process = _build(machine, "mcf", prefetch=True)
-            collector = TraceCollector(log_capacity=log_capacity, seed=5)
-            executed = driver(
-                process, hierarchy, 50_000,
-                observer=collector.observe,
-                stop=CollectorStop(collector),
+        """The log fills mid-chunk; the C channel must stop on the exact
+        access the scalar loop would have stopped on, with every
+        collector field (log, counters, RNG, SDAR, PMC) identical --
+        under both issue modes, both PMU models, prefetch on and off."""
+        for issue_mode, pmu_model, prefetch in itertools.product(
+            (IssueMode.COMPLEX, IssueMode.SIMPLIFIED),
+            (PMUModel.POWER5, PMUModel.POWER5_PLUS),
+            (True, False),
+        ):
+            _assert_channel_identical(
+                lambda: TraceCollector(log_capacity=log_capacity,
+                                       issue_mode=issue_mode,
+                                       pmu_model=pmu_model, seed=5),
+                prefetch=prefetch, issue_mode=issue_mode,
             )
-            return executed, collector, _state(hierarchy, process)
 
-        executed_s, coll_s, state_s = run(MACHINE, drive)
-        executed_b, coll_b, state_b = run(BATCH, drive_batch)
-        assert executed_s == executed_b
-        assert coll_s.log.entries() == coll_b.log.entries()
-        assert coll_s.exceptions == coll_b.exceptions
-        assert coll_s.dropped_events == coll_b.dropped_events
-        assert coll_s.stale_entries == coll_b.stale_entries
-        assert state_s == state_b
+    def test_log_fills_on_stale_entry_mid_event(self):
+        """The last slot goes to a stale repeat while the same miss still
+        has prefetches queued: the rest of the event is not logged."""
+        capacity = _mid_event_stale_capacity()
+        coll = _assert_channel_identical(
+            lambda: TraceCollector(log_capacity=capacity, seed=5))
+        assert coll.stale_entries > 0
+        assert coll.log.entries()[-1] == coll.log.entries()[-2]
+
+    @pytest.mark.parametrize("record_prefetches", [True, False])
+    @pytest.mark.parametrize("buffer_entries", [1, 128])
+    @pytest.mark.parametrize("log_capacity", [1, 7, 333])
+    def test_ideal_channel(self, log_capacity, buffer_entries,
+                           record_prefetches):
+        _assert_channel_identical(
+            lambda: IdealTraceCollector(
+                log_capacity=log_capacity, buffer_entries=buffer_entries,
+                record_prefetches=record_prefetches,
+            ))
 
     def test_observer_without_stop_feeds_every_event(self):
         """With no stop predicate the scalar loop keeps feeding a done
-        collector; the native tail-feed must do the same."""
-        def run(machine, driver):
-            hierarchy, process = _build(machine, "jbb", prefetch=True)
-            collector = TraceCollector(log_capacity=5, seed=9)
-            driver(process, hierarchy, 4_000, observer=collector.observe)
-            return collector, _state(hierarchy, process)
+        collector (the real one keeps ticking); C must do the same."""
+        for make_collector in (
+            lambda: TraceCollector(log_capacity=5, seed=9),
+            lambda: IdealTraceCollector(log_capacity=5, buffer_entries=2),
+        ):
+            _assert_channel_identical(make_collector, name="jbb",
+                                      accesses=4_000, with_stop=False)
 
-        coll_s, state_s = run(MACHINE, drive)
-        coll_b, state_b = run(BATCH, drive_batch)
-        assert coll_s.log.entries() == coll_b.log.entries()
-        assert coll_s.l1d_misses == coll_b.l1d_misses
+    def test_already_full_log_still_runs_one_access(self):
+        """Scalar parity: the stop predicate is only consulted after an
+        access, so a drive armed on a full log executes exactly one."""
+        def full_collector():
+            collector = TraceCollector(log_capacity=2, seed=3)
+            collector.log.extend([11, 12])
+            return collector
+
+        _assert_channel_identical(full_collector)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        drop_probability=st.floats(min_value=0.0, max_value=1.0),
+        inflight_window=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_hypothesis_drop_model(self, drop_probability, inflight_window,
+                                   seed):
+        _assert_channel_identical(
+            lambda: TraceCollector(
+                log_capacity=400, drop_probability=drop_probability,
+                inflight_window=inflight_window, seed=seed,
+            ),
+            accesses=20_000,
+        )
+
+    def test_faulty_collector_keeps_rollback_path(self):
+        """The fault wrapper is not a stock collector: it still runs
+        through the event buffer + rollback protocol, bit-identically."""
+        plan = FaultPlan.parse("all", seed=3)
+
+        def make():
+            return FaultyTraceCollector(
+                TraceCollector(log_capacity=300, seed=5), plan, salt="mcf")
+
+        executed_s, coll_s, state_s = _observed_run(MACHINE, drive, make)
+        executed_b, coll_b, state_b = _observed_run(BATCH, drive_batch, make)
+        assert coll_b.inner.channel_engine == "python"
+        assert executed_s == executed_b
+        assert _channel_state(coll_s.inner) == _channel_state(coll_b.inner)
+        assert coll_s._rng.getstate() == coll_b._rng.getstate()
+        assert coll_s.report.summary() == coll_b.report.summary()
+        assert coll_b.report.corrupted_entries > 0
+        assert dataclasses.asdict(coll_s.finish()) == dataclasses.asdict(
+            coll_b.finish())
         assert state_s == state_b
+
+    @pytest.mark.parametrize("use_ideal_pmu", [False, True])
+    def test_collect_trace_matches_kill_switch(self, monkeypatch,
+                                               use_ideal_pmu):
+        """A REPRO_NATIVE=0 probe equals the native one field by field."""
+        online = OnlineProbeConfig(use_ideal_pmu=use_ideal_pmu)
+        runs = {}
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_NATIVE", flag)
+            telemetry = Telemetry.in_memory()
+            with use_telemetry(telemetry):
+                probe = collect_trace(make_workload("mcf", BATCH), BATCH,
+                                      online)
+            report = RunReport.from_telemetry(telemetry)
+            runs[flag] = (probe, report.counter_by_label(
+                "pmu.channel", "engine"))
+        (native_probe, native_channel), (py_probe, py_channel) = (
+            runs["1"], runs["0"])
+        assert native_channel == {"native": 1}
+        assert py_channel == {"python": 1}
+        assert dataclasses.asdict(native_probe.probe) == dataclasses.asdict(
+            py_probe.probe)
+        assert native_probe.accesses_executed == py_probe.accesses_executed
+        assert native_probe.log_filled == py_probe.log_filled
+        assert native_probe.quality == py_probe.quality
+        assert dict(native_probe.result.mrc.mpki) == dict(
+            py_probe.result.mrc.mpki)
 
     def test_opaque_stop_stays_on_slab_path(self):
         """A plain lambda cannot be reasoned about: the drive must not
@@ -293,6 +486,40 @@ class TestKillSwitch:
         assert by_engine == {"kernel": 2_000}
         monkeypatch.delenv("REPRO_NATIVE")
         assert native_available()
+
+
+class TestBuildFallback:
+    def test_missing_compiler_warns_once_and_counts(self, monkeypatch):
+        """No compiler: the fallback is counted per lookup and warned
+        about once per process, never silent."""
+        monkeypatch.setattr(native, "_find_cc", lambda: None)
+        # A flag no cached library was built with forces a fresh build.
+        monkeypatch.setattr(native, "_CFLAGS",
+                            native._CFLAGS + ["-DREPRO_NO_CACHED_BUILD"])
+        monkeypatch.setattr(native, "_LIB", None)
+        monkeypatch.setattr(native, "_LIB_TRIED", False)
+        monkeypatch.setattr(native, "_WARNED", False)
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            with pytest.warns(RuntimeWarning, match="no_compiler"):
+                assert native.native_lib() is None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not native.native_available()
+        report = RunReport.from_telemetry(telemetry)
+        assert report.counter_by_label(
+            "sim.native_unavailable", "reason") == {"no_compiler": 2}
+
+    def test_kill_switch_is_silent(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setattr(native, "_WARNED", False)
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert native.native_lib() is None
+        report = RunReport.from_telemetry(telemetry)
+        assert report.counter_total("sim.native_unavailable") == 0
 
 
 class TestPooledTelemetryParity:
