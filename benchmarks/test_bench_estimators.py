@@ -2,13 +2,13 @@
 
 Times the full ``RapidMRC.compute`` pipeline on the paper's full-scale
 POWER5 L2 for the SHARDS and AET estimator backends alongside the exact
-``rangelist``/``fenwick`` references, and writes machine-readable
+``rangelist`` reference, and writes machine-readable
 results to ``benchmarks/results/BENCH_estimators.json``.
 
 Three hard gates ride along with the timings:
 
 * **Accuracy** -- at every trace size each estimator's curve must stay
-  within a documented MPKI envelope of the exact fenwick curve at every
+  within a documented MPKI envelope of the exact rangelist curve at every
   partition boundary.  An estimator that drifts past its envelope is
   returning garbage, not an approximation; CI fails on any breach.
 * **Footprint** -- at R = 0.1 SHARDS must keep at least 10x fewer
@@ -41,7 +41,7 @@ MIN_FOOTPRINT_RATIO = 10.0
 SAMPLING_RATE = 0.1
 STALE_FRACTION = 0.15  # exercise the correction kernel, like a real probe
 
-# Accuracy envelopes (max |MPKI - fenwick| over the partition
+# Accuracy envelopes (max |MPKI - rangelist| over the partition
 # boundaries).  SHARDS resolves individual reuses so it sits close to
 # exact even at R = 0.1; AET reconstructs the curve from reuse-time
 # statistics, so its envelope is looser.
@@ -101,7 +101,7 @@ def test_bench_estimators(machine, report_dir):
         "sampling_rate": SAMPLING_RATE,
         "sizes": sizes,
         "engines": {
-            name: {} for name in ["rangelist", "fenwick"] + ESTIMATORS
+            name: {} for name in ["rangelist"] + ESTIMATORS
         },
         "speedup_vs_rangelist": {name: {} for name in ESTIMATORS},
         "max_mpki_error": {name: {} for name in ESTIMATORS},
@@ -111,7 +111,7 @@ def test_bench_estimators(machine, report_dir):
         trace = make_trace(size, machine.l2_lines)
         distinct = len(set(trace))
         results = {}
-        for name in ["rangelist", "fenwick"] + ESTIMATORS:
+        for name in ["rangelist"] + ESTIMATORS:
             if name in ESTIMATORS:
                 config = ProbeConfig(
                     stack_engine=name, sampling_rate=SAMPLING_RATE
@@ -125,7 +125,7 @@ def test_bench_estimators(machine, report_dir):
                 "accesses_per_sec": round(size / seconds),
                 "tracked_entries": result.tracked_entries,
             }
-        exact = dict(results["fenwick"].mrc)
+        exact = dict(results["rangelist"].mrc)
         base = report["engines"]["rangelist"][str(size)]["accesses_per_sec"]
         for name in ESTIMATORS:
             approx = dict(results[name].mrc)
@@ -135,7 +135,7 @@ def test_bench_estimators(machine, report_dir):
             report["max_mpki_error"][name][str(size)] = round(error, 4)
             # Accuracy gate: the estimator stays inside its envelope.
             assert error <= MAX_MPKI_ERROR[name], (
-                f"{name} off by {error:.2f} MPKI vs fenwick at {size} "
+                f"{name} off by {error:.2f} MPKI vs rangelist at {size} "
                 f"entries (envelope {MAX_MPKI_ERROR[name]})"
             )
             fast = report["engines"][name][str(size)]["accesses_per_sec"]

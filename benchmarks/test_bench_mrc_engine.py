@@ -32,7 +32,7 @@ from repro.core.rapidmrc import ProbeConfig, RapidMRC
 from repro.obs import Telemetry, use_telemetry
 from repro.sim.machine import MachineConfig
 
-ENGINES = ["rangelist", "fenwick", "batch"]
+ENGINES = ["rangelist", "batch"]
 DEFAULT_SIZES = [10_000, 160_000, 1_000_000]
 SPEEDUP_SIZE = 160_000
 MIN_SPEEDUP = 5.0

@@ -1,23 +1,21 @@
-"""Benchmark: hierarchy simulation throughput, batch engine vs scalar.
+"""Benchmark: hierarchy simulation throughput, native engine vs scalar.
 
 Times the simulation drivers end to end on the paper's full-scale
 POWER5 (15360-line L2) and writes machine-readable results to
-``benchmarks/results/BENCH_sim_engine.json``.
+``benchmarks/results/BENCH_sim.json``.
 
 Four paths are measured, one row each:
 
-* **solo** -- one process, prefetch off: ``drive_batch`` dispatches
-  this to the compiled native engine (``repro.sim._native``) whenever
-  it is available, so the row measures native, not the closed-form LRU
-  kernel (``repro.sim.fastsim._drive_kernel``), which only runs without
-  a compiler or under ``REPRO_NATIVE=0``.  Gate: >= 5x the scalar
-  ``drive`` loop's accesses/sec on every measured workload.
+* **solo** -- one process, prefetch off: ``drive_batch`` on the
+  compiled native engine (``repro.sim._native``).  Gate: >= 5x the
+  scalar ``drive`` loop's accesses/sec on every measured workload.
 * **prefetch_on** -- one process with the stream prefetcher enabled:
   the compiled native engine (``repro.sim._native``).  Gate: >= 5x
   scalar.
 * **corun** -- two processes sharing the L2 under the cycle-fair
   scheduler with prefetching on: the native co-run kernel
-  (``fastsim.NativeCorun``).  Gate: >= 10x the scalar interleave.
+  (``fastsim.NativeCorun``).  Gate: >= 10x the scalar interleave, which
+  runs with ``REPRO_NATIVE=0``.
 * **sharded** -- the offline ``real_mrc`` curve fanned out across
   worker processes (``--sim-workers`` plumbing).  Gate: the pooled
   curve and its folded telemetry counters equal the sequential run's
@@ -26,9 +24,9 @@ Four paths are measured, one row each:
 
 A parity gate rides along with each timing: the batch run's counters
 and cache statistics must be bit-identical to the scalar run's, and
-every batch-engine drive in this file must complete with zero
-``sim.batch_fallbacks`` (all configurations here are LRU, so the fast
-paths must never bail to the scalar loop).  A fast engine that drifts
+every native drive in this file must complete with zero
+``sim.batch_fallbacks`` (all configurations here are LRU, so the native
+engine must never fall back to the scalar loop).  A fast engine that drifts
 is worse than no fast engine; CI fails on any divergence.
 
 Environment overrides (the CI smoke job shortens the runs):
@@ -42,6 +40,7 @@ Environment overrides (the CI smoke job shortens the runs):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -123,7 +122,7 @@ def _solo_rows(machine, telemetry, prefetch):
         scalar_s, scalar_state = _time_solo(machine, name, drive, prefetch)
         with use_telemetry(telemetry):
             batch_s, batch_state = _time_solo(
-                machine.with_engine("batch"), name, drive_batch, prefetch
+                machine, name, drive_batch, prefetch
             )
         # Parity gate: bit-identical counters, stats, and cycle clocks.
         assert batch_state == scalar_state, name
@@ -147,25 +146,32 @@ def _time_corun(machine, telemetry):
         ]
 
     results = {}
-    for label, m in (("scalar", machine),
-                     ("batch", machine.with_engine("batch"))):
+    for label in ("scalar", "batch"):
         best, outcome = float("inf"), None
         for _ in range(ROUNDS):
             start = time.perf_counter()
-            with use_telemetry(telemetry) if label == "batch" else _noop():
-                outcome = corun(specs(m), m, quota_accesses=CORUN_QUOTA,
+            with (_native_off() if label == "scalar"
+                  else use_telemetry(telemetry)):
+                outcome = corun(specs(machine), machine,
+                                quota_accesses=CORUN_QUOTA,
                                 warmup_accesses=CORUN_WARMUP)
             best = min(best, time.perf_counter() - start)
         results[label] = (best, dataclasses.asdict(outcome))
     return results
 
 
-class _noop:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
+@contextlib.contextmanager
+def _native_off():
+    """The scalar reference: ``REPRO_NATIVE=0`` for the block."""
+    saved = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "0"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_NATIVE"]
+        else:
+            os.environ["REPRO_NATIVE"] = saved
 
 
 def _time_sharded(machine):
@@ -174,20 +180,19 @@ def _time_sharded(machine):
     Uses its own telemetry sinks (one per run) so the counter
     comparison is exact rather than a delta against the earlier paths.
     """
-    batch = machine.with_engine("batch")
-    workload = make_workload("mcf", batch)
+    workload = make_workload("mcf", machine)
     config = OfflineConfig()
 
     seq_telemetry = Telemetry.in_memory()
     start = time.perf_counter()
     with use_telemetry(seq_telemetry):
-        sequential = real_mrc(workload, batch, config, sizes=MRC_SIZES)
+        sequential = real_mrc(workload, machine, config, sizes=MRC_SIZES)
     seq_s = time.perf_counter() - start
 
     pool_telemetry = Telemetry.in_memory()
     start = time.perf_counter()
     with use_telemetry(pool_telemetry):
-        pooled = real_mrc(workload, batch, config, sizes=MRC_SIZES,
+        pooled = real_mrc(workload, machine, config, sizes=MRC_SIZES,
                           max_workers=2)
     pool_s = time.perf_counter() - start
 
@@ -216,8 +221,8 @@ def _time_sharded(machine):
     }
 
 
-def test_bench_sim_engine(machine, report_dir):
-    # One shared sink for every batch-engine run in this benchmark: the
+def test_bench_sim(machine, report_dir):
+    # One shared sink for every native run in this benchmark: the
     # zero-fallback gate at the end covers all four paths at once.
     telemetry = Telemetry.in_memory()
     report = {
@@ -248,7 +253,7 @@ def test_bench_sim_engine(machine, report_dir):
 
     report["sharded"] = _time_sharded(machine)
 
-    path = report_dir / "BENCH_sim_engine.json"
+    path = report_dir / "BENCH_sim.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
 
     for section, floor in (("solo", MIN_SOLO_SPEEDUP),
@@ -265,8 +270,8 @@ def test_bench_sim_engine(machine, report_dir):
         f"(need >= {MIN_CORUN_SPEEDUP}x); see {path}"
     )
 
-    # All configurations above are LRU: the fast paths must never have
-    # dropped to the per-access scalar loop.
+    # All configurations above are LRU: the native engine must never
+    # have dropped to the per-access scalar loop.
     batch_report = RunReport.from_telemetry(telemetry)
     assert batch_report.counter_total("sim.batch_fallbacks") == 0, (
         batch_report.counter_by_label("sim.batch_fallbacks", "reason")

@@ -42,7 +42,6 @@ __all__ = ["OverheadModel", "ProbeOverhead", "measured_split"]
 #: benchmark gates ~6x), so its per-entry constant is 775 / 6.
 CALC_CYCLES_PER_ENTRY = {
     "rangelist": 775,
-    "fenwick": 1100,
     "naive": 40_000,
     "batch": 129,
 }

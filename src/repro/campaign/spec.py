@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Exact stack engines (estimator names come from the estimator registry).
-EXACT_ENGINES: Tuple[str, ...] = ("naive", "rangelist", "fenwick", "batch")
+EXACT_ENGINES: Tuple[str, ...] = ("naive", "rangelist", "batch")
 
 _ID_SANITIZE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -43,39 +43,31 @@ class MachineSpec:
     """One machine configuration axis entry."""
 
     scale: int = 16
-    sim_engine: str = "scalar"
 
     def __post_init__(self) -> None:
         if self.scale < 1:
             raise ValueError(f"machine scale must be >= 1, got {self.scale!r}")
-        if self.sim_engine not in ("scalar", "batch"):
-            raise ValueError(
-                f"unknown sim_engine {self.sim_engine!r}; "
-                "options: 'scalar', 'batch'"
-            )
 
     @property
     def ident(self) -> str:
-        return f"s{self.scale}-{self.sim_engine}"
+        return f"s{self.scale}"
 
     def build(self):
         from repro.sim.machine import MachineConfig
 
-        machine = (
+        return (
             MachineConfig.scaled(self.scale)
             if self.scale > 1 else MachineConfig()
         )
-        return machine.with_engine(self.sim_engine)
 
     def to_dict(self) -> Dict[str, object]:
-        return {"scale": self.scale, "sim_engine": self.sim_engine}
+        return {"scale": self.scale}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "MachineSpec":
-        return cls(
-            scale=int(payload.get("scale", 16)),
-            sim_engine=str(payload.get("sim_engine", "scalar")),
-        )
+        # Specs written before the simulation engine was chosen
+        # automatically name one per machine; that key is ignored.
+        return cls(scale=int(payload.get("scale", 16)))
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,9 @@ __all__ = ["main"]
 
 
 def _machine(args: argparse.Namespace) -> MachineConfig:
-    machine = (
+    return (
         MachineConfig.scaled(args.scale) if args.scale > 1 else MachineConfig()
     )
-    engine = getattr(args, "sim_engine", None)
-    if engine:
-        machine = machine.with_engine(engine)
-    return machine
 
 
 def _open_store(args: argparse.Namespace) -> Optional[MRCStore]:
@@ -64,7 +60,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     machine = _machine(args)
     workload = make_workload(args.workload, machine)
     print(f"# machine: {machine.name} (L2 {machine.l2_lines} lines, "
-          f"{machine.num_colors} colors, {machine.sim_engine} engine)")
+          f"{machine.num_colors} colors)")
     store = _open_store(args)
     signature = (
         workload_signature(args.workload, machine.name)
@@ -79,8 +75,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
                   f"(reuse #{entry.reuses})")
             curves = {"rapidmrc": entry.mrc}
             if args.real:
-                real = real_mrc(workload, machine, OfflineConfig(),
-                                max_workers=args.workers)
+                real = real_mrc(workload, machine, OfflineConfig())
                 matched, shift = entry.mrc.v_offset_matched(8, real[8])
                 curves = {"real": real, "rapidmrc": matched}
                 print(f"# v-offset shift: {shift:+.3f} MPKI")
@@ -102,7 +97,9 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     if args.sampling_rate is not None and args.estimator is None:
         print("error: --sampling-rate requires --estimator", file=sys.stderr)
         return 2
-    probe_config = ProbeConfig()
+    probe_config = (
+        ProbeConfig(stack_engine="batch") if args.fast else ProbeConfig()
+    )
     if args.estimator is not None:
         try:
             probe_config = ProbeConfig(
@@ -113,7 +110,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             return 2
     probe = collect_trace(
         workload, machine, probe_config=probe_config, fault_plan=plan,
-        fast=True if args.fast else None,
     )
     print(f"# probe: {probe.probe.instructions} instructions, "
           f"{len(probe.probe.entries)} log entries, "
@@ -139,8 +135,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         print(f"# cached under {signature.key()} -> {args.mrc_cache}")
     curves = {"rapidmrc": probe.result.mrc}
     if args.real:
-        real = real_mrc(workload, machine, OfflineConfig(),
-                        max_workers=args.workers)
+        real = real_mrc(workload, machine, OfflineConfig())
         probe.calibrate(8, real[8])
         curves = {"real": real, "rapidmrc": probe.result.best_mrc}
         print(f"# MPKI distance: {mpki_distance(real, probe.result.best_mrc):.3f}")
@@ -149,14 +144,18 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from repro.core.rapidmrc import ProbeConfig
+
     machine = _machine(args)
+    probe_config = (
+        ProbeConfig(stack_engine="batch") if args.fast else ProbeConfig()
+    )
     names = [args.workload_a, args.workload_b]
     store = _open_store(args)
     curves = {}
     for name in names:
         workload = make_workload(name, machine)
-        real = real_mrc(workload, machine, OfflineConfig(),
-                        max_workers=args.workers)
+        real = real_mrc(workload, machine, OfflineConfig())
         signature = (
             workload_signature(name, machine.name)
             if store is not None else None
@@ -169,8 +168,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 print(f"# cache hit: {entry.signature.key()} "
                       f"(reuse #{entry.reuses})")
                 continue
-        probe = collect_trace(workload, machine,
-                              fast=True if args.fast else None)
+        probe = collect_trace(workload, machine, probe_config=probe_config)
         probe.calibrate(8, real[8])
         curves[name] = probe.result.best_mrc
         if store is not None and probe.ok:
@@ -210,11 +208,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("no samples to analyze", file=sys.stderr)
         return 1
     instructions = args.instructions or 48 * len(trace)
-    # analyze has no hierarchy to simulate: --sim-engine batch means the
-    # batch stack-distance engine, exactly what --fast selects.
-    use_batch = args.fast or args.sim_engine == "batch"
     probe_config = (
-        ProbeConfig(stack_engine="batch") if use_batch else ProbeConfig()
+        ProbeConfig(stack_engine="batch") if args.fast else ProbeConfig()
     )
     engine = RapidMRC(machine, probe_config)
     result = engine.compute(trace, instructions, label=args.trace)
@@ -415,7 +410,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     try:
         report = run_campaign(
             spec, args.out,
-            max_workers=args.workers,
             resume=args.resume,
             progress=progress,
         )
@@ -549,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sim-workers", type=int, default=None, metavar="N",
         help="default worker-process count for every parallel "
-             "simulation path (offline curves, probes, campaign cells); "
-             "a command's own --workers flag overrides it",
+             "simulation path (offline curves, probes, campaign cells)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -591,16 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 0.1)",
     )
     probe.add_argument(
-        "--sim-engine", choices=["scalar", "batch"], default=None,
-        help="hierarchy simulation engine: 'batch' drives the probe and "
-             "--real runs through the vectorized fast path "
-             "(bit-identical results, several times faster)",
-    )
-    probe.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="parallel worker processes for the --real per-size runs",
-    )
-    probe.add_argument(
         "--telemetry", metavar="PATH", default=None,
         help="record spans and metrics to this JSONL file "
              "(render with 'rapidmrc obs report PATH')",
@@ -623,15 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument(
         "--fast", action="store_true",
         help="compute each MRC with the vectorized batch engine",
-    )
-    part.add_argument(
-        "--sim-engine", choices=["scalar", "batch"], default=None,
-        help="hierarchy simulation engine: 'batch' drives both probes "
-             "and the real-MRC runs through the vectorized fast path",
-    )
-    part.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="parallel worker processes for the real-MRC per-size runs",
     )
     part.add_argument(
         "--telemetry", metavar="PATH", default=None,
@@ -675,11 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--fast", action="store_true",
         help="load and analyze the trace with the vectorized batch engine",
-    )
-    analyze.add_argument(
-        "--sim-engine", choices=["scalar", "batch"], default=None,
-        help="'batch' selects the vectorized stack-distance engine for "
-             "the MRC computation (same engine --fast enables)",
     )
     analyze.add_argument(
         "--telemetry", metavar="PATH", default=None,
@@ -792,11 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--out", required=True, metavar="DIR",
         help="results directory (created if missing)",
-    )
-    campaign_run.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the cell fan-out "
-             "(default: sequential in-process)",
     )
     campaign_run.add_argument(
         "--resume", action="store_true",

@@ -5,7 +5,7 @@ cost on every trace entry.  The MRC survey (Byrne, arXiv:1804.01972)
 catalogs sampling-based constructions that approximate the same curve
 at a small constant fraction of that cost; this module provides two of
 them behind a registry that plugs into :class:`~repro.core.stack.
-LRUStackSimulator` alongside ``naive``/``rangelist``/``fenwick``/``batch``:
+LRUStackSimulator` alongside ``naive``/``rangelist``/``batch``:
 
 - :class:`ShardsEstimator` -- SHARDS-style spatially-hashed sampling
   (Waldspurger et al.).  A line is *sampled* when ``hash(line) < T``
@@ -185,7 +185,7 @@ class EstimateResult:
 class _SampledStack:
     """Fenwick LRU stack over the sampled sub-trace, with eviction.
 
-    A twin of :class:`~repro.core.stack.FenwickLRUStack` bounded at the
+    An order-statistic (binary indexed tree) stack bounded at the
     *sampled* depth (``ceil(max_depth * R)``): a sampled line deeper
     than the bound rescales past ``max_depth`` and is a cold miss for
     every size under study, so compaction may drop it.  Capacity is

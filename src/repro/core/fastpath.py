@@ -16,7 +16,7 @@ the hot pipeline stages:
   :mod:`repro.core.warmup`.
 
 Everything here is **bit-identical** to the scalar engines: the batch
-kernel reproduces :class:`~repro.core.stack.FenwickLRUStack`'s exact
+kernel reproduces :class:`~repro.core.stack.NaiveLRUStack`'s exact
 distances and, when given boundaries, the quantized histogram of
 :class:`~repro.core.stack.RangeListLRUStack` (the differential tests in
 ``tests/core/test_fastpath.py`` and the engine benchmark enforce this).
@@ -251,7 +251,7 @@ def batch_stack_distances(trace: Iterable[int], max_depth: int) -> np.ndarray:
     Returns an int64 array: 1-based distances for reuses within
     ``max_depth``, :data:`~repro.core.histogram.COLD_MISS` for first
     touches and for reuses deeper than the bound -- element for element
-    what :class:`~repro.core.stack.FenwickLRUStack` returns.
+    what :class:`~repro.core.stack.NaiveLRUStack` returns.
     """
     if max_depth <= 0:
         raise ValueError("max_depth must be positive")
@@ -371,7 +371,7 @@ def batch_histogram(
     boundary of their range and the result is identical to running
     :class:`~repro.core.stack.RangeListLRUStack` over the trace; with
     ``quantize=False`` the exact histogram of
-    :class:`~repro.core.stack.FenwickLRUStack` is produced (``boundaries``
+    :class:`~repro.core.stack.NaiveLRUStack` is produced (``boundaries``
     must then be ``None``).
 
     Args:

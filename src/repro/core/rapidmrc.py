@@ -37,8 +37,8 @@ class ProbeConfig:
         warmup: ``"hybrid"`` (automatic with static fallback -- the
             Table 2 policy), ``"static"`` (always half the log),
             ``"none"``, or an integer for an explicit static entry count.
-        stack_engine: ``rangelist`` (paper's choice), ``fenwick``,
-            ``naive``, ``batch`` -- the vectorized whole-trace fast
+        stack_engine: ``rangelist`` (paper's choice), ``naive``,
+            ``batch`` -- the vectorized whole-trace fast
             path of :mod:`repro.core.fastpath`, bit-identical to
             ``rangelist`` but several times faster -- or a sub-linear
             sampling estimator (``shards``, ``aet``) from

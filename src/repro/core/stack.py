@@ -7,7 +7,7 @@ distance ``d`` hits in any fully-associative LRU cache of size >= ``d``
 lines and misses in any smaller one, so a single pass yields the whole
 miss-rate curve.
 
-Three interchangeable engines are provided:
+Two interchangeable engines are provided:
 
 - :class:`NaiveLRUStack` -- a literal list-based stack, O(depth) per
   access.  The reference implementation used to cross-validate the others.
@@ -16,12 +16,8 @@ Three interchangeable engines are provided:
   Distances are resolved only to the granularity of the cache sizes of
   interest (the 16 partition boundaries), which cuts the per-access cost
   to O(#boundaries) pointer operations.
-- :class:`FenwickLRUStack` -- an order-statistic (binary indexed tree)
-  engine giving *exact* distances in O(log trace) per access; useful when
-  full-resolution histograms are wanted (e.g. the Dinero associativity
-  study feeds from it).
 
-A fourth engine name, ``batch``, selects the numpy-vectorized
+A third engine name, ``batch``, selects the numpy-vectorized
 whole-trace kernel in :mod:`repro.core.fastpath` through the
 :class:`LRUStackSimulator` facade.  It produces histograms bit-identical
 to the per-access engines at a large constant-factor speedup, but has no
@@ -42,7 +38,6 @@ from repro.core.histogram import COLD_MISS, StackDistanceHistogram
 __all__ = [
     "NaiveLRUStack",
     "RangeListLRUStack",
-    "FenwickLRUStack",
     "LRUStackSimulator",
     "make_engine",
 ]
@@ -296,117 +291,16 @@ class RangeListLRUStack:
         raise AssertionError("depth beyond max_depth")
 
 
-class FenwickLRUStack:
-    """Exact-distance LRU stack via an order-statistic Fenwick tree.
-
-    Classic O(log n) reuse-distance computation: each resident line holds
-    the timestamp of its last access; the Fenwick tree counts live
-    timestamps, so the number of live timestamps newer than the line's
-    last access is its 0-based stack depth.
-
-    The structure is logically unbounded, which is behaviourally identical
-    to the paper's bounded stack: once a line sinks below ``max_depth`` it
-    can never rise again without being re-accessed, so every later access
-    to it has distance > ``max_depth`` and is classified as a cold miss,
-    exactly as if it had been evicted.  Lines deeper than ``max_depth``
-    are physically dropped during periodic timestamp compaction to bound
-    memory.
-    """
-
-    def __init__(self, max_depth: int, capacity: Optional[int] = None):
-        if max_depth <= 0:
-            raise ValueError("max_depth must be positive")
-        self.max_depth = max_depth
-        self._capacity = capacity or max(4 * max_depth, 1 << 12)
-        self._tree = [0] * (self._capacity + 1)
-        self._last_time: Dict[int, int] = {}
-        self._time = 0
-        self._live = 0
-        #: Number of timestamp compactions performed (exposed for tests).
-        self.compactions = 0
-
-    @property
-    def occupancy(self) -> int:
-        return min(len(self._last_time), self.max_depth)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._last_time) >= self.max_depth
-
-    def _tree_add(self, pos: int, delta: int) -> None:
-        while pos <= self._capacity:
-            self._tree[pos] += delta
-            pos += pos & (-pos)
-
-    def _tree_sum(self, pos: int) -> int:
-        total = 0
-        while pos > 0:
-            total += self._tree[pos]
-            pos -= pos & (-pos)
-        return total
-
-    def access(self, line: int) -> int:
-        if self._time + 1 > self._capacity:
-            self._compact()
-        self._time += 1
-        now = self._time
-        previous = self._last_time.get(line)
-        if previous is None:
-            distance = COLD_MISS
-        else:
-            newer = self._live - self._tree_sum(previous)
-            distance = newer + 1
-            self._tree_add(previous, -1)
-            self._live -= 1
-            if distance > self.max_depth:
-                distance = COLD_MISS
-        self._last_time[line] = now
-        self._tree_add(now, 1)
-        self._live += 1
-        return distance
-
-    def _compact(self) -> None:
-        """Re-number timestamps densely, dropping lines below max_depth.
-
-        Capacity doubles on every compaction: a fixed capacity close to
-        ``max_depth`` would make compaction (an O(capacity + depth log
-        depth) full rebuild) fire every ``capacity - max_depth`` accesses
-        and turn the engine quadratic.  Doubling keeps the total number
-        of compactions over a trace logarithmic, at the cost of tree
-        memory proportional to the longest burst processed so far.
-        """
-        ordered = sorted(self._last_time.items(), key=lambda item: -item[1])
-        kept = ordered[: self.max_depth]
-        kept.reverse()  # oldest first -> ascending new timestamps
-        self.compactions += 1
-        self._capacity *= 2
-        self._tree = [0] * (self._capacity + 1)
-        self._last_time = {}
-        self._live = 0
-        self._time = 0
-        for line, _old_time in kept:
-            self._time += 1
-            self._last_time[line] = self._time
-            self._tree_add(self._time, 1)
-            self._live += 1
-
-    def resident_lines(self) -> List[int]:
-        """Lines within max_depth, most-recent first (for tests)."""
-        ordered = sorted(self._last_time.items(), key=lambda item: -item[1])
-        return [line for line, _t in ordered[: self.max_depth]]
-
-
 _ENGINES = {
     "naive": NaiveLRUStack,
     "rangelist": RangeListLRUStack,
-    "fenwick": FenwickLRUStack,
 }
 
 
 def make_engine(
     name: str, max_depth: int, boundaries: Optional[Sequence[int]] = None
 ):
-    """Instantiate a stack engine by name (``naive``/``rangelist``/``fenwick``).
+    """Instantiate a stack engine by name (``naive``/``rangelist``).
 
     Only the range-list engine can honor ``boundaries`` (it quantizes
     every reported distance to them); the exact engines cannot, and a
@@ -450,7 +344,7 @@ class LRUStackSimulator:
 
     Args:
         max_depth: stack bound in lines (the L2 size: 15360 on POWER5).
-        engine: one of ``naive``, ``rangelist``, ``fenwick``, ``batch``,
+        engine: one of ``naive``, ``rangelist``, ``batch``,
             or a sampling estimator from :mod:`repro.core.estimators`
             (``shards``, ``aet``); estimators also only support
             :meth:`process`, and leave their cost accounting in
@@ -458,10 +352,10 @@ class LRUStackSimulator:
         boundaries: the depths (in lines) at which distances must be
             resolvable -- normally the 16 partition sizes.  The
             range-list and batch engines quantize distances to exactly
-            these; the exact engines (``naive``, ``fenwick``) resolve
-            *every* depth and so satisfy any boundaries trivially -- the
-            argument is not forwarded to them (forwarding would raise,
-            see :func:`make_engine`).
+            these; the exact ``naive`` engine resolves *every* depth and
+            so satisfies any boundaries trivially -- the argument is not
+            forwarded to it (forwarding would raise, see
+            :func:`make_engine`).
 
     The ``batch`` engine (:mod:`repro.core.fastpath`) has no per-access
     interface: it vectorizes whole traces, so only :meth:`process` works;

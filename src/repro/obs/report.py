@@ -248,14 +248,6 @@ class RunReport:
             return None
         return max(sorted(by_engine), key=lambda engine: by_engine[engine])
 
-    def sim_engine(self) -> str:
-        """Which simulation engine drove the run's accesses.
-
-        ``"batch"`` when any accesses went through the fast engine
-        (:mod:`repro.sim.fastsim`), ``"scalar"`` otherwise.
-        """
-        return "batch" if self.counter_total("sim.batch_accesses") else "scalar"
-
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
@@ -278,25 +270,22 @@ class RunReport:
             out(f"time series: {len(self.series.get('series', ()))} series "
                 f"({', '.join(names[:6])}"
                 f"{', ...' if len(names) > 6 else ''})")
-        engine = self.sim_engine()
-        if engine == "batch":
-            by_path = self.counter_by_label("sim.batch_accesses", "engine")
-            detail = ", ".join(
-                f"{path} {count}" for path, count in sorted(by_path.items())
+        by_engine = self.counter_by_label("sim.batch_accesses", "engine")
+        fallbacks = self.counter_by_label("sim.batch_fallbacks", "reason")
+        reasons = ", ".join(
+            f"{reason}={count}" for reason, count in sorted(fallbacks.items())
+        )
+        out(f"simulation engine: native {by_engine.get('native', 0)}, "
+            f"scalar {by_engine.get('scalar', 0)} accesses; "
+            f"fallbacks: {reasons or 'none'}")
+        rates = self.accesses_per_sec()
+        if "" in rates:
+            per_engine = ", ".join(
+                f"{path} {rate:,.0f}/s"
+                for path, rate in sorted(rates.items()) if path
             )
-            fallbacks = self.counter_total("sim.batch_fallbacks")
-            out(f"simulation engine: batch ({detail} accesses; "
-                f"{fallbacks} fallbacks)")
-            rates = self.accesses_per_sec()
-            if "" in rates:
-                per_engine = ", ".join(
-                    f"{path} {rate:,.0f}/s"
-                    for path, rate in sorted(rates.items()) if path
-                )
-                out(f"batched throughput: {rates['']:,.0f} accesses/s "
-                    f"({per_engine})")
-        else:
-            out("simulation engine: scalar")
+            out(f"batched throughput: {rates['']:,.0f} accesses/s "
+                f"({per_engine})")
         channels = self.counter_by_label("pmu.channel", "engine")
         if channels:
             detail = ", ".join(

@@ -74,7 +74,7 @@ class IdealTraceCollector(BatchEventConsumer):
         self.observe_event(result.line, result.l1_hit, result.prefetched_lines)
 
     def observe_event(self, line, l1_hit, prefetched_lines=()) -> None:
-        """Raw-event form of :meth:`observe` (the batch engine's path)."""
+        """Raw-event form of :meth:`observe` (fed by :meth:`observe_events`)."""
         if self.done or l1_hit:
             return
         self.l1d_misses += 1

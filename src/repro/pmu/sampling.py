@@ -41,7 +41,7 @@ class BatchEventConsumer:
     actually consumed.  Consumption stops with the event on which
     ``done`` first turns true -- exactly where a per-access drive loop
     checking its stop predicate between accesses would have stopped --
-    so a run-ahead engine (the native slab engine) can rewind its
+    so a run-ahead engine (the native engine) can rewind its
     simulation to the true stop point.  The native engine only needs
     this for collectors whose channel it does not model itself (the
     fault-injecting wrapper); the stock real and ideal collectors run
@@ -179,7 +179,7 @@ class TraceCollector(BatchEventConsumer):
     def observe_event(self, line, l1_hit, prefetched_lines=()) -> None:
         """Raw-event form of :meth:`observe` (no ``AccessResult`` needed).
 
-        The batch engine's slab-scalar loop feeds collectors through this
+        :meth:`observe_events` feeds batched native events through this
         method so it never materializes per-access result objects; it is
         exactly :meth:`observe` for a non-ifetch event.
         """

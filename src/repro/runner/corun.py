@@ -17,12 +17,14 @@ multiprogrammed run ends when any one application completes its quota
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
+from repro.obs import get_telemetry
 from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
+from repro.sim.fastsim import NativeCorun, native_fallback_reason, record_drive
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -102,75 +104,46 @@ def corun(
             )
         )
 
-    steps = [partial(p.step, hierarchy) for p in processes]
-    flushes = []
+    # The whole interleave runs inside one C call when the native engine
+    # covers every process; otherwise the scalar heap below steps them.
     native_runner = None
-    if machine.sim_engine == "batch":
-        from repro.obs import get_telemetry
-        from repro.sim.fastsim import (
-            FastStepper,
-            NativeCorun,
-            native_eligible,
-            slab_eligible,
-        )
-
-        if all(slab_eligible(p, hierarchy) for p in processes):
-            steppers = [FastStepper(p, hierarchy) for p in processes]
-            steps = [s.step for s in steppers]
-            flushes = [s.flush for s in steppers]
-            if all(native_eligible(p, hierarchy) for p in processes):
-                # The whole interleave runs inside one C call; the
-                # steppers stay armed as the fallback for streams the
-                # native engine cannot take (negative vaddrs).
-                native_runner = NativeCorun(processes, hierarchy)
-        else:
-            get_telemetry().registry.counter(
-                "sim.batch_fallbacks", reason="replacement"
-            ).inc()
+    reason = next(
+        filter(None, (native_fallback_reason(p, hierarchy) for p in processes)),
+        None,
+    )
+    if reason is None:
+        native_runner = NativeCorun(processes, hierarchy)
+    else:
+        get_telemetry().registry.counter(
+            "sim.batch_fallbacks", reason=reason
+        ).inc()
 
     def run_until(target_extra: int) -> None:
         """Advance processes clock-fairly until one executes target_extra
         more accesses than it had when this call began."""
-        nonlocal native_runner
+        started = time.perf_counter()
         start = [p.accesses for p in processes]
         if native_runner is not None:
-            if native_runner.run_until(start, target_extra):
-                return
-            # A chunk the native engine cannot simulate: its state is
-            # committed and no process has reached its quota yet, so the
-            # stepper heap below continues the leg access-exactly.  Stay
-            # off the native path for the rest of this co-run.
-            native_runner = None
-        # Min-heap on (cycles, index): always step the least-advanced
-        # process in virtual time.
-        heap: List[Tuple[float, int]] = [
-            (p.cycles, i) for i, p in enumerate(processes)
-        ]
-        heapq.heapify(heap)
-        while heap:
-            _cycles, index = heapq.heappop(heap)
-            process = processes[index]
-            steps[index]()
-            if process.accesses - start[index] >= target_extra:
-                return
-            heapq.heappush(heap, (process.cycles, index))
-
-    try:
-        if warmup_accesses > 0:
-            run_until(warmup_accesses)
-            hierarchy.reset_counters()
-            for process in processes:
-                process.reset_metrics()
-            # Cycle clocks are *not* reset: fairness carries over; but IPC
-            # accounting below uses deltas.
-            cycle_base = [p.cycles for p in processes]
+            native_runner.run_until(start, target_extra)
         else:
-            cycle_base = [0.0] * len(processes)
+            _scalar_leg(processes, hierarchy, start, target_extra)
+        record_drive(
+            "native" if native_runner is not None else "scalar",
+            sum(p.accesses for p in processes) - sum(start), started,
+        )
 
-        run_until(quota_accesses)
-    finally:
-        for flush in flushes:
-            flush()
+    if warmup_accesses > 0:
+        run_until(warmup_accesses)
+        hierarchy.reset_counters()
+        for process in processes:
+            process.reset_metrics()
+        # Cycle clocks are *not* reset: fairness carries over; but IPC
+        # accounting below uses deltas.
+        cycle_base = [p.cycles for p in processes]
+    else:
+        cycle_base = [0.0] * len(processes)
+
+    run_until(quota_accesses)
 
     ipc: List[float] = []
     mpki: List[float] = []
@@ -187,6 +160,22 @@ def corun(
         instructions=[p.instructions for p in processes],
         accesses=[p.accesses for p in processes],
     )
+
+
+def _scalar_leg(processes, hierarchy, start, target_extra: int) -> None:
+    """The reference interleave: a min-heap on (cycles, index) always
+    steps the least-advanced process in virtual time."""
+    heap: List[Tuple[float, int]] = [
+        (p.cycles, i) for i, p in enumerate(processes)
+    ]
+    heapq.heapify(heap)
+    while heap:
+        _cycles, index = heapq.heappop(heap)
+        process = processes[index]
+        process.step(hierarchy)
+        if process.accesses - start[index] >= target_extra:
+            return
+        heapq.heappush(heap, (process.cycles, index))
 
 
 def normalized_ipc(result: CorunResult, baseline: CorunResult) -> List[float]:

@@ -204,9 +204,8 @@ def drive_batch(
 ) -> int:
     """Batched sibling of :func:`drive`: same semantics, same results.
 
-    Dispatches to :mod:`repro.sim.fastsim`, which simulates the access
-    stream in array slabs (kernelized when the configuration allows,
-    slab-scalar otherwise) and is bit-identical to :func:`drive`.
+    Dispatches to :mod:`repro.sim.fastsim`, which runs the native engine
+    when it covers the configuration and :func:`drive` otherwise.
     """
     from repro.sim.fastsim import DEFAULT_SLAB
     from repro.sim.fastsim import drive_batch as _drive_batch

@@ -202,11 +202,10 @@ def _probe_and_compare(
     online: OnlineProbeConfig,
     probe_config: ProbeConfig,
     anchor_color: int = 8,
-    fast: Optional[bool] = None,
 ) -> AccuracyRow:
     workload = make_workload(name, machine)
     real = real_mrc(workload, machine, offline)
-    probe = collect_trace(workload, machine, online, probe_config, fast=fast)
+    probe = collect_trace(workload, machine, online, probe_config)
     probe.calibrate(anchor_color, real[anchor_color])
     calc = probe.result.best_mrc
     return AccuracyRow(
@@ -225,24 +224,15 @@ def fig3_accuracy(
     offline: OfflineConfig = OfflineConfig(),
     online: OnlineProbeConfig = OnlineProbeConfig(),
     probe_config: ProbeConfig = ProbeConfig(),
-    fast: Optional[bool] = None,
     max_workers: Optional[int] = None,
-    sim_engine: Optional[str] = None,
 ) -> List[AccuracyRow]:
     """Figure 3: RapidMRC vs the real MRC for every application.
 
     Args:
-        fast: forwarded to :func:`~repro.runner.online.collect_trace` --
-            ``True`` computes every probe's MRC with the batch engine.
         max_workers: probe the applications in parallel worker processes
             (each row is independent); ``None`` stays sequential.
-        sim_engine: override the machine's simulation engine
-            (``"batch"`` runs every measurement and probe through
-            :mod:`repro.sim.fastsim`; results are bit-identical).
     """
     machine = machine or default_machine()
-    if sim_engine is not None:
-        machine = machine.with_engine(sim_engine)
     chosen = list(names) if names is not None else list(WORKLOAD_NAMES)
     pool = get_pool(max_workers)
     if pool is not None and len(chosen) > 1:
@@ -251,13 +241,12 @@ def fig3_accuracy(
         return pool.map_traced(
             _probe_and_compare,
             [
-                (name, machine, offline, online, probe_config, 8, fast)
+                (name, machine, offline, online, probe_config)
                 for name in chosen
             ],
         )
     return [
-        _probe_and_compare(name, machine, offline, online, probe_config,
-                           fast=fast)
+        _probe_and_compare(name, machine, offline, online, probe_config)
         for name in chosen
     ]
 
@@ -514,9 +503,7 @@ def fig7_partitioning(
     offline: OfflineConfig = OfflineConfig(),
     splits: Optional[Sequence[int]] = None,
     disable_l3: bool = True,
-    fast: Optional[bool] = None,
     max_workers: Optional[int] = None,
-    sim_engine: Optional[str] = None,
 ) -> List[Fig7Result]:
     """Figure 7: choose partition sizes from RapidMRC vs real MRCs and
     measure the normalized-IPC spectrum over all splits.
@@ -525,17 +512,10 @@ def fig7_partitioning(
     swallowed the working sets); ``disable_l3`` reproduces that.
 
     Args:
-        fast: forwarded to the per-application probes -- ``True``
-            computes each co-runner's MRC with the batch engine.
         max_workers: probe the two co-runners of each pair in parallel
             worker processes (they are independent runs).
-        sim_engine: override the machine's simulation engine
-            (``"batch"`` runs probes, offline MRCs, and co-runs through
-            :mod:`repro.sim.fastsim`; results are bit-identical).
     """
     machine = machine or default_machine()
-    if sim_engine is not None:
-        machine = machine.with_engine(sim_engine)
     corun_machine = machine.without_l3() if disable_l3 else machine
     quota = quota_accesses or 24 * machine.l2_lines
     warm = warmup_accesses if warmup_accesses is not None else 8 * machine.l2_lines
@@ -550,19 +530,16 @@ def fig7_partitioning(
             row_a, row_b = pool.map_traced(
                 _probe_and_compare,
                 [
-                    (name, machine, offline, OnlineProbeConfig(),
-                     ProbeConfig(), 8, fast)
+                    (name, machine, offline, OnlineProbeConfig(), ProbeConfig())
                     for name in (name_a, name_b)
                 ],
             )
         else:
-            row_a = _probe_and_compare(
-                name_a, machine, offline, OnlineProbeConfig(), ProbeConfig(),
-                fast=fast,
-            )
-            row_b = _probe_and_compare(
-                name_b, machine, offline, OnlineProbeConfig(), ProbeConfig(),
-                fast=fast,
+            row_a, row_b = (
+                _probe_and_compare(
+                    name, machine, offline, OnlineProbeConfig(), ProbeConfig()
+                )
+                for name in (name_a, name_b)
             )
         chosen_real = choose_partition_sizes(
             row_a.real, row_b.real, machine.num_colors

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.mrc import MissRateCurve
-from repro.runner.driver import Process, drive, drive_batch
+from repro.runner.driver import Process, drive_batch
 from repro.runner.pool import get_pool
 from repro.sim.cpu import IssueMode
 from repro.sim.hierarchy import MemoryHierarchy
@@ -90,10 +90,9 @@ def measure_mpki(
     what the PMU's miss counters report on the real machine.
     """
     hierarchy, process = _build_run(workload, machine, colors, config, seed_offset)
-    driver = drive_batch if machine.sim_engine == "batch" else drive
-    driver(process, hierarchy, config.resolved_warmup(machine))
+    drive_batch(process, hierarchy, config.resolved_warmup(machine))
     hierarchy.reset_counters()
-    driver(process, hierarchy, config.resolved_measure(machine))
+    drive_batch(process, hierarchy, config.resolved_measure(machine))
     mpki = hierarchy.counters[0].mpki()
     hierarchy.publish_telemetry()
     return mpki
@@ -165,25 +164,17 @@ def mpki_timeline(
     series: List[float] = []
     counters = hierarchy.counters[0]
     executed = 0
-    if machine.sim_engine == "batch":
-        # Instructions advance by a fixed amount per access, so the index
-        # of each interval's closing access is known in advance: run to
-        # it in one batched call instead of checking after every step.
-        per_access = workload.instructions_per_access
-        while executed < total_accesses:
-            needed = interval_instructions - counters.instructions
-            chunk = min(-(-needed // per_access), total_accesses - executed)
-            executed += drive_batch(process, hierarchy, chunk)
-            if counters.instructions >= interval_instructions:
-                series.append(counters.mpki())
-                counters.reset()
-    else:
-        while executed < total_accesses:
-            process.step(hierarchy)
-            executed += 1
-            if counters.instructions >= interval_instructions:
-                series.append(counters.mpki())
-                counters.reset()
+    # Instructions advance by a fixed amount per access, so the index of
+    # each interval's closing access is known in advance: run to it in
+    # one batched call instead of checking after every step.
+    per_access = workload.instructions_per_access
+    while executed < total_accesses:
+        needed = interval_instructions - counters.instructions
+        chunk = min(-(-needed // per_access), total_accesses - executed)
+        executed += drive_batch(process, hierarchy, chunk)
+        if counters.instructions >= interval_instructions:
+            series.append(counters.mpki())
+            counters.reset()
     if counters.instructions >= interval_instructions // 2:
         # Keep a final partial interval if it is at least half-length.
         series.append(counters.mpki())

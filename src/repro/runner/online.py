@@ -20,10 +20,9 @@ CLI) can degrade deliberately instead of acting on garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.estimators import is_estimator
 from repro.core.rapidmrc import ProbeConfig, RapidMRC, RapidMRCResult
 from repro.obs import get_telemetry
 from repro.pmu.ideal import IdealTraceCollector
@@ -39,7 +38,7 @@ from repro.reliability.quality import (
     QualityConfig,
     assess_probe,
 )
-from repro.runner.driver import Process, drive, drive_batch
+from repro.runner.driver import Process, drive_batch
 from repro.sim.cpu import IssueMode
 from repro.sim.fastsim import CollectorStop
 from repro.sim.hierarchy import MemoryHierarchy
@@ -165,7 +164,6 @@ def collect_trace(
     probe_config: ProbeConfig = ProbeConfig(),
     fault_plan: Optional[FaultPlan] = None,
     quality_config: QualityConfig = QualityConfig(),
-    fast: Optional[bool] = None,
 ) -> OnlineProbe:
     """Run a probing period against a fresh hierarchy and compute the MRC.
 
@@ -178,22 +176,8 @@ def collect_trace(
         fault_plan: optional deterministic fault injection applied to
             the trace channel (see :mod:`repro.reliability.faults`).
         quality_config: gate thresholds for the returned verdict.
-        fast: ``True`` forces the vectorized batch calculation engine
-            (:mod:`repro.core.fastpath`), ``False`` forces the engine
-            named in ``probe_config``; ``None`` leaves the config as is.
-            The batch engine is bit-identical to ``rangelist``, so this
-            only changes speed.  A sampling estimator engine
-            (``shards``/``aet``) is never overridden: it is already a
-            whole-trace fast path, and forcing ``batch`` would silently
-            discard the requested approximation.
     """
-    if (fast is True and probe_config.stack_engine != "batch"
-            and not is_estimator(probe_config.stack_engine)):
-        probe_config = replace(probe_config, stack_engine="batch")
-    elif fast is False and probe_config.stack_engine == "batch":
-        probe_config = replace(probe_config, stack_engine="rangelist")
     log_entries = probe_config.resolved_log_entries(machine)
-    driver = drive_batch if machine.sim_engine == "batch" else drive
     telemetry = get_telemetry()
     with telemetry.tracer.span("probe", workload=workload.name):
         hierarchy = MemoryHierarchy(machine, num_cores=1)
@@ -207,7 +191,7 @@ def collect_trace(
             issue_mode=online.issue_mode,
             prefetcher=PrefetcherConfig(enabled=online.prefetch_enabled),
         )
-        driver(process, hierarchy, online.resolved_warmup(machine))
+        drive_batch(process, hierarchy, online.resolved_warmup(machine))
 
         if online.use_ideal_pmu:
             collector = IdealTraceCollector(
@@ -227,7 +211,7 @@ def collect_trace(
         with telemetry.tracer.span(
             "trace_collect", workload=workload.name, log_capacity=log_entries
         ):
-            executed = driver(
+            executed = drive_batch(
                 process,
                 hierarchy,
                 online.resolved_max_accesses(machine, log_entries),

@@ -45,7 +45,9 @@ class SimWorkerPool:
         if max_workers < 2:
             raise ValueError("a worker pool needs at least 2 workers")
         self.max_workers = max_workers
-        self._executor = ProcessPoolExecutor(max_workers=max_workers)
+        self._executor = ProcessPoolExecutor(
+            max_workers=max_workers, initializer=_init_worker
+        )
         self._closed = False
 
     @property
@@ -122,6 +124,15 @@ def resolve_sim_workers(explicit: Optional[int]) -> Optional[int]:
     """An explicit ``max_workers`` argument wins over the configured
     default; ``None`` falls back to ``--sim-workers``."""
     return explicit if explicit is not None else _configured_workers
+
+
+def _init_worker() -> None:
+    """Workers run their tasks sequentially: a forked worker inherits
+    the parent's ``--sim-workers`` default and pools, and must not nest
+    pools of its own (a campaign cell's offline curve, for one)."""
+    global _configured_workers
+    _configured_workers = None
+    _pools.clear()
 
 
 def _close_pools() -> None:

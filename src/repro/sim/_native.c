@@ -1,4 +1,4 @@
-/* Native slab engine: exact scalar-semantics simulation in C.
+/* Native simulation engine: exact scalar-semantics simulation in C.
  *
  * Compiled on demand by repro.sim.native (cc -O2 -shared -fPIC) and
  * loaded through ctypes.  It is a transliteration of the Python hot
@@ -17,6 +17,8 @@
  *  - All integers are int64; floats are IEEE double, and float
  *    expressions copy the Python parenthesization exactly
  *    (cycles += base + penalty; migration debt is its own +=).
+ *    Divisions of virtual addresses floor like Python's // (negative
+ *    addresses included), and vpage-keyed maps store zigzag keys.
  *  - The prefetcher RNG is CPython's MT19937 (random.Random): state
  *    words travel in, genrand_res53 draws happen here, and the
  *    advanced state travels back so later scalar draws continue
@@ -207,6 +209,10 @@ static void cache_invalidate(NCache *c, i64 line)
 
 /* ----------------------------------------------------------------- */
 /* Open-addressing hash map / set for int64 keys >= 0                 */
+/*                                                                    */
+/* Virtual page numbers may be negative, so the vpage-keyed maps (tlb, */
+/* page_table, stale) store zigzag(vpage), which is non-negative and   */
+/* never collides with the HT_EMPTY / HT_TOMB sentinels.               */
 /* ----------------------------------------------------------------- */
 
 #define HT_EMPTY (-1)
@@ -219,6 +225,18 @@ typedef struct {
     i64 *keys;    /* cap, HT_EMPTY / HT_TOMB sentinels */
     i64 *vals;    /* cap (NULL for sets) */
 } NMap;
+
+static inline i64 zigzag(i64 v)
+{
+    return (i64)(((uint64_t)v << 1) ^ (uint64_t)(v >> 63));
+}
+
+/* Python's a // b for b > 0. */
+static inline i64 floordiv(i64 a, i64 b)
+{
+    i64 q = a / b;
+    return (a % b < 0) ? q - 1 : q;
+}
 
 static inline i64 ht_hash(i64 key, i64 cap)
 {
@@ -585,27 +603,28 @@ static i64 alloc_frame(NShared *sh, NProc *p)
 static i64 translate_page(NShared *sh, NProc *p, i64 vpage, int *translated)
 {
     i64 base;
-    if (map_get(&p->tlb, vpage, &base))
+    i64 key = zigzag(vpage);
+    if (map_get(&p->tlb, key, &base))
         return base;
     *translated = 1;
     i64 frame;
     i64 log_it = 0, was_migration = 0;
-    if (set_contains(&p->stale, vpage)) {
+    if (set_contains(&p->stale, key)) {
         /* Lazy migration: new frame on first touch, cost charged. */
-        set_discard(&p->stale, vpage);
+        set_discard(&p->stale, key);
         frame = alloc_frame(sh, p);
         p->debt_pending += sh->migration_cost;
         sh->lazy_migrations++;
-        map_put(&p->page_table, vpage, frame);
+        map_put(&p->page_table, key, frame);
         log_it = 1;
         was_migration = 1;
-    } else if (!map_get(&p->page_table, vpage, &frame)) {
+    } else if (!map_get(&p->page_table, key, &frame)) {
         frame = alloc_frame(sh, p);
-        map_put(&p->page_table, vpage, frame);
+        map_put(&p->page_table, key, frame);
         log_it = 1;
     }
     base = frame * p->lines_per_page;
-    map_put(&p->tlb, vpage, base);
+    map_put(&p->tlb, key, base);
     if (log_it) {
         p->newpages[p->newpages_len++] = vpage;
         p->newpages[p->newpages_len++] = frame;
@@ -709,8 +728,8 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
     int is_store = p->stores[p->pos] != 0;
     p->pos++;
 
-    i64 vline = vaddr / p->line_size;
-    i64 vpage = vline / p->lines_per_page;
+    i64 vline = floordiv(vaddr, p->line_size);
+    i64 vpage = floordiv(vline, p->lines_per_page);
     int translated = 0;
     i64 base = translate_page(sh, p, vpage, &translated);
     i64 line = base + (vline - vpage * p->lines_per_page);
@@ -766,7 +785,7 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
             i64 npf = pf_observe_miss(&p->pf, vline, pf_vlines);
             for (i64 j = 0; j < npf; j++) {
                 i64 pf_vline = pf_vlines[j];
-                i64 pf_vpage = pf_vline / p->lines_per_page;
+                i64 pf_vpage = floordiv(pf_vline, p->lines_per_page);
                 i64 pf_base = translate_page(sh, p, pf_vpage, &translated);
                 i64 pf_line = pf_base
                     + (pf_vline - pf_vpage * p->lines_per_page);

@@ -53,18 +53,7 @@ class MachineConfig:
     l3_latency: int = 87
     memory_latency: int = 220
 
-    # Simulation engine: "scalar" steps one access at a time through
-    # MemoryHierarchy.access; "batch" uses repro.sim.fastsim's slab
-    # engine (bit-identical results, falling back to slab-scalar or
-    # scalar execution for configurations the kernel does not cover).
-    sim_engine: str = "scalar"
-
     def __post_init__(self) -> None:
-        if self.sim_engine not in ("scalar", "batch"):
-            raise ValueError(
-                f"unknown sim_engine {self.sim_engine!r}; "
-                "options: 'scalar', 'batch'"
-            )
         for attr in ("l1i", "l1d", "l2"):
             size = getattr(self, f"{attr}_size")
             assoc = getattr(self, f"{attr}_assoc")
@@ -169,12 +158,6 @@ class MachineConfig:
             l3_size=base.l3_size // factor,
             page_size=page,
         )
-
-    def with_engine(self, sim_engine: str) -> "MachineConfig":
-        """The same machine driven by the given simulation engine."""
-        if sim_engine == self.sim_engine:
-            return self
-        return replace(self, sim_engine=sim_engine)
 
     def without_l3(self) -> "MachineConfig":
         """The Section 5.3 configuration: L3 victim cache disabled.

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.sim.coloring import ColorMapper
 from repro.sim.machine import MachineConfig
 
@@ -146,50 +144,6 @@ class PageAllocator:
             )
             cache[vpage] = base
         return base
-
-    def translate_lines_batch(
-        self, process: int, vaddrs: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Translate a slab of virtual byte addresses to physical lines.
-
-        Returns ``(lines, debt)`` where ``debt`` is ``None`` when no lazy
-        migrations fired, else per-access migration cycles charged at the
-        access that first touched each stale page (matching the scalar
-        path's ``take_migration_debt`` timing).  Frames are allocated on
-        first touch in stream order, so the round-robin allocator state
-        advances exactly as per-access translation would.  Only valid
-        when no *other* process allocates concurrently (solo drives).
-        """
-        page_size = self.machine.page_size
-        lines_per_page = page_size // self.machine.line_size
-        vpages = vaddrs // page_size
-        line_offsets = (vaddrs % page_size) // self.machine.line_size
-        uniq, first_index, inverse = np.unique(
-            vpages, return_index=True, return_inverse=True
-        )
-        cache = self.line_cache(process)
-        bases = np.empty(uniq.size, dtype=np.int64)
-        missing: List[int] = []
-        for position, vpage in enumerate(uniq.tolist()):
-            base = cache.get(vpage)
-            if base is None:
-                missing.append(position)
-            else:
-                bases[position] = base
-        debt: Optional[np.ndarray] = None
-        if missing:
-            missing.sort(key=lambda position: first_index[position])
-            for position in missing:
-                vpage = int(uniq[position])
-                base = self._frame_for(process, vpage) * lines_per_page
-                cache[vpage] = base
-                bases[position] = base
-                owed = self._migration_debt.pop(process, 0)
-                if owed:
-                    if debt is None:
-                        debt = np.zeros(vaddrs.size, dtype=np.int64)
-                    debt[first_index[position]] += owed
-        return bases[inverse] + line_offsets, debt
 
     def bump_translation_epoch(self) -> None:
         """Invalidate all per-process line caches (mappings changed)."""

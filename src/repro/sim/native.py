@@ -1,4 +1,4 @@
-"""ctypes harness for the native C slab engine (``_native.c``).
+"""ctypes harness for the native C simulation engine (``_native.c``).
 
 The C engine is an exact transliteration of the scalar hot path --
 ``Process.step`` + ``MemoryHierarchy.access`` + the stream prefetcher
@@ -8,7 +8,7 @@ other half of the contract:
 - **build**: compile ``_native.c`` with the system C compiler on first
   use, keyed by a hash of the source (so edits invalidate the cache),
   and load it through ctypes.  No compiler, no native engine -- callers
-  fall back to the numpy kernel / slab paths.
+  fall back to the scalar driver.
 - **marshal**: :class:`NativeSession` adopts the live Python objects
   (caches, counters, allocator slices, prefetcher streams, the CPython
   MT19937 state) into C-visible arrays, and commits the advanced state
@@ -19,8 +19,8 @@ other half of the contract:
   in place and resumes -- state is bit-identical either way.
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
-entirely (the batch engine then behaves exactly as before this engine
-existed).  That is silent; a native engine that is wanted but cannot be
+entirely (every drive then runs the scalar reference).  That is silent;
+a native engine that is wanted but cannot be
 built (no compiler, failed compile) warns once per process and counts
 ``sim.native_unavailable{reason}`` on every lookup that falls back.
 """
@@ -240,8 +240,8 @@ def _report_unavailable(reason: str) -> None:
     if not _WARNED:
         _WARNED = True
         warnings.warn(
-            f"native simulation engine unavailable ({reason}); batched "
-            "drives fall back to the slower Python paths",
+            f"native simulation engine unavailable ({reason}); drives "
+            "fall back to the slower scalar reference",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -320,6 +320,15 @@ def mt_fill(rng_state: tuple, n: int) -> Tuple[np.ndarray, tuple]:
 # ---------------------------------------------------------------------------
 # Hash-table marshalling (must reproduce _native.c's probe sequence)
 # ---------------------------------------------------------------------------
+
+def _zigzag(vpage: int) -> int:
+    """The non-negative key C stores for a (possibly negative) vpage."""
+    return (vpage << 1) ^ (vpage >> 63)
+
+
+def _unzigzag(keys: np.ndarray) -> np.ndarray:
+    return (keys >> 1) ^ -(keys & 1)
+
 
 def _ht_cap_for(count: int, extra: int) -> int:
     cap = 64
@@ -510,12 +519,6 @@ def _shared_runs(values: np.ndarray) -> List[int]:
 # The session: adopt / run / grow / commit
 # ---------------------------------------------------------------------------
 
-class NativeVaddrError(Exception):
-    """A chunk contained a negative virtual address (C uses truncating
-    division); the caller pushes the chunk back and falls out of the
-    native path."""
-
-
 class NativeSession:
     """One adopted (hierarchy, allocator, processes) triple.
 
@@ -646,19 +649,20 @@ class NativeSession:
 
         tlb = process._tlb
         arrs["tlb"] = _bind_map(
-            p.tlb, list(tlb.keys()), list(tlb.values()),
+            p.tlb, [_zigzag(vpage) for vpage in tlb], list(tlb.values()),
             max(4096, len(tlb)),
         )
         pt_keys: List[int] = []
         pt_vals: List[int] = []
         for (owner, vpage), frame in allocator._page_table.items():
             if owner == pid:
-                pt_keys.append(vpage)
+                pt_keys.append(_zigzag(vpage))
                 pt_vals.append(frame)
         arrs["pt"] = _bind_map(
             p.page_table, pt_keys, pt_vals, max(4096, len(pt_keys))
         )
-        stale = [vpage for (owner, vpage) in allocator._stale if owner == pid]
+        stale = [_zigzag(vpage) for (owner, vpage) in allocator._stale
+                 if owner == pid]
         arrs["stale"] = _bind_map(p.stale, stale, None, 64)
 
         newpages = np.empty(1 << 15, dtype=np.int64)
@@ -846,9 +850,9 @@ class NativeSession:
         # The line cache can hold entries for pages that were already
         # allocated before this run (fresh cache after an epoch bump),
         # which the newpages log does not cover: sync the whole table.
-        tlb_keys, tlb_vals = _map_live(
-            arrs["tlb"]["keys"], arrs["tlb"]["vals"]
-        )
+        live = arrs["tlb"]["keys"] >= 0
+        tlb_keys = _unzigzag(arrs["tlb"]["keys"][live]).tolist()
+        tlb_vals = arrs["tlb"]["vals"][live].tolist()
         cache = process._tlb
         cache.clear()
         cache.update(zip(tlb_keys, tlb_vals))
@@ -889,14 +893,7 @@ class NativeSession:
 
     def set_chunk(self, index: int, vaddrs: np.ndarray,
                   stores: np.ndarray) -> None:
-        """Point the process at a fresh chunk of its access stream.
-
-        Raises :class:`NativeVaddrError` (without consuming anything)
-        when the chunk holds negative addresses -- C's truncating
-        division would diverge from Python's floor division there.
-        """
-        if vaddrs.size and int(vaddrs.min()) < 0:
-            raise NativeVaddrError
+        """Point the process at a fresh chunk of its access stream."""
         vaddrs = np.ascontiguousarray(vaddrs, dtype=np.int64)
         stores_u8 = np.ascontiguousarray(stores).view(np.uint8)
         p = self.procs[index]

@@ -55,16 +55,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="sampling_rate"):
             small_spec(sampling_rate=1.5)
 
-    def test_bad_machine_engine_rejected(self):
-        with pytest.raises(ValueError, match="sim_engine"):
-            MachineSpec(sim_engine="warp")
-
     def test_trace_target_needs_path(self):
         with pytest.raises(ValueError, match="path"):
             TraceFileTarget(path="")
 
 
 class TestSerialization:
+    def test_legacy_engine_key_ignored(self):
+        """Specs written while the engine was a per-machine knob still
+        load; the key no longer changes the machine or the cell id."""
+        legacy = MachineSpec.from_dict({"scale": 32, "sim_engine": "batch"})
+        assert legacy == MachineSpec(scale=32)
+        assert legacy.to_dict() == {"scale": 32}
+
     def test_dict_round_trip(self):
         spec = small_spec(
             targets=(
@@ -208,7 +211,7 @@ class TestExpansion:
         machine = MachineSpec(scale=32)
         assert (cell_id("mcf", machine, "rangelist", 3)
                 == cell_id("mcf", machine, "rangelist", 3)
-                == "mcf__s32-scalar__rangelist__seed3")
+                == "mcf__s32__rangelist__seed3")
 
 
 class TestRealWorkers:

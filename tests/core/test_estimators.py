@@ -142,16 +142,6 @@ class TestShardsExactParity:
         for bound in BOUNDS:
             assert estimate.histogram.misses_at(bound) == exact.misses_at(bound)
 
-    def test_full_rate_matches_fenwick_miss_counts(self):
-        trace = mixed_trace(5000, 300, seed=2)
-        exact = exact_histogram(trace, engine="fenwick")
-        estimate = ShardsEstimator(
-            DEPTH, boundaries=BOUNDS,
-            config=EstimatorConfig(sampling_rate=1.0),
-        ).estimate(trace)
-        for bound in BOUNDS:
-            assert estimate.histogram.misses_at(bound) == exact.misses_at(bound)
-
     def test_full_rate_warmup_bookkeeping_matches(self):
         trace = mixed_trace(6000, 2000, seed=3)
         exact_warmup = HybridWarmup(fallback_entries=3000)
@@ -186,7 +176,7 @@ class TestShardsSampled:
 
     def test_tracks_ten_x_fewer_entries(self):
         trace = mixed_trace(20_000, 900, seed=5)
-        exact = LRUStackSimulator(DEPTH, engine="fenwick")
+        exact = LRUStackSimulator(DEPTH, engine="rangelist")
         for line in trace:
             exact.access(line)
         estimate = ShardsEstimator(
@@ -323,11 +313,11 @@ class TestAET:
 
 
 class TestLargeTraceParity:
-    def test_160k_within_epsilon_of_fenwick(self):
+    def test_160k_within_epsilon_of_exact(self):
         trace = mixed_trace(160_000, 2000, seed=15)
         instructions = len(trace) * 48
         exact = RapidMRC(MACHINE, ProbeConfig(
-            stack_engine="fenwick", warmup="static",
+            stack_engine="batch", warmup="static",
             correct_prefetch_repetitions=False,
         )).compute(trace, instructions)
         for name, rate, epsilon in (("shards", 0.1, 1.5), ("aet", 0.1, 3.0)):

@@ -2,7 +2,7 @@
 
 The contract of :mod:`repro.core.fastpath` is *bit-identical* output:
 the batch kernel must reproduce the scalar engines exactly -- the exact
-distances of the naive/Fenwick engines, the quantized histograms of the
+distances of the naive engine, the quantized histograms of the
 range-list engine, the warmup bookkeeping of the scalar simulator loop,
 and the corrections of :mod:`repro.core.correction` -- on any trace.
 These tests enforce that with hand-built cases and hypothesis-generated
@@ -21,7 +21,6 @@ from repro.core import fastpath as fp
 from repro.core.histogram import COLD_MISS
 from repro.core.rapidmrc import ProbeConfig, RapidMRC
 from repro.core.stack import (
-    FenwickLRUStack,
     LRUStackSimulator,
     NaiveLRUStack,
     RangeListLRUStack,
@@ -149,7 +148,7 @@ class TestDifferentialHistogram:
         depth = data.draw(st.integers(min_value=2, max_value=32))
         bounds = draw_boundaries(data, depth)
         hists = {}
-        for engine in ("naive", "fenwick", "rangelist"):
+        for engine in ("naive", "rangelist"):
             sim = LRUStackSimulator(depth, engine=engine, boundaries=bounds)
             hists[engine] = sim.process(trace)
         hists["batch"] = fp.batch_histogram(
@@ -162,11 +161,10 @@ class TestDifferentialHistogram:
         reference = hists["rangelist"]
         assert hists["batch"].counts == reference.counts
         assert hists["batch"].cold_misses == reference.cold_misses
-        for engine in ("naive", "fenwick"):
-            for bound in rangelist.boundaries:
-                assert hists[engine].misses_at(bound) == reference.misses_at(
-                    bound
-                )
+        for bound in rangelist.boundaries:
+            assert hists["naive"].misses_at(bound) == reference.misses_at(
+                bound
+            )
 
     def test_boundary_one(self):
         # b[0] == 1: the tightest range, distance-1 hits only.
@@ -199,12 +197,12 @@ class TestDifferentialHistogram:
         trace=st.lists(st.integers(min_value=0, max_value=40), max_size=300),
         depth=st.integers(min_value=1, max_value=24),
     )
-    def test_property_exact_matches_fenwick(self, trace, depth):
-        fenwick = FenwickLRUStack(depth, capacity=64)
+    def test_property_exact_matches_naive(self, trace, depth):
+        naive = NaiveLRUStack(depth)
         want = {}
         cold = 0
         for line in trace:
-            distance = fenwick.access(line)
+            distance = naive.access(line)
             if distance == COLD_MISS:
                 cold += 1
             else:

@@ -109,14 +109,14 @@ class TestCompute:
     def test_engines_agree(self, machine):
         trace = [random.Random(3).randrange(2000) for _ in range(4000)]
         results = {}
-        for engine_name in ("rangelist", "fenwick", "naive"):
+        for engine_name in ("rangelist", "batch", "naive"):
             engine = RapidMRC(
                 machine,
                 ProbeConfig(warmup="static", stack_engine=engine_name),
             )
             results[engine_name] = engine.compute(trace, instructions=100_000).mrc
         assert mpki_distance(results["rangelist"], results["naive"]) == pytest.approx(0.0)
-        assert mpki_distance(results["fenwick"], results["naive"]) == pytest.approx(0.0)
+        assert mpki_distance(results["batch"], results["naive"]) == pytest.approx(0.0)
 
 
 class TestCalibration:

@@ -1,8 +1,8 @@
-"""Tests for the three Mattson LRU stack engines.
+"""Tests for the Mattson LRU stack engines.
 
 The naive engine is trusted as the executable specification; the
-range-list and Fenwick engines are cross-validated against it, both on
-hand-built cases and under hypothesis-generated traces.
+range-list engine is cross-validated against it, both on hand-built
+cases and under hypothesis-generated traces.
 """
 
 import random
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.histogram import COLD_MISS, StackDistanceHistogram
 from repro.core.stack import (
-    FenwickLRUStack,
     LRUStackSimulator,
     NaiveLRUStack,
     RangeListLRUStack,
@@ -115,43 +114,6 @@ class TestRangeList:
         stack.check_invariants()
 
 
-class TestFenwick:
-    def test_basic_distances(self):
-        stack = FenwickLRUStack(8)
-        assert stack.access(1) == COLD_MISS
-        assert stack.access(2) == COLD_MISS
-        assert stack.access(1) == 2
-        assert stack.access(1) == 1
-
-    def test_beyond_depth_is_cold(self):
-        stack = FenwickLRUStack(2)
-        for line in [1, 2, 3]:
-            stack.access(line)
-        assert stack.access(1) == COLD_MISS
-
-    def test_compaction_preserves_behaviour(self):
-        # Tiny capacity forces many compactions.
-        stack = FenwickLRUStack(4, capacity=16)
-        reference = NaiveLRUStack(4)
-        rng = random.Random(7)
-        for _ in range(1000):
-            line = rng.randrange(10)
-            assert stack.access(line) == reference.access(line)
-
-    def test_occupancy_capped_at_depth(self):
-        stack = FenwickLRUStack(3)
-        for line in range(10):
-            stack.access(line)
-        assert stack.occupancy == 3
-        assert stack.is_full
-
-    def test_resident_lines_most_recent_first(self):
-        stack = FenwickLRUStack(3)
-        for line in [1, 2, 3, 2]:
-            stack.access(line)
-        assert stack.resident_lines() == [2, 3, 1]
-
-
 def _distance_bucket(distance, boundaries):
     """Quantize an exact distance the way the range-list engine reports."""
     if distance == COLD_MISS:
@@ -160,18 +122,6 @@ def _distance_bucket(distance, boundaries):
         if distance <= bound:
             return bound
     return COLD_MISS
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    trace=st.lists(st.integers(min_value=0, max_value=60), max_size=400),
-    depth=st.integers(min_value=1, max_value=32),
-)
-def test_property_fenwick_matches_naive(trace, depth):
-    fenwick = FenwickLRUStack(depth, capacity=64)
-    naive = NaiveLRUStack(depth)
-    for line in trace:
-        assert fenwick.access(line) == naive.access(line)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,7 +158,7 @@ def test_property_all_engines_agree_on_miss_counts(trace):
     depth = 24
     boundaries = [6, 12, 18, 24]
     hists = {}
-    for engine_name in ("naive", "fenwick", "rangelist"):
+    for engine_name in ("naive", "rangelist"):
         sim = LRUStackSimulator(depth, engine=engine_name, boundaries=boundaries)
         hists[engine_name] = sim.process(trace)
     for size in boundaries:
@@ -237,34 +187,10 @@ class TestSimulatorFacade:
         assert hist.total_accesses == 2
 
 
-class TestFenwickGeometricGrowth:
-    def test_repeated_compactions_match_naive(self):
-        # Capacity 8 on a long trace forces several compactions; growth
-        # must not disturb reported distances.
-        fenwick = FenwickLRUStack(4, capacity=8)
-        naive = NaiveLRUStack(4)
-        rng = random.Random(11)
-        for _ in range(2000):
-            line = rng.randrange(12)
-            assert fenwick.access(line) == naive.access(line)
-        assert fenwick.compactions >= 3
-
-    def test_capacity_grows_geometrically(self):
-        # With doubling, compactions per access must be (amortized)
-        # logarithmic: a 4000-access trace from a tiny initial capacity
-        # stays in single-digit compaction counts.
-        stack = FenwickLRUStack(4, capacity=8)
-        rng = random.Random(5)
-        for _ in range(4000):
-            stack.access(rng.randrange(12))
-        assert 3 <= stack.compactions <= 12
-
-
 class TestMakeEngineValidation:
     def test_boundaries_rejected_for_exact_engines(self):
-        for name in ("naive", "fenwick"):
-            with pytest.raises(ValueError, match="boundaries"):
-                make_engine(name, 8, boundaries=[2, 8])
+        with pytest.raises(ValueError, match="boundaries"):
+            make_engine("naive", 8, boundaries=[2, 8])
 
     def test_boundaries_accepted_by_rangelist(self):
         engine = make_engine("rangelist", 8, boundaries=[2, 8])

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.histogram import COLD_MISS
 from repro.core.stack import (
-    FenwickLRUStack,
     LRUStackSimulator,
     NaiveLRUStack,
     RangeListLRUStack,
@@ -12,7 +11,7 @@ from repro.core.stack import (
 
 
 class TestDepthOne:
-    @pytest.mark.parametrize("engine", ["naive", "rangelist", "fenwick"])
+    @pytest.mark.parametrize("engine", ["naive", "rangelist"])
     def test_depth_one_stack(self, engine):
         sim = LRUStackSimulator(1, engine=engine)
         assert sim.access(5) == COLD_MISS
@@ -51,26 +50,8 @@ class TestRangeListMarkers:
         stack.check_invariants()
 
 
-class TestFenwickCompaction:
-    def test_compaction_drops_deep_lines(self):
-        stack = FenwickLRUStack(2, capacity=8)
-        # Touch many lines to force compactions well past capacity.
-        for line in range(50):
-            stack.access(line)
-        # Only the two most recent survive compaction; both hit.
-        assert stack.access(49) == 1
-        assert stack.access(48) == 2
-
-    def test_distances_stable_across_compaction_boundary(self):
-        reference = NaiveLRUStack(3)
-        compacting = FenwickLRUStack(3, capacity=6)  # compacts every ~6
-        pattern = [1, 2, 3, 1, 2, 3, 1, 2, 3, 4, 1, 4, 2]
-        for line in pattern:
-            assert compacting.access(line) == reference.access(line)
-
-
 class TestSimulatorOccupancy:
-    @pytest.mark.parametrize("engine", ["naive", "rangelist", "fenwick"])
+    @pytest.mark.parametrize("engine", ["naive", "rangelist"])
     def test_occupancy_tracks_distinct_lines(self, engine):
         sim = LRUStackSimulator(10, engine=engine)
         for line in [1, 2, 3, 2, 1]:
@@ -78,7 +59,7 @@ class TestSimulatorOccupancy:
         assert sim.occupancy == 3
         assert not sim.is_full
 
-    @pytest.mark.parametrize("engine", ["naive", "rangelist", "fenwick"])
+    @pytest.mark.parametrize("engine", ["naive", "rangelist"])
     def test_is_full_saturates(self, engine):
         sim = LRUStackSimulator(3, engine=engine)
         for line in range(10):

@@ -53,8 +53,8 @@ def test_histogram_invariant_under_line_relabeling(trace, seed):
     mapping = dict(zip(distinct, relabeled_ids))
     relabeled = [mapping[line] for line in trace]
 
-    sim_a = LRUStackSimulator(MACHINE.l2_lines, engine="fenwick")
-    sim_b = LRUStackSimulator(MACHINE.l2_lines, engine="fenwick")
+    sim_a = LRUStackSimulator(MACHINE.l2_lines, engine="naive")
+    sim_b = LRUStackSimulator(MACHINE.l2_lines, engine="naive")
     hist_a = sim_a.process(trace)
     hist_b = sim_b.process(relabeled)
     assert hist_a.counts == hist_b.counts

@@ -195,3 +195,15 @@ class TestRender:
                   if line.startswith("simulation engine:"))
         assert lines[at + 1] == (
             "pmu channel engine: native 3 probes, python 1 probe")
+
+    def test_render_engine_line_names_fallback_reasons(self):
+        telemetry = _capture_sample()
+        registry = telemetry.registry
+        registry.counter("sim.batch_accesses", engine="native").inc(900)
+        registry.counter("sim.batch_accesses", engine="scalar").inc(100)
+        registry.counter("sim.batch_fallbacks", reason="observer").inc(2)
+        registry.counter("sim.batch_fallbacks", reason="replacement").inc()
+        text = RunReport.from_telemetry(telemetry).render()
+        assert ("simulation engine: native 900, scalar 100 accesses; "
+                "fallbacks: observer=2, replacement=1") in text
+        assert "fallbacks: none" in RunReport().render()

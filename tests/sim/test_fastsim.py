@@ -1,28 +1,26 @@
-"""Differential tests for the batched simulation engine.
+"""Differential tests for the batched simulation entry point.
 
-The contract of :mod:`repro.sim.fastsim` is *bit identity*: for every
-covered configuration, ``drive_batch`` must leave the hierarchy, the
-process clocks, and every observer in exactly the state the scalar
-``drive`` loop would have -- not approximately, not statistically.
-These tests hold scalar and batch runs side by side and compare
-everything observable: per-core counters, per-cache statistics, resident
-lines in LRU order, float cycle clocks, collected PMU traces, computed
-MRCs, and co-run schedules.  The LRU slab kernel is additionally checked
-against a brute-force OrderedDict simulation under hypothesis-generated
-workloads.
+The contract of :mod:`repro.sim.fastsim` is *bit identity*: whichever
+engine ``drive_batch`` picks (native C or the scalar fallback), it must
+leave the hierarchy, the process clocks, and every observer in exactly
+the state the scalar ``drive`` loop would have -- not approximately, not
+statistically.  These tests hold scalar and batch runs side by side and
+compare everything observable: per-core counters, per-cache statistics,
+resident lines in LRU order, float cycle clocks, collected PMU traces,
+computed MRCs, and co-run schedules.  Runner-level references run with
+``REPRO_NATIVE=0``, which sends every drive down the scalar path.  Each
+fallback reason is exercised once, with its counter checked.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.report import RunReport
+from repro.pmu.sampling import TraceCollector
 from repro.runner.corun import CorunSpec, corun
 from repro.runner.driver import Process, drive, drive_batch
 from repro.runner.offline import OfflineConfig, mpki_timeline, real_mrc
@@ -31,18 +29,32 @@ from repro.sim.cache import CacheConfig, SetAssociativeCache
 from repro.sim.cpu import IssueMode
 from repro.sim.fastsim import (
     DEFAULT_SLAB,
-    _lru_slab,
-    kernel_eligible,
-    slab_eligible,
+    native_fallback_reason,
 )
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
+from repro.sim.native import native_available
 from repro.sim.prefetcher import PrefetcherConfig
 from repro.workloads.spec import make_workload
 
 MACHINE = MachineConfig.scaled(32)
-BATCH = MACHINE.with_engine("batch")
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C compiler / native engine disabled"
+)
+
+
+@pytest.fixture
+def scalar_env(monkeypatch):
+    """Run the body with the native engine switched off, then back on."""
+    def run(fn, *args, **kwargs):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            monkeypatch.delenv("REPRO_NATIVE")
+    return run
 
 
 def _build(machine, name, prefetch=True, colors=None,
@@ -170,25 +182,87 @@ class TestDriveBatchBitIdentity:
         assert _state(hier_s, proc_s) == _state(hier_m, proc_m)
 
 
-class TestEligibility:
-    def test_kernel_requires_prefetch_off(self):
-        hierarchy, process = _build(MACHINE, "jbb", prefetch=True)
-        assert slab_eligible(process, hierarchy)
-        assert not kernel_eligible(process, hierarchy)
-        hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
-        assert kernel_eligible(process, hierarchy)
+def _non_lru_l2(hierarchy, process):
+    hierarchy.l2 = SetAssociativeCache(CacheConfig(
+        size_bytes=MACHINE.l2_size,
+        line_size=MACHINE.line_size,
+        associativity=MACHINE.l2_assoc,
+        replacement="random",
+    ))
 
+
+def _non_lru_l3(hierarchy, process):
+    l3 = hierarchy.l3
+    l3._cache = SetAssociativeCache(CacheConfig(
+        size_bytes=MACHINE.l3_size,
+        line_size=MACHINE.l3_line_size,
+        associativity=MACHINE.l3_assoc,
+        replacement="fifo",
+    ))
+
+
+def _deep_prefetch(hierarchy, process):
+    process._pf_config = dataclasses.replace(process._pf_config, depth=65)
+    process.prefetcher.config = process._pf_config
+
+
+class TestFallbackReasons:
+    """Every configuration native cannot take runs the scalar driver:
+    identical state, ``{"scalar": n}`` accesses, and one fallback
+    counted under the reason that skipped native (``replacement`` is
+    :meth:`TestEligibility.test_non_lru_falls_back_to_scalar`)."""
+
+    def _compare(self, mutate=None, drive_kwargs=None, accesses=6_000):
+        def build():
+            hierarchy, process = _build(MACHINE, "mcf", prefetch=True)
+            if mutate is not None:
+                mutate(hierarchy, process)
+            collector = TraceCollector(log_capacity=1 << 20, seed=5)
+            kwargs = (drive_kwargs or (lambda c: {}))(collector)
+            return hierarchy, process, collector, kwargs
+
+        hier_s, proc_s, coll_s, kwargs_s = build()
+        executed_s = drive(proc_s, hier_s, accesses, **kwargs_s)
+        telemetry = Telemetry.in_memory()
+        hier_b, proc_b, coll_b, kwargs_b = build()
+        with use_telemetry(telemetry):
+            executed_b = drive_batch(proc_b, hier_b, accesses, **kwargs_b)
+        assert executed_s == executed_b
+        assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
+        assert coll_s.log.entries() == coll_b.log.entries()
+        report = RunReport.from_telemetry(telemetry)
+        assert report.counter_by_label(
+            "sim.batch_accesses", "engine") == {"scalar": executed_b}
+        return report.counter_by_label("sim.batch_fallbacks", "reason")
+
+    def test_l3_replacement(self):
+        assert self._compare(_non_lru_l3) == {"l3_replacement": 1}
+
+    def test_prefetch_geometry(self):
+        assert self._compare(_deep_prefetch) == {"prefetch_geometry": 1}
+
+    def test_native_unavailable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        assert self._compare() == {"native_unavailable": 1}
+
+    @needs_native
+    def test_observer(self):
+        """A plain-function observer and an opaque stop cannot be run
+        ahead of, so they stay on the scalar loop."""
+        def opaque(collector):
+            return {"observer": lambda result: collector.observe(result),
+                    "stop": lambda: collector.done}
+
+        assert self._compare(drive_kwargs=opaque) == {"observer": 1}
+
+
+class TestEligibility:
     def test_non_lru_falls_back_to_scalar(self):
         """A non-LRU L2 is uncovered: drive_batch must fall back to the
         scalar loop (identical results) and count the fallback."""
         def build():
             hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
-            hierarchy.l2 = SetAssociativeCache(CacheConfig(
-                size_bytes=MACHINE.l2_size,
-                line_size=MACHINE.line_size,
-                associativity=MACHINE.l2_assoc,
-                replacement="random",
-            ))
+            _non_lru_l2(hierarchy, process)
             return hierarchy, process
 
         hier_s, proc_s = build()
@@ -196,7 +270,7 @@ class TestEligibility:
 
         telemetry = Telemetry.in_memory()
         hier_b, proc_b = build()
-        assert not slab_eligible(proc_b, hier_b)
+        assert native_fallback_reason(proc_b, hier_b) == "replacement"
         with use_telemetry(telemetry):
             drive_batch(proc_b, hier_b, 8_000)
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
@@ -204,16 +278,13 @@ class TestEligibility:
         assert report.counter_by_label(
             "sim.batch_fallbacks", "reason"
         ) == {"replacement": 1}
-        assert report.counter_total("sim.batch_accesses") == 0
+        assert report.counter_by_label(
+            "sim.batch_accesses", "engine") == {"scalar": 8_000}
 
     def test_batch_path_counts_accesses(self):
-        from repro.sim.fastsim import native_eligible
-
         telemetry = Telemetry.in_memory()
         hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
-        engine = (
-            "native" if native_eligible(process, hierarchy) else "kernel"
-        )
+        engine = "native" if native_available() else "scalar"
         with use_telemetry(telemetry):
             drive_batch(process, hierarchy, 4_000)
         report = RunReport.from_telemetry(telemetry)
@@ -221,45 +292,47 @@ class TestEligibility:
             "sim.batch_accesses", "engine"
         ) == {engine: 4_000}
         assert report.counter_total("sim.batch_ns") > 0
-        assert report.sim_engine() == "batch"
 
 
 class TestProbeDifferential:
     @pytest.mark.parametrize("prefetch", [True, False])
-    def test_trace_collection_bit_identical(self, prefetch):
+    def test_trace_collection_bit_identical(self, prefetch, scalar_env):
         online = OnlineProbeConfig(prefetch_enabled=prefetch)
-        scalar = collect_trace(make_workload("mcf", MACHINE), MACHINE, online)
-        batch = collect_trace(make_workload("mcf", BATCH), BATCH, online)
+        scalar = scalar_env(collect_trace, make_workload("mcf", MACHINE),
+                            MACHINE, online)
+        batch = collect_trace(make_workload("mcf", MACHINE), MACHINE, online)
         assert dataclasses.asdict(scalar.probe) == dataclasses.asdict(batch.probe)
         assert scalar.accesses_executed == batch.accesses_executed
         assert dict(scalar.result.mrc.mpki) == dict(batch.result.mrc.mpki)
 
-    def test_ideal_pmu_bit_identical(self):
+    def test_ideal_pmu_bit_identical(self, scalar_env):
         online = OnlineProbeConfig(use_ideal_pmu=True)
-        scalar = collect_trace(make_workload("jbb", MACHINE), MACHINE, online)
-        batch = collect_trace(make_workload("jbb", BATCH), BATCH, online)
+        scalar = scalar_env(collect_trace, make_workload("jbb", MACHINE),
+                            MACHINE, online)
+        batch = collect_trace(make_workload("jbb", MACHINE), MACHINE, online)
         assert dataclasses.asdict(scalar.probe) == dataclasses.asdict(batch.probe)
         assert dict(scalar.result.mrc.mpki) == dict(batch.result.mrc.mpki)
 
 
 class TestRunnerDifferential:
-    def test_real_mrc_identical(self):
+    def test_real_mrc_identical(self, scalar_env):
         config = OfflineConfig(warmup_accesses=4_000, measure_accesses=10_000)
-        scalar = real_mrc(make_workload("swim", MACHINE), MACHINE, config,
-                          sizes=[2, 8, 16])
-        batch = real_mrc(make_workload("swim", BATCH), BATCH, config,
+        scalar = scalar_env(real_mrc, make_workload("swim", MACHINE), MACHINE,
+                            config, sizes=[2, 8, 16])
+        batch = real_mrc(make_workload("swim", MACHINE), MACHINE, config,
                          sizes=[2, 8, 16])
         assert dict(scalar.mpki) == dict(batch.mpki)
 
-    def test_mpki_timeline_identical(self):
+    def test_mpki_timeline_identical(self, scalar_env):
         config = OfflineConfig()
         args = ([0, 1, 2, 3], 30_000, 20_000, config)
-        scalar = mpki_timeline(make_workload("art", MACHINE), MACHINE, *args)
-        batch = mpki_timeline(make_workload("art", BATCH), BATCH, *args)
+        scalar = scalar_env(mpki_timeline, make_workload("art", MACHINE),
+                            MACHINE, *args)
+        batch = mpki_timeline(make_workload("art", MACHINE), MACHINE, *args)
         assert scalar == batch
 
     @pytest.mark.parametrize("prefetch", [True, False])
-    def test_corun_identical(self, prefetch):
+    def test_corun_identical(self, prefetch, scalar_env):
         def specs(machine):
             return [
                 CorunSpec(make_workload("jbb", machine),
@@ -268,87 +341,12 @@ class TestRunnerDifferential:
                           colors=list(range(8, 16)), seed_offset=3),
             ]
 
-        scalar = corun(specs(MACHINE), MACHINE, quota_accesses=10_000,
-                       warmup_accesses=4_000, prefetch_enabled=prefetch)
-        batch = corun(specs(BATCH), BATCH, quota_accesses=10_000,
+        scalar = scalar_env(corun, specs(MACHINE), MACHINE,
+                            quota_accesses=10_000, warmup_accesses=4_000,
+                            prefetch_enabled=prefetch)
+        batch = corun(specs(MACHINE), MACHINE, quota_accesses=10_000,
                       warmup_accesses=4_000, prefetch_enabled=prefetch)
         assert dataclasses.asdict(scalar) == dataclasses.asdict(batch)
-
-
-# ---------------------------------------------------------------------------
-# The LRU slab kernel vs a brute-force reference
-# ---------------------------------------------------------------------------
-
-def _reference_lru(priming, events, num_sets, assoc):
-    """OrderedDict-free brute-force per-set LRU: the ground truth."""
-    buckets = [[] for _ in range(num_sets)]
-    for line in priming:
-        buckets[line % num_sets].append(line)
-    hits, victims = [], []
-    fills = evictions = 0
-    for line in events:
-        bucket = buckets[line % num_sets]
-        victim = -1
-        if line in bucket:
-            hits.append(True)
-            bucket.remove(line)
-        else:
-            hits.append(False)
-            fills += 1
-            if len(bucket) >= assoc:
-                victim = bucket.pop(0)
-                evictions += 1
-        bucket.append(line)
-        victims.append(victim)
-    state_lines, state_sets = [], []
-    for index, bucket in enumerate(buckets):
-        state_lines.extend(bucket)
-        state_sets.extend([index] * len(bucket))
-    return hits, (state_lines, state_sets), fills, evictions, victims
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    num_sets=st.sampled_from([1, 2, 4, 8]),
-    assoc=st.integers(min_value=1, max_value=5),
-    n_events=st.integers(min_value=0, max_value=120),
-    universe=st.integers(min_value=1, max_value=40),
-)
-def test_lru_slab_matches_bruteforce(seed, num_sets, assoc, n_events,
-                                     universe):
-    rng = random.Random(seed)
-    # Priming state: distinct lines, at most `assoc` per set.
-    per_set = [[] for _ in range(num_sets)]
-    for line in rng.sample(range(universe * 3), min(universe * 3, 4 * num_sets)):
-        bucket = per_set[line % num_sets]
-        if len(bucket) < min(assoc, rng.randint(0, assoc)):
-            bucket.append(line)
-    priming = [line for bucket in per_set for line in bucket]
-    prime_sets = [line % num_sets for line in priming]
-    events = [rng.randrange(universe) for _ in range(n_events)]
-
-    state = (
-        np.asarray(priming, dtype=np.int64),
-        np.asarray(prime_sets, dtype=np.int64),
-    )
-    ev = np.asarray(events, dtype=np.int64)
-    hits, new_state, fills, evictions, victims = _lru_slab(
-        state, ev, num_sets, assoc, want_victims=True
-    )
-    ref_hits, ref_state, ref_fills, ref_evictions, ref_victims = (
-        _reference_lru(priming, events, num_sets, assoc)
-    )
-    assert hits.tolist() == ref_hits
-    assert fills == ref_fills
-    assert evictions == ref_evictions
-    if victims is None:
-        # None is the documented "nothing evicted" shortcut.
-        assert all(victim == -1 for victim in ref_victims)
-    else:
-        assert victims.tolist() == ref_victims
-    assert new_state[0].tolist() == ref_state[0]
-    assert new_state[1].tolist() == ref_state[1]
 
 
 # ---------------------------------------------------------------------------

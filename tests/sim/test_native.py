@@ -9,8 +9,8 @@ PMU-visible event stream, and co-run interleavings.  These tests pin
 the pieces the pure-Python paths do not exercise: the CPython-exact
 MT19937, the C trace channel (real and ideal collectors, stopping on
 the access that fills the log), the chunk rollback protocol that other
-observers still use, the negative-address bail-out into the Python
-paths, the kill switch, and the visible build fallback.
+observers still use, negative virtual addresses (Python floor-division
+semantics in C), the kill switch, and the visible build fallback.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.runner.offline import OfflineConfig, real_mrc
 from repro.runner.online import OnlineProbeConfig, collect_trace
 from repro.sim import native
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import CollectorStop, native_eligible
+from repro.sim.fastsim import CollectorStop, native_fallback_reason
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -44,7 +44,6 @@ from repro.workloads.base import AccessPattern, MemoryAccess, Workload
 from repro.workloads.spec import make_workload
 
 MACHINE = MachineConfig.scaled(32)
-BATCH = MACHINE.with_engine("batch")
 
 pytestmark = pytest.mark.skipif(
     not native_available(), reason="no C compiler / native engine disabled"
@@ -110,7 +109,7 @@ def _assert_channel_identical(make_collector, **kwargs):
     executed_s, coll_s, state_s = _observed_run(
         MACHINE, drive, make_collector, **kwargs)
     executed_b, coll_b, state_b = _observed_run(
-        BATCH, drive_batch, make_collector, **kwargs)
+        MACHINE, drive_batch, make_collector, **kwargs)
     assert coll_b.channel_engine == "native"
     assert executed_s == executed_b
     assert _channel_state(coll_s) == _channel_state(coll_b)
@@ -181,8 +180,8 @@ class TestNativeSoloIdentity:
     def test_prefetch_on(self, name):
         hier_s, proc_s = _build(MACHINE, name, prefetch=True)
         drive(proc_s, hier_s, 30_000)
-        hier_b, proc_b = _build(BATCH, name, prefetch=True)
-        assert native_eligible(proc_b, hier_b)
+        hier_b, proc_b = _build(MACHINE, name, prefetch=True)
+        assert native_fallback_reason(proc_b, hier_b) is None
         drive_batch(proc_b, hier_b, 30_000)
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
 
@@ -190,7 +189,7 @@ class TestNativeSoloIdentity:
         hier_s, proc_s = _build(MACHINE, "art", prefetch=True,
                                 colors=[0, 1, 2])
         drive(proc_s, hier_s, 20_000)
-        hier_b, proc_b = _build(BATCH, "art", prefetch=True,
+        hier_b, proc_b = _build(MACHINE, "art", prefetch=True,
                                 colors=[0, 1, 2])
         drive_batch(proc_b, hier_b, 20_000)
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
@@ -199,7 +198,7 @@ class TestNativeSoloIdentity:
         """Native chunks and scalar step() share one gapless stream."""
         hier_s, proc_s = _build(MACHINE, "twolf", prefetch=True)
         drive(proc_s, hier_s, 9_000)
-        hier_b, proc_b = _build(BATCH, "twolf", prefetch=True)
+        hier_b, proc_b = _build(MACHINE, "twolf", prefetch=True)
         drive_batch(proc_b, hier_b, 2_500)
         for _ in range(500):
             proc_b.step(hier_b)
@@ -260,10 +259,19 @@ class _NegativePattern(AccessPattern):
         return 2 * 65536
 
 
+def _native_accesses(telemetry):
+    report = RunReport.from_telemetry(telemetry)
+    assert report.counter_total("sim.batch_fallbacks") == 0
+    return report.counter_by_label("sim.batch_accesses", "engine")
+
+
 class TestMixedEngineContinuity:
+    """Negative virtual addresses stay on the native engine: C floors
+    like Python's ``//`` and keys its vpage maps by zigzag encoding."""
+
     def test_negative_vaddr_falls_through_bit_identically(self):
-        """A chunk the C engine refuses lands on the slab path with no
-        gap: the combined run still equals the scalar run exactly."""
+        """Chunks dipping below address zero run natively and still
+        equal the scalar run exactly."""
         def build(machine):
             workload = Workload("neg", _NegativePattern(), seed=3)
             hierarchy = MemoryHierarchy(machine, num_cores=1)
@@ -277,22 +285,18 @@ class TestMixedEngineContinuity:
         hier_s, proc_s = build(MACHINE)
         drive(proc_s, hier_s, 5_000)
         telemetry = Telemetry.in_memory()
-        hier_b, proc_b = build(BATCH)
+        hier_b, proc_b = build(MACHINE)
         with use_telemetry(telemetry):
             executed = drive_batch(proc_b, hier_b, 5_000, slab_size=512)
         assert executed == 5_000
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
-        # The native engine took the first (positive) chunk, the slab
-        # loop the rest; both halves are accounted under one drive.
-        report = RunReport.from_telemetry(telemetry)
-        by_engine = report.counter_by_label("sim.batch_accesses", "engine")
-        assert by_engine == {"native": 5_000}
-        assert report.counter_total("sim.batch_fallbacks") == 0
+        assert any(vpage < 0 for vpage in proc_b._tlb)
+        assert _native_accesses(telemetry) == {"native": 5_000}
 
     def test_channel_hands_over_to_python_mid_probe(self):
-        """Native chunks log through the C channel until a negative
-        chunk bails; the committed collector then keeps logging in
-        Python with no gap, exactly as one scalar run would."""
+        """The C channel keeps logging once the stream turns negative
+        mid-probe: no hand-over to Python, the same log as one scalar
+        run."""
         def run(machine, driver):
             workload = Workload("neg", _NegativePattern(lead=3_000), seed=3)
             hierarchy = MemoryHierarchy(machine, num_cores=1)
@@ -309,14 +313,19 @@ class TestMixedEngineContinuity:
             return executed, collector, _state(hierarchy, process)
 
         executed_s, coll_s, state_s = run(MACHINE, drive)
-        executed_b, coll_b, state_b = run(BATCH, drive_batch)
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            executed_b, coll_b, state_b = run(MACHINE, drive_batch)
         assert coll_b.channel_engine == "native"
-        assert executed_s > 3_000  # the log fills after the hand-over
+        assert executed_s > 3_000  # the log fills after the turn
         assert executed_s == executed_b
         assert _channel_state(coll_s) == _channel_state(coll_b)
         assert state_s == state_b
+        assert _native_accesses(telemetry) == {"native": executed_b}
 
-    def test_corun_negative_vaddr_fallback(self):
+    def test_corun_negative_vaddr_fallback(self, monkeypatch):
+        """A co-run with a negative-address process stays inside the
+        native scheduler and matches the scalar heap exactly."""
         def specs(machine):
             neg = Workload("neg", _NegativePattern(), seed=3)
             return [
@@ -324,9 +333,19 @@ class TestMixedEngineContinuity:
                 CorunSpec(make_workload("mcf", machine)),
             ]
 
-        scalar = corun(specs(MACHINE), MACHINE, 6_000,
-                       warmup_accesses=1_000)
-        batch = corun(specs(BATCH), BATCH, 6_000, warmup_accesses=1_000)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        scalar_telemetry = Telemetry.in_memory()
+        with use_telemetry(scalar_telemetry):
+            scalar = corun(specs(MACHINE), MACHINE, 6_000,
+                           warmup_accesses=1_000)
+        monkeypatch.delenv("REPRO_NATIVE")
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            batch = corun(specs(MACHINE), MACHINE, 6_000,
+                          warmup_accesses=1_000)
+        executed = RunReport.from_telemetry(scalar_telemetry).counter_by_label(
+            "sim.batch_accesses", "engine")["scalar"]
+        assert _native_accesses(telemetry) == {"native": executed}
         assert scalar.ipc == batch.ipc
         assert scalar.mpki == batch.mpki
         assert scalar.instructions == batch.instructions
@@ -418,7 +437,7 @@ class TestObservedRollback:
                 TraceCollector(log_capacity=300, seed=5), plan, salt="mcf")
 
         executed_s, coll_s, state_s = _observed_run(MACHINE, drive, make)
-        executed_b, coll_b, state_b = _observed_run(BATCH, drive_batch, make)
+        executed_b, coll_b, state_b = _observed_run(MACHINE, drive_batch, make)
         assert coll_b.inner.channel_engine == "python"
         assert executed_s == executed_b
         assert _channel_state(coll_s.inner) == _channel_state(coll_b.inner)
@@ -439,7 +458,7 @@ class TestObservedRollback:
             monkeypatch.setenv("REPRO_NATIVE", flag)
             telemetry = Telemetry.in_memory()
             with use_telemetry(telemetry):
-                probe = collect_trace(make_workload("mcf", BATCH), BATCH,
+                probe = collect_trace(make_workload("mcf", MACHINE), MACHINE,
                                       online)
             report = RunReport.from_telemetry(telemetry)
             runs[flag] = (probe, report.counter_by_label(
@@ -458,9 +477,9 @@ class TestObservedRollback:
 
     def test_opaque_stop_stays_on_slab_path(self):
         """A plain lambda cannot be reasoned about: the drive must not
-        run ahead of it (engine label says slab, results still exact)."""
+        run ahead of it, so it runs the scalar driver (results exact)."""
         telemetry = Telemetry.in_memory()
-        hierarchy, process = _build(BATCH, "mcf", prefetch=True)
+        hierarchy, process = _build(MACHINE, "mcf", prefetch=True)
         seen = []
         with use_telemetry(telemetry):
             drive_batch(
@@ -469,21 +488,26 @@ class TestObservedRollback:
             )
         report = RunReport.from_telemetry(telemetry)
         by_engine = report.counter_by_label("sim.batch_accesses", "engine")
-        assert by_engine == {"slab": 3_000}
+        assert by_engine == {"scalar": 3_000}
+        assert report.counter_by_label(
+            "sim.batch_fallbacks", "reason") == {"observer": 1}
 
 
 class TestKillSwitch:
     def test_repro_native_0_disables_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         assert not native_available()
-        hierarchy, process = _build(BATCH, "jbb", prefetch=False)
-        assert not native_eligible(process, hierarchy)
+        hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
+        assert native_fallback_reason(
+            process, hierarchy) == "native_unavailable"
         telemetry = Telemetry.in_memory()
         with use_telemetry(telemetry):
             drive_batch(process, hierarchy, 2_000)
         report = RunReport.from_telemetry(telemetry)
         by_engine = report.counter_by_label("sim.batch_accesses", "engine")
-        assert by_engine == {"kernel": 2_000}
+        assert by_engine == {"scalar": 2_000}
+        assert report.counter_by_label(
+            "sim.batch_fallbacks", "reason") == {"native_unavailable": 1}
         monkeypatch.delenv("REPRO_NATIVE")
         assert native_available()
 
@@ -527,16 +551,16 @@ class TestPooledTelemetryParity:
         """Satellite regression: folded batched-drive counters from a
         pooled offline curve equal the sequential run's, and throughput
         is derived from them (no per-worker gauge survives)."""
-        workload = make_workload("jbb", BATCH)
+        workload = make_workload("jbb", MACHINE)
         config = OfflineConfig()
         sizes = [1, 2, 3, 4]
 
         seq_telemetry = Telemetry.in_memory()
         with use_telemetry(seq_telemetry):
-            seq = real_mrc(workload, BATCH, config, sizes=sizes)
+            seq = real_mrc(workload, MACHINE, config, sizes=sizes)
         pool_telemetry = Telemetry.in_memory()
         with use_telemetry(pool_telemetry):
-            pooled = real_mrc(workload, BATCH, config, sizes=sizes,
+            pooled = real_mrc(workload, MACHINE, config, sizes=sizes,
                               max_workers=2)
 
         assert dict(seq) == dict(pooled)

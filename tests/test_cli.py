@@ -100,10 +100,12 @@ class TestExecution:
 
 class TestFastPath:
     def test_probe_fast_flag_parsed(self):
-        args = build_parser().parse_args(["probe", "mcf", "--fast",
-                                          "--workers", "2"])
+        args = build_parser().parse_args(["--sim-workers", "2", "probe",
+                                          "mcf", "--fast"])
         assert args.fast is True
-        assert args.workers == 2
+        assert args.sim_workers == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["probe", "mcf", "--workers", "2"])
 
     def test_probe_fast_runs(self, capsys):
         assert main(["--scale", "32", "probe", "crafty", "--fast"]) == 0
@@ -205,12 +207,12 @@ class TestCampaign:
 
     def test_run_command_parsed(self):
         args = build_parser().parse_args(
-            ["campaign", "run", "spec.json", "--out", "results",
-             "--workers", "2", "--resume"]
+            ["--sim-workers", "2", "campaign", "run", "spec.json",
+             "--out", "results", "--resume"]
         )
         assert args.spec == "spec.json"
         assert args.out == "results"
-        assert args.workers == 2
+        assert args.sim_workers == 2
         assert args.resume is True
 
     def test_run_requires_out(self):
