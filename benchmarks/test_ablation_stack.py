@@ -3,15 +3,16 @@
 The paper's MRC calculation engine uses Kim et al.'s range-list
 optimization [20] precisely because a naive stack walk is too slow for
 online use.  This is a genuine microbenchmark (multiple rounds): the
-two per-access engines process the same trace; the range-list engine
-must beat the naive engine by a wide margin at L2-realistic depths.
+two per-access reference stacks process the same trace through
+:func:`~repro.core.stack.reference_histogram`; the range-list stack
+must beat the naive stack by a wide margin at L2-realistic depths.
 """
 
 import random
 
 import pytest
 
-from repro.core.stack import LRUStackSimulator
+from repro.core.stack import NaiveLRUStack, RangeListLRUStack, reference_histogram
 
 DEPTH = 960           # 1/16-scale L2 lines
 TRACE_LENGTH = 20_000
@@ -30,8 +31,11 @@ def trace():
 
 
 def run_engine(engine, trace):
-    simulator = LRUStackSimulator(DEPTH, engine=engine, boundaries=BOUNDARIES)
-    return simulator.process(trace)
+    if engine == "rangelist":
+        stack = RangeListLRUStack(DEPTH, boundaries=BOUNDARIES)
+    else:
+        stack = NaiveLRUStack(DEPTH)
+    return reference_histogram(stack, trace)
 
 
 @pytest.mark.parametrize("engine", ["rangelist", "naive"])

@@ -51,8 +51,9 @@ import pytest
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.report import RunReport
 from repro.runner.corun import CorunSpec, corun
-from repro.runner.driver import Process, drive, drive_batch
+from repro.runner.driver import Process, drive
 from repro.runner.offline import OfflineConfig, real_mrc
+from repro.sim.fastsim import drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator

@@ -22,7 +22,7 @@ from repro.campaign import CampaignSpec, build_aggregate, run_campaign
 from repro.campaign.spec import MachineSpec, WorkloadTarget
 
 WORKLOADS = ("mcf", "swim")
-ENGINES = ("rangelist", "batch")
+ENGINES = ("batch", "shards")
 SEEDS = (0, 1)
 
 

@@ -27,8 +27,7 @@ def _spectrum_rows(result):
 def test_fig7_pairs(benchmark, bench_machine, bench_offline, save_report):
     results = benchmark.pedantic(
         fig7_partitioning,
-        kwargs={"machine": bench_machine, "offline": bench_offline,
-                "fast": True},
+        kwargs={"machine": bench_machine, "offline": bench_offline},
         rounds=1, iterations=1,
     )
 

@@ -13,9 +13,9 @@ quantities are produced by a cost model:
   :class:`~repro.sim.cpu.CostModel`) + exceptions x per-exception cost
   (pipeline flush + kernel entry/exit + handler; ~1200 cycles is
   representative of the POWER5 numbers);
-- calculation cycles = trace length x per-entry stack cost, with the
-  per-entry constant depending on the stack engine (the range-list
-  optimization is exactly what makes this constant small).
+- calculation cycles = trace length x the paper's per-entry stack cost
+  on the POWER5 (the range-list optimization is exactly what makes
+  this constant small).
 
 The model reproduces the paper's *structure*: logging dominated by
 exception count, calculation linear in log size, amortized overhead
@@ -35,16 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
 
 __all__ = ["OverheadModel", "ProbeOverhead", "measured_split"]
 
-#: Per-entry MRC-calculation cost constants, by stack engine.  Derived
-#: from the paper's 124 M cycles / 160 k entries ~ 775 cycles per entry
-#: for the range-list engine; the naive engine pays O(depth) per access.
-#: The batch fast path sustains >= 5x range-list throughput (the engine
-#: benchmark gates ~6x), so its per-entry constant is 775 / 6.
-CALC_CYCLES_PER_ENTRY = {
-    "rangelist": 775,
-    "naive": 40_000,
-    "batch": 129,
-}
+#: Per-entry MRC-calculation cost: the paper's 124 M cycles / 160 k
+#: entries ~ 775 cycles for its range-list engine on the POWER5.  It
+#: models that machine, not this repository's Python kernel.
+CALC_CYCLES_PER_ENTRY = 775
 
 #: Default per-exception cost (pipeline flush + privilege switch + SDAR
 #: read + log append) -- representative of the POWER5 numbers.
@@ -162,7 +156,6 @@ class OverheadModel:
         self,
         probe: ProbeTrace,
         application_cycles: float,
-        stack_engine: str = "rangelist",
         run_report: Optional["RunReport"] = None,
     ) -> ProbeOverhead:
         """Cycle costs of one probing period.
@@ -172,7 +165,6 @@ class OverheadModel:
                 log length).
             application_cycles: cycles the application itself consumed
                 during the probe window (cost-model output).
-            stack_engine: which calculation engine will process the log.
             run_report: a telemetry capture of the probing run; when
                 given and it holds probe spans, the returned overhead
                 also carries the *measured* logging/calculation wall
@@ -180,13 +172,11 @@ class OverheadModel:
                 Without one (or with an empty capture) the result is the
                 analytic model alone.
         """
-        if stack_engine not in CALC_CYCLES_PER_ENTRY:
-            raise ValueError(f"unknown stack engine {stack_engine!r}")
         logging = (
             application_cycles / self.slowdown_ipc_fraction
             + probe.exceptions * self.exception_cost_cycles
         )
-        calculation = len(probe.entries) * CALC_CYCLES_PER_ENTRY[stack_engine]
+        calculation = len(probe.entries) * CALC_CYCLES_PER_ENTRY
         measured = measured_split(run_report)
         return ProbeOverhead(
             logging_cycles=logging,

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Exact stack engines (estimator names come from the estimator registry).
-EXACT_ENGINES: Tuple[str, ...] = ("naive", "rangelist", "batch")
+EXACT_ENGINES: Tuple[str, ...] = ("batch",)
 
 _ID_SANITIZE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -196,8 +196,8 @@ class CampaignSpec:
         name: campaign identity (used in output naming).
         targets: workload models and/or trace captures.
         machines: machine-config axis.
-        engines: stack engines / estimators axis (``rangelist``,
-            ``batch``, ``shards``, ...).
+        engines: stack engines / estimators axis (``batch``,
+            ``shards``, ``aet``).
         seeds: PMU-channel seeds; each seed is an independent probe
             realization of the same cell.
         log_entries: probe trace-log length override (``None`` derives
@@ -216,7 +216,7 @@ class CampaignSpec:
     name: str
     targets: Tuple[Target, ...]
     machines: Tuple[MachineSpec, ...] = (MachineSpec(),)
-    engines: Tuple[str, ...] = ("rangelist",)
+    engines: Tuple[str, ...] = EXACT_ENGINES
     seeds: Tuple[int, ...] = (0,)
     log_entries: Optional[int] = None
     sampling_rate: Optional[float] = None
@@ -294,7 +294,7 @@ class CampaignSpec:
                 MachineSpec.from_dict(entry)
                 for entry in payload.get("machines", [{}])
             ),
-            engines=tuple(payload.get("engines", ["rangelist"])),
+            engines=tuple(payload.get("engines", EXACT_ENGINES)),
             seeds=tuple(int(seed) for seed in payload.get("seeds", [0])),
             log_entries=int(log_entries) if log_entries is not None else None,
             sampling_rate=(

@@ -97,9 +97,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     if args.sampling_rate is not None and args.estimator is None:
         print("error: --sampling-rate requires --estimator", file=sys.stderr)
         return 2
-    probe_config = (
-        ProbeConfig(stack_engine="batch") if args.fast else ProbeConfig()
-    )
+    probe_config = ProbeConfig()
     if args.estimator is not None:
         try:
             probe_config = ProbeConfig(
@@ -144,12 +142,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    from repro.core.rapidmrc import ProbeConfig
-
     machine = _machine(args)
-    probe_config = (
-        ProbeConfig(stack_engine="batch") if args.fast else ProbeConfig()
-    )
     names = [args.workload_a, args.workload_b]
     store = _open_store(args)
     curves = {}
@@ -168,7 +161,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 print(f"# cache hit: {entry.signature.key()} "
                       f"(reuse #{entry.reuses})")
                 continue
-        probe = collect_trace(workload, machine, probe_config=probe_config)
+        probe = collect_trace(workload, machine)
         probe.calibrate(8, real[8])
         curves[name] = probe.result.best_mrc
         if store is not None and probe.ok:
@@ -187,10 +180,10 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.core.rapidmrc import ProbeConfig, RapidMRC
+    from repro.core.rapidmrc import RapidMRC
     from repro.io.mrcfile import save_mrc
     from repro.io.perf_script import parse_perf_script, samples_to_lines
-    from repro.io.tracefile import load_trace, load_trace_array
+    from repro.io.tracefile import load_trace
 
     machine = _machine(args)
     if args.format == "perf":
@@ -198,9 +191,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         trace = samples_to_lines(report.samples, machine.line_size)
         print(f"# parsed {len(report.samples)} samples "
               f"({report.skipped_lines} lines skipped)")
-    elif args.fast:
-        trace = load_trace_array(args.trace)
-        print(f"# loaded {len(trace)} trace entries")
     else:
         trace = load_trace(args.trace)
         print(f"# loaded {len(trace)} trace entries")
@@ -208,10 +198,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("no samples to analyze", file=sys.stderr)
         return 1
     instructions = args.instructions or 48 * len(trace)
-    probe_config = (
-        ProbeConfig(stack_engine="batch") if args.fast else ProbeConfig()
-    )
-    engine = RapidMRC(machine, probe_config)
+    engine = RapidMRC(machine)
     result = engine.compute(trace, instructions, label=args.trace)
     print(f"# stack hit rate {result.stack_hit_rate:.1%}, "
           f"warmup {result.warmup_fraction:.0%}, "
@@ -569,11 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every reliability gate, not just failures",
     )
     probe.add_argument(
-        "--fast", action="store_true",
-        help="compute the MRC with the vectorized batch engine "
-             "(bit-identical to rangelist, several times faster)",
-    )
-    probe.add_argument(
         "--estimator", choices=sorted(ESTIMATORS), default=None,
         help="approximate the MRC with a sub-linear sampling estimator "
              "instead of an exact stack engine",
@@ -603,10 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     part = sub.add_parser("partition", help="size a 2-way cache partition")
     part.add_argument("workload_a", choices=WORKLOAD_NAMES)
     part.add_argument("workload_b", choices=WORKLOAD_NAMES)
-    part.add_argument(
-        "--fast", action="store_true",
-        help="compute each MRC with the vectorized batch engine",
-    )
     part.add_argument(
         "--telemetry", metavar="PATH", default=None,
         help="record spans and metrics to this JSONL file",
@@ -645,10 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--output", default=None, help="write the curve as JSON here",
-    )
-    analyze.add_argument(
-        "--fast", action="store_true",
-        help="load and analyze the trace with the vectorized batch engine",
     )
     analyze.add_argument(
         "--telemetry", metavar="PATH", default=None,

@@ -14,7 +14,7 @@ Public entry points:
 
 - :class:`repro.core.rapidmrc.RapidMRC` -- the full online pipeline.
 - :class:`repro.core.mrc.MissRateCurve` -- the MRC value type.
-- :class:`repro.core.stack.LRUStackSimulator` -- Mattson stack engines.
+- :class:`repro.core.stack.LRUStackSimulator` -- the Mattson stack.
 - :class:`repro.core.phase.PhaseDetector` -- online phase detection.
 - :func:`repro.core.partition.choose_partition_sizes` -- cache sizing.
 """

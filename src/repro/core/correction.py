@@ -28,7 +28,6 @@ __all__ = [
     "correct_stale_repetitions",
     "count_repetitions",
     "thin_trace",
-    "drop_random",
 ]
 
 
@@ -42,9 +41,9 @@ class CorrectionResult:
     """Outcome of stale-SDAR repair.
 
     Attributes:
-        trace: the corrected cache-line trace -- a list from the scalar
-            repair here, or an int64 array from the vectorized repair in
-            :mod:`repro.core.fastpath`.
+        trace: the corrected cache-line trace -- an int64 array from the
+            vectorized repair in :mod:`repro.core.fastpath` (which every
+            probe runs), or a list from the scalar reference here.
         converted: number of entries that were rewritten (Table 2 column e
             reports this as a percentage of the log).
     """
@@ -111,18 +110,3 @@ def thin_trace(trace: Sequence[int], keep_every: int) -> List[int]:
         return list(trace)
     return [line for index, line in enumerate(trace) if index % keep_every == 0]
 
-
-def drop_random(
-    trace: Sequence[int], drop_probability: float, rng
-) -> List[int]:
-    """Drop each entry independently with ``drop_probability``.
-
-    A randomized variant of :func:`thin_trace` used by tests and the
-    missed-event ablation; ``rng`` is a ``random.Random`` so results are
-    reproducible.
-    """
-    if not 0.0 <= drop_probability <= 1.0:
-        raise ValueError("drop_probability must be in [0, 1]")
-    if drop_probability == 0.0:
-        return list(trace)
-    return [line for line in trace if rng.random() >= drop_probability]

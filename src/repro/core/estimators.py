@@ -1,11 +1,11 @@
 """Sub-linear MRC estimator backends: SHARDS sampling and AET modeling.
 
-The exact stack engines in :mod:`repro.core.stack` pay full simulation
-cost on every trace entry.  The MRC survey (Byrne, arXiv:1804.01972)
-catalogs sampling-based constructions that approximate the same curve
-at a small constant fraction of that cost; this module provides two of
-them behind a registry that plugs into :class:`~repro.core.stack.
-LRUStackSimulator` alongside ``naive``/``rangelist``/``batch``:
+The exact stack kernel (``batch``, :mod:`repro.core.fastpath`) pays full
+simulation cost on every trace entry.  The MRC survey (Byrne,
+arXiv:1804.01972) catalogs sampling-based constructions that approximate
+the same curve at a small constant fraction of that cost; this module
+provides two of them behind a registry that plugs into
+:class:`~repro.core.stack.LRUStackSimulator` alongside ``batch``:
 
 - :class:`ShardsEstimator` -- SHARDS-style spatially-hashed sampling
   (Waldspurger et al.).  A line is *sampled* when ``hash(line) < T``
@@ -46,13 +46,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.histogram import StackDistanceHistogram
 from repro.core.warmup import AutomaticWarmup, HybridWarmup, NoWarmup, StaticWarmup
-
-try:  # numpy accelerates the hash prefilter; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
 
 __all__ = [
     "EstimatorConfig",
@@ -88,33 +85,22 @@ def _prefilter(
 ) -> Tuple[List[int], List[int], List[int]]:
     """Indices, lines, and hashes of refs with ``hash(line) < threshold``.
 
-    The numpy path reproduces the pure-python splitmix64 exactly (uint64
-    wraparound arithmetic is the masked-2^64 arithmetic), so the sampled
-    set is identical with or without numpy.
+    Vectorized splitmix64: uint64 wraparound arithmetic is the masked
+    2^64 arithmetic of :func:`_mix64`, so every hash equals
+    ``_mix64((line & _MASK64) ^ seed_mix)``.
     """
-    if _np is not None:
-        arr = _np.ascontiguousarray(trace, dtype=_np.int64)
-        x = arr.view(_np.uint64) ^ _np.uint64(seed_mix)
-        x = x + _np.uint64(_GOLDEN)
-        x = (x ^ (x >> _np.uint64(30))) * _np.uint64(_MIX1)
-        x = (x ^ (x >> _np.uint64(27))) * _np.uint64(_MIX2)
-        x = x ^ (x >> _np.uint64(31))
-        if threshold >= _TWO64:
-            idx = _np.arange(arr.size)
-            return idx.tolist(), arr.tolist(), x.tolist()
-        mask = x < _np.uint64(threshold)
-        idx = _np.nonzero(mask)[0]
-        return idx.tolist(), arr[mask].tolist(), x[mask].tolist()
-    idxs: List[int] = []
-    lines: List[int] = []
-    hashes: List[int] = []
-    for i, line in enumerate(trace):
-        h = _mix64((int(line) & _MASK64) ^ seed_mix)
-        if h < threshold:
-            idxs.append(i)
-            lines.append(int(line))
-            hashes.append(h)
-    return idxs, lines, hashes
+    arr = np.ascontiguousarray(trace, dtype=np.int64)
+    x = arr.view(np.uint64) ^ np.uint64(seed_mix)
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    x = x ^ (x >> np.uint64(31))
+    if threshold >= _TWO64:
+        idx = np.arange(arr.size)
+        return idx.tolist(), arr.tolist(), x.tolist()
+    mask = x < np.uint64(threshold)
+    idx = np.nonzero(mask)[0]
+    return idx.tolist(), arr[mask].tolist(), x[mask].tolist()
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""Batched, numpy-vectorized fast path for the probe->MRC pipeline.
+"""The exact MRC path: whole-trace, numpy-vectorized pipeline stages.
 
-The per-access engines in :mod:`repro.core.stack` pay Python interpreter
-overhead on every one of the ~160k trace entries of a probe (paper
-Section 5.2.3).  This module provides whole-trace, array-based twins of
-the hot pipeline stages:
+Every exact probe runs here (through :class:`~repro.core.rapidmrc.
+RapidMRC` and :class:`~repro.core.stack.LRUStackSimulator`) instead of
+paying Python interpreter overhead on each of the ~160k trace entries
+(paper Section 5.2.3):
 
-- vectorized trace corrections mirroring :mod:`repro.core.correction`
-  (stale-SDAR repair, thinning, random drops) on int64 arrays;
+- :func:`correct_stale_repetitions`, the stale-SDAR repair of
+  :mod:`repro.core.correction` on int64 arrays;
 - :func:`batch_stack_distances`, a batched Mattson kernel that computes
   every access's exact bounded stack distance in O(n log n) vectorized
   numpy work;
@@ -15,11 +15,13 @@ the hot pipeline stages:
   ``numpy.bincount``, honoring the warmup policies of
   :mod:`repro.core.warmup`.
 
-Everything here is **bit-identical** to the scalar engines: the batch
+Everything here is **bit-identical** to the scalar references: the
 kernel reproduces :class:`~repro.core.stack.NaiveLRUStack`'s exact
-distances and, when given boundaries, the quantized histogram of
+distances and the quantized histogram that
+:func:`~repro.core.stack.reference_histogram` accumulates over a
 :class:`~repro.core.stack.RangeListLRUStack` (the differential tests in
-``tests/core/test_fastpath.py`` and the engine benchmark enforce this).
+``tests/core/test_fastpath.py`` and ``tests/integration/
+test_reference_parity.py`` and the engine benchmark enforce this).
 
 How the kernel works
 --------------------
@@ -62,8 +64,6 @@ from repro.core.warmup import (
 __all__ = [
     "as_trace_array",
     "correct_stale_repetitions",
-    "thin_trace",
-    "drop_random",
     "previous_occurrences",
     "batch_stack_distances",
     "batch_histogram",
@@ -88,7 +88,7 @@ def as_trace_array(trace: Iterable[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized corrections (twins of repro.core.correction)
+# Vectorized stale-SDAR repair (twin of repro.core.correction)
 # ---------------------------------------------------------------------------
 
 def correct_stale_repetitions(trace: Iterable[int]) -> CorrectionResult:
@@ -116,33 +116,6 @@ def correct_stale_repetitions(trace: Iterable[int]) -> CorrectionResult:
     converted = int(is_rep.sum())
     registry.counter("fastpath.converted_entries").inc(converted)
     return CorrectionResult(trace=corrected, converted=converted)
-
-
-def thin_trace(trace: Iterable[int], keep_every: int) -> np.ndarray:
-    """Vectorized twin of :func:`repro.core.correction.thin_trace`."""
-    if keep_every < 1:
-        raise ValueError("keep_every must be >= 1")
-    arr = as_trace_array(trace)
-    if keep_every == 1:
-        return arr.copy()
-    return arr[::keep_every].copy()
-
-
-def drop_random(trace: Iterable[int], drop_probability: float, rng) -> np.ndarray:
-    """Vectorized twin of :func:`repro.core.correction.drop_random`.
-
-    Draws from ``rng`` in the same order as the scalar version, so the
-    surviving entries are identical for the same seed.
-    """
-    if not 0.0 <= drop_probability <= 1.0:
-        raise ValueError("drop_probability must be in [0, 1]")
-    arr = as_trace_array(trace)
-    if drop_probability == 0.0:
-        return arr.copy()
-    draws = np.fromiter(
-        (rng.random() for _ in range(arr.size)), dtype=np.float64, count=arr.size
-    )
-    return arr[draws >= drop_probability]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +286,7 @@ def _resolve_warmup_start(warmup, prev: np.ndarray, max_depth: int) -> int:
     Also back-fills the policy object's bookkeeping attributes
     (``warmup_entries``, ``automatic_triggered``) so that
     :func:`repro.core.warmup.warmup_fraction_used` reports exactly what
-    it would after a scalar :meth:`LRUStackSimulator.process` run.
+    it would after :func:`repro.core.stack.reference_histogram`.
     """
     n = int(prev.size)
     if warmup is None or isinstance(warmup, NoWarmup):
@@ -337,7 +310,7 @@ def _resolve_warmup_start(warmup, prev: np.ndarray, max_depth: int) -> int:
         return start
     raise TypeError(
         f"the batch engine cannot vectorize warmup policy {warmup!r}; "
-        f"use a policy from repro.core.warmup or a per-access engine"
+        f"use a policy from repro.core.warmup"
     )
 
 
@@ -363,16 +336,13 @@ def batch_histogram(
     max_depth: int,
     boundaries: Optional[Sequence[int]] = None,
     warmup=None,
-    quantize: bool = True,
 ) -> StackDistanceHistogram:
     """Whole-trace stack-distance histogram, vectorized end to end.
 
-    With ``quantize=True`` (default), distances are bucketed to the upper
-    boundary of their range and the result is identical to running
-    :class:`~repro.core.stack.RangeListLRUStack` over the trace; with
-    ``quantize=False`` the exact histogram of
-    :class:`~repro.core.stack.NaiveLRUStack` is produced (``boundaries``
-    must then be ``None``).
+    Distances are bucketed to the upper boundary of their range, so the
+    result is identical to :func:`~repro.core.stack.reference_histogram`
+    over a :class:`~repro.core.stack.RangeListLRUStack` with the same
+    boundaries and warmup.
 
     Args:
         trace: the (already corrected) cache-line trace.
@@ -381,14 +351,10 @@ def batch_histogram(
             absent, as in the range-list engine.
         warmup: a policy from :mod:`repro.core.warmup`, or ``None`` to
             record every access.
-        quantize: bucket distances to ``boundaries`` (range-list
-            semantics) instead of keeping them exact.
     """
     if max_depth <= 0:
         raise ValueError("max_depth must be positive")
-    if not quantize and boundaries is not None:
-        raise ValueError("exact (quantize=False) histograms take no boundaries")
-    bounds = _normalized_boundaries(boundaries, max_depth) if quantize else None
+    bounds = _normalized_boundaries(boundaries, max_depth)
     arr = as_trace_array(trace)
     n = arr.size
     registry = get_telemetry().registry
@@ -408,14 +374,9 @@ def batch_histogram(
     histogram.cold_misses = int(recorded_cold.sum())
     if recorded.size == 0:
         return histogram
-    if quantize:
-        buckets = np.searchsorted(bounds, recorded, side="left")
-        counts = np.bincount(buckets, minlength=bounds.size)
-        histogram.counts = {
-            int(bounds[i]): int(c) for i, c in enumerate(counts) if c
-        }
-    else:
-        counts = np.bincount(recorded)
-        nonzero = np.flatnonzero(counts)
-        histogram.counts = {int(d): int(counts[d]) for d in nonzero}
+    buckets = np.searchsorted(bounds, recorded, side="left")
+    counts = np.bincount(buckets, minlength=bounds.size)
+    histogram.counts = {
+        int(bounds[i]): int(c) for i, c in enumerate(counts) if c
+    }
     return histogram

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.correction import CorrectionResult, correct_stale_repetitions
+from repro.core import fastpath
+from repro.core.correction import CorrectionResult
 from repro.core.estimators import EstimatorConfig, is_estimator
 from repro.core.histogram import StackDistanceHistogram
 from repro.core.mrc import MissRateCurve
-from repro.core.stack import LRUStackSimulator
+from repro.core.stack import LRUStackSimulator, check_engine
 from repro.core.warmup import HybridWarmup, NoWarmup, StaticWarmup, warmup_fraction_used
 from repro.obs import get_telemetry
 from repro.sim.machine import MachineConfig
@@ -37,11 +38,11 @@ class ProbeConfig:
         warmup: ``"hybrid"`` (automatic with static fallback -- the
             Table 2 policy), ``"static"`` (always half the log),
             ``"none"``, or an integer for an explicit static entry count.
-        stack_engine: ``rangelist`` (paper's choice), ``naive``,
-            ``batch`` -- the vectorized whole-trace fast
-            path of :mod:`repro.core.fastpath`, bit-identical to
-            ``rangelist`` but several times faster -- or a sub-linear
-            sampling estimator (``shards``, ``aet``) from
+        stack_engine: ``batch`` -- the exact vectorized kernel of
+            :mod:`repro.core.fastpath`, bit-identical to the paper's
+            range-list stack (:func:`repro.core.stack.reference_histogram`
+            over a :class:`~repro.core.stack.RangeListLRUStack`) -- or a
+            sub-linear sampling estimator (``shards``, ``aet``) from
             :mod:`repro.core.estimators`.
         correct_prefetch_repetitions: apply the stale-SDAR repair.
         anchor_color: cache size (colors) used for v-offset matching; the
@@ -53,12 +54,13 @@ class ProbeConfig:
 
     log_entries: Optional[int] = None
     warmup: object = "hybrid"
-    stack_engine: str = "rangelist"
+    stack_engine: str = "batch"
     correct_prefetch_repetitions: bool = True
     anchor_color: int = 8
     sampling_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
+        check_engine(self.stack_engine)
         if self.sampling_rate is not None:
             if not 0.0 < self.sampling_rate <= 1.0:
                 raise ValueError(
@@ -191,31 +193,12 @@ class RapidMRC:
         engine_name = self.config.stack_engine
         estimating = is_estimator(engine_name)
         correction = None
-        lines: Sequence[int] = trace
         with telemetry.tracer.span(
             "correction", engine=engine_name, entries=len(trace)
         ):
-            use_arrays = engine_name == "batch"
-            if estimating:
-                # Estimators hash-prefilter on arrays too; the
-                # vectorized correction keeps the whole pre-sampling
-                # stage out of the per-entry interpreter loop.  Without
-                # numpy they fall back to the scalar correction.
-                try:
-                    from repro.core import fastpath  # noqa: F401
-
-                    use_arrays = True
-                except ImportError:
-                    use_arrays = False
-            if use_arrays:
-                from repro.core import fastpath
-
-                lines = fastpath.as_trace_array(trace)
-                if self.config.correct_prefetch_repetitions:
-                    correction = fastpath.correct_stale_repetitions(lines)
-                    lines = correction.trace
-            elif self.config.correct_prefetch_repetitions:
-                correction = correct_stale_repetitions(trace)
+            lines = fastpath.as_trace_array(trace)
+            if self.config.correct_prefetch_repetitions:
+                correction = fastpath.correct_stale_repetitions(lines)
                 lines = correction.trace
 
         boundaries = self.machine.color_sizes_in_lines()

@@ -1,4 +1,4 @@
-"""Mattson LRU stack simulation engines.
+"""Mattson LRU stack simulation.
 
 The Mattson stack algorithm (paper Section 2.1) computes, for each access
 in a trace, its *stack distance*: the current depth of the accessed line
@@ -7,24 +7,21 @@ distance ``d`` hits in any fully-associative LRU cache of size >= ``d``
 lines and misses in any smaller one, so a single pass yields the whole
 miss-rate curve.
 
-Two interchangeable engines are provided:
+The pipeline's :class:`LRUStackSimulator` runs whole traces through the
+numpy-vectorized kernel of :mod:`repro.core.fastpath` (or a sampling
+estimator).  Two per-access stacks stay here as the references that
+kernel is pinned bit-identical to, driven by :func:`reference_histogram`:
 
 - :class:`NaiveLRUStack` -- a literal list-based stack, O(depth) per
-  access.  The reference implementation used to cross-validate the others.
+  access.  The executable specification of exact distances.
 - :class:`RangeListLRUStack` -- Kim, Hill & Wood's *range list*
   optimization [20], the one the paper's MRC engine uses (Section 3.2).
   Distances are resolved only to the granularity of the cache sizes of
   interest (the 16 partition boundaries), which cuts the per-access cost
   to O(#boundaries) pointer operations.
 
-A third engine name, ``batch``, selects the numpy-vectorized
-whole-trace kernel in :mod:`repro.core.fastpath` through the
-:class:`LRUStackSimulator` facade.  It produces histograms bit-identical
-to the per-access engines at a large constant-factor speedup, but has no
-incremental (per-access) interface.
-
-All engines bound the stack to ``max_depth`` lines, as the paper bounds
-its stack to the L2 size: any access whose distance exceeds the bound is
+Every stack is bounded to ``max_depth`` lines, as the paper bounds its
+stack to the L2 size: any access whose distance exceeds the bound is
 indistinguishable from a cold miss for every cache size under study and
 is reported as :data:`repro.core.histogram.COLD_MISS`.
 """
@@ -33,13 +30,21 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.core.estimators import (
+    ESTIMATORS,
+    EstimatorConfig,
+    is_estimator,
+    make_estimator,
+)
+from repro.core.fastpath import batch_histogram
 from repro.core.histogram import COLD_MISS, StackDistanceHistogram
 
 __all__ = [
     "NaiveLRUStack",
     "RangeListLRUStack",
     "LRUStackSimulator",
-    "make_engine",
+    "check_engine",
+    "reference_histogram",
 ]
 
 
@@ -291,52 +296,37 @@ class RangeListLRUStack:
         raise AssertionError("depth beyond max_depth")
 
 
-_ENGINES = {
-    "naive": NaiveLRUStack,
-    "rangelist": RangeListLRUStack,
-}
+def reference_histogram(
+    stack, trace: Iterable[int], warmup: "object" = None
+) -> StackDistanceHistogram:
+    """Histogram ``trace`` through a per-access ``stack``, one access at a time.
 
-
-def make_engine(
-    name: str, max_depth: int, boundaries: Optional[Sequence[int]] = None
-):
-    """Instantiate a stack engine by name (``naive``/``rangelist``).
-
-    Only the range-list engine can honor ``boundaries`` (it quantizes
-    every reported distance to them); the exact engines cannot, and a
-    caller asking for quantized distances must not silently receive
-    exact ones, so passing ``boundaries`` to them raises.  The ``batch``
-    engine is not constructible here -- it has no per-access interface;
-    use :class:`LRUStackSimulator` or :mod:`repro.core.fastpath`.
+    The scalar reference the batch kernel and the estimators are pinned
+    against: ``stack`` is a :class:`NaiveLRUStack` or a
+    :class:`RangeListLRUStack`, and ``warmup`` a policy from
+    :mod:`repro.core.warmup` (anything with ``should_record(index,
+    stack) -> bool``) or ``None`` to record every access.
     """
-    if name == "batch":
-        raise ValueError(
-            "the 'batch' engine processes whole traces, not single accesses; "
-            "use LRUStackSimulator(engine='batch') or repro.core.fastpath"
-        )
-    from repro.core.estimators import is_estimator
+    histogram = StackDistanceHistogram(max_depth=stack.max_depth)
+    record_all = warmup is None
+    for index, line in enumerate(trace):
+        distance = stack.access(line)
+        if record_all or warmup.should_record(index, stack):
+            histogram.record(distance)
+    return histogram
 
-    if is_estimator(name):
+
+def check_engine(name: object) -> None:
+    """Raise ``ValueError`` unless ``name`` is ``batch`` or an estimator."""
+    if name != "batch" and not is_estimator(name):
         raise ValueError(
-            f"the {name!r} estimator processes whole traces, not single "
-            f"accesses; use LRUStackSimulator(engine={name!r}) or "
-            f"repro.core.estimators"
+            f"unknown stack engine {name!r}; options: "
+            f"{', '.join(['batch'] + sorted(ESTIMATORS))}"
         )
-    if name not in _ENGINES:
-        raise ValueError(f"unknown stack engine {name!r}; options: {sorted(_ENGINES)}")
-    if name == "rangelist":
-        return RangeListLRUStack(max_depth, boundaries=boundaries)
-    if boundaries is not None:
-        raise ValueError(
-            f"stack engine {name!r} computes exact distances and cannot honor "
-            f"boundaries; use 'rangelist' (or the batch fast path) for "
-            f"boundary-quantized distances, or pass boundaries=None"
-        )
-    return _ENGINES[name](max_depth)
 
 
 class LRUStackSimulator:
-    """Drives a stack engine over a trace and accumulates the histogram.
+    """Runs a whole trace through the stack and returns its histogram.
 
     This is the paper's 'LRU stack simulator' (Section 3.2): it consumes a
     corrected access trace, handles the warmup phase, and produces a
@@ -344,64 +334,31 @@ class LRUStackSimulator:
 
     Args:
         max_depth: stack bound in lines (the L2 size: 15360 on POWER5).
-        engine: one of ``naive``, ``rangelist``, ``batch``,
-            or a sampling estimator from :mod:`repro.core.estimators`
-            (``shards``, ``aet``); estimators also only support
-            :meth:`process`, and leave their cost accounting in
+        engine: ``batch`` -- the exact vectorized kernel of
+            :mod:`repro.core.fastpath`, bit-identical to
+            :func:`reference_histogram` over a :class:`RangeListLRUStack`
+            -- or a sampling estimator from :mod:`repro.core.estimators`
+            (``shards``, ``aet``), which leaves its cost accounting in
             :attr:`last_estimate`.
         boundaries: the depths (in lines) at which distances must be
-            resolvable -- normally the 16 partition sizes.  The
-            range-list and batch engines quantize distances to exactly
-            these; the exact ``naive`` engine resolves *every* depth and
-            so satisfies any boundaries trivially -- the argument is not
-            forwarded to it (forwarding would raise, see
-            :func:`make_engine`).
-
-    The ``batch`` engine (:mod:`repro.core.fastpath`) has no per-access
-    interface: it vectorizes whole traces, so only :meth:`process` works;
-    :meth:`access` and the occupancy properties raise.
+            resolvable -- normally the 16 partition sizes.  Distances
+            are quantized to exactly these (``max_depth`` is appended).
     """
 
     def __init__(
         self,
         max_depth: int,
-        engine: str = "rangelist",
+        engine: str = "batch",
         boundaries: Optional[Sequence[int]] = None,
         estimator_config: "object" = None,
     ):
-        from repro.core.estimators import is_estimator
-
+        check_engine(engine)
         self.engine_name = engine
         self.boundaries = list(boundaries) if boundaries is not None else None
         self.estimator_config = estimator_config
         #: Populated by :meth:`process` when an estimator engine runs.
         self.last_estimate = None
-        if engine == "batch" or is_estimator(engine):
-            self._engine = None
-        elif engine == "rangelist":
-            self._engine = make_engine(engine, max_depth, boundaries)
-        else:
-            self._engine = make_engine(engine, max_depth)
         self.max_depth = max_depth
-
-    def _require_incremental(self):
-        if self._engine is None:
-            raise NotImplementedError(
-                f"the {self.engine_name!r} engine has no incremental "
-                f"per-access state; use process() on a whole trace"
-            )
-        return self._engine
-
-    @property
-    def occupancy(self) -> int:
-        return self._require_incremental().occupancy
-
-    @property
-    def is_full(self) -> bool:
-        return self._require_incremental().is_full
-
-    def access(self, line: int) -> int:
-        return self._require_incremental().access(line)
 
     def process(
         self,
@@ -412,42 +369,25 @@ class LRUStackSimulator:
 
         Args:
             trace: iterable of cache-line numbers.
-            warmup: a warmup policy from :mod:`repro.core.warmup`
-                (anything with ``should_record(index, stack) -> bool``), or
+            warmup: a warmup policy from :mod:`repro.core.warmup`, or
                 ``None`` to record every access.
 
         Returns:
             The stack-distance histogram of all recorded accesses.
         """
-        if self._engine is None:
-            from repro.core.estimators import (
-                EstimatorConfig,
-                is_estimator,
-                make_estimator,
-            )
-
-            if is_estimator(self.engine_name):
-                estimator = make_estimator(
-                    self.engine_name,
-                    max_depth=self.max_depth,
-                    boundaries=self.boundaries,
-                    config=self.estimator_config or EstimatorConfig(),
-                )
-                estimate = estimator.estimate(trace, warmup=warmup)
-                self.last_estimate = estimate
-                return estimate.histogram
-            from repro.core.fastpath import batch_histogram
-
+        if self.engine_name == "batch":
             return batch_histogram(
                 trace,
                 max_depth=self.max_depth,
                 boundaries=self.boundaries,
                 warmup=warmup,
             )
-        histogram = StackDistanceHistogram(max_depth=self.max_depth)
-        record_all = warmup is None
-        for index, line in enumerate(trace):
-            distance = self._engine.access(line)
-            if record_all or warmup.should_record(index, self._engine):
-                histogram.record(distance)
-        return histogram
+        estimator = make_estimator(
+            self.engine_name,
+            max_depth=self.max_depth,
+            boundaries=self.boundaries,
+            config=self.estimator_config or EstimatorConfig(),
+        )
+        estimate = estimator.estimate(trace, warmup=warmup)
+        self.last_estimate = estimate
+        return estimate.histogram

@@ -241,13 +241,6 @@ class RunReport:
             rates[""] = total / (total_ns / 1e9)
         return rates
 
-    def dominant_engine(self) -> Optional[str]:
-        """The stack engine that computed the most MRCs, if any."""
-        by_engine = self.counter_by_label("mrc.computes", "engine")
-        if not by_engine:
-            return None
-        return max(sorted(by_engine), key=lambda engine: by_engine[engine])
-
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
@@ -346,17 +339,13 @@ class RunReport:
         if instructions <= 0 or log_entries <= 0:
             return None
         exceptions = self.counter_total("pmu.exceptions")
-        engine = self.dominant_engine() or "rangelist"
-        per_entry = CALC_CYCLES_PER_ENTRY.get(
-            engine, CALC_CYCLES_PER_ENTRY["rangelist"]
-        )
         # ~1 IPC of application progress during the probe, as the
         # Table-2 benchmark assumes.
         logging = (
             instructions / DEFAULT_SLOWDOWN_IPC_FRACTION
             + exceptions * DEFAULT_EXCEPTION_COST_CYCLES
         )
-        calculation = float(log_entries * per_entry)
+        calculation = float(log_entries * CALC_CYCLES_PER_ENTRY)
         return logging, calculation
 
     def _render_counters(self, out) -> None:

@@ -318,8 +318,7 @@ def assess_probe(
     # repeats make a streamer's raw log look reuse-heavy, but after
     # repair an all-unique trace cannot produce stack hits, so its
     # all-cold histogram is correct rather than suspicious.
-    # len() (not truthiness) so this also handles the batch engine's
-    # array-backed corrected traces.
+    # len() (not truthiness): corrected traces are int64 arrays.
     judged = result.correction.trace if result.correction else entries
     unique_fraction = (
         _unique_count(judged) / len(judged) if len(judged) else 0.0

@@ -20,7 +20,7 @@ from repro.sim.memory import PageAllocator
 from repro.sim.prefetcher import PrefetcherConfig, StreamPrefetcher
 from repro.workloads.base import MemoryAccess, Workload
 
-__all__ = ["Process", "drive", "drive_batch"]
+__all__ = ["Process", "drive"]
 
 
 class Process:
@@ -193,24 +193,3 @@ def drive(
             break
     return executed
 
-
-def drive_batch(
-    process: Process,
-    hierarchy: MemoryHierarchy,
-    num_accesses: int,
-    observer: Optional[Callable[[AccessResult], None]] = None,
-    stop: Optional[Callable[[], bool]] = None,
-    slab_size: Optional[int] = None,
-) -> int:
-    """Batched sibling of :func:`drive`: same semantics, same results.
-
-    Dispatches to :mod:`repro.sim.fastsim`, which runs the native engine
-    when it covers the configuration and :func:`drive` otherwise.
-    """
-    from repro.sim.fastsim import DEFAULT_SLAB
-    from repro.sim.fastsim import drive_batch as _drive_batch
-
-    return _drive_batch(
-        process, hierarchy, num_accesses, observer=observer, stop=stop,
-        slab_size=slab_size if slab_size is not None else DEFAULT_SLAB,
-    )

@@ -389,9 +389,8 @@ def fig5_associativity(
     associativities.  Returns {assoc: [DineroResult per size]}."""
     machine = machine or default_machine()
     probe = _mcf_probe(machine, ProbeConfig())
-    trace = probe.result.correction.trace if probe.result.correction else list(
-        probe.probe.entries
-    )
+    # Dinero walks the trace one entry at a time: hand it Python ints.
+    trace = probe.result.correction.trace.tolist()
     return associativity_sweep(
         trace,
         size_bytes=machine.l2_size,

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.mrc import MissRateCurve
-from repro.runner.driver import Process, drive_batch
+from repro.runner.driver import Process
 from repro.runner.pool import get_pool
 from repro.sim.cpu import IssueMode
+from repro.sim.fastsim import drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator

@@ -38,9 +38,9 @@ from repro.reliability.quality import (
     QualityConfig,
     assess_probe,
 )
-from repro.runner.driver import Process, drive_batch
+from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import CollectorStop
+from repro.sim.fastsim import CollectorStop, drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator

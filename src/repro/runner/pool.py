@@ -13,6 +13,9 @@ Every parallel path in the runners used to spin up its own ad-hoc
   caller pays the interpreter spawn + import + native-engine load, every
   later call (the next offline curve, the next campaign cell batch)
   reuses the warm workers.  Pools are closed once, at interpreter exit.
+  A pool whose worker died (a crash or an OOM kill) breaks its executor
+  for good: the failing call closes it and re-raises, and the next
+  :func:`get_pool` builds a fresh one (counted as ``pool.rebuilds``).
 
 The process-wide default count is set by the CLI's ``--sim-workers``
 flag via :func:`configure_sim_workers`; call sites resolve their
@@ -25,7 +28,12 @@ from __future__ import annotations
 import atexit
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs import absorb_payload, call_traced, telemetry_enabled
+from repro.obs import (
+    absorb_payload,
+    call_traced,
+    get_telemetry,
+    telemetry_enabled,
+)
 
 __all__ = [
     "SimWorkerPool",
@@ -59,6 +67,11 @@ class SimWorkerPool:
             self._closed = True
             self._executor.shutdown(wait=True)
 
+    def _discard(self) -> None:
+        """Close a pool whose executor broke, without waiting on it."""
+        self._closed = True
+        self._executor.shutdown(wait=False)
+
     def map_traced(
         self, fn: Callable, tasks: Sequence[Tuple]
     ) -> List[object]:
@@ -71,20 +84,26 @@ class SimWorkerPool:
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
+        from concurrent.futures.process import BrokenProcessPool
+
         traced = telemetry_enabled()
-        if traced:
-            futures = [
-                self._executor.submit(call_traced, fn, *task)
-                for task in tasks
-            ]
-            results: List[object] = []
-            for future in futures:
-                result, payload = future.result()
-                absorb_payload(payload)
-                results.append(result)
-            return results
-        futures = [self._executor.submit(fn, *task) for task in tasks]
-        return [future.result() for future in futures]
+        try:
+            if traced:
+                futures = [
+                    self._executor.submit(call_traced, fn, *task)
+                    for task in tasks
+                ]
+                results: List[object] = []
+                for future in futures:
+                    result, payload = future.result()
+                    absorb_payload(payload)
+                    results.append(result)
+                return results
+            futures = [self._executor.submit(fn, *task) for task in tasks]
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            self._discard()
+            raise
 
     def imap_unordered(
         self, fn: Callable, tasks: Sequence[Tuple]
@@ -95,10 +114,15 @@ class SimWorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is closed")
         from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
 
-        futures = [self._executor.submit(fn, *task) for task in tasks]
-        for future in as_completed(futures):
-            yield future.result()
+        try:
+            futures = [self._executor.submit(fn, *task) for task in tasks]
+            for future in as_completed(futures):
+                yield future.result()
+        except BrokenProcessPool:
+            self._discard()
+            raise
 
 
 # -- process-wide persistent pools ------------------------------------------
@@ -151,6 +175,8 @@ def get_pool(max_workers: Optional[int]) -> Optional[SimWorkerPool]:
         return None
     pool = _pools.get(workers)
     if pool is None or pool.closed:
+        if pool is not None:
+            get_telemetry().registry.counter("pool.rebuilds").inc()
         pool = SimWorkerPool(workers)
         _pools[workers] = pool
         if not _atexit_registered:

@@ -41,15 +41,6 @@ class TestProbeOverhead:
             10 * short.calculation_cycles
         )
 
-    def test_rangelist_cheaper_than_naive(self, model):
-        fast = model.probe_overhead(probe(), 1e6, stack_engine="rangelist")
-        slow = model.probe_overhead(probe(), 1e6, stack_engine="naive")
-        assert fast.calculation_cycles < slow.calculation_cycles
-
-    def test_unknown_engine_rejected(self, model):
-        with pytest.raises(ValueError):
-            model.probe_overhead(probe(), 1e6, stack_engine="btree")
-
     def test_total_is_sum(self, model):
         overhead = model.probe_overhead(probe(), 1e6)
         assert overhead.total_cycles == pytest.approx(
@@ -69,7 +60,7 @@ class TestProbeOverhead:
         overhead = model.probe_overhead(paper_probe, application_cycles=13e6)
         assert 1e8 < overhead.logging_cycles < 1e9
         assert overhead.calculation_cycles == pytest.approx(
-            160_000 * CALC_CYCLES_PER_ENTRY["rangelist"]
+            160_000 * CALC_CYCLES_PER_ENTRY
         )
         assert 0.5e8 < overhead.calculation_cycles < 2.5e8
 

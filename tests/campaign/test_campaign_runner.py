@@ -22,7 +22,7 @@ def tiny_spec(**overrides):
         name="tiny",
         targets=(WorkloadTarget("mcf"),),
         machines=(MachineSpec(scale=32),),
-        engines=("rangelist", "batch"),
+        engines=("batch", "shards"),
         seeds=(0, 1),
         log_entries=400,
     )
@@ -69,32 +69,20 @@ class TestSequentialRun:
 
     def test_cell_payload_contents(self, tmp_path):
         out = str(tmp_path / "out")
-        run_campaign(tiny_spec(engines=("rangelist",), seeds=(0,)), out)
+        run_campaign(tiny_spec(engines=("batch",), seeds=(0,)), out)
         (payload,) = cell_payloads(out).values()
         assert payload["status"] == "ok"
-        assert payload["cell"]["engine"] == "rangelist"
+        assert payload["cell"]["engine"] == "batch"
         assert payload["mpki_at_anchor"] >= 0.0
         assert len(payload["mrc"]) == 16
         assert payload["probe"]["log_entries"] == 400
         assert payload["wall_seconds"] > 0.0
         assert "metrics" in payload
 
-    def test_batch_and_rangelist_cells_agree(self, tmp_path):
-        # The batch engine is bit-identical to rangelist, so the same
-        # (target, machine, seed) cell must produce the same curve.
-        out = str(tmp_path / "out")
-        run_campaign(tiny_spec(seeds=(0,)), out)
-        payloads = cell_payloads(out)
-        curves = {
-            payload["cell"]["engine"]: payload["mrc"]
-            for payload in payloads.values()
-        }
-        assert curves["batch"] == curves["rangelist"]
-
     def test_measure_real_records_error(self, tmp_path):
         out = str(tmp_path / "out")
         run_campaign(
-            tiny_spec(engines=("rangelist",), seeds=(0,),
+            tiny_spec(engines=("batch",), seeds=(0,),
                       measure_real=True),
             out,
         )
@@ -105,9 +93,9 @@ class TestSequentialRun:
 
     def test_refuses_to_clobber_without_resume(self, tmp_path):
         out = str(tmp_path / "out")
-        run_campaign(tiny_spec(engines=("rangelist",), seeds=(0,)), out)
+        run_campaign(tiny_spec(engines=("batch",), seeds=(0,)), out)
         with pytest.raises(ValueError, match="already holds"):
-            run_campaign(tiny_spec(engines=("rangelist",), seeds=(0,)), out)
+            run_campaign(tiny_spec(engines=("batch",), seeds=(0,)), out)
 
 
 class TestPoolEquivalence:
@@ -134,7 +122,7 @@ class TestPoolEquivalence:
             assert seq_cells[cell_id]["mrc"] == pool_cells[cell_id]["mrc"]
 
     def test_parent_telemetry_fold_back(self, tmp_path):
-        spec = tiny_spec(engines=("rangelist",))
+        spec = tiny_spec(engines=("batch",))
         telemetry = Telemetry.in_memory()
         with use_telemetry(telemetry):
             run_campaign(spec, str(tmp_path / "out"), max_workers=2)
@@ -184,7 +172,7 @@ class TestFailureRecording:
                 WorkloadTarget("mcf"),
                 TraceFileTarget(str(capture), split_pids=False),
             ),
-            engines=("rangelist",),
+            engines=("batch",),
             seeds=(0,),
         )
 
@@ -227,7 +215,7 @@ class TestFailureRecording:
 class TestAggregateIntegrity:
     def test_strict_aggregate_refuses_tampered_tree(self, tmp_path):
         out = str(tmp_path / "out")
-        run_campaign(tiny_spec(engines=("rangelist",), seeds=(0,)), out)
+        run_campaign(tiny_spec(engines=("batch",), seeds=(0,)), out)
         manifest = CampaignManifest.load(out)
         (entry,) = manifest.cells.values()
         with open(os.path.join(out, entry["file"]), "a") as handle:

@@ -22,7 +22,7 @@ def small_spec(**overrides):
         name="demo",
         targets=(WorkloadTarget("mcf"), WorkloadTarget("swim")),
         machines=(MachineSpec(scale=32),),
-        engines=("rangelist", "batch"),
+        engines=("batch", "shards"),
         seeds=(0, 1),
     )
     defaults.update(overrides)
@@ -35,8 +35,22 @@ class TestValidation:
             WorkloadTarget("gcc")
 
     def test_unknown_engine_rejected(self):
+        # The per-access range-list and naive stacks are test
+        # references, not campaign engines.
+        for engine in ("quantum", "rangelist", "naive"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                small_spec(engines=(engine,))
         with pytest.raises(ValueError, match="unknown engine"):
-            small_spec(engines=("quantum",))
+            CampaignSpec.from_dict({
+                "name": "old", "targets": [{"kind": "workload", "name": "mcf"}],
+                "engines": ["rangelist"],
+            })
+
+    def test_default_engine_is_batch(self):
+        spec = CampaignSpec.from_dict({
+            "name": "t", "targets": [{"kind": "workload", "name": "mcf"}],
+        })
+        assert spec.engines == ("batch",)
 
     def test_estimator_engines_accepted(self):
         spec = small_spec(engines=tuple(sorted(ESTIMATORS)))
@@ -181,7 +195,7 @@ class TestExpansion:
         )
         spec = small_spec(
             targets=(TraceFileTarget(str(capture)),),
-            engines=("rangelist",), seeds=(0,),
+            engines=("batch",), seeds=(0,),
         )
         cells = spec.expand()
         assert len(cells) == 2
@@ -194,7 +208,7 @@ class TestExpansion:
         capture.write_text("a 11 1.0: mem-loads: ff00\n")
         spec = small_spec(
             targets=(TraceFileTarget(str(capture), split_pids=False),),
-            engines=("rangelist",), seeds=(0,),
+            engines=("batch",), seeds=(0,),
         )
         cells = spec.expand()
         assert len(cells) == 1
@@ -209,9 +223,9 @@ class TestExpansion:
 
     def test_cell_id_deterministic(self):
         machine = MachineSpec(scale=32)
-        assert (cell_id("mcf", machine, "rangelist", 3)
-                == cell_id("mcf", machine, "rangelist", 3)
-                == "mcf__s32__rangelist__seed3")
+        assert (cell_id("mcf", machine, "batch", 3)
+                == cell_id("mcf", machine, "batch", 3)
+                == "mcf__s32__batch__seed3")
 
 
 class TestRealWorkers:

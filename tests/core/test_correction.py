@@ -1,14 +1,11 @@
 """Tests for trace corrections (paper Section 3.1.1 / 5.2.5)."""
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.correction import (
     correct_stale_repetitions,
     count_repetitions,
-    drop_random,
     thin_trace,
 )
 
@@ -70,28 +67,6 @@ class TestThinning:
         thinned = thin_trace(trace, 1)
         thinned.append(99)
         assert trace == [1, 2]
-
-
-class TestRandomDrop:
-    def test_zero_probability_keeps_all(self):
-        assert drop_random([1, 2, 3], 0.0, random.Random(0)) == [1, 2, 3]
-
-    def test_one_probability_drops_all(self):
-        assert drop_random([1, 2, 3], 1.0, random.Random(0)) == []
-
-    def test_reproducible(self):
-        trace = list(range(100))
-        a = drop_random(trace, 0.4, random.Random(5))
-        b = drop_random(trace, 0.4, random.Random(5))
-        assert a == b
-
-    def test_probability_validated(self):
-        with pytest.raises(ValueError):
-            drop_random([1], 1.5, random.Random(0))
-
-    def test_order_preserved(self):
-        kept = drop_random(list(range(200)), 0.5, random.Random(1))
-        assert kept == sorted(kept)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=30), max_size=200))

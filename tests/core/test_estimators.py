@@ -1,8 +1,8 @@
 """Tests for the sub-linear MRC estimator backends (SHARDS + AET).
 
-The exact engines are the executable specification: at sampling rate
-1.0 SHARDS must reproduce their boundary-quantized histogram bit for
-bit, and at realistic rates both estimators must stay within a small
+The per-access range-list reference is the executable specification:
+at sampling rate 1.0 SHARDS must reproduce its boundary-quantized
+histogram bit for bit, and at realistic rates both estimators must stay within a small
 MPKI envelope of the exact curve while tracking an order of magnitude
 fewer entries.
 """
@@ -12,7 +12,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.estimators as estimators_module
 from repro.core.estimators import (
     AETEstimator,
     ESTIMATORS,
@@ -20,11 +19,13 @@ from repro.core.estimators import (
     ShardsEstimator,
     is_estimator,
     make_estimator,
+    _MASK64,
+    _mix64,
     _prefilter,
     _TWO64,
 )
 from repro.core.rapidmrc import ProbeConfig, RapidMRC
-from repro.core.stack import LRUStackSimulator, make_engine
+from repro.core.stack import RangeListLRUStack, reference_histogram
 from repro.core.warmup import HybridWarmup, NoWarmup, StaticWarmup
 from repro.reliability.quality import assess_probe
 from repro.sim.machine import MachineConfig
@@ -47,9 +48,9 @@ def mixed_trace(n, num_lines, seed=0):
     return trace
 
 
-def exact_histogram(trace, warmup=None, engine="rangelist"):
-    simulator = LRUStackSimulator(DEPTH, engine=engine, boundaries=BOUNDS)
-    return simulator.process(trace, warmup=warmup)
+def exact_histogram(trace, warmup=None):
+    stack = RangeListLRUStack(DEPTH, boundaries=BOUNDS)
+    return reference_histogram(stack, trace, warmup=warmup)
 
 
 def curve_values(result):
@@ -72,16 +73,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown estimator"):
             make_estimator("bogus", DEPTH)
 
-    @pytest.mark.parametrize("name", ["shards", "aet"])
-    def test_make_engine_points_at_simulator(self, name):
-        with pytest.raises(ValueError, match="whole traces"):
-            make_engine(name, DEPTH)
-
-    def test_simulator_estimator_has_no_incremental_access(self):
-        simulator = LRUStackSimulator(DEPTH, engine="shards")
-        with pytest.raises(NotImplementedError, match="no incremental"):
-            simulator.access(1)
-
     @pytest.mark.parametrize("kwargs", [
         {"sampling_rate": 0.0},
         {"sampling_rate": 1.5},
@@ -97,7 +88,7 @@ class TestRegistry:
 class TestProbeConfigWiring:
     def test_sampling_rate_requires_estimator_engine(self):
         with pytest.raises(ValueError, match="sampling_rate"):
-            ProbeConfig(stack_engine="rangelist", sampling_rate=0.5)
+            ProbeConfig(stack_engine="batch", sampling_rate=0.5)
 
     def test_sampling_rate_range(self):
         with pytest.raises(ValueError):
@@ -176,7 +167,7 @@ class TestShardsSampled:
 
     def test_tracks_ten_x_fewer_entries(self):
         trace = mixed_trace(20_000, 900, seed=5)
-        exact = LRUStackSimulator(DEPTH, engine="rangelist")
+        exact = RangeListLRUStack(DEPTH)
         for line in trace:
             exact.access(line)
         estimate = ShardsEstimator(
@@ -317,8 +308,7 @@ class TestLargeTraceParity:
         trace = mixed_trace(160_000, 2000, seed=15)
         instructions = len(trace) * 48
         exact = RapidMRC(MACHINE, ProbeConfig(
-            stack_engine="batch", warmup="static",
-            correct_prefetch_repetitions=False,
+            warmup="static", correct_prefetch_repetitions=False,
         )).compute(trace, instructions)
         for name, rate, epsilon in (("shards", 0.1, 1.5), ("aet", 0.1, 3.0)):
             approx = RapidMRC(MACHINE, ProbeConfig(
@@ -377,13 +367,17 @@ class TestQualityWiring:
 
 
 class TestPrefilter:
-    def test_python_fallback_matches_numpy(self, monkeypatch):
+    def test_python_fallback_matches_numpy(self):
+        # The vectorized hash is splitmix64 exactly: pin it to _mix64.
         trace = mixed_trace(3000, 400, seed=18)
         threshold = _TWO64 // 7
-        with_numpy = _prefilter(trace, 12345, threshold)
-        monkeypatch.setattr(estimators_module, "_np", None)
-        pure_python = _prefilter(trace, 12345, threshold)
-        assert with_numpy == pure_python
+        want = ([], [], [])
+        for index, line in enumerate(trace):
+            h = _mix64((line & _MASK64) ^ 12345)
+            if h < threshold:
+                for column, value in zip(want, (index, line, h)):
+                    column.append(value)
+        assert _prefilter(trace, 12345, threshold) == want
 
     def test_full_threshold_passes_everything(self):
         trace = mixed_trace(500, 100, seed=19)
@@ -408,9 +402,7 @@ class TestHypothesis:
     def test_full_rate_shards_always_matches_rangelist(self, trace):
         depth = 64
         bounds = [8, 16, 32, 64]
-        simulator = LRUStackSimulator(depth, engine="rangelist",
-                                      boundaries=bounds)
-        exact = simulator.process(trace)
+        exact = reference_histogram(RangeListLRUStack(depth, bounds), trace)
         estimate = ShardsEstimator(
             depth, bounds, EstimatorConfig(sampling_rate=1.0)
         ).estimate(trace)

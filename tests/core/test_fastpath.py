@@ -1,10 +1,11 @@
-"""Differential tests for the batched vectorized fast path.
+"""Differential tests for the batched vectorized exact path.
 
 The contract of :mod:`repro.core.fastpath` is *bit-identical* output:
-the batch kernel must reproduce the scalar engines exactly -- the exact
-distances of the naive engine, the quantized histograms of the
-range-list engine, the warmup bookkeeping of the scalar simulator loop,
-and the corrections of :mod:`repro.core.correction` -- on any trace.
+the batch kernel must reproduce the scalar references exactly -- the
+exact distances of the naive stack, the quantized histograms and warmup
+bookkeeping of :func:`~repro.core.stack.reference_histogram` over the
+range-list stack, and the corrections of :mod:`repro.core.correction`
+-- on any trace.
 These tests enforce that with hand-built cases and hypothesis-generated
 traces, including the boundary ``b[0] == 1``, eviction-heavy, and
 single-line-run shapes called out in the fast-path design.
@@ -18,12 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import correction as scalar
 from repro.core import fastpath as fp
-from repro.core.histogram import COLD_MISS
-from repro.core.rapidmrc import ProbeConfig, RapidMRC
+from repro.core.rapidmrc import RapidMRC
 from repro.core.stack import (
     LRUStackSimulator,
     NaiveLRUStack,
     RangeListLRUStack,
+    reference_histogram,
 )
 from repro.core.warmup import (
     AutomaticWarmup,
@@ -60,28 +61,6 @@ class TestVectorizedCorrections:
         got = fp.correct_stale_repetitions(trace)
         assert got.trace.tolist() == want.trace
         assert got.converted == want.converted
-
-    def test_thin_trace_matches_scalar(self):
-        trace = list(range(17))
-        for keep in (1, 2, 4, 7):
-            assert fp.thin_trace(trace, keep).tolist() == scalar.thin_trace(
-                trace, keep
-            )
-
-    def test_thin_trace_rejects_bad_keep(self):
-        with pytest.raises(ValueError):
-            fp.thin_trace([1, 2], 0)
-
-    def test_drop_random_draws_in_scalar_order(self):
-        trace = list(range(500))
-        for probability in (0.0, 0.3, 1.0):
-            want = scalar.drop_random(trace, probability, random.Random(7))
-            got = fp.drop_random(trace, probability, random.Random(7))
-            assert got.tolist() == want
-
-    def test_drop_random_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            fp.drop_random([1], 1.5, random.Random(0))
 
 
 class TestBatchDistances:
@@ -137,7 +116,7 @@ def draw_boundaries(data, depth):
 
 
 class TestDifferentialHistogram:
-    """The satellite differential property: all four engines agree."""
+    """The differential property: the kernel and both references agree."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,48 +126,37 @@ class TestDifferentialHistogram:
     def test_property_four_engines_identical_quantized(self, trace, data):
         depth = data.draw(st.integers(min_value=2, max_value=32))
         bounds = draw_boundaries(data, depth)
-        hists = {}
-        for engine in ("naive", "rangelist"):
-            sim = LRUStackSimulator(depth, engine=engine, boundaries=bounds)
-            hists[engine] = sim.process(trace)
-        hists["batch"] = fp.batch_histogram(
-            trace, max_depth=depth, boundaries=bounds
-        )
         rangelist = RangeListLRUStack(depth, boundaries=bounds)
-        for line in trace:
-            rangelist.access(line)
+        reference = reference_histogram(rangelist, trace)
         rangelist.check_invariants()
-        reference = hists["rangelist"]
-        assert hists["batch"].counts == reference.counts
-        assert hists["batch"].cold_misses == reference.cold_misses
+        naive = reference_histogram(NaiveLRUStack(depth), trace)
+        for got in (
+            fp.batch_histogram(trace, max_depth=depth, boundaries=bounds),
+            LRUStackSimulator(depth, boundaries=bounds).process(trace),
+        ):
+            assert got.counts == reference.counts
+            assert got.cold_misses == reference.cold_misses
         for bound in rangelist.boundaries:
-            assert hists["naive"].misses_at(bound) == reference.misses_at(
-                bound
-            )
+            assert naive.misses_at(bound) == reference.misses_at(bound)
 
     def test_boundary_one(self):
         # b[0] == 1: the tightest range, distance-1 hits only.
         trace = [1, 1, 2, 2, 1, 2, 1, 1]
-        want = LRUStackSimulator(8, engine="rangelist", boundaries=[1, 8])
         got = fp.batch_histogram(trace, max_depth=8, boundaries=[1, 8])
-        ref = want.process(trace)
+        ref = reference_histogram(RangeListLRUStack(8, [1, 8]), trace)
         assert got.counts == ref.counts
         assert got.cold_misses == ref.cold_misses
 
     def test_eviction_heavy(self):
         rng = random.Random(3)
         trace = [rng.randrange(50) for _ in range(600)]  # depth 4: evicts a lot
-        ref = LRUStackSimulator(4, engine="rangelist", boundaries=[2, 4]).process(
-            trace
-        )
+        ref = reference_histogram(RangeListLRUStack(4, [2, 4]), trace)
         got = fp.batch_histogram(trace, max_depth=4, boundaries=[2, 4])
         assert got.counts == ref.counts and got.cold_misses == ref.cold_misses
 
     def test_single_line_run(self):
         trace = [9] * 64
-        ref = LRUStackSimulator(8, engine="rangelist", boundaries=[1, 8]).process(
-            trace
-        )
+        ref = reference_histogram(RangeListLRUStack(8, [1, 8]), trace)
         got = fp.batch_histogram(trace, max_depth=8, boundaries=[1, 8])
         assert got.counts == ref.counts and got.cold_misses == ref.cold_misses
 
@@ -198,23 +166,13 @@ class TestDifferentialHistogram:
         depth=st.integers(min_value=1, max_value=24),
     )
     def test_property_exact_matches_naive(self, trace, depth):
-        naive = NaiveLRUStack(depth)
-        want = {}
-        cold = 0
-        for line in trace:
-            distance = naive.access(line)
-            if distance == COLD_MISS:
-                cold += 1
-            else:
-                want[distance] = want.get(distance, 0) + 1
-        got = fp.batch_histogram(trace, max_depth=depth, quantize=False)
-        assert got.counts == want
-        assert got.cold_misses == cold
-
-    def test_exact_rejects_boundaries(self):
-        with pytest.raises(ValueError):
-            fp.batch_histogram([1, 2], max_depth=4, quantize=False,
-                               boundaries=[2])
+        # One boundary per depth: quantization degenerates to exact.
+        want = reference_histogram(NaiveLRUStack(depth), trace)
+        got = fp.batch_histogram(
+            trace, max_depth=depth, boundaries=range(1, depth + 1)
+        )
+        assert got.counts == want.counts
+        assert got.cold_misses == want.cold_misses
 
     def test_bad_boundaries_rejected(self):
         with pytest.raises(ValueError):
@@ -245,8 +203,9 @@ class TestWarmupParity:
         policy = data.draw(st.sampled_from(self.POLICIES))
         scalar_warmup = policy(len(trace))
         batch_warmup = policy(len(trace))
-        sim = LRUStackSimulator(depth, engine="rangelist", boundaries=bounds)
-        ref = sim.process(trace, warmup=scalar_warmup)
+        ref = reference_histogram(
+            RangeListLRUStack(depth, bounds), trace, warmup=scalar_warmup
+        )
         got = fp.batch_histogram(
             trace, max_depth=depth, boundaries=bounds, warmup=batch_warmup
         )
@@ -262,7 +221,9 @@ class TestWarmupParity:
 
 
 class TestEndToEndRapidMRC:
-    def test_batch_engine_bit_identical_to_rangelist(self, small_machine):
+    def test_batch_engine_bit_identical_to_rangelist(
+        self, small_machine, range_list_reference
+    ):
         rng = random.Random(21)
         # Stale runs included so the corrections diverge if buggy.
         trace = []
@@ -273,39 +234,24 @@ class TestEndToEndRapidMRC:
             else:
                 line = rng.randrange(300)
                 trace.append(line)
-        results = {}
-        for engine in ("rangelist", "batch"):
-            config = ProbeConfig(stack_engine=engine)
-            results[engine] = RapidMRC(small_machine, config).compute(
-                trace, instructions=100_000
-            )
-        ref, got = results["rangelist"], results["batch"]
+        got = RapidMRC(small_machine).compute(trace, instructions=100_000)
+        ref = range_list_reference(small_machine, trace, 100_000)
         assert got.histogram.counts == ref.histogram.counts
         assert got.histogram.cold_misses == ref.histogram.cold_misses
         assert dict(got.mrc) == dict(ref.mrc)
         assert got.warmup_fraction == ref.warmup_fraction
-        assert got.stack_hit_rate == ref.stack_hit_rate
+        assert got.stack_hit_rate == ref.histogram.hit_rate()
         assert got.correction.converted == ref.correction.converted
-        assert got.recorded_entries == ref.recorded_entries
+        assert got.recorded_entries == ref.histogram.total_accesses
 
 
 class TestSimulatorBatchEngine:
     def test_process_dispatches_to_batch(self):
         sim = LRUStackSimulator(8, engine="batch", boundaries=[2, 8])
-        ref = LRUStackSimulator(8, engine="rangelist", boundaries=[2, 8])
         trace = [1, 2, 3, 1, 2, 3, 4, 4]
         got = sim.process(trace)
-        want = ref.process(trace)
+        want = reference_histogram(RangeListLRUStack(8, [2, 8]), trace)
         assert got.counts == want.counts and got.cold_misses == want.cold_misses
-
-    def test_per_access_interface_rejected(self):
-        sim = LRUStackSimulator(8, engine="batch")
-        with pytest.raises(NotImplementedError):
-            sim.access(1)
-        with pytest.raises(NotImplementedError):
-            sim.occupancy
-        with pytest.raises(NotImplementedError):
-            sim.is_full
 
 
 class TestArrayCoercion:

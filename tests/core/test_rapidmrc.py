@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.mrc import mpki_distance
 from repro.core.rapidmrc import ProbeConfig, RapidMRC, RapidMRCResult
 from repro.core.warmup import HybridWarmup, NoWarmup, StaticWarmup
 from repro.sim.machine import MachineConfig
@@ -106,17 +105,19 @@ class TestCompute:
         result = engine.compute(trace, instructions=10_000)
         assert result.warmup_fraction == pytest.approx(0.5)
 
-    def test_engines_agree(self, machine):
+    def test_engines_agree(self, machine, range_list_reference):
         trace = [random.Random(3).randrange(2000) for _ in range(4000)]
-        results = {}
-        for engine_name in ("rangelist", "batch", "naive"):
-            engine = RapidMRC(
-                machine,
-                ProbeConfig(warmup="static", stack_engine=engine_name),
-            )
-            results[engine_name] = engine.compute(trace, instructions=100_000).mrc
-        assert mpki_distance(results["rangelist"], results["naive"]) == pytest.approx(0.0)
-        assert mpki_distance(results["batch"], results["naive"]) == pytest.approx(0.0)
+        engine = RapidMRC(machine, ProbeConfig(warmup="static"))
+        got = engine.compute(trace, instructions=100_000)
+        want = range_list_reference(machine, trace, 100_000, warmup="static")
+        assert got.histogram == want.histogram
+        assert dict(got.mrc) == dict(want.mrc)
+
+    def test_only_batch_or_estimators_accepted(self):
+        for engine in ("rangelist", "naive", "btree"):
+            with pytest.raises(ValueError, match="batch, aet, shards"):
+                ProbeConfig(stack_engine=engine)
+        assert ProbeConfig().stack_engine == "batch"
 
 
 class TestCalibration:

@@ -1,8 +1,9 @@
-"""Tests for the Mattson LRU stack engines.
+"""Tests for the Mattson LRU stacks and the pipeline's stack simulator.
 
-The naive engine is trusted as the executable specification; the
-range-list engine is cross-validated against it, both on hand-built
-cases and under hypothesis-generated traces.
+The naive stack is trusted as the executable specification; the
+range-list stack is cross-validated against it, both on hand-built
+cases and under hypothesis-generated traces, and the simulator's batch
+kernel against both through :func:`reference_histogram`.
 """
 
 import random
@@ -15,7 +16,7 @@ from repro.core.stack import (
     LRUStackSimulator,
     NaiveLRUStack,
     RangeListLRUStack,
-    make_engine,
+    reference_histogram,
 )
 
 
@@ -153,14 +154,18 @@ def test_property_rangelist_matches_quantized_naive(trace, data):
 @settings(max_examples=30, deadline=None)
 @given(trace=st.lists(st.integers(min_value=0, max_value=40), max_size=300))
 def test_property_all_engines_agree_on_miss_counts(trace):
-    """All three engines must induce identical Miss(size) at the shared
-    boundary sizes -- the quantity MRCs are built from."""
+    """Both reference stacks and the batch kernel must induce identical
+    Miss(size) at the shared boundary sizes -- the quantity MRCs are
+    built from."""
     depth = 24
     boundaries = [6, 12, 18, 24]
-    hists = {}
-    for engine_name in ("naive", "rangelist"):
-        sim = LRUStackSimulator(depth, engine=engine_name, boundaries=boundaries)
-        hists[engine_name] = sim.process(trace)
+    hists = {
+        "naive": reference_histogram(NaiveLRUStack(depth), trace),
+        "rangelist": reference_histogram(
+            RangeListLRUStack(depth, boundaries=boundaries), trace
+        ),
+        "batch": LRUStackSimulator(depth, boundaries=boundaries).process(trace),
+    }
     for size in boundaries:
         counts = {
             name: hist.misses_at(size) for name, hist in hists.items()
@@ -170,11 +175,13 @@ def test_property_all_engines_agree_on_miss_counts(trace):
 
 class TestSimulatorFacade:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            make_engine("btree", 8)
+        # The per-access stacks are references, not simulator engines.
+        for engine in ("btree", "rangelist", "naive"):
+            with pytest.raises(ValueError, match="batch"):
+                LRUStackSimulator(8, engine=engine)
 
     def test_process_without_warmup_records_everything(self):
-        sim = LRUStackSimulator(8, engine="naive")
+        sim = LRUStackSimulator(8)
         hist = sim.process([1, 2, 1, 3])
         assert hist.total_accesses == 4
         assert hist.cold_misses == 3
@@ -182,20 +189,7 @@ class TestSimulatorFacade:
     def test_process_with_warmup_skips_prefix(self):
         from repro.core.warmup import StaticWarmup
 
-        sim = LRUStackSimulator(8, engine="naive")
+        sim = LRUStackSimulator(8)
         hist = sim.process([1, 2, 1, 3], warmup=StaticWarmup(2))
         assert hist.total_accesses == 2
 
-
-class TestMakeEngineValidation:
-    def test_boundaries_rejected_for_exact_engines(self):
-        with pytest.raises(ValueError, match="boundaries"):
-            make_engine("naive", 8, boundaries=[2, 8])
-
-    def test_boundaries_accepted_by_rangelist(self):
-        engine = make_engine("rangelist", 8, boundaries=[2, 8])
-        assert engine.boundaries == [2, 8]
-
-    def test_batch_engine_not_constructible_per_access(self):
-        with pytest.raises(ValueError, match="batch"):
-            make_engine("batch", 8)

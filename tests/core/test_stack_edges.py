@@ -1,19 +1,17 @@
-"""Edge cases for the stack engines beyond the cross-validation suite."""
+"""Edge cases for the reference stacks beyond the cross-validation suite."""
 
 import pytest
 
 from repro.core.histogram import COLD_MISS
-from repro.core.stack import (
-    LRUStackSimulator,
-    NaiveLRUStack,
-    RangeListLRUStack,
-)
+from repro.core.stack import NaiveLRUStack, RangeListLRUStack
+
+STACKS = {"naive": NaiveLRUStack, "rangelist": RangeListLRUStack}
 
 
 class TestDepthOne:
     @pytest.mark.parametrize("engine", ["naive", "rangelist"])
     def test_depth_one_stack(self, engine):
-        sim = LRUStackSimulator(1, engine=engine)
+        sim = STACKS[engine](1)
         assert sim.access(5) == COLD_MISS
         assert sim.access(5) == 1
         assert sim.access(6) == COLD_MISS
@@ -53,7 +51,7 @@ class TestRangeListMarkers:
 class TestSimulatorOccupancy:
     @pytest.mark.parametrize("engine", ["naive", "rangelist"])
     def test_occupancy_tracks_distinct_lines(self, engine):
-        sim = LRUStackSimulator(10, engine=engine)
+        sim = STACKS[engine](10)
         for line in [1, 2, 3, 2, 1]:
             sim.access(line)
         assert sim.occupancy == 3
@@ -61,7 +59,7 @@ class TestSimulatorOccupancy:
 
     @pytest.mark.parametrize("engine", ["naive", "rangelist"])
     def test_is_full_saturates(self, engine):
-        sim = LRUStackSimulator(3, engine=engine)
+        sim = STACKS[engine](3)
         for line in range(10):
             sim.access(line)
         assert sim.is_full

@@ -54,7 +54,7 @@ def test_capture_to_per_pid_mrcs(tmp_path, capture):
             WorkloadTarget("mcf"),
         ),
         machines=(MachineSpec(scale=32),),
-        engines=("rangelist",),
+        engines=("batch",),
         seeds=(0,),
         log_entries=400,
     )

@@ -53,10 +53,12 @@ def test_histogram_invariant_under_line_relabeling(trace, seed):
     mapping = dict(zip(distinct, relabeled_ids))
     relabeled = [mapping[line] for line in trace]
 
-    sim_a = LRUStackSimulator(MACHINE.l2_lines, engine="naive")
-    sim_b = LRUStackSimulator(MACHINE.l2_lines, engine="naive")
-    hist_a = sim_a.process(trace)
-    hist_b = sim_b.process(relabeled)
+    # One boundary per depth: the pipeline's kernel at exact distances.
+    sim = LRUStackSimulator(
+        MACHINE.l2_lines, boundaries=range(1, MACHINE.l2_lines + 1)
+    )
+    hist_a = sim.process(trace)
+    hist_b = sim.process(relabeled)
     assert hist_a.counts == hist_b.counts
     assert hist_a.cold_misses == hist_b.cold_misses
 

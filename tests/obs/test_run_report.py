@@ -148,7 +148,6 @@ class TestAggregation:
         assert report.counter_by_label("mrc.computes", "engine") == {
             "batch": 1,
         }
-        assert report.dominant_engine() == "batch"
         assert report.gauges("sim.mpki") == {"core=0": 12.5}
 
     def test_modeled_split_matches_overhead_constants(self):
@@ -164,7 +163,7 @@ class TestAggregation:
             68750 / DEFAULT_SLOWDOWN_IPC_FRACTION
             + 4800 * DEFAULT_EXCEPTION_COST_CYCLES
         )
-        assert calc_c == pytest.approx(4800 * CALC_CYCLES_PER_ENTRY["batch"])
+        assert calc_c == pytest.approx(4800 * CALC_CYCLES_PER_ENTRY)
 
     def test_modeled_split_absent_without_pmu_counters(self):
         assert RunReport()._modeled_split() is None

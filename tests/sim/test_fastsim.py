@@ -22,13 +22,14 @@ from repro.obs import Telemetry, use_telemetry
 from repro.obs.report import RunReport
 from repro.pmu.sampling import TraceCollector
 from repro.runner.corun import CorunSpec, corun
-from repro.runner.driver import Process, drive, drive_batch
+from repro.runner.driver import Process, drive
 from repro.runner.offline import OfflineConfig, mpki_timeline, real_mrc
 from repro.runner.online import OnlineProbeConfig, collect_trace
 from repro.sim.cache import CacheConfig, SetAssociativeCache
 from repro.sim.cpu import IssueMode
 from repro.sim.fastsim import (
     DEFAULT_SLAB,
+    drive_batch,
     native_fallback_reason,
 )
 from repro.sim.hierarchy import MemoryHierarchy

@@ -29,12 +29,16 @@ from repro.pmu.ideal import IdealTraceCollector
 from repro.pmu.sampling import PMUModel, TraceCollector
 from repro.reliability.faults import FaultPlan, FaultyTraceCollector
 from repro.runner.corun import CorunSpec, corun
-from repro.runner.driver import Process, drive, drive_batch
+from repro.runner.driver import Process, drive
 from repro.runner.offline import OfflineConfig, real_mrc
 from repro.runner.online import OnlineProbeConfig, collect_trace
 from repro.sim import native
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import CollectorStop, native_fallback_reason
+from repro.sim.fastsim import (
+    CollectorStop,
+    drive_batch,
+    native_fallback_reason,
+)
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator

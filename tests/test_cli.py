@@ -11,9 +11,14 @@ class TestParser:
         assert args.command == "list"
 
     def test_probe_command(self):
-        args = build_parser().parse_args(["--scale", "32", "probe", "mcf"])
+        args = build_parser().parse_args(
+            ["--scale", "32", "--sim-workers", "2", "probe", "mcf"]
+        )
         assert args.workload == "mcf"
         assert args.scale == 32
+        assert args.sim_workers == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["probe", "mcf", "--workers", "2"])
 
     def test_probe_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
@@ -98,35 +103,6 @@ class TestExecution:
         assert "shape correlation: 1.000" in out
 
 
-class TestFastPath:
-    def test_probe_fast_flag_parsed(self):
-        args = build_parser().parse_args(["--sim-workers", "2", "probe",
-                                          "mcf", "--fast"])
-        assert args.fast is True
-        assert args.sim_workers == 2
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["probe", "mcf", "--workers", "2"])
-
-    def test_probe_fast_runs(self, capsys):
-        assert main(["--scale", "32", "probe", "crafty", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert "rapidmrc" in out
-
-    def test_analyze_fast_matches_scalar(self, capsys, tmp_path):
-        from repro.io.tracefile import save_trace
-
-        path = str(tmp_path / "trace.txt")
-        save_trace(path, list(range(100)) * 30)
-        assert main(["--scale", "32", "analyze", path,
-                     "--format", "native"]) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(["--scale", "32", "analyze", path,
-                     "--format", "native", "--fast"]) == 0
-        fast_out = capsys.readouterr().out
-        # Identical curves, identical rendering: bit-identical fast path.
-        assert fast_out == scalar_out
-
-
 class TestTelemetry:
     def test_telemetry_flag_parsed(self):
         args = build_parser().parse_args(
@@ -144,7 +120,7 @@ class TestTelemetry:
 
     def test_probe_then_report(self, capsys, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--telemetry", path]) == 0
         capsys.readouterr()
         assert main(["obs", "report", path]) == 0
@@ -155,10 +131,10 @@ class TestTelemetry:
         assert "pmu.probes = 1" in out
 
     def test_probe_output_identical_with_telemetry(self, capsys, tmp_path):
-        assert main(["--scale", "32", "probe", "crafty", "--fast"]) == 0
+        assert main(["--scale", "32", "probe", "crafty"]) == 0
         plain = capsys.readouterr().out
         path = str(tmp_path / "run.jsonl")
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--telemetry", path]) == 0
         observed = capsys.readouterr().out
         assert observed == plain
@@ -197,7 +173,7 @@ class TestCampaign:
             "name": "cli-demo",
             "targets": [{"kind": "workload", "name": "mcf"}],
             "machines": [{"scale": 32}],
-            "engines": ["rangelist"],
+            "engines": ["batch"],
             "seeds": [0, 1],
             "log_entries": 400,
         }
@@ -293,11 +269,11 @@ class TestMrcCache:
 
     def test_probe_cold_then_warm(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--mrc-cache", path]) == 0
         cold = capsys.readouterr().out
         assert "cached under crafty@" in cold
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--mrc-cache", path]) == 0
         warm = capsys.readouterr().out
         assert "cache hit: crafty@" in warm
@@ -306,10 +282,10 @@ class TestMrcCache:
 
     def test_no_reuse_probes_again(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--mrc-cache", path]) == 0
         capsys.readouterr()
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--mrc-cache", path, "--no-mrc-reuse"]) == 0
         out = capsys.readouterr().out
         assert "cache hit" not in out
@@ -318,11 +294,11 @@ class TestMrcCache:
     def test_partition_reuses_probe_cache(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
         assert main(["--scale", "32", "partition", "crafty", "gzip",
-                     "--fast", "--mrc-cache", path]) == 0
+                     "--mrc-cache", path]) == 0
         cold = capsys.readouterr().out
         assert "mrc cache saved" in cold
         assert main(["--scale", "32", "partition", "crafty", "gzip",
-                     "--fast", "--mrc-cache", path]) == 0
+                     "--mrc-cache", path]) == 0
         warm = capsys.readouterr().out
         assert "cache hit: crafty@" in warm
         assert "cache hit: gzip@" in warm
