@@ -10,7 +10,9 @@ sequential replay's by construction, whatever the completion order.
 Failure policy: a cell that raises, or whose probe yields no computable
 curve, is *recorded* as a failed cell (with the error) in the results
 tree and manifest -- never dropped -- and resume re-runs exactly the
-cells that are not manifest-complete.
+cells that are not manifest-complete.  A pool worker that dies breaks
+the pool: every cell not completed by then is recorded failed with
+``worker died``, and the campaign still returns its report.
 """
 
 from __future__ import annotations
@@ -173,16 +175,22 @@ def run_cell(
     try:
         result, payload = call_traced(_execute_cell, cell)
     except Exception as error:  # noqa: BLE001 - failed cells are data
-        result = {
-            "cell": _cell_summary(cell),
-            "status": "failed",
-            "error": f"{type(error).__name__}: {error}",
-            "wall_seconds": 0.0,
-            "metrics": empty_snapshot(),
-        }
-        return str(cell["id"]), result, None
+        return _failed_cell(cell, f"{type(error).__name__}: {error}")
     result["metrics"] = payload.get("metrics") or empty_snapshot()
     return str(cell["id"]), result, payload
+
+
+def _failed_cell(
+    cell: Dict[str, object], error: str,
+) -> Tuple[str, Dict[str, object], None]:
+    result = {
+        "cell": _cell_summary(cell),
+        "status": "failed",
+        "error": error,
+        "wall_seconds": 0.0,
+        "metrics": empty_snapshot(),
+    }
+    return str(cell["id"]), result, None
 
 
 @dataclass
@@ -263,12 +271,25 @@ def run_campaign(
 
     pool = get_pool(max_workers)
     if pool is not None and len(pending) > 1:
-        # run_cell manages its own per-cell telemetry payload (handle()
-        # absorbs it), so the cells go through the untraced fan-out.
-        for triple in pool.imap_unordered(
-            run_cell, [(cell,) for cell in pending]
-        ):
-            handle(*triple)
+        from concurrent.futures.process import BrokenProcessPool
+
+        handled = set()
+        try:
+            # run_cell manages its own per-cell telemetry payload
+            # (handle() absorbs it), so the cells go through the
+            # untraced fan-out.
+            for triple in pool.imap_unordered(
+                run_cell, [(cell,) for cell in pending]
+            ):
+                handle(*triple)
+                handled.add(triple[0])
+        except BrokenProcessPool:
+            # A worker died and took the pool with it (the next get_pool
+            # builds a fresh one).  Every cell that had not completed is
+            # recorded failed, so --resume re-runs exactly those.
+            for cell in pending:
+                if str(cell["id"]) not in handled:
+                    handle(*_failed_cell(cell, "worker died"))
     else:
         for cell in pending:
             handle(*run_cell(cell))

@@ -64,26 +64,31 @@ typedef struct {
     i64 pos;    /* CPython's mti */
 } NMt;
 
-static u32 mt_next32(NMt *mt)
+/* Refill all 624 key words (the twist), once per 624 outputs. */
+static void mt_twist(u32 *m)
 {
+    static const u32 mag01[2] = {0x0U, MT_MATRIX_A};
     u32 y;
-    u32 *m = mt->key;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (m[kk] & MT_UPPER_MASK) | (m[kk + 1] & MT_LOWER_MASK);
+        m[kk] = m[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (m[kk] & MT_UPPER_MASK) | (m[kk + 1] & MT_LOWER_MASK);
+        m[kk] = m[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (m[MT_N - 1] & MT_UPPER_MASK) | (m[0] & MT_LOWER_MASK);
+    m[MT_N - 1] = m[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+}
+
+static inline u32 mt_next32(NMt *mt)
+{
     if (mt->pos >= MT_N) {
-        int kk;
-        static const u32 mag01[2] = {0x0U, MT_MATRIX_A};
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (m[kk] & MT_UPPER_MASK) | (m[kk + 1] & MT_LOWER_MASK);
-            m[kk] = m[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (m[kk] & MT_UPPER_MASK) | (m[kk + 1] & MT_LOWER_MASK);
-            m[kk] = m[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (m[MT_N - 1] & MT_UPPER_MASK) | (m[0] & MT_LOWER_MASK);
-        m[MT_N - 1] = m[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt_twist(mt->key);
         mt->pos = 0;
     }
-    y = m[mt->pos++];
+    u32 y = mt->key[mt->pos++];
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
@@ -91,19 +96,44 @@ static u32 mt_next32(NMt *mt)
     return y;
 }
 
-static double mt_random(NMt *mt)
+static inline double mt_random(NMt *mt)
 {
     u32 a = mt_next32(mt) >> 5;
     u32 b = mt_next32(mt) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* Exposed for the parity unit test: n consecutive random() draws. */
+/* Workload fill kernels.  Both advance a caller-owned MT state in place
+ * (key words + *pos), so a stream keeps its RNG here between calls.
+ *
+ * repro_mt_fill: n consecutive random() draws. */
 EXPORT void repro_mt_fill(u32 *key, i64 *pos, double *out, i64 n)
 {
     NMt mt = {key, *pos};
     for (i64 i = 0; i < n; i++)
         out[i] = mt_random(&mt);
+    *pos = mt.pos;
+}
+
+/* repro_mt_randbelow: n consecutive _randbelow(bound) draws for
+ * 1 <= bound < 2**32.  CPython draws getrandbits(k), k = bound's bit
+ * length, and rejects values >= bound; for k <= 32 getrandbits(k) is
+ * the top k bits of one 32-bit output.  Every candidate is written and
+ * only an accepted one advances the output index: the same words in the
+ * same order as the rejection loop, without its unpredictable branch. */
+EXPORT void repro_mt_randbelow(u32 *key, i64 *pos, i64 bound, i64 *out,
+                               i64 n)
+{
+    NMt mt = {key, *pos};
+    int shift = 32;
+    while (shift > 0 && (bound >> (32 - shift)) != 0)
+        shift--;
+    i64 i = 0;
+    while (i < n) {
+        u32 r = mt_next32(&mt) >> shift;
+        out[i] = r;
+        i += (i64)r < bound;
+    }
     *pos = mt.pos;
 }
 

@@ -7,10 +7,11 @@ states, cycle clocks).  It takes one of exactly two paths:
 
 native
     The compiled engine (:mod:`repro.sim.native`) simulates the access
-    stream in chunks, and runs the stock trace collectors' PMU channel
-    itself.  It covers LRU L1D/L2/L3 geometry with prefetch depth up to
-    64, an observer that is a trace collector, and a stop predicate that
-    is absent or a :class:`CollectorStop` over that collector.
+    stream in chunks, each generated on demand at the size the drive
+    will run, and runs the stock trace collectors' PMU channel itself.
+    It covers LRU L1D/L2/L3 geometry with prefetch depth up to 64, an
+    observer that is a trace collector, and a stop predicate that is
+    absent or a :class:`CollectorStop` over that collector.
 
 scalar
     Anything else -- a non-LRU cache, a deeper prefetcher, no C compiler
@@ -46,8 +47,12 @@ __all__ = [
     "record_drive",
 ]
 
-#: Accesses per chunk of the access stream handed to the native engine.
+#: Most accesses per chunk of the access stream handed to the native
+#: engine (a drive asks for no more than it can still run).
 DEFAULT_SLAB = 1 << 16
+#: Accesses buffered at a time for scalar ``step()`` calls on a process
+#: whose stream a :class:`BatchAccessSource` owns.
+_SCALAR_CHUNK = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -61,31 +66,39 @@ class BatchAccessSource:
     that has never been pulled is regenerated through the workload's
     native array producers (:meth:`Workload.access_batches`); a live
     iterator (the process was already stepped scalar) is wrapped and
-    buffered.  Either way ``process._stream`` is redirected through this
-    source, so scalar ``step()`` calls interleaved with batched drives
-    keep consuming one single stream in order.
+    buffered.  Either way the stream is demand-driven: :meth:`take`
+    generates exactly the chunk its caller asks for.  ``process._stream``
+    is redirected through this source, so scalar ``step()`` calls
+    interleaved with batched drives keep consuming one single stream in
+    order.
     """
 
-    __slots__ = ("_batches", "_pending")
+    __slots__ = ("_batches", "_demand", "_pending")
 
-    def __init__(self, process, slab_size: int = DEFAULT_SLAB):
+    def __init__(self, process):
+        # The generator sees the demand through this one-element list,
+        # never through a reference back to the source: a source <->
+        # generator cycle would keep dead streams' chunks alive until a
+        # full garbage collection.
+        self._demand = [0]
         if process._stream is None:
             self._batches = process.workload.access_batches(
-                process._seed_offset, batch_size=slab_size
+                process._seed_offset, demand=self._demand
             )
         else:
-            self._batches = _buffer_stream(process._stream, slab_size)
+            self._batches = _buffer_stream(process._stream, self._demand)
         self._pending: deque = deque()
         process._stream = self._scalar_iter()
         process._fastsim_source = self
 
     def take(self, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The next chunk of at most ``limit`` accesses as ``(vaddrs, stores)``."""
-        if self._pending:
-            vaddrs, stores, cursor = self._pending.popleft()
-        else:
-            vaddrs, stores = next(self._batches)
-            cursor = 0
+        """The next chunk of at most ``limit`` accesses as ``(vaddrs,
+        stores)``: a pushed-back tail if one is pending, else exactly
+        ``limit`` freshly generated accesses."""
+        if not self._pending:
+            self._demand[0] = limit
+            return next(self._batches)
+        vaddrs, stores, cursor = self._pending.popleft()
         end = cursor + limit
         if end < vaddrs.size:
             self._pending.appendleft((vaddrs, stores, end))
@@ -102,25 +115,29 @@ class BatchAccessSource:
         from repro.workloads.base import MemoryAccess
 
         while True:
+            if not self._pending:
+                self.push_back(*self.take(_SCALAR_CHUNK))
             vaddrs, stores = self.take(1)
             yield MemoryAccess(vaddr=int(vaddrs[0]), is_store=bool(stores[0]))
 
 
-def _buffer_stream(stream: Iterator, slab_size: int):
+def _buffer_stream(stream: Iterator, demand):
+    """Array chunks of a live scalar iterator, ``demand[0]`` at a time."""
     while True:
-        vaddrs = np.empty(slab_size, dtype=np.int64)
-        stores = np.empty(slab_size, dtype=np.bool_)
-        for i in range(slab_size):
+        count = demand[0]
+        vaddrs = np.empty(count, dtype=np.int64)
+        stores = np.empty(count, dtype=np.bool_)
+        for i in range(count):
             access = next(stream)
             vaddrs[i] = access.vaddr
             stores[i] = access.is_store
         yield vaddrs, stores
 
 
-def _source_for(process, slab_size: int = DEFAULT_SLAB) -> BatchAccessSource:
+def _source_for(process) -> BatchAccessSource:
     source = getattr(process, "_fastsim_source", None)
     if source is None:
-        source = BatchAccessSource(process, slab_size)
+        source = BatchAccessSource(process)
     return source
 
 
@@ -265,7 +282,9 @@ def _drive_native(
             limit = 1
         while executed < limit:
             if session.chunk_remaining(0) == 0:
-                vaddrs, stores = source.take(slab_size)
+                vaddrs, stores = source.take(
+                    min(slab_size, limit - executed)
+                )
                 chunks += 1
                 session.set_chunk(0, vaddrs, stores)
 
@@ -337,7 +356,7 @@ class NativeCorun:
         self._native = _native
         self.processes = list(processes)
         self.slab_size = slab_size
-        self.sources = [_source_for(p, slab_size) for p in self.processes]
+        self.sources = [_source_for(p) for p in self.processes]
         self.session = _native.NativeSession(hierarchy, self.processes)
 
     def run_until(self, start, target_extra: int) -> bool:
@@ -356,7 +375,11 @@ class NativeCorun:
                 if finisher >= 0:
                     return True
                 if reason == native.STOP_REFILL:
-                    vaddrs, stores = self.sources[proc].take(self.slab_size)
+                    # Refill with at most what this leg can still consume.
+                    left = target_extra - (session.accesses(proc) - start[proc])
+                    vaddrs, stores = self.sources[proc].take(
+                        min(self.slab_size, left)
+                    )
                     session.set_chunk(proc, vaddrs, stores)
                 else:
                     session.grow(proc, reason)
@@ -405,7 +428,7 @@ def drive_batch(
         channel, events_fn = route
         executed, chunks = _drive_native(
             process, hierarchy, num_accesses, events_fn, stop,
-            _source_for(process, slab_size), slab_size, channel,
+            _source_for(process), slab_size, channel,
         )
     record_drive(engine, executed, started, chunks)
     return executed

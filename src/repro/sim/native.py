@@ -13,13 +13,18 @@ other half of the contract:
   (caches, counters, allocator slices, prefetcher streams, the CPython
   MT19937 state) into C-visible arrays, and commits the advanced state
   back so scalar and batched execution interleave seamlessly.
+- **generate**: :class:`MTStream` holds one workload stream's MT19937
+  state in a C-visible buffer for the fill kernels (``random()``
+  doubles and ``_randbelow``) behind
+  :class:`repro.workloads.base.BatchRandom`.
 - **protocol**: the engine never allocates; when a step *would*
   overflow a map or log it stops cleanly before mutating anything and
   reports a ``STOP_GROW_*`` reason.  The session grows the buffer
   in place and resumes -- state is bit-identical either way.
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
-entirely (every drive then runs the scalar reference).  That is silent;
+entirely (every drive then runs the scalar reference, every generator
+its Python draws).  That is silent;
 a native engine that is wanted but cannot be
 built (no compiler, failed compile) warns once per process and counts
 ``sim.native_unavailable{reason}`` on every lookup that falls back.
@@ -27,9 +32,11 @@ built (no compiler, failed compile) warns once per process and counts
 
 from __future__ import annotations
 
+import array
 import ctypes
 import hashlib
 import os
+import random
 import subprocess
 import tempfile
 import warnings
@@ -40,6 +47,7 @@ import numpy as np
 from repro.obs import get_telemetry
 
 __all__ = [
+    "MTStream",
     "NativeSession",
     "channel_kind",
     "native_lib",
@@ -57,7 +65,6 @@ f64 = ctypes.c_double
 P_i64 = ctypes.POINTER(i64)
 P_u32 = ctypes.POINTER(u32)
 P_u8 = ctypes.POINTER(u8)
-P_f64 = ctypes.POINTER(f64)
 
 STOP_NONE = 0
 STOP_REFILL = 1
@@ -257,8 +264,11 @@ def native_lib() -> Optional[ctypes.CDLL]:
         _LIB_TRIED = True
         lib, _LIB_FAILURE = _build_lib()
         if lib is not None:
-            lib.repro_mt_fill.argtypes = [P_u32, P_i64, P_f64, i64]
+            vp = ctypes.c_void_p
+            lib.repro_mt_fill.argtypes = [vp, vp, vp, i64]
             lib.repro_mt_fill.restype = None
+            lib.repro_mt_randbelow.argtypes = [vp, vp, i64, vp, i64]
+            lib.repro_mt_randbelow.restype = None
             lib.repro_solo.argtypes = [
                 ctypes.POINTER(_NShared), ctypes.POINTER(_NProc), i64,
                 ctypes.POINTER(_NEvents), ctypes.POINTER(_NPmu),
@@ -298,23 +308,66 @@ def channel_kind(collector) -> Optional[int]:
     return None
 
 
+class MTStream:
+    """One ``random.Random``'s MT19937 state in a C-visible buffer.
+
+    The workload fill kernels (``repro_mt_fill``, ``repro_mt_randbelow``)
+    advance it in place, so a stream's RNG stays in C between chunks;
+    :meth:`store` writes it back to a Python RNG, which then continues
+    exactly where the kernels stopped.  The key words live in an
+    ``array('I')``: it converts to and from the state tuple several
+    times faster than a numpy array does.
+    """
+
+    __slots__ = ("_lib", "_key", "_pos", "_key_addr", "_pos_addr",
+                 "_version", "_gauss")
+
+    def __init__(self, lib: ctypes.CDLL, rng):
+        version, internal, gauss_next = rng.getstate()
+        self._lib = lib
+        self._key = array.array("I", internal[:624])
+        self._pos = i64(internal[624])
+        self._key_addr = self._key.buffer_info()[0]
+        self._pos_addr = ctypes.addressof(self._pos)
+        self._version = version
+        self._gauss = gauss_next
+
+    def random(self, count: int) -> np.ndarray:
+        """``count`` consecutive ``random()`` draws."""
+        out = np.empty(count, dtype=np.float64)
+        self._lib.repro_mt_fill(
+            self._key_addr, self._pos_addr, out.ctypes.data, count
+        )
+        return out
+
+    def randbelow(self, bound: int, count: int) -> np.ndarray:
+        """``count`` consecutive ``randrange(bound)`` draws, for
+        ``1 <= bound < 2**32``."""
+        out = np.empty(count, dtype=np.int64)
+        self._lib.repro_mt_randbelow(
+            self._key_addr, self._pos_addr, bound, out.ctypes.data, count
+        )
+        return out
+
+    def store(self, rng) -> None:
+        """Write the advanced state back into ``rng``."""
+        rng.setstate(
+            (self._version, (*self._key, self._pos.value), self._gauss)
+        )
+
+
 def mt_fill(rng_state: tuple, n: int) -> Tuple[np.ndarray, tuple]:
     """``n`` consecutive ``random()`` draws via the C MT19937 (parity
     testing hook).  Returns ``(draws, advanced_state)``."""
     lib = native_lib()
     if lib is None:
         raise RuntimeError("native engine unavailable")
-    version, internal, gauss_next = rng_state
-    key = np.array(internal[:624], dtype=np.uint32)
-    pos = i64(internal[624])
-    out = np.empty(n, dtype=np.float64)
-    lib.repro_mt_fill(
-        key.ctypes.data_as(P_u32), ctypes.byref(pos),
-        out.ctypes.data_as(P_f64), n,
-    )
-    state = (version, tuple(int(w) for w in key) + (int(pos.value),),
-             gauss_next)
-    return out, state
+    rng = random.Random()
+    rng.setstate(rng_state)
+    stream = MTStream(lib, rng)
+    out = stream.random(n)
+    stream.store(rng)
+    return out, rng.getstate()
 
 
 # ---------------------------------------------------------------------------

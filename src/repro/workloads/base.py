@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,12 +23,16 @@ __all__ = [
     "Workload",
     "AccessPattern",
     "AccessBatch",
-    "BatchCursor",
+    "BatchRandom",
+    "TakeFn",
+    "cyclic_stream",
     "draw_uniform",
 ]
 
-#: One generated slab: line-aligned virtual addresses plus store flags.
+#: One generated chunk: line-aligned virtual addresses plus store flags.
 AccessBatch = Tuple[np.ndarray, np.ndarray]
+#: ``take(count)``: the next ``count`` accesses of one stream.
+TakeFn = Callable[[int], AccessBatch]
 
 
 def draw_uniform(rng: random.Random, count: int) -> np.ndarray:
@@ -40,6 +44,8 @@ def draw_uniform(rng: random.Random, count: int) -> np.ndarray:
     same (exact, power-of-two) scaling -- but generated in C.  The
     Python RNG's state is transferred in, advanced by the vectorized
     draw, and written back, so scalar draws may continue seamlessly.
+    This is :class:`BatchRandom`'s path when the native kernels are
+    unavailable.
     """
     if count <= 0:
         return np.empty(0, dtype=np.float64)
@@ -58,50 +64,83 @@ def draw_uniform(rng: random.Random, count: int) -> np.ndarray:
     return out
 
 
-class BatchCursor:
-    """Pull arbitrary-length array chunks from a batch iterator.
+class BatchRandom:
+    """Vectorized draws from one ``random.Random``, CPython-exact.
 
-    The glue for composite patterns: sub-patterns yield fixed-size
-    slabs, but the composite consumes a data-dependent number of
-    accesses per output batch.
+    With the native engine built, the RNG's MT19937 state is adopted once
+    into a C-visible buffer (:class:`repro.sim.native.MTStream`) and each
+    call runs a C fill kernel, then writes the state back -- so after
+    every call ``rng`` holds exactly the state the same scalar draws
+    leave.  The stream owns ``rng`` from construction on: nothing else
+    may draw from it.  Without the engine (``REPRO_NATIVE=0``, no
+    compiler), and for ``randbelow`` bounds of 2**32 or more, the draws
+    are made by the Python path: :func:`draw_uniform` and
+    ``rng.randrange``.
     """
 
-    __slots__ = ("_batches", "_vaddrs", "_stores", "_cursor")
+    __slots__ = ("_rng", "_mt")
 
-    def __init__(self, batches: Iterator[AccessBatch]):
-        self._batches = batches
-        self._vaddrs = np.empty(0, dtype=np.int64)
-        self._stores = np.empty(0, dtype=np.bool_)
-        self._cursor = 0
+    def __init__(self, rng: random.Random):
+        from repro.sim import native
 
-    def take(self, count: int) -> AccessBatch:
-        """The next ``count`` accesses as ``(vaddrs, stores)`` arrays."""
-        start = self._cursor
-        end = start + count
-        if end <= self._vaddrs.size:
-            self._cursor = end
-            return self._vaddrs[start:end], self._stores[start:end]
-        vparts = [self._vaddrs[start:]]
-        sparts = [self._stores[start:]]
-        got = vparts[0].size
-        while got < count:
-            vaddrs, stores = next(self._batches)
-            need = count - got
-            if vaddrs.size > need:
-                self._vaddrs, self._stores = vaddrs, stores
-                self._cursor = need
-                vparts.append(vaddrs[:need])
-                sparts.append(stores[:need])
-                return np.concatenate(vparts), np.concatenate(sparts)
-            vparts.append(vaddrs)
-            sparts.append(stores)
-            got += vaddrs.size
-        self._vaddrs = np.empty(0, dtype=np.int64)
-        self._stores = np.empty(0, dtype=np.bool_)
-        self._cursor = 0
-        if len(vparts) == 1:
-            return vparts[0], sparts[0]
-        return np.concatenate(vparts), np.concatenate(sparts)
+        lib = native.native_lib()
+        self._rng = rng
+        self._mt = native.MTStream(lib, rng) if lib is not None else None
+
+    @property
+    def engine(self) -> str:
+        """``"native"`` while the C kernels draw, else ``"python"``."""
+        return "python" if self._mt is None else "native"
+
+    def random(self, count: int) -> np.ndarray:
+        """``count`` consecutive ``rng.random()`` draws."""
+        mt = self._mt
+        if mt is None:
+            return draw_uniform(self._rng, count)
+        out = mt.random(count)
+        mt.store(self._rng)
+        return out
+
+    def randbelow(self, bound: int, count: int) -> np.ndarray:
+        """``count`` consecutive ``rng.randrange(bound)`` draws."""
+        if bound < 1:
+            raise ValueError("bound must be positive")
+        mt = self._mt
+        if mt is not None and bound >> 32:
+            # Past one 32-bit word per draw: ``rng`` is current (every
+            # call stores it), so the Python path takes over for good.
+            self._mt = mt = None
+        if mt is None:
+            randrange = self._rng.randrange
+            return np.fromiter(
+                (randrange(bound) for _ in range(count)), np.int64, count
+            )
+        out = mt.randbelow(bound, count)
+        mt.store(self._rng)
+        return out
+
+
+def cyclic_stream(addresses: np.ndarray) -> TakeFn:
+    """Walk a fixed address cycle forever, ``take(count)`` at a time
+    (no RNG consumed, no stores)."""
+    period = addresses.size
+    cursor = 0
+
+    def take(count: int) -> AccessBatch:
+        nonlocal cursor
+        end = cursor + count
+        if end <= period:
+            vaddrs = addresses[cursor:end].copy()
+        else:
+            # One rotated period, repeated (np.resize tiles) to length.
+            vaddrs = np.resize(
+                np.concatenate((addresses[cursor:], addresses[:cursor])),
+                count,
+            )
+        cursor = end % period
+        return vaddrs, np.zeros(count, dtype=np.bool_)
+
+    return take
 
 
 @dataclass(frozen=True)
@@ -115,38 +154,40 @@ class MemoryAccess:
 class AccessPattern(abc.ABC):
     """A reusable access-stream primitive (see :mod:`repro.workloads.patterns`).
 
-    Patterns are stateless descriptions; :meth:`generate` returns a fresh
-    infinite iterator each call, driven by the supplied RNG so streams
-    are reproducible.
+    Patterns are stateless descriptions (at most caching tables derived
+    from their parameters); :meth:`generate` returns a fresh infinite
+    iterator each call, driven by the supplied RNG so streams are
+    reproducible.
     """
 
     @abc.abstractmethod
     def generate(self, rng: random.Random) -> Iterator[MemoryAccess]:
         """Yield accesses forever."""
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
-        """Yield ``(vaddrs, is_store)`` array slabs forever.
+    def batch_stream(self, rng: random.Random) -> TakeFn:
+        """The stream :meth:`generate` produces, in array chunks on demand.
 
-        The concatenation of the yielded slabs is exactly the stream
-        :meth:`generate` produces from an identically seeded RNG -- same
-        addresses, same store flags, same RNG draw order -- so the two
-        forms are interchangeable mid-stream.  The default implementation
+        Returns ``take(count)``, which generates exactly the next
+        ``count`` accesses as ``(vaddrs, is_store)`` arrays.  Any
+        sequence of chunk sizes concatenates to the scalar stream from an
+        identically seeded RNG -- same addresses, same store flags, same
+        RNG draw order -- and after each chunk ``rng`` holds the state the
+        scalar generator leaves after as many accesses.  The default
         buffers the scalar generator; hot patterns override it with
-        native vectorized generation.
+        vectorized generation.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         stream = self.generate(rng)
-        while True:
-            vaddrs = np.empty(batch_size, dtype=np.int64)
-            stores = np.empty(batch_size, dtype=np.bool_)
-            for index in range(batch_size):
+
+        def take(count: int) -> AccessBatch:
+            vaddrs = np.empty(count, dtype=np.int64)
+            stores = np.empty(count, dtype=np.bool_)
+            for index in range(count):
                 access = next(stream)
                 vaddrs[index] = access.vaddr
                 stores[index] = access.is_store
-            yield vaddrs, stores
+            return vaddrs, stores
+
+        return take
 
     @abc.abstractmethod
     def footprint_bytes(self) -> int:
@@ -200,26 +241,31 @@ class Workload:
                 yield access
 
     def access_batches(
-        self, seed_offset: int = 0, batch_size: int = 8192
+        self,
+        seed_offset: int = 0,
+        batch_size: int = 8192,
+        demand: Optional[List[int]] = None,
     ) -> Iterator[AccessBatch]:
-        """Array-slab form of :meth:`accesses` (same stream, same draws).
+        """Array-chunk form of :meth:`accesses` (same stream, same draws).
 
-        Store promotion consumes ``store_rng`` draws in the exact scalar
-        order: one draw per access the pattern did not already mark as a
-        store, in stream order.
+        Each ``next()`` generates ``batch_size`` accesses -- or, when the
+        consumer passes a one-element list as ``demand``, ``demand[0]``
+        accesses, which it sets before every pull so that exactly the
+        accesses it will use are generated.  Store promotion consumes
+        ``store_rng`` draws in the exact scalar order: one draw per access
+        the pattern did not already mark as a store, in stream order.
         """
         rng = random.Random(f"{self.seed}/{seed_offset}")
         store_rng = random.Random(f"{self.seed}/{seed_offset}/stores")
+        take = self.pattern.batch_stream(rng)
+        store_draws = BatchRandom(store_rng)
         fraction = self.store_fraction
-        for vaddrs, stores in self.pattern.generate_batch(rng, batch_size):
-            load_positions = np.flatnonzero(~stores)
-            count = load_positions.size
-            if count:
-                draws = draw_uniform(store_rng, count)
-                promoted = draws < fraction
-                if promoted.any():
-                    stores = np.array(stores, dtype=np.bool_, copy=True)
-                    stores[load_positions[promoted]] = True
+        while True:
+            vaddrs, stores = take(batch_size if demand is None else demand[0])
+            loads = np.flatnonzero(~stores)
+            if loads.size:
+                stores = stores.copy()
+                stores[loads] = store_draws.random(loads.size) < fraction
             yield vaddrs, stores
 
     def footprint_bytes(self) -> int:

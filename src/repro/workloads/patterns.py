@@ -22,16 +22,17 @@ bytes; generators never touch outside ``base .. base+footprint``.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.workloads.base import (
     AccessBatch,
     AccessPattern,
-    BatchCursor,
+    BatchRandom,
     MemoryAccess,
-    draw_uniform,
+    TakeFn,
+    cyclic_stream,
 )
 
 __all__ = [
@@ -54,19 +55,9 @@ def _check_footprint(footprint: int) -> int:
     return (footprint // _LINE) * _LINE
 
 
-def _cyclic_batches(
-    order: np.ndarray, base: int, batch_size: int
-) -> Iterator[AccessBatch]:
-    """Walk a fixed line-index cycle in array slabs (no RNG consumed)."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    period = order.size
-    offsets = np.arange(batch_size, dtype=np.int64)
-    cursor = 0
-    while True:
-        indices = order[(cursor + offsets) % period]
-        cursor = (cursor + batch_size) % period
-        yield base + indices * _LINE, np.zeros(batch_size, dtype=np.bool_)
+def _cyclic_lines(order: np.ndarray, base: int) -> TakeFn:
+    """Walk a fixed line-index cycle starting at ``base``."""
+    return cyclic_stream(base + order * _LINE)
 
 
 class SequentialStream(AccessPattern):
@@ -90,13 +81,9 @@ class SequentialStream(AccessPattern):
             if index >= lines:
                 index = 0
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
+    def batch_stream(self, rng: random.Random) -> TakeFn:
         lines = self.footprint // _LINE
-        return _cyclic_batches(
-            np.arange(lines, dtype=np.int64), self.base, batch_size
-        )
+        return _cyclic_lines(np.arange(lines, dtype=np.int64), self.base)
 
     def footprint_bytes(self) -> int:
         return self.footprint
@@ -120,13 +107,9 @@ class LoopingScan(AccessPattern):
             for index in range(lines):
                 yield MemoryAccess(self.base + index * _LINE)
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
+    def batch_stream(self, rng: random.Random) -> TakeFn:
         lines = self.footprint // _LINE
-        return _cyclic_batches(
-            np.arange(lines, dtype=np.int64), self.base, batch_size
-        )
+        return _cyclic_lines(np.arange(lines, dtype=np.int64), self.base)
 
     def footprint_bytes(self) -> int:
         return self.footprint
@@ -148,24 +131,16 @@ class RandomWorkingSet(AccessPattern):
         while True:
             yield MemoryAccess(self.base + rng.randrange(lines) * _LINE)
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def batch_stream(self, rng: random.Random) -> TakeFn:
         lines = self.footprint // _LINE
         base = self.base
-        randrange = rng.randrange
-        while True:
-            # randrange uses rejection sampling internally, so the draws
-            # cannot be vectorized bit-identically; fromiter keeps the
-            # exact scalar draw sequence while batching the arithmetic.
-            indices = np.fromiter(
-                (randrange(lines) for _ in range(batch_size)),
-                np.int64,
-                batch_size,
-            )
-            yield base + indices * _LINE, np.zeros(batch_size, dtype=np.bool_)
+        draws = BatchRandom(rng)
+
+        def take(count: int) -> AccessBatch:
+            indices = draws.randbelow(lines, count)
+            return base + indices * _LINE, np.zeros(count, dtype=np.bool_)
+
+        return take
 
     def footprint_bytes(self) -> int:
         return self.footprint
@@ -189,57 +164,57 @@ class ZipfWorkingSet(AccessPattern):
         self.footprint = _check_footprint(footprint)
         self.alpha = alpha
         self.base = base
+        self._table_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cumulative, placement)``: the inverse-CDF rank table and
+        each rank's line index, built once per pattern."""
+        if self._table_cache is None:
+            lines = self.footprint // _LINE
+            # Ranks are scattered over the region so popularity is not
+            # spatially correlated (defeats the prefetcher the way
+            # pointer-heavy code does).
+            weights = [1.0 / ((rank + 1) ** self.alpha) for rank in range(lines)]
+            total = sum(weights)
+            cumulative = np.empty(lines, dtype=np.float64)
+            acc = 0.0
+            for rank, weight in enumerate(weights):
+                acc += weight / total
+                cumulative[rank] = acc
+            placement = list(range(lines))
+            random.Random(0xC0FFEE).shuffle(placement)
+            self._table_cache = (
+                cumulative, np.asarray(placement, dtype=np.int64)
+            )
+        return self._table_cache
 
     def generate(self, rng: random.Random) -> Iterator[MemoryAccess]:
-        lines = self.footprint // _LINE
-        # Inverse-CDF sampling over a rank table; ranks are scattered over
-        # the region so popularity is not spatially correlated (defeats
-        # the prefetcher the way pointer-heavy code does).
-        weights = [1.0 / ((rank + 1) ** self.alpha) for rank in range(lines)]
-        total = sum(weights)
-        cumulative: List[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            cumulative.append(acc)
-        placement = list(range(lines))
-        random.Random(0xC0FFEE).shuffle(placement)
-
         import bisect
 
+        table, placement_arr = self._tables()
+        cumulative = table.tolist()
+        placement = placement_arr.tolist()
+        lines = len(cumulative)
         while True:
             rank = bisect.bisect_left(cumulative, rng.random())
             if rank >= lines:
                 rank = lines - 1
             yield MemoryAccess(self.base + placement[rank] * _LINE)
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        lines = self.footprint // _LINE
-        base = self.base
-        weights = [1.0 / ((rank + 1) ** self.alpha) for rank in range(lines)]
-        total = sum(weights)
-        cumulative = np.empty(lines, dtype=np.float64)
-        acc = 0.0
-        for rank, weight in enumerate(weights):
-            acc += weight / total
-            cumulative[rank] = acc
-        placement = list(range(lines))
-        random.Random(0xC0FFEE).shuffle(placement)
-        placement_arr = np.asarray(placement, dtype=np.int64)
-        while True:
+    def batch_stream(self, rng: random.Random) -> TakeFn:
+        cumulative, placement = self._tables()
+        top = cumulative.size - 1
+        addresses = self.base + placement * _LINE
+        draws = BatchRandom(rng)
+
+        def take(count: int) -> AccessBatch:
             # searchsorted(side="left") on the same float table is exactly
             # bisect_left, so ranks match the scalar generator draw for draw.
-            draws = draw_uniform(rng, batch_size)
-            ranks = np.searchsorted(cumulative, draws, side="left")
-            np.minimum(ranks, lines - 1, out=ranks)
-            yield (
-                base + placement_arr[ranks] * _LINE,
-                np.zeros(batch_size, dtype=np.bool_),
-            )
+            ranks = np.searchsorted(cumulative, draws.random(count), side="left")
+            np.minimum(ranks, top, out=ranks)
+            return addresses[ranks], np.zeros(count, dtype=np.bool_)
+
+        return take
 
     def footprint_bytes(self) -> int:
         return self.footprint
@@ -266,15 +241,11 @@ class PointerChase(AccessPattern):
             for line in order:
                 yield MemoryAccess(self.base + line * _LINE)
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
+    def batch_stream(self, rng: random.Random) -> TakeFn:
         lines = self.footprint // _LINE
         order = list(range(lines))
         random.Random(self.permutation_seed).shuffle(order)
-        return _cyclic_batches(
-            np.asarray(order, dtype=np.int64), self.base, batch_size
-        )
+        return _cyclic_lines(np.asarray(order, dtype=np.int64), self.base)
 
     def footprint_bytes(self) -> int:
         return self.footprint
@@ -302,9 +273,7 @@ class StridedSweep(AccessPattern):
                 for index in range(offset, lines, stride):
                     yield MemoryAccess(self.base + index * _LINE)
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
+    def batch_stream(self, rng: random.Random) -> TakeFn:
         lines = self.footprint // _LINE
         stride = self.stride_lines
         sweep = np.concatenate(
@@ -313,7 +282,7 @@ class StridedSweep(AccessPattern):
                 for offset in range(min(stride, lines))
             ]
         )
-        return _cyclic_batches(sweep, self.base, batch_size)
+        return _cyclic_lines(sweep, self.base)
 
     def footprint_bytes(self) -> int:
         return self.footprint
@@ -355,46 +324,44 @@ class MixedPattern(AccessPattern):
             else:
                 yield next(iterators[-1])
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def batch_stream(self, rng: random.Random) -> TakeFn:
         # Sub-stream seeds come off the shared RNG first, exactly as the
         # scalar generator draws them; afterwards the shared RNG is used
         # only for the per-access choice draws, so one vectorized draw
-        # block per batch replays the scalar draw order.
-        cursors = []
+        # block per chunk replays the scalar draw order, and each
+        # sub-stream generates exactly the accesses selected from it.
+        takes: List[TakeFn] = []
         boundaries: List[float] = []
         acc = 0.0
         for weight, pattern in self.parts:
-            sub_rng = random.Random(rng.random())
-            cursors.append(BatchCursor(pattern.generate_batch(sub_rng, batch_size)))
+            takes.append(pattern.batch_stream(random.Random(rng.random())))
             acc += weight
             boundaries.append(acc)
-        bounds = np.asarray(boundaries, dtype=np.float64)
-        top = len(cursors) - 1
-        while True:
-            choices = draw_uniform(rng, batch_size)
-            # 'first bound with choice <= bound' == searchsorted left;
-            # rounding can leave the total a hair under 1.0, in which
-            # case the scalar loop falls through to the last stream.
-            selection = np.searchsorted(bounds, choices, side="left")
-            if top:
-                np.minimum(selection, top, out=selection)
-            vaddrs = np.empty(batch_size, dtype=np.int64)
-            stores = np.empty(batch_size, dtype=np.bool_)
-            for index, cursor in enumerate(cursors):
-                positions = (
-                    np.flatnonzero(selection == index)
-                    if top
-                    else np.arange(batch_size)
-                )
+        # The scalar loop picks the first part whose bound is >= the
+        # choice, falling through to the last part (rounding can leave
+        # the total a hair under 1.0): that is the number of the other
+        # parts' bounds lying below the choice.
+        inner_bounds = boundaries[:-1]
+        choices = BatchRandom(rng)
+
+        def take(count: int) -> AccessBatch:
+            drawn = choices.random(count)
+            if not inner_bounds:
+                return takes[0](count)
+            selection = np.zeros(count, dtype=np.intp)
+            for bound in inner_bounds:
+                selection += drawn > bound
+            vaddrs = np.empty(count, dtype=np.int64)
+            stores = np.empty(count, dtype=np.bool_)
+            for index, sub_take in enumerate(takes):
+                positions = np.flatnonzero(selection == index)
                 if positions.size:
-                    sub_v, sub_s = cursor.take(positions.size)
+                    sub_v, sub_s = sub_take(positions.size)
                     vaddrs[positions] = sub_v
                     stores[positions] = sub_s
-            yield vaddrs, stores
+            return vaddrs, stores
+
+        return take
 
     def footprint_bytes(self) -> int:
         return sum(pattern.footprint_bytes() for _w, pattern in self.parts)
@@ -413,11 +380,15 @@ class RegionOffset(AccessPattern):
         for access in self.inner.generate(rng):
             yield MemoryAccess(access.vaddr + self.offset, access.is_store)
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
-        for vaddrs, stores in self.inner.generate_batch(rng, batch_size):
-            yield vaddrs + self.offset, stores
+    def batch_stream(self, rng: random.Random) -> TakeFn:
+        inner = self.inner.batch_stream(rng)
+        offset = self.offset
+
+        def take(count: int) -> AccessBatch:
+            vaddrs, stores = inner(count)
+            return vaddrs + offset, stores
+
+        return take
 
     def footprint_bytes(self) -> int:
         return self.inner.footprint_bytes()

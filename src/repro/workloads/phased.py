@@ -18,8 +18,8 @@ import numpy as np
 from repro.workloads.base import (
     AccessBatch,
     AccessPattern,
-    BatchCursor,
     MemoryAccess,
+    TakeFn,
     Workload,
 )
 
@@ -70,39 +70,36 @@ class PhaseSchedule(AccessPattern):
                 for _ in range(phase.duration_accesses):
                     yield next(stream)
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192
-    ) -> Iterator[AccessBatch]:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def batch_stream(self, rng: random.Random) -> TakeFn:
         # Per-phase seeds are drawn from the shared RNG up front in the
         # scalar order; after that the schedule is deterministic, so each
-        # output batch is spliced from the phase sub-streams directly.
-        cursors = [
-            BatchCursor(
-                phase.pattern.generate_batch(
-                    random.Random(rng.random() + index), batch_size
-                )
-            )
+        # chunk is spliced from exactly the accesses each phase supplies.
+        takes = [
+            phase.pattern.batch_stream(random.Random(rng.random() + index))
             for index, phase in enumerate(self.phases)
         ]
+        durations = [phase.duration_accesses for phase in self.phases]
         phase_index = 0
-        left_in_phase = self.phases[0].duration_accesses
-        while True:
-            vaddrs = np.empty(batch_size, dtype=np.int64)
-            stores = np.empty(batch_size, dtype=np.bool_)
+        left_in_phase = durations[0]
+
+        def take(count: int) -> AccessBatch:
+            nonlocal phase_index, left_in_phase
+            vaddrs = np.empty(count, dtype=np.int64)
+            stores = np.empty(count, dtype=np.bool_)
             filled = 0
-            while filled < batch_size:
-                chunk = min(left_in_phase, batch_size - filled)
-                sub_v, sub_s = cursors[phase_index].take(chunk)
+            while filled < count:
+                chunk = min(left_in_phase, count - filled)
+                sub_v, sub_s = takes[phase_index](chunk)
                 vaddrs[filled:filled + chunk] = sub_v
                 stores[filled:filled + chunk] = sub_s
                 filled += chunk
                 left_in_phase -= chunk
                 if left_in_phase == 0:
-                    phase_index = (phase_index + 1) % len(self.phases)
-                    left_in_phase = self.phases[phase_index].duration_accesses
-            yield vaddrs, stores
+                    phase_index = (phase_index + 1) % len(takes)
+                    left_in_phase = durations[phase_index]
+            return vaddrs, stores
+
+        return take
 
     def footprint_bytes(self) -> int:
         return max(phase.pattern.footprint_bytes() for phase in self.phases)

@@ -23,7 +23,13 @@ from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
-from repro.workloads.base import AccessBatch, AccessPattern, MemoryAccess, Workload
+from repro.workloads.base import (
+    AccessPattern,
+    MemoryAccess,
+    TakeFn,
+    Workload,
+    cyclic_stream,
+)
 
 __all__ = ["ReplayPattern", "replay_workload"]
 
@@ -65,26 +71,8 @@ class ReplayPattern(AccessPattern):
             for vaddr in vaddrs:
                 yield MemoryAccess(int(vaddr))
 
-    def generate_batch(
-        self, rng: random.Random, batch_size: int = 8192  # noqa: ARG002
-    ) -> Iterator[AccessBatch]:
-        vaddrs = self._vaddrs
-        stores = np.zeros(vaddrs.size, dtype=np.bool_)
-        cursor = 0
-        while True:
-            end = cursor + batch_size
-            if end <= vaddrs.size:
-                yield vaddrs[cursor:end], stores[cursor:end]
-                cursor = 0 if end == vaddrs.size else end
-                continue
-            parts = [vaddrs[cursor:]]
-            need = batch_size - parts[0].size
-            full, need = divmod(need, vaddrs.size)
-            parts.extend([vaddrs] * full)
-            parts.append(vaddrs[:need])
-            cursor = need
-            chunk = np.concatenate(parts)
-            yield chunk, np.zeros(chunk.size, dtype=np.bool_)
+    def batch_stream(self, rng: random.Random) -> TakeFn:  # noqa: ARG002
+        return cyclic_stream(self._vaddrs)
 
     def footprint_bytes(self) -> int:
         return self._distinct * self._line_size

@@ -212,6 +212,49 @@ class TestFailureRecording:
         assert second.cells_skipped == 1
 
 
+class TestDeadWorker:
+    def test_unfinished_cells_recorded_and_resumable(
+        self, tmp_path, monkeypatch
+    ):
+        """A cell that kills its worker breaks the pool: the campaign
+        records every unfinished cell as failed instead of aborting, and
+        resume re-runs exactly those."""
+        from repro.campaign import runner
+        from repro.runner import pool
+
+        original = runner._execute_cell
+
+        def crash_on_seed_one(cell):
+            if cell["seed"] == 1:
+                os._exit(1)
+            return original(cell)
+
+        # Workers fork when the campaign submits its cells, so a pool
+        # built after the patch runs the crashing cell.
+        pool.get_pool(2).close()
+        monkeypatch.setattr(runner, "_execute_cell", crash_on_seed_one)
+        out = str(tmp_path / "out")
+        spec = tiny_spec(engines=("batch",), seeds=(0, 1, 2))
+        report = run_campaign(spec, out, max_workers=2)
+
+        payloads = cell_payloads(out)
+        assert len(payloads) == report.cells_total == 3
+        failed = {cell_id for cell_id, payload in payloads.items()
+                  if payload["status"] == "failed"}
+        assert report.cells_failed == len(failed) >= 1
+        crashed = [payload for payload in payloads.values()
+                   if payload["cell"]["seed"] == 1]
+        assert crashed[0]["status"] == "failed"
+        assert crashed[0]["error"] == "worker died"
+        for cell_id in failed:
+            assert payloads[cell_id]["error"] == "worker died"
+
+        monkeypatch.setattr(runner, "_execute_cell", original)
+        second = run_campaign(spec, out, resume=True)
+        assert second.cells_run == len(failed)
+        assert second.cells_failed == 0
+
+
 class TestAggregateIntegrity:
     def test_strict_aggregate_refuses_tampered_tree(self, tmp_path):
         out = str(tmp_path / "out")

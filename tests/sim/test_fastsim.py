@@ -351,6 +351,57 @@ class TestRunnerDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Demand-driven generation: a drive generates what it runs
+# ---------------------------------------------------------------------------
+
+def _count_generation(workload):
+    """Record the size of every chunk ``workload.access_batches`` yields."""
+    sizes = []
+    original = workload.access_batches
+
+    def counting(*args, **kwargs):
+        for chunk in original(*args, **kwargs):
+            sizes.append(chunk[0].size)
+            yield chunk
+
+    workload.access_batches = counting
+    return sizes
+
+
+@needs_native
+class TestDemandDrivenSource:
+    def test_solo_drive_generates_exactly_what_it_runs(self):
+        hierarchy, process = _build(MACHINE, "mcf")
+        sizes = _count_generation(process.workload)
+        drive_batch(process, hierarchy, DEFAULT_SLAB + 1_234)
+        drive_batch(process, hierarchy, 777)
+        assert sizes == [DEFAULT_SLAB, 1_234, 777]
+
+    def test_scalar_steps_pop_a_buffered_chunk(self):
+        hier_s, proc_s = _build(MACHINE, "jbb")
+        drive(proc_s, hier_s, 3_000)
+        hierarchy, process = _build(MACHINE, "jbb")
+        sizes = _count_generation(process.workload)
+        drive_batch(process, hierarchy, 1_000)
+        for _ in range(1_500):
+            process.step(hierarchy)
+        drive_batch(process, hierarchy, 500)
+        # One generated chunk serves all the scalar steps, and the next
+        # drive starts on its buffered tail.
+        assert len(sizes) == 2 and sizes[0] == 1_000
+        assert _state(hier_s, proc_s) == _state(hierarchy, process)
+
+    def test_corun_generates_at_most_each_leg(self):
+        workloads = [make_workload("jbb", MACHINE), make_workload("mcf", MACHINE)]
+        counted = [_count_generation(w) for w in workloads]
+        corun([CorunSpec(workloads[0], colors=list(range(8))),
+               CorunSpec(workloads[1], colors=list(range(8, 16)))],
+              MACHINE, quota_accesses=9_000, warmup_accesses=3_000)
+        for sizes in counted:
+            assert 0 < sum(sizes) <= 3_000 + 9_000
+
+
+# ---------------------------------------------------------------------------
 # Regression: flushes must clear the prefetched-line bookkeeping
 # ---------------------------------------------------------------------------
 
