@@ -22,15 +22,8 @@ Gates: both paths produce the identical stream for every class, and
 its first ``SCALAR_PREFIX`` accesses equal the scalar ``generate()``
 stream (the parity gate).  When the native engine ran, the generated
 count must also equal the simulated count for both curves, and
-``RandomWorkingSet`` must run at least
-``REPRO_BENCH_WORKLOADS_MIN_RANDOM`` (default 5) times faster on the
-kernels than on the Python path.
-
-Environment overrides:
-
-* ``REPRO_BENCH_WORKLOADS_ACCESSES`` -- accesses per timed stream
-  (default 1048576).
-* ``REPRO_BENCH_WORKLOADS_MIN_RANDOM`` -- the RandomWorkingSet gate.
+``RandomWorkingSet`` must run at least ``MIN_RANDOM_SPEEDUP`` (5) times
+faster on the kernels than on the Python path.
 """
 
 from __future__ import annotations
@@ -62,10 +55,9 @@ from repro.workloads.phased import Phase, PhaseSchedule
 from repro.workloads.replay import ReplayPattern
 from repro.workloads.spec import make_workload
 
-ACCESSES = int(os.environ.get("REPRO_BENCH_WORKLOADS_ACCESSES", "1048576"))
-MIN_RANDOM_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_WORKLOADS_MIN_RANDOM", "5.0")
-)
+#: Accesses per timed stream.
+ACCESSES = 1 << 20
+MIN_RANDOM_SPEEDUP = 5.0
 ROUNDS = 3
 #: Leading accesses of each stream also checked against ``generate()``.
 SCALAR_PREFIX = 10_000

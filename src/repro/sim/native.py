@@ -36,7 +36,6 @@ import array
 import ctypes
 import hashlib
 import os
-import random
 import subprocess
 import tempfile
 import warnings
@@ -354,20 +353,6 @@ class MTStream:
         rng.setstate(
             (self._version, (*self._key, self._pos.value), self._gauss)
         )
-
-
-def mt_fill(rng_state: tuple, n: int) -> Tuple[np.ndarray, tuple]:
-    """``n`` consecutive ``random()`` draws via the C MT19937 (parity
-    testing hook).  Returns ``(draws, advanced_state)``."""
-    lib = native_lib()
-    if lib is None:
-        raise RuntimeError("native engine unavailable")
-    rng = random.Random()
-    rng.setstate(rng_state)
-    stream = MTStream(lib, rng)
-    out = stream.random(n)
-    stream.store(rng)
-    return out, rng.getstate()
 
 
 # ---------------------------------------------------------------------------

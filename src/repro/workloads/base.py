@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -241,19 +241,16 @@ class Workload:
                 yield access
 
     def access_batches(
-        self,
-        seed_offset: int = 0,
-        batch_size: int = 8192,
-        demand: Optional[List[int]] = None,
+        self, seed_offset: int, demand: List[int]
     ) -> Iterator[AccessBatch]:
         """Array-chunk form of :meth:`accesses` (same stream, same draws).
 
-        Each ``next()`` generates ``batch_size`` accesses -- or, when the
-        consumer passes a one-element list as ``demand``, ``demand[0]``
-        accesses, which it sets before every pull so that exactly the
-        accesses it will use are generated.  Store promotion consumes
-        ``store_rng`` draws in the exact scalar order: one draw per access
-        the pattern did not already mark as a store, in stream order.
+        ``demand`` is a one-element list the consumer sets before every
+        ``next()``; each pull generates exactly ``demand[0]`` accesses, so
+        only the accesses the consumer will use are generated.  Store
+        promotion consumes ``store_rng`` draws in the exact scalar order:
+        one draw per access the pattern did not already mark as a store,
+        in stream order.
         """
         rng = random.Random(f"{self.seed}/{seed_offset}")
         store_rng = random.Random(f"{self.seed}/{seed_offset}/stores")
@@ -261,7 +258,7 @@ class Workload:
         store_draws = BatchRandom(store_rng)
         fraction = self.store_fraction
         while True:
-            vaddrs, stores = take(batch_size if demand is None else demand[0])
+            vaddrs, stores = take(demand[0])
             loads = np.flatnonzero(~stores)
             if loads.size:
                 stores = stores.copy()

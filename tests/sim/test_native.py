@@ -42,7 +42,7 @@ from repro.sim.fastsim import (
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
-from repro.sim.native import mt_fill, native_available
+from repro.sim.native import native_available
 from repro.sim.prefetcher import PrefetcherConfig
 from repro.workloads.base import AccessPattern, MemoryAccess, Workload
 from repro.workloads.spec import make_workload
@@ -167,16 +167,15 @@ def _state(hierarchy, process):
 class TestMt19937Parity:
     def test_draws_and_state_continuation(self):
         rng = random.Random("prefetch/0/0")
-        state0 = rng.getstate()
-        expected = [rng.random() for _ in range(2000)]
-        draws, advanced = mt_fill(state0, 2000)
-        assert draws.tolist() == expected
-        # Continuing from the advanced state must track CPython exactly.
-        clone = random.Random()
-        clone.setstate(advanced)
-        more, _ = mt_fill(advanced, 700)
-        assert more.tolist() == [clone.random() for _ in range(700)]
-        assert more.tolist() == [rng.random() for _ in range(700)]
+        reference = random.Random("prefetch/0/0")
+        stream = native.MTStream(native.native_lib(), rng)
+        draws = stream.random(2000)
+        assert draws.tolist() == [reference.random() for _ in range(2000)]
+        stream.store(rng)
+        assert rng.getstate() == reference.getstate()
+        # Continuing from the stored state must track CPython exactly.
+        more = native.MTStream(native.native_lib(), rng).random(700)
+        assert more.tolist() == [reference.random() for _ in range(700)]
 
 
 class TestNativeSoloIdentity:

@@ -141,10 +141,10 @@ def test_access_batches_equal_accesses(fraction, chunking):
         assert not want_s.any()
 
 
-def test_access_batches_fixed_size_without_demand():
+def test_access_batches_fixed_demand():
     workload = Workload("parity", PATTERNS["zipf"](), seed=3)
     scalar = list(itertools.islice(workload.accesses(), 3 * 1000))
-    batches = workload.access_batches(batch_size=1000)
+    batches = workload.access_batches(0, demand=[1000])
     vaddrs = np.concatenate([next(batches)[0] for _ in range(3)])
     assert vaddrs.tolist() == [a.vaddr for a in scalar]
 
