@@ -1,7 +1,7 @@
-"""Benchmark: sub-linear estimator backends vs the exact MRC path.
+"""Benchmark: the SHARDS estimator backend vs the exact MRC path.
 
 Times the full ``RapidMRC.compute`` pipeline on the paper's full-scale
-POWER5 L2 for the SHARDS and AET estimator backends alongside the
+POWER5 L2 for the SHARDS estimator backend alongside the
 per-access range-list reference (scalar correction, then
 :func:`~repro.core.stack.reference_histogram` over a
 :class:`~repro.core.stack.RangeListLRUStack`) and the exact ``batch``
@@ -11,17 +11,17 @@ kernel every exact probe runs, and writes machine-readable results to
 Three hard gates ride along with the timings, all stated against the
 range-list reference:
 
-* **Accuracy** -- at every trace size each estimator's curve must stay
+* **Accuracy** -- at every trace size the estimator's curve must stay
   within a documented MPKI envelope of the exact range-list curve at
   every partition boundary.  An estimator that drifts past its envelope
   is returning garbage, not an approximation; CI fails on any breach.
 * **Footprint** -- at R = 0.1 SHARDS must keep at least 10x fewer
   entries resident than the exact distinct-line footprint (the
   sub-linear-memory design target).
-* **Speedup** -- on the 160k-entry trace both estimators must sustain
-  at least 5x the accesses/sec of the per-access range-list reference.
+* **Speedup** -- on the 160k-entry trace the estimator must sustain at
+  least 5x the accesses/sec of the per-access range-list reference.
 
-``speedup_vs_batch`` records each estimator against the exact kernel
+``speedup_vs_batch`` records the estimator against the exact kernel
 too, ungated: that is the exact path a sampled probe actually replaces.
 
 Trace sizes default to 10k / 160k entries; override with a
@@ -40,7 +40,7 @@ import pytest
 from repro.core.rapidmrc import ProbeConfig, RapidMRC
 from repro.sim.machine import MachineConfig
 
-ESTIMATORS = ["shards", "aet"]
+ESTIMATORS = ["shards"]
 DEFAULT_SIZES = [10_000, 160_000]
 SPEEDUP_SIZE = 160_000
 MIN_SPEEDUP = 5.0
@@ -48,11 +48,10 @@ MIN_FOOTPRINT_RATIO = 10.0
 SAMPLING_RATE = 0.1
 STALE_FRACTION = 0.15  # exercise the correction kernel, like a real probe
 
-# Accuracy envelopes (max |MPKI - rangelist| over the partition
+# Accuracy envelope (max |MPKI - rangelist| over the partition
 # boundaries).  SHARDS resolves individual reuses so it sits close to
-# exact even at R = 0.1; AET reconstructs the curve from reuse-time
-# statistics, so its envelope is looser.
-MAX_MPKI_ERROR = {"shards": 2.0, "aet": 3.0}
+# exact even at R = 0.1.
+MAX_MPKI_ERROR = {"shards": 2.0}
 
 
 def bench_sizes():

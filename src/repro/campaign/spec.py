@@ -197,7 +197,7 @@ class CampaignSpec:
         targets: workload models and/or trace captures.
         machines: machine-config axis.
         engines: stack engines / estimators axis (``batch``,
-            ``shards``, ``aet``).
+            ``shards``).
         seeds: PMU-channel seeds; each seed is an independent probe
             realization of the same cell.
         log_entries: probe trace-log length override (``None`` derives

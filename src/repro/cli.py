@@ -268,7 +268,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         probe_cooldown_intervals=1,
         detector=PhaseDetectorConfig(threshold_mpki=15.0),
         fault_plan=probe_plan,
-        estimator_downshift=args.downshift,
         drift=DriftConfig() if args.drift else None,
     )
     config = FleetConfig(
@@ -302,14 +301,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     budget = report.budget_stats
     print(f"# budget: {budget['admitted']} admitted, {budget['denied']} denied, "
           f"utilization {budget['utilization']:.1%}")
-    downshifts = sum(
-        manager.probe_downshifts
-        for managers in report.domain_reports.values()
-        for manager in managers
-    )
-    if downshifts:
-        print(f"# probe downshifts: {downshifts} "
-              f"({args.downshift} @ sampled-estimate rung)")
     if report.rungs_served:
         served = ", ".join(
             f"{rung}={count}"
@@ -695,13 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-convergence", action="store_true",
         help="re-run the same schedule fault-free and verify both runs "
              "reach the same placement (exit 1 on divergence)",
-    )
-    fleet.add_argument(
-        "--downshift", choices=sorted(ESTIMATORS), default=None,
-        metavar="ESTIMATOR",
-        help="retry budget-denied probes with this sampling estimator "
-             "at a tenth of the cost (the SAMPLED_ESTIMATE rung) "
-             "instead of deferring them",
     )
     fleet.add_argument(
         "--telemetry", metavar="PATH", default=None,

@@ -1,10 +1,10 @@
-"""Sub-linear MRC estimator backends: SHARDS sampling and AET modeling.
+"""Sub-linear MRC estimator backend: SHARDS sampling.
 
 The exact stack kernel (``batch``, :mod:`repro.core.fastpath`) pays full
 simulation cost on every trace entry.  The MRC survey (Byrne,
 arXiv:1804.01972) catalogs sampling-based constructions that approximate
 the same curve at a small constant fraction of that cost; this module
-provides two of them behind a registry that plugs into
+provides one of them behind a registry that plugs into
 :class:`~repro.core.stack.LRUStackSimulator` alongside ``batch``:
 
 - :class:`ShardsEstimator` -- SHARDS-style spatially-hashed sampling
@@ -17,31 +17,25 @@ provides two of them behind a registry that plugs into
   and its hash becomes the new threshold.  The *dR correction* tops the
   smallest histogram bucket up to the expected post-warmup mass so the
   MPKI denominator matches the exact path's.
-- :class:`AETEstimator` -- the average-eviction-time model (Hu et al.).
-  Reuse times of a spatially-hashed monitor set feed a fixed-size
-  reservoir; the reuse-time tail distribution ``P(t)`` yields the
-  average eviction time ``AET(c)`` (smallest ``T`` with
-  ``sum_{t<T} P(t) >= c``) and the miss ratio ``mr(c) = P(AET(c))``,
-  evaluated at the partition boundaries and synthesized back into a
-  stack-distance histogram whose ``misses_at`` matches those ratios
-  exactly.
 
-Both estimators honor the warmup policies of :mod:`repro.core.warmup`
+The estimator honors the warmup policies of :mod:`repro.core.warmup`
 (stack fullness is estimated as ``1/R`` distinct-weight per sampled
-first touch) and, at ``sampling_rate=1.0``, SHARDS reproduces the exact
+first touch) and, at ``sampling_rate=1.0``, reproduces the exact
 engines' boundary-evaluated histogram bit for bit.
 
+Sampling cuts only the stack's work, never the probe's: every trace
+entry is still logged (the PMU exception and SDAR read come before the
+hash filter), so an estimator probe costs the same accesses as an exact
+one.
+
 Memory: SHARDS keeps at most ``~4 * ceil(max_depth * R)`` tracked
-entries (compaction drops lines below the sampled-depth bound); AET
-keeps the monitor map (``~R`` of the distinct lines) plus the fixed
-reservoir.
+entries (compaction drops lines below the sampled-depth bound).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,7 +49,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimateResult",
     "ShardsEstimator",
-    "AETEstimator",
     "ESTIMATORS",
     "is_estimator",
     "make_estimator",
@@ -105,7 +98,7 @@ def _prefilter(
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Shared tunables of the sampling estimators.
+    """Tunables of the SHARDS estimator.
 
     Args:
         sampling_rate: initial spatial sampling rate ``R`` in ``(0, 1]``.
@@ -114,8 +107,7 @@ class EstimatorConfig:
         max_tracked: SHARDS fixed-size mode -- adapt the hash threshold
             down so at most this many lines stay resident.  ``None``
             keeps the rate fixed.
-        seed: decorrelates the spatial hash (and seeds AET's reservoir).
-        reservoir_size: AET's reuse-time reservoir capacity.
+        seed: decorrelates the spatial hash.
         dr_correction: apply SHARDS' dR correction (top the smallest
             bucket up to the expected post-warmup mass) so the MPKI
             denominator matches the exact path's.
@@ -124,7 +116,6 @@ class EstimatorConfig:
     sampling_rate: float = 0.1
     max_tracked: Optional[int] = None
     seed: int = 42
-    reservoir_size: int = 4096
     dr_correction: bool = True
 
     def __post_init__(self) -> None:
@@ -135,10 +126,6 @@ class EstimatorConfig:
         if self.max_tracked is not None and self.max_tracked < 1:
             raise ValueError(
                 f"max_tracked must be >= 1, got {self.max_tracked!r}"
-            )
-        if self.reservoir_size < 1:
-            raise ValueError(
-                f"reservoir_size must be >= 1, got {self.reservoir_size!r}"
             )
 
 
@@ -152,8 +139,8 @@ class EstimateResult:
             (so ``to_mrc`` denominators line up).
         estimator: registry name of the backend that produced it.
         sampling_rate: final sampling rate (post-adaptation for SHARDS).
-        tracked_peak: peak resident entries (SHARDS: sampled stack
-            occupancy; AET: monitor-map size) -- the memory story.
+        tracked_peak: peak resident entries of the sampled stack -- the
+            memory story.
         sampled_refs: trace refs that passed the spatial filter.
         recorded_refs: histogram mass after rounding.
         warmup_entries: leading trace entries consumed by warmup.
@@ -508,206 +495,8 @@ class ShardsEstimator:
         )
 
 
-class AETEstimator:
-    """AET: miss ratios from a reservoir-sampled reuse-time distribution."""
-
-    name = "aet"
-
-    def __init__(
-        self,
-        max_depth: int,
-        boundaries: Optional[Sequence[int]] = None,
-        config: EstimatorConfig = EstimatorConfig(),
-    ):
-        self.max_depth = max_depth
-        self.boundaries = _normalize_boundaries(max_depth, boundaries)
-        self.config = config
-        self._seed_mix = _mix64(config.seed & _MASK64)
-
-    def estimate(self, trace: Sequence[int], warmup: object = None) -> EstimateResult:
-        n = len(trace)
-        threshold = max(1, min(_TWO64, int(round(self.config.sampling_rate * _TWO64))))
-        rate = threshold / _TWO64
-        inv_rate = _TWO64 / threshold
-        idxs, lines, _hashes = _prefilter(trace, self._seed_mix, threshold)
-        last_seen: Dict[int, int] = {}
-        peak = 0
-        rng = random.Random(self.config.seed)
-        reservoir: List[int] = []
-        reservoir_cap = self.config.reservoir_size
-        reuse_seen = 0
-        cold_seen = 0
-        distinct_weight = 0.0
-        max_depth = self.max_depth
-
-        if _WarmupPlan.supports(warmup):
-            plan = _WarmupPlan(warmup)
-            generic: Optional[object] = None
-        else:
-            plan = None
-            generic = _WarmupAdapter(max_depth)
-        eligible = 0
-
-        pos = 0
-        num_candidates = len(idxs)
-        walk = range(num_candidates) if plan is not None else range(n)
-        for step in walk:
-            if plan is not None:
-                i = idxs[step]
-                line = lines[step]
-            else:
-                i = step
-                if pos < num_candidates and idxs[pos] == i:
-                    line = lines[pos]
-                    pos += 1
-                else:
-                    if warmup.should_record(i, generic):
-                        eligible += 1
-                    continue
-            previous = last_seen.get(line)
-            cold_ref = previous is None
-            if cold_ref:
-                distinct_weight += inv_rate
-                if generic is not None:
-                    generic.distinct_weight = distinct_weight
-            last_seen[line] = i
-            if len(last_seen) > peak:
-                peak = len(last_seen)
-            if plan is not None:
-                record = plan.observe(i, distinct_weight, max_depth)
-            else:
-                record = warmup.should_record(i, generic)
-                if record:
-                    eligible += 1
-            if not record:
-                continue
-            if cold_ref:
-                cold_seen += 1
-                continue
-            reuse_time = i - previous
-            reuse_seen += 1
-            if len(reservoir) < reservoir_cap:
-                reservoir.append(reuse_time)
-            else:
-                j = rng.randrange(reuse_seen)
-                if j < reservoir_cap:
-                    reservoir[j] = reuse_time
-
-        if plan is not None:
-            warm_start = plan.finalize(n)
-            plan.writeback(warmup, n)
-            recorded_window = n - warm_start
-        else:
-            warm_start = n - eligible
-            recorded_window = eligible
-        monitored = cold_seen + reuse_seen
-        if monitored == 0 or recorded_window <= 0:
-            histogram = StackDistanceHistogram(
-                counts={}, cold_misses=0, max_depth=max_depth
-            )
-        else:
-            frac_cold = cold_seen / monitored
-            frac_finite = reuse_seen / monitored
-            ratios = self._miss_ratios(reservoir, frac_cold, frac_finite)
-            histogram = _histogram_from_miss_ratios(
-                self.boundaries, ratios, recorded_window, max_depth
-            )
-        return EstimateResult(
-            histogram=histogram,
-            estimator=self.name,
-            sampling_rate=rate,
-            tracked_peak=peak,
-            sampled_refs=len(idxs),
-            recorded_refs=histogram.total_accesses,
-            warmup_entries=warm_start,
-        )
-
-    def _miss_ratios(
-        self, samples: List[int], frac_cold: float, frac_finite: float
-    ) -> List[float]:
-        """``mr(c) = P(AET(c))`` for each boundary size ``c``.
-
-        ``P(t)`` -- the probability an access's reuse time exceeds ``t``
-        (cold refs count as infinite) -- is piecewise constant between
-        distinct reservoir values, so the integral ``sum_{t<T} P(t)``
-        grows linearly inside each segment; one merged walk over sorted
-        samples and ascending boundaries resolves every ``AET(c)``.
-        """
-        bounds = self.boundaries
-        ratios: List[float] = []
-        if not samples or frac_finite <= 0.0:
-            # No finite reuses observed: P(t) is flat at frac_cold.
-            flat = frac_cold if frac_cold > 0.0 else 0.0
-            return [flat for _ in bounds]
-        ordered = sorted(samples)
-        m = len(ordered)
-        cum = 0.0
-        t_prev = 0
-        removed = 0
-        bi = 0
-        k = len(bounds)
-        idx = 0
-        while idx < m and bi < k:
-            value = ordered[idx]
-            j = idx
-            while j < m and ordered[j] == value:
-                j += 1
-            p = frac_cold + frac_finite * (m - removed) / m
-            segment = value - t_prev
-            while bi < k and cum + p * segment >= bounds[bi]:
-                ratios.append(p)
-                bi += 1
-            cum += p * segment
-            t_prev = value
-            removed += j - idx
-            idx = j
-        # Beyond the largest sample only cold mass survives; if there is
-        # none the integral plateaus and every remaining size fits the
-        # whole footprint (miss ratio 0).
-        tail = frac_cold if frac_cold > 0.0 else 0.0
-        while bi < k:
-            ratios.append(tail)
-            bi += 1
-        return ratios
-
-
-def _histogram_from_miss_ratios(
-    bounds: Sequence[int],
-    ratios: Sequence[float],
-    mass: int,
-    max_depth: int,
-) -> StackDistanceHistogram:
-    """Synthesize a histogram whose ``misses_at(b_j)`` hits the ratios.
-
-    ``M(b_j) = round(mr(b_j) * mass)`` clamped monotone non-increasing;
-    bucket ``b_j`` gets ``M(b_{j-1}) - M(b_j)`` (with ``M(b_0) = mass``)
-    and ``M(b_k)`` becomes cold misses, so the miss count at every
-    boundary reproduces the model's ratio exactly and the total mass
-    matches the exact path's recorded-entry count.
-    """
-    levels: List[int] = []
-    previous = mass
-    for ratio in ratios:
-        level = _round_half_up(ratio * mass)
-        level = max(0, min(level, previous))
-        levels.append(level)
-        previous = level
-    counts: Dict[int, int] = {}
-    first = mass - levels[0]
-    if first > 0:
-        counts[bounds[0]] = first
-    for i in range(1, len(bounds)):
-        c = levels[i - 1] - levels[i]
-        if c > 0:
-            counts[bounds[i]] = c
-    return StackDistanceHistogram(
-        counts=counts, cold_misses=levels[-1], max_depth=max_depth
-    )
-
-
 ESTIMATORS = {
     "shards": ShardsEstimator,
-    "aet": AETEstimator,
 }
 
 

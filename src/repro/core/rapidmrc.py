@@ -42,8 +42,10 @@ class ProbeConfig:
             :mod:`repro.core.fastpath`, bit-identical to the paper's
             range-list stack (:func:`repro.core.stack.reference_histogram`
             over a :class:`~repro.core.stack.RangeListLRUStack`) -- or a
-            sub-linear sampling estimator (``shards``, ``aet``) from
-            :mod:`repro.core.estimators`.
+            sub-linear sampling estimator (``shards``) from
+            :mod:`repro.core.estimators`.  The engine changes only how
+            the curve is computed: the probe logs the same trace and
+            costs the same accesses either way.
         correct_prefetch_repetitions: apply the stale-SDAR repair.
         anchor_color: cache size (colors) used for v-offset matching; the
             paper uses the 8-color point (Section 5.2.1).
@@ -70,7 +72,7 @@ class ProbeConfig:
             if not is_estimator(self.stack_engine):
                 raise ValueError(
                     f"sampling_rate only applies to estimator engines "
-                    f"(shards/aet), not {self.stack_engine!r}"
+                    f"(shards), not {self.stack_engine!r}"
                 )
 
     def resolved_sampling_rate(self) -> float:
@@ -80,14 +82,6 @@ class ProbeConfig:
         if self.sampling_rate is not None:
             return self.sampling_rate
         return EstimatorConfig().sampling_rate
-
-    def cost_scale(self) -> float:
-        """Fraction of a full probe's cost this configuration pays.
-
-        Estimator probes touch roughly ``sampling_rate`` of the trace's
-        refs, so the fleet budget reserves proportionally less for them.
-        """
-        return self.resolved_sampling_rate()
 
     def resolved_log_entries(self, machine: MachineConfig) -> int:
         if self.log_entries is not None:

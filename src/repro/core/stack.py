@@ -338,7 +338,7 @@ class LRUStackSimulator:
             :mod:`repro.core.fastpath`, bit-identical to
             :func:`reference_histogram` over a :class:`RangeListLRUStack`
             -- or a sampling estimator from :mod:`repro.core.estimators`
-            (``shards``, ``aet``), which leaves its cost accounting in
+            (``shards``), which leaves its cost accounting in
             :attr:`last_estimate`.
         boundaries: the depths (in lines) at which distances must be
             resolvable -- normally the 16 partition sizes.  Distances

@@ -55,15 +55,9 @@ class DegradationRung(enum.Enum):
     (:mod:`repro.core.analytic`): better than a flat anchor because it
     still carries a size preference, worse than last-known-good because
     it was modeled, not measured.
-    ``SAMPLED_ESTIMATE`` is a probe that *did* run, but through a
-    sub-linear sampling estimator (:mod:`repro.core.estimators`) after
-    the budget denied the full-cost probe: measured this interval, so
-    better than any remembered or modeled curve, but noisier than an
-    exact-engine probe.
     """
 
     FRESH = "fresh"
-    SAMPLED_ESTIMATE = "sampled-estimate"
     LAST_KNOWN_GOOD = "last-known-good"
     ANALYTIC_ESTIMATE = "analytic-estimate"
     ANCHOR_FLAT = "anchor-flat"
@@ -71,17 +65,16 @@ class DegradationRung(enum.Enum):
 
     @property
     def rank(self) -> int:
-        """Ladder position, 0 (best) to 5 (worst); monotone in quality."""
+        """Ladder position, 0 (best) to 4 (worst); monotone in quality."""
         return _RUNG_RANKS[self]
 
 
 _RUNG_RANKS: Dict["DegradationRung", int] = {
     DegradationRung.FRESH: 0,
-    DegradationRung.SAMPLED_ESTIMATE: 1,
-    DegradationRung.LAST_KNOWN_GOOD: 2,
-    DegradationRung.ANALYTIC_ESTIMATE: 3,
-    DegradationRung.ANCHOR_FLAT: 4,
-    DegradationRung.UNIFORM_SPLIT: 5,
+    DegradationRung.LAST_KNOWN_GOOD: 1,
+    DegradationRung.ANALYTIC_ESTIMATE: 2,
+    DegradationRung.ANCHOR_FLAT: 3,
+    DegradationRung.UNIFORM_SPLIT: 4,
 }
 
 
@@ -248,7 +241,7 @@ class ProbeSupervisor:
             registry.counter(
                 "reliability.events", kind=kind, rung=rung.value
             ).inc()
-            # The ladder position as a live signal (0 = FRESH .. 5 =
+            # The ladder position as a live signal (0 = FRESH .. 4 =
             # UNIFORM_SPLIT): scorecards and exporters read dwell and
             # current depth from here without replaying the event log.
             registry.gauge("reliability.rung_rank", pid=pid).set(rung.rank)
@@ -265,7 +258,6 @@ class ProbeSupervisor:
         result: Optional[RapidMRCResult],
         anchor_size: int,
         anchor_mpki: Optional[float],
-        rung: Optional["DegradationRung"] = None,
     ) -> Optional[MissRateCurve]:
         """Judge one finished probe; return the curve to act on, if any.
 
@@ -277,15 +269,7 @@ class ProbeSupervisor:
         uncalibrated.  Otherwise ``None`` is returned and the failure is
         recorded for retry/backoff accounting (see
         :meth:`retry_guidance`).
-
-        Args:
-            rung: the ladder rung an accepted curve lands on.  Defaults
-                to ``FRESH``; a budget-downshifted sampled probe passes
-                ``SAMPLED_ESTIMATE`` so consumers can see the curve was
-                measured through an estimator.
         """
-        if rung is None:
-            rung = DegradationRung.FRESH
         health = self.health(pid)
         anchor_bad = False
         if anchor_mpki is not None:
@@ -302,8 +286,8 @@ class ProbeSupervisor:
             health.last_good = curve
             health.consecutive_failures = 0
             health._accepted.inc()
-            health.rung = rung
-            self._emit("accepted", pid, rung, detail=detail)
+            health.rung = DegradationRung.FRESH
+            self._emit("accepted", pid, DegradationRung.FRESH, detail=detail)
             return curve
 
         health._rejected.inc()

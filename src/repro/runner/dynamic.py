@@ -34,13 +34,12 @@ decision is visible both as a :class:`ManagerEvent` and as a structured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import heapq
 
 from repro.core.analytic import AnalyticConfig, AnalyticMRCBank
-from repro.core.estimators import is_estimator
 from repro.core.mrc import MissRateCurve
 from repro.core.partition import choose_partition_sizes_multi
 from repro.core.phase import PhaseDetector, PhaseDetectorConfig
@@ -106,23 +105,6 @@ class DynamicConfig:
             still recorded (cache priming / ``--no-mrc-reuse``).
         analytic: admission knobs of the probe-free Che/Fagin power-law
             bank feeding the ``ANALYTIC_ESTIMATE`` degradation rung.
-        estimator_downshift: sampling estimator (``shards``/``aet``) to
-            retry the budget gate with, at a fraction of the full probe
-            cost, when the gate denies a full-cost probe.  A downshifted
-            probe runs the whole collection but computes its curve with
-            the sampled estimator and lands on the
-            ``SAMPLED_ESTIMATE`` degradation rung.  The sampled curve is
-            a stopgap: the manager keeps re-requesting a full-cost probe
-            (at most one downshift per phase) so the exact curve takes
-            over once the budget recovers, and downshifted shapes are
-            never cached for reuse.  ``None`` (the default) disables
-            the rung: denials defer the probe, and placements stay
-            independent of sampling noise -- the fault-free convergence
-            invariant the fleet harness gates on.  Opt in where probe
-            availability under budget pressure matters more.
-        downshift_sampling_rate: spatial sampling rate of the
-            downshifted probe, in ``(0, 1]``; also scales the access
-            cost quoted to the budget gate.
         drift: served-curve accuracy monitoring
             (:class:`~repro.obs.drift.DriftConfig`).  Each settled
             monitoring interval compares the served curve's predicted
@@ -146,8 +128,6 @@ class DynamicConfig:
     store: Optional[StoreConfig] = None
     reuse_enabled: bool = True
     analytic: AnalyticConfig = AnalyticConfig()
-    estimator_downshift: Optional[str] = None
-    downshift_sampling_rate: float = 0.1
     drift: Optional[DriftConfig] = None
 
     def __post_init__(self) -> None:
@@ -171,17 +151,6 @@ class DynamicConfig:
                 f"exception_cost_cycles must be >= 0, "
                 f"got {self.exception_cost_cycles!r}"
             )
-        if (self.estimator_downshift is not None
-                and not is_estimator(self.estimator_downshift)):
-            raise ValueError(
-                f"estimator_downshift must be a sampling estimator "
-                f"(shards/aet) or None, got {self.estimator_downshift!r}"
-            )
-        if not 0.0 < self.downshift_sampling_rate <= 1.0:
-            raise ValueError(
-                f"downshift_sampling_rate must be in (0, 1], "
-                f"got {self.downshift_sampling_rate!r}"
-            )
 
     def resolved_interval(self, machine: MachineConfig) -> int:
         if self.interval_instructions is not None:
@@ -196,7 +165,7 @@ class ManagerEvent:
     ``kind`` is one of ``probe``, ``transition``, ``resize``,
     ``probe-rejected``, ``probe-retry``, ``probe-deadline``,
     ``degraded``, ``cache-reuse``, ``reuse-rejected``,
-    ``probe-requested``, ``probe-downshift``, ``drift-detected``.
+    ``probe-requested``, ``drift-detected``.
     """
 
     kind: str
@@ -211,15 +180,12 @@ class ProbeOutcome:
 
     ``kind`` is one of ``started``, ``admitted``, ``rejected``,
     ``deadline``, ``invalidated``, ``aborted``, ``reused``,
-    ``degraded``, ``gate-denied``, ``downshifted``,
-    ``drift-detected``.  ``accesses`` is
-    the probe's access cost: the reserved deadline budget for
+    ``degraded``, ``gate-denied``, ``drift-detected``.  ``accesses``
+    is the probe's access cost: the reserved deadline budget for
     ``started``/``gate-denied``, the accesses actually consumed for
-    terminal outcomes (the fleet budget refunds the difference).  A
-    downshifted probe's costs -- the reservation quoted at the gate and
-    every subsequent lifecycle notification -- are scaled by its
-    sampling rate, so the budget reserves and settles in the same
-    (cheaper) units throughout.
+    terminal outcomes (the fleet budget refunds the difference).  Every
+    probe is charged in real accesses, whatever its stack engine: a
+    sampling estimator thins the stack's work, not the trace log.
     """
 
     kind: str
@@ -265,7 +231,6 @@ class DynamicReport:
     decisions: List[DecisionRecord] = field(default_factory=list)
     probe_gate_denials: int = 0
     analytic_stats: Optional[Dict[str, int]] = None
-    probe_downshifts: int = 0
     drift_events: int = 0
 
     def events_of_kind(self, kind: str) -> List[ManagerEvent]:
@@ -290,18 +255,6 @@ class _Managed:
         self.interval_instructions_seen = 0
         self.timeline: List[float] = []
         self.needs_probe = False
-        # Budget-pressure downshift state for the *next/current* probe:
-        # ``probe_engine`` overrides the configured stack engine with a
-        # sampled estimator, and ``probe_cost_scale`` is the fraction of
-        # the full access cost quoted to the gate -- every lifecycle
-        # notification scales consumed accesses by it so the budget
-        # settles in the units it reserved.  Reset after each probe.
-        # ``downshift_served`` limits the stopgap to one sampled curve
-        # per phase: while set, further gate denials wait for the full
-        # probe instead of re-spending the downshift cost every cooldown.
-        self.probe_engine: Optional[str] = None
-        self.probe_cost_scale = 1.0
-        self.downshift_served = False
         # Open telemetry span of the in-flight probe (floating: probes
         # interleave with execution, so they cannot be lexical scopes).
         self.probe_span = None
@@ -393,10 +346,6 @@ class DynamicPartitionManager:
         self.reuse_rejected = 0
         self.resizes = 0
         self.probe_gate_denials = 0
-        self.probe_downshifts = 0
-        # Lazily-built engine for budget-downshifted probes (same
-        # machine, estimator stack engine at the downshift rate).
-        self._downshift_engine: Optional[RapidMRC] = None
         self.decisions: List[DecisionRecord] = []
         self.probe_gate: Optional[Callable[[int, int], bool]] = None
         self.probe_listener: Optional[Callable[[ProbeOutcome], None]] = None
@@ -499,7 +448,6 @@ class DynamicPartitionManager:
             decisions=list(self.decisions),
             probe_gate_denials=self.probe_gate_denials,
             analytic_stats=self.analytic.stats(),
-            probe_downshifts=self.probe_downshifts,
             drift_events=(
                 self.drift_monitor.events
                 if self.drift_monitor is not None else 0
@@ -588,53 +536,17 @@ class DynamicPartitionManager:
     def _gate_allows(self, index: int, managed: _Managed) -> bool:
         """Ask the external probe gate (budget admission) if one is set.
 
-        The gate is quoted the probe's access cost scaled by its
-        sampling rate (estimator probes are proportionally cheaper).
-        When a full-cost probe is denied and ``estimator_downshift`` is
-        configured, the gate is asked again at the downshifted cost:
-        admission then runs this probe with the sampled estimator
-        instead of skipping it -- a cheaper curve now beats a stale one
-        later.  The sampled curve is a stopgap, not a terminus: the
-        manager keeps re-requesting the full probe each cooldown and
-        downshifts at most once per phase, so the exact curve supersedes
-        the approximation as soon as the budget recovers.  Final denial
-        defers the request one cooldown instead of
-        dropping it: the process keeps re-requesting each cooldown
-        until admitted, which is what the fleet budget's priority aging
-        keys off.
+        The gate is quoted the probe's full deadline in accesses.
+        Denial defers the request one cooldown instead of dropping it:
+        the process keeps re-requesting each cooldown until admitted,
+        which is what the fleet budget's priority aging keys off.
         """
-        managed.probe_engine = None
-        managed.probe_cost_scale = self.config.probe.cost_scale()
         if self.probe_gate is None:
             return True
         log_entries = self.config.probe.resolved_log_entries(self.machine)
-        deadline = self.config.reliability.deadline_accesses(log_entries)
-        cost = max(1, round(deadline * managed.probe_cost_scale))
+        cost = self.config.reliability.deadline_accesses(log_entries)
         if self.probe_gate(index, cost):
             return True
-        down = self.config.estimator_downshift
-        if (down is not None and not managed.downshift_served
-                and not is_estimator(self.config.probe.stack_engine)):
-            rate = self.config.downshift_sampling_rate
-            down_cost = max(1, round(deadline * rate))
-            if down_cost < cost and self.probe_gate(index, down_cost):
-                managed.probe_engine = down
-                managed.probe_cost_scale = rate
-                self.probe_downshifts += 1
-                get_telemetry().registry.counter(
-                    "dynamic.probe_downshifts",
-                    **self._labels(pid=index, estimator=down)
-                ).inc()
-                detail = f"{down} @ rate {rate:g}"
-                self.events.append(ManagerEvent(
-                    kind="probe-downshift", pid=index,
-                    instructions=self._global_instructions(),
-                    detail=detail,
-                ))
-                self._notify(ProbeOutcome(
-                    "downshifted", index, accesses=down_cost, detail=detail,
-                ))
-                return True
         self.probe_gate_denials += 1
         managed.intervals_since_probe = 0
         get_telemetry().registry.counter(
@@ -644,13 +556,6 @@ class DynamicPartitionManager:
             "gate-denied", index, accesses=cost,
         ))
         return False
-
-    @staticmethod
-    def _scaled_cost(managed: _Managed, accesses: int) -> int:
-        """Probe accesses in the units the budget gate reserved."""
-        if managed.probe_cost_scale >= 1.0:
-            return accesses
-        return round(accesses * managed.probe_cost_scale)
 
     def _end_interval(self, index: int, managed: _Managed) -> None:
         telemetry = get_telemetry()
@@ -676,7 +581,6 @@ class DynamicPartitionManager:
                 detail=f"{event.mpki_before:.1f}->{event.mpki_after:.1f} MPKI",
             ))
             managed.needs_probe = True
-            managed.downshift_served = False
             # The old phase's failure streak (and its analytic samples)
             # say nothing about the new working set: reset before any
             # mid-probe invalidation below charges the *new* phase.
@@ -703,8 +607,7 @@ class DynamicPartitionManager:
                     detail="invalidated by phase transition",
                 ))
                 self._notify(ProbeOutcome(
-                    "invalidated", index,
-                    accesses=self._scaled_cost(managed, consumed),
+                    "invalidated", index, accesses=consumed,
                     detail="phase transition mid-probe",
                 ))
                 self._handle_probe_failure(index, managed)
@@ -773,7 +676,6 @@ class DynamicPartitionManager:
             instructions=self._global_instructions(), detail=detail,
         ))
         managed.needs_probe = True
-        managed.downshift_served = False
         self._notify(ProbeOutcome("drift-detected", index, detail=detail))
 
     def _phase_window(self, managed: _Managed) -> List[float]:
@@ -880,8 +782,7 @@ class DynamicPartitionManager:
             instructions=self._global_instructions(), detail="started",
         ))
         self._notify(ProbeOutcome(
-            "started", index,
-            accesses=self._scaled_cost(managed, managed.probe_deadline_accesses),
+            "started", index, accesses=managed.probe_deadline_accesses,
         ))
 
     def _abort_probe(self, index: int, managed: _Managed,
@@ -899,8 +800,7 @@ class DynamicPartitionManager:
             detail=f"log unfilled after {probe_accesses} accesses",
         ))
         self._notify(ProbeOutcome(
-            "deadline", index,
-            accesses=self._scaled_cost(managed, probe_accesses),
+            "deadline", index, accesses=probe_accesses,
             detail="log unfilled",
         ))
         self._handle_probe_failure(index, managed)
@@ -916,17 +816,11 @@ class DynamicPartitionManager:
         log_entries = self.config.probe.resolved_log_entries(self.machine)
 
         telemetry = get_telemetry()
-        engine = self.engine
-        rung = DegradationRung.FRESH
-        if managed.probe_engine is not None:
-            # Budget downshift: same trace, sub-linear estimator curve.
-            engine = self._downshifted_engine(managed.probe_engine)
-            rung = DegradationRung.SAMPLED_ESTIMATE
         result: Optional[RapidMRCResult] = None
         # attach() nests the computation under the probe's floating span.
         with telemetry.tracer.attach(managed.probe_span):
             if probe.entries and probe.instructions > 0:
-                result = engine.compute(
+                result = self.engine.compute(
                     probe.entries, probe.instructions,
                     label=f"dyn:{managed.process.workload.name}",
                 )
@@ -945,9 +839,7 @@ class DynamicPartitionManager:
                 recent, salt=f"{index}/{managed.probe_count}",
             )
         consumed = managed.process.accesses - managed.probe_accesses_start
-        curve = self.supervisor.admit(
-            index, quality, result, anchor, recent, rung=rung
-        )
+        curve = self.supervisor.admit(index, quality, result, anchor, recent)
         if curve is not None:
             telemetry.tracer.end(managed.probe_span, status="admitted")
             managed.probe_span = None
@@ -958,42 +850,25 @@ class DynamicPartitionManager:
             self._note_fresh_curve(index)
             managed.cooldown_intervals = self.config.probe_cooldown_intervals
             self.probes_run += 1
-            if managed.probe_engine is not None:
-                # The sampled curve bridges the budget squeeze; keep the
-                # probe request alive so the exact engine replaces it
-                # once the gate admits a full-cost probe again.
-                managed.needs_probe = True
-                managed.downshift_served = True
             # Fingerprint at admit time: by now the phase has settled
             # samples (the probe itself spans several intervals), so the
             # stored signature matches what a later revisit's settled
             # window will produce.  A mid-probe transition would have
             # invalidated the probe, so the window is still this phase.
             signature = self._phase_signature(managed)
-            if (signature is not None and result is not None
-                    and managed.probe_engine is None):
-                # Downshifted shapes are approximations under duress --
-                # never cache one where a later revisit would reuse it
-                # as if it were an exact curve.
+            if signature is not None and result is not None:
                 # Cache the *raw* shape: reuse re-anchors it at the
                 # then-current measurement, so the stored level is moot.
                 self.store.put_result(
                     signature, result,
                     now_instructions=self._global_instructions(),
                 )
-            suffix = (
-                f", {managed.probe_engine} downshift"
-                if managed.probe_engine is not None else ""
-            )
             self.events.append(ManagerEvent(
                 kind="probe", pid=index,
                 instructions=self._global_instructions(),
-                detail=f"finished ({len(probe.entries)} entries){suffix}",
+                detail=f"finished ({len(probe.entries)} entries)",
             ))
-            self._notify(ProbeOutcome(
-                "admitted", index,
-                accesses=self._scaled_cost(managed, consumed),
-            ))
+            self._notify(ProbeOutcome("admitted", index, accesses=consumed))
             self._redecide()
             return
 
@@ -1005,23 +880,9 @@ class DynamicPartitionManager:
             detail=quality.describe(),
         ))
         self._notify(ProbeOutcome(
-            "rejected", index,
-            accesses=self._scaled_cost(managed, consumed),
-            detail=quality.describe(),
+            "rejected", index, accesses=consumed, detail=quality.describe(),
         ))
         self._handle_probe_failure(index, managed)
-
-    def _downshifted_engine(self, engine_name: str) -> RapidMRC:
-        """The budget-downshift RapidMRC engine (built once, cached)."""
-        cached = self._downshift_engine
-        if cached is None or cached.config.stack_engine != engine_name:
-            cached = RapidMRC(self.machine, replace(
-                self.config.probe,
-                stack_engine=engine_name,
-                sampling_rate=self.config.downshift_sampling_rate,
-            ))
-            self._downshift_engine = cached
-        return cached
 
     def _handle_probe_failure(self, index: int, managed: _Managed) -> None:
         """Shared post-failure policy: retry with backoff, else degrade."""
@@ -1119,8 +980,7 @@ class DynamicPartitionManager:
             instructions=self._global_instructions(), detail=reason,
         ))
         self._notify(ProbeOutcome(
-            "aborted", index,
-            accesses=self._scaled_cost(managed, consumed), detail=reason,
+            "aborted", index, accesses=consumed, detail=reason,
         ))
         self._handle_probe_failure(index, managed)
         return True

@@ -115,7 +115,7 @@ class TestCompute:
 
     def test_only_batch_or_estimators_accepted(self):
         for engine in ("rangelist", "naive", "btree"):
-            with pytest.raises(ValueError, match="batch, aet, shards"):
+            with pytest.raises(ValueError, match="batch, shards"):
                 ProbeConfig(stack_engine=engine)
         assert ProbeConfig().stack_engine == "batch"
 

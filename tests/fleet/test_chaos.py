@@ -199,64 +199,3 @@ class TestRecoveryScenario:
         assert calm_report.quarantines == 0
         for stats in calm_report.breaker_stats.values():
             assert stats["opens"] == 0
-
-
-@pytest.fixture(scope="module")
-def tight_budget_report(tiny_machine):
-    """Budget pressure without faults: probes downshift, never skip."""
-    from repro.fleet.budget import BudgetConfig
-
-    dynamic = DynamicConfig(
-        interval_instructions=8 * tiny_machine.l2_lines,
-        probe=ProbeConfig(log_entries=1500),
-        probe_cooldown_intervals=1,
-        detector=PhaseDetectorConfig(threshold_mpki=15.0),
-        estimator_downshift="shards",
-    )
-    deadline = dynamic.reliability.deadline_accesses(1500)
-    service = FleetService(
-        tiny_machine,
-        [make_workload(name, tiny_machine) for name in MEMBERS],
-        FleetConfig(
-            num_domains=2, ticks=12, dynamic=dynamic,
-            budget=BudgetConfig(
-                capacity_accesses=round(0.15 * deadline),
-                aging_discount_per_denial=0.0,
-            ),
-        ),
-    )
-    return service.run()
-
-
-class TestBudgetPressureScenario:
-    """The SAMPLED_ESTIMATE rung: degrade probe cost, not availability."""
-
-    def test_downshift_rung_is_served(self, tight_budget_report):
-        managers = [
-            r for reports in tight_budget_report.domain_reports.values()
-            for r in reports
-        ]
-        assert sum(r.probe_downshifts for r in managers) >= 1
-        # Downshifted probes were *admitted* (cheap curve, not a skip).
-        assert sum(r.probes_run for r in managers) >= 1
-        served = {
-            rung
-            for decision in tight_budget_report.all_decisions()
-            for rung in decision.rungs
-        }
-        assert served <= LADDER_RUNGS
-        assert DegradationRung.SAMPLED_ESTIMATE.value in served
-
-    def test_decisions_keep_flowing_under_budget_pressure(
-        self, tight_budget_report
-    ):
-        decisions = list(tight_budget_report.all_decisions())
-        assert decisions
-        # The sampled curves are good enough to optimize with: at least
-        # one decision was computed from curves, not the uniform split.
-        assert any(d.mode == "optimized" for d in decisions)
-
-    def test_budget_overdraft_never_needed(self, tight_budget_report):
-        # Downshifted reservations are sized to the sampled cost; the
-        # probes settle inside them, so no overrun debit fires.
-        assert tight_budget_report.budget_stats["overrun"] == 0

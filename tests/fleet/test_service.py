@@ -4,13 +4,18 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.rapidmrc import ProbeConfig
 from repro.fleet.budget import BudgetConfig
 from repro.fleet.churn import ChurnSchedule
 from repro.fleet.service import FleetConfig, FleetReport, FleetService
 from repro.reliability.faults import ServiceFaultPlan
+from repro.runner.dynamic import DynamicPartitionManager
 from repro.workloads import make_workload
 from repro.workloads.patterns import LoopingScan, RandomWorkingSet
 from repro.workloads.phased import Phase, PhasedWorkload
+
+#: Probe outcomes that close a budget reservation.
+TERMINAL_OUTCOMES = {"admitted", "rejected", "deadline", "invalidated", "aborted"}
 
 
 def run_fleet(machine, workloads, dynamic, ticks=12, churn=None,
@@ -274,40 +279,49 @@ class TestReport:
             assert colors == report.final_counts[name]
 
 
-class TestBudgetDownshift:
-    def test_tight_budget_downshifts_instead_of_skipping(
-        self, tiny_machine, fast_dynamic, fleet_workloads
+class TestBudgetLedger:
+    @pytest.mark.parametrize("probe", [
+        ProbeConfig(log_entries=1500),
+        ProbeConfig(log_entries=1500, stack_engine="shards", sampling_rate=0.1),
+    ], ids=["batch", "shards"])
+    def test_ledger_books_the_accesses_probes_really_consumed(
+        self, tiny_machine, fast_dynamic, fleet_workloads, monkeypatch, probe
     ):
-        # Capacity sits between the downshifted cost (0.1 deadline) and
-        # the full probe cost: full probes are denied, the downshift
-        # retry is admitted, so every domain still gets curves.
-        dynamic = replace(fast_dynamic, estimator_downshift="shards")
+        # Conservation on a schedule without domain rebuilds: every
+        # settled probe's real consumption is booked exactly once, and
+        # the in-flight reservations are still outstanding at the end.
+        real = []
+        notify = DynamicPartitionManager._notify
+
+        def spy(manager, outcome):
+            if outcome.kind in TERMINAL_OUTCOMES:
+                managed = manager.managed[outcome.pid]
+                real.append(
+                    managed.process.accesses - managed.probe_accesses_start
+                )
+            notify(manager, outcome)
+
+        monkeypatch.setattr(DynamicPartitionManager, "_notify", spy)
+        dynamic = replace(fast_dynamic, probe=probe)
         deadline = dynamic.reliability.deadline_accesses(1500)
         report = run_fleet(
-            tiny_machine, fleet_workloads("gzip", "mcf"), dynamic,
-            ticks=10,
-            budget=BudgetConfig(
-                capacity_accesses=round(0.15 * deadline),
-                aging_discount_per_denial=0.0,
-            ),
+            tiny_machine, fleet_workloads("gzip", "mcf", "art", "swim"),
+            dynamic, ticks=10,
+            budget=BudgetConfig(capacity_accesses=2 * deadline),
         )
-        managers = [
-            r for reports in report.domain_reports.values() for r in reports
-        ]
-        assert sum(r.probe_downshifts for r in managers) >= 1
-        assert sum(r.probes_run for r in managers) >= 1
-        assert report.budget_stats["admitted"] >= 1
-        # The downshift admissions settled within their reservations.
-        assert report.budget_stats["overrun"] == 0
+        assert not report.events_of_kind("rebuild")
+        stats = report.budget_stats
+        booked = (
+            stats["charged"] - stats["refunded"] + stats["overrun"]
+            - stats["outstanding"]
+        )
+        assert real and booked == sum(real)
 
-    def test_starved_budget_still_denies_even_the_downshift(
+    def test_starved_budget_admits_nothing(
         self, tiny_machine, fast_dynamic, fleet_workloads
     ):
-        # Capacity 1 cannot admit even a 0.1-cost probe: the downshift
-        # retry is denied too and the ladder handles it, as before.
-        dynamic = replace(fast_dynamic, estimator_downshift="shards")
         report = run_fleet(
-            tiny_machine, fleet_workloads("gzip", "mcf"), dynamic,
+            tiny_machine, fleet_workloads("gzip", "mcf"), fast_dynamic,
             ticks=6,
             budget=BudgetConfig(
                 capacity_accesses=1, refill_accesses_per_tick=0,
@@ -317,6 +331,5 @@ class TestBudgetDownshift:
         managers = [
             r for reports in report.domain_reports.values() for r in reports
         ]
-        assert sum(r.probe_downshifts for r in managers) == 0
         assert report.budget_stats["admitted"] == 0
         assert sum(r.probe_gate_denials for r in managers) > 0

@@ -15,6 +15,8 @@ from repro.workloads.patterns import LoopingScan, RandomWorkingSet, SequentialSt
 from repro.workloads.phased import Phase, PhasedWorkload
 
 LINE = 128
+#: Probe outcomes that close a budget reservation.
+TERMINAL_OUTCOMES = {"admitted", "rejected", "deadline", "invalidated", "aborted"}
 
 
 def hungry(machine):
@@ -191,113 +193,62 @@ class TestClosedLoop:
         assert stamps == sorted(stamps)
 
 
-class TestEstimatorDownshift:
-    """Budget-pressure downshift to a sampled estimator probe."""
+class TestProbeGate:
+    """The external probe gate (the fleet budget's hook)."""
 
     def make_manager(self, machine, **overrides):
-        # The downshift rung is opt-in (it trades placement determinism
-        # for probe availability); these tests exercise it explicitly.
-        overrides.setdefault("estimator_downshift", "shards")
         return DynamicPartitionManager(
             machine, [hungry(machine), streamer(machine)],
             fast_config(machine, **overrides),
         )
 
-    def test_bad_downshift_config_rejected(self):
-        with pytest.raises(ValueError, match="estimator_downshift"):
-            DynamicConfig(estimator_downshift="rangelist")
-        with pytest.raises(ValueError, match="downshift_sampling_rate"):
-            DynamicConfig(downshift_sampling_rate=0.0)
-        with pytest.raises(ValueError, match="downshift_sampling_rate"):
-            DynamicConfig(downshift_sampling_rate=1.5)
-
-    def test_gate_denial_downshifts_instead_of_skipping(self, tiny_machine):
+    def test_gate_denials_are_counted(self, tiny_machine):
         manager = self.make_manager(tiny_machine)
-        outcomes = []
-        manager.probe_listener = outcomes.append
-        # Admit downshifted probes (cost 12k) but not full ones (120k).
-        manager.probe_gate = lambda pid, cost: cost <= 50_000
-        report = manager.run(quota_accesses=25_000, warmup_accesses=500)
-        assert report.probe_downshifts >= 1
-        assert report.probes_run >= 1
-        kinds = {o.kind for o in outcomes}
-        assert "downshifted" in kinds
-        assert "admitted" in kinds
-        assert report.events_of_kind("probe-downshift")
-        # The sampled curve is a stopgap: the manager keeps re-asking
-        # for the full-cost probe (still denied here), it does not
-        # re-spend the downshift cost every cooldown.
-        assert report.probe_gate_denials >= 1
-        # At most one downshift per process per phase (2 processes).
-        transitions = sum(
-            1 for e in report.events if e.kind == "transition"
-        )
-        assert report.probe_downshifts <= 2 + transitions
-
-    def test_downshifted_probe_lands_on_sampled_estimate_rung(
-            self, tiny_machine):
-        from repro.reliability.supervisor import DegradationRung
-
-        manager = self.make_manager(tiny_machine)
-        manager.probe_gate = lambda pid, cost: cost <= 50_000
-        manager.run(quota_accesses=25_000, warmup_accesses=500)
-        rungs = {manager.supervisor.rung(i).value for i in (0, 1)}
-        assert DegradationRung.SAMPLED_ESTIMATE.value in rungs
-
-    def test_downshifted_costs_are_scaled(self, tiny_machine):
-        manager = self.make_manager(tiny_machine)
-        outcomes = []
-        manager.probe_listener = outcomes.append
-        manager.probe_gate = lambda pid, cost: cost <= 50_000
-        manager.run(quota_accesses=25_000, warmup_accesses=500)
-        quoted = [o.accesses for o in outcomes if o.kind == "downshifted"]
-        settled = [o.accesses for o in outcomes if o.kind == "admitted"]
-        assert quoted and settled
-        # Reservation = deadline * 0.1; the trace fills well within the
-        # deadline, so the scaled settle must stay under the quote.
-        assert all(s <= q for q in quoted for s in settled)
-        deadline = manager.config.reliability.deadline_accesses(1500)
-        assert all(q == round(deadline * 0.1) for q in quoted)
-
-    def test_no_downshift_when_disabled(self, tiny_machine):
-        manager = self.make_manager(tiny_machine, estimator_downshift=None)
         outcomes = []
         manager.probe_listener = outcomes.append
         manager.probe_gate = lambda pid, cost: cost <= 50_000
         report = manager.run(quota_accesses=25_000, warmup_accesses=500)
-        assert report.probe_downshifts == 0
         assert report.probe_gate_denials >= 1
-        assert "downshifted" not in {o.kind for o in outcomes}
+        denied = [o for o in outcomes if o.kind == "gate-denied"]
+        assert len(denied) == report.probe_gate_denials
+        assert report.probes_run == 0
 
-    def test_full_cost_admission_stays_exact(self, tiny_machine):
+    def test_full_cost_admission_lands_on_fresh_rung(self, tiny_machine):
         from repro.reliability.supervisor import DegradationRung
 
         manager = self.make_manager(tiny_machine)
         manager.probe_gate = lambda pid, cost: True
         report = manager.run(quota_accesses=25_000, warmup_accesses=500)
-        assert report.probe_downshifts == 0
         assert report.probes_run >= 1
         assert manager.supervisor.rung(0) == DegradationRung.FRESH
 
-    def test_estimator_probe_config_scales_the_gate_quote(self, tiny_machine):
-        # When the configured engine is already an estimator, the gate
-        # is quoted the scaled cost up front and no downshift retry
-        # happens (there is nothing cheaper to shift to).
-        config_probe = ProbeConfig(
+    def test_estimator_probe_is_charged_in_real_accesses(self, tiny_machine):
+        # A sampling estimator thins the stack's work, not the trace
+        # log: the gate is quoted the full deadline, and every terminal
+        # outcome carries the accesses the probe really consumed.
+        manager = self.make_manager(tiny_machine, probe=ProbeConfig(
             log_entries=1500, stack_engine="shards", sampling_rate=0.2,
-        )
-        manager = DynamicPartitionManager(
-            tiny_machine, [hungry(tiny_machine), streamer(tiny_machine)],
-            fast_config(tiny_machine, probe=config_probe),
-        )
+        ))
         quotes = []
+        real = []
+        settled = []
 
         def gate(pid, cost):
             quotes.append(cost)
             return True
 
+        def listen(outcome):
+            if outcome.kind in TERMINAL_OUTCOMES:
+                managed = manager.managed[outcome.pid]
+                real.append(
+                    managed.process.accesses - managed.probe_accesses_start
+                )
+                settled.append(outcome.accesses)
+
         manager.probe_gate = gate
-        report = manager.run(quota_accesses=25_000, warmup_accesses=500)
-        assert report.probe_downshifts == 0
+        manager.probe_listener = listen
+        manager.run(quota_accesses=25_000, warmup_accesses=500)
         deadline = manager.config.reliability.deadline_accesses(1500)
-        assert quotes and all(q == round(deadline * 0.2) for q in quotes)
+        assert deadline == 120_000
+        assert quotes and all(q == deadline for q in quotes)
+        assert settled and settled == real
