@@ -41,9 +41,11 @@ class CorrectionResult:
     """Outcome of stale-SDAR repair.
 
     Attributes:
-        trace: the corrected cache-line trace -- an int64 array from the
-            vectorized repair in :mod:`repro.core.fastpath` (which every
-            probe runs), or a list from the scalar reference here.
+        trace: the corrected cache-line trace.  Every probe's is an
+            int64 array: the vectorized repair in
+            :mod:`repro.core.fastpath` runs on the probe's int64 log, and
+            the quality gates read the result as an array.  The scalar
+            reference here returns a list.
         converted: number of entries that were rewritten (Table 2 column e
             reports this as a percentage of the log).
     """

@@ -18,10 +18,7 @@ wishlist would buy in accuracy and in exception count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.obs import get_telemetry
-from repro.pmu.sampling import BatchEventConsumer, ProbeTrace
+from repro.pmu.sampling import BatchEventConsumer, ProbeTrace, finish_probe
 from repro.pmu.tracelog import TraceLog
 from repro.sim.hierarchy import AccessResult
 
@@ -74,7 +71,7 @@ class IdealTraceCollector(BatchEventConsumer):
         self.observe_event(result.line, result.l1_hit, result.prefetched_lines)
 
     def observe_event(self, line, l1_hit, prefetched_lines=()) -> None:
-        """Raw-event form of :meth:`observe` (fed by :meth:`observe_events`)."""
+        """Raw-event form of :meth:`observe`."""
         if self.done or l1_hit:
             return
         self.l1d_misses += 1
@@ -99,14 +96,4 @@ class IdealTraceCollector(BatchEventConsumer):
             # Final partial drain when the probe is stopped by software.
             self.exceptions += 1
             self._buffered = 0
-        get_telemetry().registry.counter(
-            "pmu.channel", engine=self.channel_engine
-        ).inc()
-        return ProbeTrace(
-            entries=self.log.entries(),
-            instructions=self.instructions,
-            l1d_misses=self.l1d_misses,
-            dropped_events=0,
-            stale_entries=0,
-            exceptions=self.exceptions,
-        )
+        return finish_probe(self)

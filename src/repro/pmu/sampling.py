@@ -22,30 +22,35 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
+import numpy as np
+
+from repro.core.fastpath import as_trace_array
 from repro.obs import get_telemetry
 from repro.pmu.registers import PerformanceCounter, SampledDataAddressRegister
 from repro.pmu.tracelog import TraceLog
 from repro.sim.cpu import IssueMode
 from repro.sim.hierarchy import AccessResult
 
-__all__ = ["BatchEventConsumer", "PMUModel", "TraceCollector", "ProbeTrace"]
+__all__ = [
+    "BatchEventConsumer",
+    "PMUModel",
+    "ProbeTrace",
+    "TraceCollector",
+    "finish_probe",
+]
 
 
 class BatchEventConsumer:
     """Batched half of the ``observe_event`` protocol.
 
-    Every trace collector inherits this: :meth:`observe_events` feeds a
-    pre-simulated batch of raw events and reports how many the probe
-    actually consumed.  Consumption stops with the event on which
-    ``done`` first turns true -- exactly where a per-access drive loop
-    checking its stop predicate between accesses would have stopped --
-    so a run-ahead engine (the native engine) can rewind its
-    simulation to the true stop point.  The native engine only needs
-    this for collectors whose channel it does not model itself (the
-    fault-injecting wrapper); the stock real and ideal collectors run
-    inside it (see :func:`repro.sim.native.channel_kind`).
+    :meth:`observe_events` feeds a batch of raw events and reports how
+    many the probe consumed, stopping with the event on which ``done``
+    first turns true.  No engine calls it: the native engine runs the
+    stock collectors' channel itself and sends every other observer to
+    the scalar driver.  It is kept only because the repository
+    benchmark's per-layer wrapper list (``bench/layers.py``) names it.
     """
 
     def observe_events(self, lines, l1_hits, prefetched=None) -> int:
@@ -90,7 +95,9 @@ class ProbeTrace:
 
     Attributes:
         entries: raw (uncorrected) trace log contents -- cache-line
-            numbers as sampled from the SDAR.
+            numbers as sampled from the SDAR, as a contiguous int64
+            array (the collectors hand over their log's filled prefix;
+            any other sequence is coerced once on construction).
         instructions: instructions the application completed during the
             probe (the MPKI denominator, Table 2 column c).
         l1d_misses: true number of L1D misses during the probe, including
@@ -101,17 +108,46 @@ class ProbeTrace:
             flush; feeds the overhead model, Table 2 column a).
     """
 
-    entries: List[int]
+    entries: np.ndarray
     instructions: int
     l1d_misses: int
     dropped_events: int
     stale_entries: int
     exceptions: int
 
+    def __post_init__(self) -> None:
+        self.entries = as_trace_array(self.entries)
+
     def drop_fraction(self) -> float:
         if self.l1d_misses == 0:
             return 0.0
         return self.dropped_events / self.l1d_misses
+
+
+def finish_probe(collector) -> ProbeTrace:
+    """Package ``collector``'s probe and publish its channel counters.
+
+    The one finishing step of both stock collectors: whole-probe totals
+    go to the telemetry registry once per probe, never per event.
+    """
+    trace = ProbeTrace(
+        entries=collector.log.entries(),
+        instructions=collector.instructions,
+        l1d_misses=collector.l1d_misses,
+        dropped_events=collector.dropped_events,
+        stale_entries=collector.stale_entries,
+        exceptions=collector.exceptions,
+    )
+    registry = get_telemetry().registry
+    registry.counter("pmu.probes").inc()
+    registry.counter("pmu.log_entries").inc(len(trace.entries))
+    registry.counter("pmu.probe_instructions").inc(trace.instructions)
+    registry.counter("pmu.l1d_misses").inc(trace.l1d_misses)
+    registry.counter("pmu.exceptions").inc(trace.exceptions)
+    registry.counter("pmu.dropped_events").inc(trace.dropped_events)
+    registry.counter("pmu.stale_entries").inc(trace.stale_entries)
+    registry.counter("pmu.channel", engine=collector.channel_engine).inc()
+    return trace
 
 
 class TraceCollector(BatchEventConsumer):
@@ -177,12 +213,8 @@ class TraceCollector(BatchEventConsumer):
         self.observe_event(result.line, result.l1_hit, result.prefetched_lines)
 
     def observe_event(self, line, l1_hit, prefetched_lines=()) -> None:
-        """Raw-event form of :meth:`observe` (no ``AccessResult`` needed).
-
-        :meth:`observe_events` feeds batched native events through this
-        method so it never materializes per-access result objects; it is
-        exactly :meth:`observe` for a non-ifetch event.
-        """
+        """Raw-event form of :meth:`observe` (no ``AccessResult`` needed):
+        exactly :meth:`observe` for a non-ifetch event."""
         if self.done:
             self._tick()
             return
@@ -240,21 +272,4 @@ class TraceCollector(BatchEventConsumer):
 
     def finish(self) -> ProbeTrace:
         """Package the collected probe."""
-        # One-shot channel accounting: whole-probe totals, never per event.
-        registry = get_telemetry().registry
-        registry.counter("pmu.probes").inc()
-        registry.counter("pmu.log_entries").inc(len(self.log))
-        registry.counter("pmu.probe_instructions").inc(self.instructions)
-        registry.counter("pmu.l1d_misses").inc(self.l1d_misses)
-        registry.counter("pmu.exceptions").inc(self.exceptions)
-        registry.counter("pmu.dropped_events").inc(self.dropped_events)
-        registry.counter("pmu.stale_entries").inc(self.stale_entries)
-        registry.counter("pmu.channel", engine=self.channel_engine).inc()
-        return ProbeTrace(
-            entries=self.log.entries(),
-            instructions=self.instructions,
-            l1d_misses=self.l1d_misses,
-            dropped_events=self.dropped_events,
-            stale_entries=self.stale_entries,
-            exceptions=self.exceptions,
-        )
+        return finish_probe(self)

@@ -8,47 +8,47 @@ proportionally smaller logs.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import numpy as np
 
 __all__ = ["TraceLog"]
 
 
 class TraceLog:
-    """Bounded append-only buffer of sampled cache-line numbers."""
+    """Bounded append-only log of sampled cache-line numbers.
+
+    The entries live in one preallocated int64 ``buffer`` of the full
+    capacity; the first ``len(log)`` slots are filled.  The scalar
+    collectors :meth:`append` one entry at a time, and the native trace
+    channel writes straight into the free tail of the same buffer (see
+    :class:`repro.sim.native.NativeSession`).
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("trace log capacity must be positive")
         self.capacity = capacity
-        self._entries: List[int] = []
+        self.buffer = np.empty(capacity, dtype=np.int64)
+        self._length = 0
 
     def append(self, line: int) -> bool:
         """Append one entry.  Returns False (and drops) once full."""
-        if self.is_full:
+        length = self._length
+        if length >= self.capacity:
             return False
-        self._entries.append(line)
+        self.buffer[length] = line
+        self._length = length + 1
         return True
-
-    def extend(self, lines: List[int]) -> None:
-        """Append entries in order, dropping those that arrive once full."""
-        self._entries.extend(lines[: self.capacity - len(self._entries)])
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return self._length >= self.capacity
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._length
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._entries)
-
-    def entries(self) -> List[int]:
+    def entries(self) -> np.ndarray:
         """A copy of the logged entries, in arrival order."""
-        return list(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
+        return self.buffer[: self._length].copy()
 
     def fill_fraction(self) -> float:
-        return len(self._entries) / self.capacity
+        return self._length / self.capacity

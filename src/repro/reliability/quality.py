@@ -214,12 +214,14 @@ def _record_verdict(quality: ProbeQuality) -> ProbeQuality:
     return quality
 
 
-def _unique_count(lines) -> int:
-    """Distinct line numbers in a trace, without a per-entry ``int()``:
-    one sort for an array-backed trace, one ``set`` for a list."""
-    if isinstance(lines, np.ndarray):
-        return int(np.unique(lines).size)
-    return len(set(lines))
+def _unique_count(lines: np.ndarray) -> int:
+    """Distinct line numbers in an int64 trace: one sort, then count the
+    places where the sorted value changes (``np.unique`` does more work
+    for the same count)."""
+    if len(lines) == 0:
+        return 0
+    ordered = np.sort(lines)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def assess_probe(
@@ -243,13 +245,14 @@ def assess_probe(
         raise ValueError("log_capacity must be positive")
     checks: List[QualityCheck] = []
     entries = probe.entries
-    fill = len(entries) / log_capacity
+    logged = len(entries)
+    fill = logged / log_capacity
     checks.append(QualityCheck(
         name="log-fill",
         passed=fill >= config.min_fill_fraction,
         value=fill,
         bound=config.min_fill_fraction,
-        detail=f"{len(entries)}/{log_capacity} entries",
+        detail=f"{logged}/{log_capacity} entries",
     ))
     checks.append(QualityCheck(
         name="instructions",
@@ -258,18 +261,17 @@ def assess_probe(
         bound=1.0,
         detail="MPKI denominator must be positive",
     ))
-    unique = len(set(entries))
+    unique = _unique_count(entries)
     checks.append(QualityCheck(
         name="unique-lines",
         passed=unique >= config.min_unique_lines,
         value=float(unique),
         bound=float(config.min_unique_lines),
     ))
-    out_of_range = sum(
-        1 for line in entries
-        if line < 0 or line >= config.max_plausible_line
-    )
-    oor_fraction = out_of_range / len(entries) if entries else 0.0
+    out_of_range = int(np.count_nonzero(
+        (entries < 0) | (entries >= config.max_plausible_line)
+    ))
+    oor_fraction = out_of_range / logged if logged else 0.0
     checks.append(QualityCheck(
         name="address-range",
         passed=oor_fraction <= config.max_out_of_range_fraction,
@@ -285,7 +287,7 @@ def assess_probe(
         bound=config.max_drop_fraction,
         detail=f"{probe.dropped_events}/{probe.l1d_misses} misses lost",
     ))
-    stale = probe.stale_entries / len(entries) if entries else 0.0
+    stale = probe.stale_entries / logged if logged else 0.0
     checks.append(QualityCheck(
         name="stale-fraction",
         passed=stale <= config.max_stale_fraction,
@@ -318,7 +320,6 @@ def assess_probe(
     # repeats make a streamer's raw log look reuse-heavy, but after
     # repair an all-unique trace cannot produce stack hits, so its
     # all-cold histogram is correct rather than suspicious.
-    # len() (not truthiness): corrected traces are int64 arrays.
     judged = result.correction.trace if result.correction else entries
     unique_fraction = (
         _unique_count(judged) / len(judged) if len(judged) else 0.0

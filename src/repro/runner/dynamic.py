@@ -819,7 +819,7 @@ class DynamicPartitionManager:
         result: Optional[RapidMRCResult] = None
         # attach() nests the computation under the probe's floating span.
         with telemetry.tracer.attach(managed.probe_span):
-            if probe.entries and probe.instructions > 0:
+            if len(probe.entries) and probe.instructions > 0:
                 result = self.engine.compute(
                     probe.entries, probe.instructions,
                     label=f"dyn:{managed.process.workload.name}",

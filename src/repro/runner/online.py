@@ -227,7 +227,7 @@ def collect_trace(
         # no computable MRC; the quality verdict carries the diagnosis
         # instead of a max(1, ...) masking the broken denominator.
         result: Optional[RapidMRCResult] = None
-        if probe.entries and probe.instructions > 0:
+        if len(probe.entries) and probe.instructions > 0:
             engine = RapidMRC(machine, probe_config)
             result = engine.compute(
                 probe.entries, probe.instructions,

@@ -9,11 +9,13 @@
  * scalar driver bit for bit (the differential suite enforces this).
  *
  * Invariants the wrapper relies on:
- *  - C never allocates.  Every buffer is a numpy array owned by
- *    Python, presized before the call.  When a step *would* overflow a
- *    map or log, the engine stops cleanly BEFORE mutating anything and
- *    reports a stop_reason; the wrapper commits state, grows the
- *    buffer, re-adopts, and resumes -- state is identical either way.
+ *  - C never allocates and never calls back.  Every buffer is a numpy
+ *    array owned by Python, presized before the call (the PMU channel
+ *    appends to the trace log's own buffer).  When a step *would*
+ *    overflow a map or the allocation log, the engine stops cleanly
+ *    BEFORE mutating anything and reports a stop_reason; the wrapper
+ *    grows the buffer in place and resumes -- state is identical
+ *    either way.
  *  - All integers are int64; floats are IEEE double, and float
  *    expressions copy the Python parenthesization exactly
  *    (cycles += base + penalty; migration debt is its own +=).
@@ -46,8 +48,7 @@ typedef uint32_t u32;
 #define STOP_GROW_PT       3   /* page-table map near capacity */
 #define STOP_GROW_PFSET    4   /* prefetched-line set near capacity */
 #define STOP_GROW_NEWPAGES 5   /* allocation log full */
-#define STOP_GROW_EVENTS   6   /* event buffer full (drain + resume) */
-#define STOP_LOG_FULL      7   /* PMU trace log filled by the last access */
+#define STOP_LOG_FULL      6   /* PMU trace log filled by the last access */
 
 /* ----------------------------------------------------------------- */
 /* MT19937 (CPython random.Random core)                               */
@@ -495,19 +496,6 @@ typedef struct {
     i64 stop_reason;
 } NProc;
 
-/* Event recording (solo observed runs). */
-typedef struct {
-    i64 cap;
-    i64 n;
-    i64 *line;
-    u8 *flags;     /* bit0 l1_hit, bit1 l2_hit, bit2 l3_hit, bit3 memory,
-                      bit4 was_pf, bit5 is_store */
-    i64 *pf_count; /* prefetched-line count per access */
-    i64 pf_cap;
-    i64 pf_n;
-    i64 *pf_lines; /* flattened prefetched lines, in issue order */
-} NEvents;
-
 /* ----------------------------------------------------------------- */
 /* PMU trace channel (TraceCollector / IdealTraceCollector)           */
 /* ----------------------------------------------------------------- */
@@ -518,7 +506,7 @@ typedef struct {
 typedef struct {
     i64 kind;
     i64 stop_on_full;    /* repro_solo stops with STOP_LOG_FULL */
-    i64 *log;            /* the log's remaining capacity, preallocated */
+    i64 *log;            /* the TraceLog buffer, after its logged entries */
     i64 log_cap;
     i64 log_n;
     /* real channel */
@@ -735,7 +723,7 @@ static void hier_prefetch_fill(NShared *sh, NProc *p, i64 line, int install_l1)
 
 /* Worst-case growth check, run BEFORE any mutation so a stop leaves
  * state exactly as the previous access left it. */
-static i64 step_precheck(const NProc *p, const NEvents *ev)
+static i64 step_precheck(const NProc *p)
 {
     i64 depth = p->pf.enabled ? p->pf.depth : 0;
     i64 pages = 1 + depth;   /* demand page + one page per prefetch */
@@ -747,12 +735,10 @@ static i64 step_precheck(const NProc *p, const NEvents *ev)
         return STOP_GROW_PFSET;
     if (p->newpages_len + 3 * pages > p->newpages_cap)
         return STOP_GROW_NEWPAGES;
-    if (ev && (ev->n + 1 > ev->cap || ev->pf_n + depth > ev->pf_cap))
-        return STOP_GROW_EVENTS;
     return STOP_NONE;
 }
 
-static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
+static void step_one(NShared *sh, NProc *p, NPmu *pmu)
 {
     i64 vaddr = p->vaddrs[p->pos];
     int is_store = p->stores[p->pos] != 0;
@@ -770,14 +756,12 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
         p->c_loads++;
 
     double penalty = 0.0;
-    int l1_hit, l2_hit = 0, l3_hit = 0, memory = 0, was_pf = 0;
     i64 pf_emitted = 0;
     i64 pf_lines[PF_MAX_DEPTH];   /* this access's prefetches, issue order */
     i64 victim;
 
-    l1_hit = cache_access(&p->l1, line, &victim);
+    int l1_hit = cache_access(&p->l1, line, &victim);
     if (l1_hit) {
-        was_pf = set_contains(&p->pf_set, line);
         if (is_store) {
             /* Write-through forward: L2 fill; any victim is dropped
              * (but still counted by the fill, as in Python). */
@@ -789,19 +773,16 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
         /* _fetch_into_l2 */
         p->c_l2da++;
         i64 l2_victim;
-        l2_hit = cache_access(&sh->l2, line, &l2_victim);
-        if (l2_hit) {
+        if (cache_access(&sh->l2, line, &l2_victim)) {
             penalty = p->pen_l2;
         } else {
             p->c_l2dm++;
             if (l2_victim >= 0)
                 l3_insert_victim(sh, l2_victim);
             if (l3_lookup(sh, line)) {
-                l3_hit = 1;
                 p->c_l3_hits++;
                 penalty = p->pen_l3;
             } else {
-                memory = 1;
                 p->c_mem++;
                 penalty = p->pen_mem;
             }
@@ -821,8 +802,6 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
                     + (pf_vline - pf_vpage * p->lines_per_page);
                 /* Every request is PMU-visible (stale entries), even
                  * late ones that install nothing. */
-                if (ev)
-                    ev->pf_lines[ev->pf_n++] = pf_line;
                 pf_lines[pf_emitted++] = pf_line;
                 if (mt_random(&p->mt) < p->pf.late_p)
                     continue;
@@ -842,18 +821,6 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
         p->debt_pending = 0;
     }
 
-    if (ev) {
-        i64 k = ev->n++;
-        ev->line[k] = line;
-        ev->flags[k] = (u8)((l1_hit ? 1 : 0)
-                            | (l2_hit ? 2 : 0)
-                            | (l3_hit ? 4 : 0)
-                            | (memory ? 8 : 0)
-                            | (was_pf ? 16 : 0)
-                            | (is_store ? 32 : 0));
-        ev->pf_count[k] = pf_emitted;
-    }
-
     if (pmu) {
         if (pmu->kind == PMU_REAL)
             pmu_real(pmu, line, l1_hit, pf_lines, pf_emitted);
@@ -867,10 +834,10 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev, NPmu *pmu)
 /* ----------------------------------------------------------------- */
 
 /* Solo drive: execute up to n accesses; returns the number executed.
- * When < n, p->stop_reason says why (refill / grow / drain / log full).
+ * When < n, p->stop_reason says why (refill / grow / log full).
  * pmu, when given, observes every access; with stop_on_full set the run
  * ends right after the access that fills its log. */
-EXPORT i64 repro_solo(NShared *sh, NProc *p, i64 n, NEvents *ev, NPmu *pmu)
+EXPORT i64 repro_solo(NShared *sh, NProc *p, i64 n, NPmu *pmu)
 {
     p->stop_reason = STOP_NONE;
     for (i64 i = 0; i < n; i++) {
@@ -878,12 +845,12 @@ EXPORT i64 repro_solo(NShared *sh, NProc *p, i64 n, NEvents *ev, NPmu *pmu)
             p->stop_reason = STOP_REFILL;
             return i;
         }
-        i64 reason = step_precheck(p, ev);
+        i64 reason = step_precheck(p);
         if (reason != STOP_NONE) {
             p->stop_reason = reason;
             return i;
         }
-        step_one(sh, p, ev, pmu);
+        step_one(sh, p, pmu);
         if (pmu && pmu->stop_on_full && pmu_full(pmu)) {
             p->stop_reason = STOP_LOG_FULL;
             return i + 1;
@@ -917,13 +884,13 @@ EXPORT i64 repro_corun(NShared *sh, NProc **procs, i64 nproc,
             sh->stop_proc = best;
             return -1;
         }
-        i64 reason = step_precheck(p, 0);
+        i64 reason = step_precheck(p);
         if (reason != STOP_NONE) {
             sh->stop_reason = reason;
             sh->stop_proc = best;
             return -1;
         }
-        step_one(sh, p, 0, 0);
+        step_one(sh, p, 0);
         if (p->accesses - start[best] >= target_extra)
             return best;
     }

@@ -8,15 +8,18 @@ states, cycle clocks).  It takes one of exactly two paths:
 native
     The compiled engine (:mod:`repro.sim.native`) simulates the access
     stream in chunks, each generated on demand at the size the drive
-    will run, and runs the stock trace collectors' PMU channel itself.
-    It covers LRU L1D/L2/L3 geometry with prefetch depth up to 64, an
-    observer that is a trace collector, and a stop predicate that is
-    absent or a :class:`CollectorStop` over that collector.
+    will run.  Its one way to serve an observer is its own trace
+    channel: the stock collectors' PMU model runs inside C and logs
+    straight into the collector's buffer.  It covers LRU L1D/L2/L3
+    geometry with prefetch depth up to 64, no observer or a stock
+    collector's ``observe``, and a stop predicate that is absent or a
+    :class:`CollectorStop` over that collector.
 
 scalar
     Anything else -- a non-LRU cache, a deeper prefetcher, no C compiler
-    or ``REPRO_NATIVE=0``, an opaque observer or stop -- runs the scalar
-    :func:`~repro.runner.driver.drive` unchanged and counts
+    or ``REPRO_NATIVE=0``, an observer C does not model (the
+    fault-injecting wrapper, a plain callable) or an opaque stop -- runs
+    the scalar :func:`~repro.runner.driver.drive` unchanged and counts
     ``sim.batch_fallbacks{reason}``.
 
 Either way ``sim.batch_accesses{engine}`` records which engine ran.  All
@@ -145,13 +148,14 @@ class CollectorStop:
     """Early-stop predicate "the collector is done", in declarative form.
 
     Behaviourally identical to ``lambda: collector.done``, but the
-    batched engines can *reason* about it: the predicate is a pure
+    native engine can *reason* about it: the predicate is a pure
     function of the named collector's state, which only changes through
-    the events the drive itself feeds.  That is what lets the native
-    engine run a chunk ahead of the observer and rewind to the exact
-    access where ``done`` first turned true.  An opaque callable (plain
-    lambda) is still honoured everywhere -- it simply keeps the drive on
-    the scalar driver.
+    the events the drive itself feeds.  For a stock collector "done" is
+    "the log is full", which the C trace channel checks after every
+    access, so the drive stops inside C on the exact access where the
+    scalar loop would.  An opaque callable (plain lambda) is still
+    honoured everywhere -- it simply keeps the drive on the scalar
+    driver.
     """
 
     __slots__ = ("collector",)
@@ -194,34 +198,27 @@ def native_fallback_reason(process, hierarchy: MemoryHierarchy) -> Optional[str]
     return None
 
 
-def _native_route(observer, stop):
-    """How the native engine serves ``observer`` and ``stop``.
+def _native_serves(observer, stop) -> bool:
+    """Whether the native engine can serve ``observer`` and ``stop``.
 
-    Returns ``(channel, events_fn)``, or None when it cannot.  A stock
-    collector (:func:`repro.sim.native.channel_kind`) runs its channel
-    model inside C; any other observer's owner must expose the batched
-    ``observe_events`` protocol, so the run-ahead engine can locate the
-    exact stop access by rewinding.  The stop predicate must be absent
-    or a :class:`CollectorStop` over that same collector.
+    C runs no Python per access, so an observer must be the ``observe``
+    of a collector whose channel C models
+    (:func:`repro.sim.native.channel_kind`), and the stop predicate must
+    be absent or a :class:`CollectorStop` over that same collector.  An
+    unobserved drive accepts any :class:`CollectorStop`: nothing the
+    drive does can change its state.
     """
     if observer is None:
-        if stop is None or isinstance(stop, CollectorStop):
-            return None, None
-        return None
+        return stop is None or isinstance(stop, CollectorStop)
     owner = getattr(observer, "__self__", None)
     if stop is not None and not (
         isinstance(stop, CollectorStop) and stop.collector is owner
     ):
-        return None
+        return False
     from repro.sim.native import channel_kind
 
-    if (channel_kind(owner) is not None
-            and getattr(observer, "__func__", None) is type(owner).observe):
-        return owner, None
-    events_fn = getattr(owner, "observe_events", None)
-    if events_fn is None:
-        return None
-    return None, events_fn
+    return (channel_kind(owner) is not None
+            and getattr(observer, "__func__", None) is type(owner).observe)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,6 @@ def _drive_native(
     process,
     hierarchy: MemoryHierarchy,
     num_accesses: int,
-    events_fn,
     stop: Optional[Callable[[], bool]],
     source: BatchAccessSource,
     slab_size: int,
@@ -240,17 +236,10 @@ def _drive_native(
 ) -> Tuple[int, int]:
     """Solo drive on the compiled C engine.
 
-    ``channel`` is a collector the C trace channel models exactly
-    (:func:`repro.sim.native.channel_kind`): C applies every access to
-    it and stops on the access that fills its log, so the drive needs
-    no Python per-event work at all.  Otherwise ``events_fn`` is the
-    collector's ``observe_events`` bound method (or None for an
-    unobserved run): observed chunks run ahead of the collector and are
-    rewound to the exact access on which the stop predicate first
-    fired -- snapshot, simulate, feed the recorded events, and if the
-    collector consumed fewer events than the engine produced, restore
-    the snapshot and deterministically re-run exactly the consumed
-    prefix.
+    ``channel`` is the observing collector, or None for an unobserved
+    drive.  C applies every access to its trace channel and, under a
+    stop predicate, stops on the access that fills its log, so the drive
+    needs no Python per-event work at all.
 
     Returns ``(executed, chunks)``.
     """
@@ -261,19 +250,12 @@ def _drive_native(
         stop_on_full=channel is not None and stop is not None,
     )
     proc = session.procs[0]
-    events = None
-    if events_fn is not None:
-        config = process._pf_config
-        depth = config.depth if config.enabled else 0
-        events = _native.EventBuffer(min(slab_size, 1 << 14), depth)
-
     executed = 0
     chunks = 0
     limit = num_accesses
     session.adopt()
     try:
-        if (channel is None and events is None
-                and stop is not None and stop()):
+        if channel is None and stop is not None and stop():
             # Scalar parity: the per-access loop executes one access and
             # only then consults the predicate, so a predicate that is
             # already true still consumes exactly one access.  (Without
@@ -287,53 +269,16 @@ def _drive_native(
                 )
                 chunks += 1
                 session.set_chunk(0, vaddrs, stores)
-
-            if events is None:
-                quota = limit - executed
-                ran = session.run_solo(0, quota)
-                executed += ran
-                if ran == quota:
-                    break
-                reason = proc.stop_reason
-                if reason == _native.STOP_LOG_FULL:
-                    break
-                if reason != _native.STOP_REFILL:
-                    session.grow(0, reason)
-                continue
-
-            quota = min(limit - executed, events.cap)
-            snap = session.snapshot(0)
-            events.reset()
-            ran = session.run_solo(0, quota, events)
-            lines, hits, prefetched = events.drain()
-            consumed = events_fn(lines, hits, prefetched)
-            while stop is None and consumed < ran:
-                # No stop predicate: the scalar loop keeps feeding the
-                # (now done) collector, so feed the tail through too.
-                consumed += events_fn(
-                    lines[consumed:],
-                    hits[consumed:],
-                    prefetched[consumed:] if prefetched is not None else None,
-                )
-            if consumed < ran:
-                # The collector finished mid-chunk: rewind the engine
-                # and replay exactly the consumed prefix (deterministic,
-                # all prechecks already passed on the first run).
-                session.restore(0, snap)
-                rerun = session.run_solo(0, consumed)
-                if rerun != consumed:
-                    raise AssertionError(
-                        "native replay diverged (engine bug)"
-                    )
-                executed += consumed
-                return executed, chunks
+            quota = limit - executed
+            ran = session.run_solo(0, quota)
             executed += ran
-            if stop is not None and stop():
-                return executed, chunks
-            if ran < quota:
-                reason = proc.stop_reason
-                if reason != _native.STOP_REFILL:
-                    session.grow(0, reason)
+            if ran == quota:
+                break
+            reason = proc.stop_reason
+            if reason == _native.STOP_LOG_FULL:
+                break
+            if reason != _native.STOP_REFILL:
+                session.grow(0, reason)
     finally:
         session.commit()
     return executed, chunks
@@ -410,8 +355,9 @@ def drive_batch(
         return 0
     started = time.perf_counter()
     reason = native_fallback_reason(process, hierarchy)
-    route = _native_route(observer, stop) if reason is None else None
-    if route is None:
+    if reason is None and not _native_serves(observer, stop):
+        reason = "observer"
+    if reason is not None:
         from repro.runner.driver import drive
 
         engine = "scalar"
@@ -421,13 +367,13 @@ def drive_batch(
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.registry.counter(
-                "sim.batch_fallbacks", reason=reason or "observer"
+                "sim.batch_fallbacks", reason=reason
             ).inc()
     else:
         engine = "native"
-        channel, events_fn = route
+        channel = None if observer is None else observer.__self__
         executed, chunks = _drive_native(
-            process, hierarchy, num_accesses, events_fn, stop,
+            process, hierarchy, num_accesses, stop,
             _source_for(process), slab_size, channel,
         )
     record_drive(engine, executed, started, chunks)

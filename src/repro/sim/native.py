@@ -12,15 +12,19 @@ other half of the contract:
 - **marshal**: :class:`NativeSession` adopts the live Python objects
   (caches, counters, allocator slices, prefetcher streams, the CPython
   MT19937 state) into C-visible arrays, and commits the advanced state
-  back so scalar and batched execution interleave seamlessly.
+  back so scalar and batched execution interleave seamlessly.  A trace
+  collector's log is the exception: C appends to its int64 buffer in
+  place, and commit only advances the log's length.
 - **generate**: :class:`MTStream` holds one workload stream's MT19937
   state in a C-visible buffer for the fill kernels (``random()``
   doubles and ``_randbelow``) behind
   :class:`repro.workloads.base.BatchRandom`.
-- **protocol**: the engine never allocates; when a step *would*
-  overflow a map or log it stops cleanly before mutating anything and
-  reports a ``STOP_GROW_*`` reason.  The session grows the buffer
-  in place and resumes -- state is bit-identical either way.
+- **protocol**: the engine never calls back into Python and never
+  allocates.  A run stops with one reason: its chunk of accesses is
+  exhausted (``STOP_REFILL``), the trace log filled (``STOP_LOG_FULL``),
+  or a step *would* overflow a map -- then it stops before mutating
+  anything and reports a ``STOP_GROW_*`` reason, the session grows the
+  buffer in place and the run resumes, bit-identically either way.
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
 entirely (every drive then runs the scalar reference, every generator
@@ -53,7 +57,6 @@ __all__ = [
     "native_available",
     "STOP_NONE",
     "STOP_REFILL",
-    "STOP_GROW_EVENTS",
     "STOP_LOG_FULL",
 ]
 
@@ -71,8 +74,7 @@ STOP_GROW_TLB = 2
 STOP_GROW_PT = 3
 STOP_GROW_PFSET = 4
 STOP_GROW_NEWPAGES = 5
-STOP_GROW_EVENTS = 6
-STOP_LOG_FULL = 7
+STOP_LOG_FULL = 6
 
 PMU_REAL = 1
 PMU_IDEAL = 2
@@ -145,14 +147,6 @@ class _NProc(ctypes.Structure):
         ("l1", _NCache),
         ("pf_set", _NMap), ("pf_trim_bound", i64),
         ("stop_reason", i64),
-    ]
-
-
-class _NEvents(ctypes.Structure):
-    _fields_ = [
-        ("cap", i64), ("n", i64), ("line", P_i64), ("flags", P_u8),
-        ("pf_count", P_i64), ("pf_cap", i64), ("pf_n", i64),
-        ("pf_lines", P_i64),
     ]
 
 
@@ -270,7 +264,7 @@ def native_lib() -> Optional[ctypes.CDLL]:
             lib.repro_mt_randbelow.restype = None
             lib.repro_solo.argtypes = [
                 ctypes.POINTER(_NShared), ctypes.POINTER(_NProc), i64,
-                ctypes.POINTER(_NEvents), ctypes.POINTER(_NPmu),
+                ctypes.POINTER(_NPmu),
             ]
             lib.repro_solo.restype = i64
             lib.repro_corun.argtypes = [
@@ -492,68 +486,6 @@ def _commit_cache(struct: _NCache, arrs: Dict[str, np.ndarray], cache) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Event buffer (observed solo runs)
-# ---------------------------------------------------------------------------
-
-class EventBuffer:
-    """Recording buffer handed to ``repro_solo`` on observed runs."""
-
-    def __init__(self, cap: int, depth: int):
-        self.cap = cap
-        self.lines = np.empty(cap, dtype=np.int64)
-        self.flags = np.empty(cap, dtype=np.uint8)
-        self.pf_count = np.empty(cap, dtype=np.int64)
-        pf_cap = max(cap * max(depth, 1), 64)
-        self.pf_lines = np.empty(pf_cap, dtype=np.int64)
-        ev = _NEvents()
-        ev.cap = cap
-        ev.n = 0
-        ev.line = self.lines.ctypes.data_as(P_i64)
-        ev.flags = self.flags.ctypes.data_as(P_u8)
-        ev.pf_count = self.pf_count.ctypes.data_as(P_i64)
-        ev.pf_cap = pf_cap
-        ev.pf_n = 0
-        ev.pf_lines = self.pf_lines.ctypes.data_as(P_i64)
-        self.struct = ev
-
-    def reset(self) -> None:
-        self.struct.n = 0
-        self.struct.pf_n = 0
-
-    def drain(self):
-        """``(lines, l1_hits, prefetched_or_None)`` for the recorded
-        events, in the exact shapes ``observe_events`` expects."""
-        n = self.struct.n
-        lines = self.lines[:n].tolist()
-        hits = [bool(f & 1) for f in self.flags[:n].tolist()]
-        if self.struct.pf_n == 0:
-            return lines, hits, None
-        counts = self.pf_count[:n].tolist()
-        flat = self.pf_lines[: self.struct.pf_n].tolist()
-        prefetched: List[tuple] = []
-        offset = 0
-        for count in counts:
-            if count:
-                prefetched.append(tuple(flat[offset:offset + count]))
-                offset += count
-            else:
-                prefetched.append(())
-        return lines, hits, prefetched
-
-
-def _shared_runs(values: np.ndarray) -> List[int]:
-    """``values.tolist()``, but with one int object per run of equal
-    entries.  The scalar collector logs stale repeats as the SDAR's own
-    object; a POWER5 log is ~40% such repeats, so sharing keeps a
-    committed log no larger in memory than a scalar-collected one."""
-    new_run = np.empty(values.size, dtype=np.bool_)
-    new_run[0] = True
-    np.not_equal(values[1:], values[:-1], out=new_run[1:])
-    heads = np.array(values[new_run].tolist(), dtype=object)
-    return heads[np.cumsum(new_run) - 1].tolist()
-
-
-# ---------------------------------------------------------------------------
 # The session: adopt / run / grow / commit
 # ---------------------------------------------------------------------------
 
@@ -566,10 +498,10 @@ class NativeSession:
     touch the hierarchy, allocator, prefetchers or RNGs.
 
     ``channel`` optionally binds a trace collector accepted by
-    :func:`channel_kind` to solo runs: C applies every access to it and,
-    with ``stop_on_full``, stops right after the access that fills its
-    log (``STOP_LOG_FULL``).  The collector is adopted and committed with
-    the rest of the state.
+    :func:`channel_kind` to solo runs: C applies every access to it,
+    appending to its log's buffer in place, and, with ``stop_on_full``,
+    stops right after the access that fills the log (``STOP_LOG_FULL``).
+    The collector is adopted and committed with the rest of the state.
     """
 
     def __init__(self, hierarchy, processes: Sequence, lib=None,
@@ -794,16 +726,14 @@ class NativeSession:
         collector = self.channel
         u = self.pmu
         log = collector.log
-        remaining = log.capacity - len(log)
-        buf = np.empty(max(remaining, 1), dtype=np.int64)
-        u.log = buf.ctypes.data_as(P_i64)
-        u.log_cap = remaining
+        # C appends right after the entries already logged.
+        u.log = log.buffer[len(log):].ctypes.data_as(P_i64)
+        u.log_cap = log.capacity - len(log)
         u.log_n = 0
         u.l1d_misses = collector.l1d_misses
         u.dropped = collector.dropped_events
         u.stale = collector.stale_entries
         u.exceptions = collector.exceptions
-        self._pmu_arrs = {"log": buf}
         if u.kind == PMU_IDEAL:
             u.since_miss = -1
             u.buffer_entries = collector.buffer_entries
@@ -830,9 +760,7 @@ class NativeSession:
     def _commit_channel(self) -> None:
         collector = self.channel
         u = self.pmu
-        arrs = self._pmu_arrs
-        if u.log_n:
-            collector.log.extend(_shared_runs(arrs["log"][: u.log_n]))
+        collector.log._length += u.log_n
         collector.l1d_misses = u.l1d_misses
         collector.dropped_events = u.dropped
         collector.stale_entries = u.stale
@@ -854,6 +782,7 @@ class NativeSession:
         collector._accesses_since_miss = (
             None if u.since_miss < 0 else u.since_miss
         )
+        arrs = self._pmu_arrs
         _commit_mt(u.mt, arrs["mt"], arrs["gauss"], collector._rng)
 
     def _commit_proc(self, index: int, process) -> None:
@@ -994,62 +923,12 @@ class NativeSession:
         extra = max(256, len(keys))
         arrs[name] = _bind_map(struct, keys, vals, extra)
 
-    # -- snapshots (observed-run rollback) ----------------------------------
-
-    _SNAP_SH = ("l2", "l3")
-    _SNAP_PROC = ("tlb", "pt", "stale", "pf_set", "l1")
-
-    def snapshot(self, index: int):
-        """Copy every mutable buffer so :meth:`restore` can rewind the
-        engine to this exact point (used to align an observed run with
-        the collector's stop point)."""
-        saved_arrays: List[Tuple[np.ndarray, np.ndarray]] = []
-
-        def save(arr: Optional[np.ndarray]) -> None:
-            if arr is not None:
-                saved_arrays.append((arr, arr.copy()))
-
-        for name in self._SNAP_SH:
-            group = self._sh_arrs.get(name)
-            if group:
-                save(group["ways"])
-                save(group["occ"])
-        save(self._sh_arrs["nfoc"])
-        arrs = self._proc_arrs[index]
-        for name in self._SNAP_PROC:
-            group = arrs[name]
-            if "keys" in group:
-                save(group["keys"])
-                save(group["vals"])
-            else:
-                save(group["ways"])
-                save(group["occ"])
-        for arr in arrs["pf"]:
-            save(arr)
-        save(arrs["mt"])
-        save(arrs["newpages"])
-        sh_bytes = bytes(memoryview(self.sh))
-        proc_bytes = bytes(memoryview(self.procs[index]))
-        return saved_arrays, sh_bytes, proc_bytes
-
-    def restore(self, index: int, snap) -> None:
-        saved_arrays, sh_bytes, proc_bytes = snap
-        for arr, copy in saved_arrays:
-            arr[:] = copy
-        ctypes.memmove(ctypes.byref(self.sh), sh_bytes, len(sh_bytes))
-        ctypes.memmove(
-            ctypes.byref(self.procs[index]), proc_bytes, len(proc_bytes)
-        )
-
     # -- running ------------------------------------------------------------
 
-    def run_solo(self, index: int, n: int,
-                 events: Optional[EventBuffer] = None) -> int:
-        ev = ctypes.byref(events.struct) if events is not None else None
+    def run_solo(self, index: int, n: int) -> int:
         pmu = ctypes.byref(self.pmu) if self.pmu is not None else None
         ran = int(self.lib.repro_solo(
-            ctypes.byref(self.sh), ctypes.byref(self.procs[index]), n, ev,
-            pmu,
+            ctypes.byref(self.sh), ctypes.byref(self.procs[index]), n, pmu,
         ))
         if pmu is not None:
             self._channel_steps += ran

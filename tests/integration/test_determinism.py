@@ -25,7 +25,7 @@ class TestDeterminism:
                 OnlineProbeConfig(warmup_accesses=500),
                 ProbeConfig(log_entries=1000),
             )
-            return probe.probe.entries
+            return probe.probe.entries.tolist()
 
         assert run() == run()
 
@@ -50,7 +50,7 @@ class TestDeterminism:
                                   drop_probability=0.5),
                 ProbeConfig(log_entries=1000),
             )
-            return probe.probe.entries
+            return probe.probe.entries.tolist()
 
         assert run(1) != run(2)
 

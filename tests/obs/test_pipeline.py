@@ -41,7 +41,7 @@ def test_probe_outputs_bit_identical_with_telemetry(tiny_machine, workload):
         observed = collect_trace(
             make_workload("mcf", tiny_machine), tiny_machine
         )
-    assert observed.probe.entries == baseline.probe.entries
+    assert observed.probe.entries.tolist() == baseline.probe.entries.tolist()
     assert observed.probe.instructions == baseline.probe.instructions
     assert dict(observed.result.mrc) == dict(baseline.result.mrc)
 

@@ -23,19 +23,19 @@ class TestCompleteness:
             collector.observe(miss(line))
         probe = collector.finish()
         assert probe.dropped_events == 0
-        assert probe.entries == list(range(50))
+        assert probe.entries.tolist() == list(range(50))
 
     def test_prefetches_recorded_with_true_addresses(self):
         collector = IdealTraceCollector(log_capacity=100)
         collector.observe(miss(10, prefetched=[11, 12]))
-        assert collector.log.entries() == [10, 11, 12]
+        assert collector.log.entries().tolist() == [10, 11, 12]
         assert collector.stale_entries == 0
 
     def test_prefetch_recording_optional(self):
         collector = IdealTraceCollector(log_capacity=100,
                                         record_prefetches=False)
         collector.observe(miss(10, prefetched=[11, 12]))
-        assert collector.log.entries() == [10]
+        assert collector.log.entries().tolist() == [10]
 
     def test_hits_and_ifetches_ignored(self):
         collector = IdealTraceCollector(log_capacity=10)
@@ -97,3 +97,37 @@ class TestIntegration:
         assert probe.probe.dropped_events == 0
         assert probe.probe.stale_entries == 0
         assert probe.probe.exceptions <= 2000 // 64 + 1
+
+    @pytest.mark.parametrize("use_ideal_pmu", [False, True])
+    def test_probe_publishes_pmu_counters(self, tiny_machine, use_ideal_pmu):
+        """Both collectors publish the same pmu.* counters, so the ideal
+        PMU's probes feed the report's modeled logging/calculation split
+        like the real one's."""
+        from repro.core.rapidmrc import ProbeConfig
+        from repro.obs import Telemetry, use_telemetry
+        from repro.obs.report import RunReport
+        from repro.runner.online import OnlineProbeConfig, collect_trace
+        from repro.workloads import make_workload
+
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            probe = collect_trace(
+                make_workload("twolf", tiny_machine), tiny_machine,
+                OnlineProbeConfig(warmup_accesses=500,
+                                  use_ideal_pmu=use_ideal_pmu),
+                ProbeConfig(log_entries=2000),
+            )
+        report = RunReport.from_telemetry(telemetry)
+        trace = probe.probe
+        assert report.counter_total("pmu.probes") == 1
+        assert report.counter_total("pmu.log_entries") == len(trace.entries)
+        assert report.counter_total("pmu.probe_instructions") == (
+            trace.instructions)
+        assert report.counter_total("pmu.l1d_misses") == trace.l1d_misses
+        assert report.counter_total("pmu.exceptions") == trace.exceptions
+        assert report.counter_total("pmu.dropped_events") == (
+            trace.dropped_events)
+        assert report.counter_total("pmu.stale_entries") == (
+            trace.stale_entries)
+        assert report.counter_total("pmu.channel") == 1
+        assert report._modeled_split() is not None

@@ -37,7 +37,7 @@ class TestBasicCollection:
         c = collector()
         for line in [5, 9, 5]:
             c.observe(miss(line))
-        assert c.log.entries() == [5, 9, 5]
+        assert c.log.entries().tolist() == [5, 9, 5]
         assert c.l1d_misses == 3
         assert c.exceptions == 3
 
@@ -46,7 +46,7 @@ class TestBasicCollection:
         c.observe(hit(1))
         c.observe(miss(2))
         c.observe(hit(3))
-        assert c.log.entries() == [2]
+        assert c.log.entries().tolist() == [2]
 
     def test_ifetches_are_not_data_samples(self):
         c = collector()
@@ -60,7 +60,7 @@ class TestBasicCollection:
         c.observe(miss(2))
         assert c.done
         c.observe(miss(3))  # ignored
-        assert c.log.entries() == [1, 2]
+        assert c.log.entries().tolist() == [1, 2]
 
     def test_instruction_accounting(self):
         c = collector()
@@ -73,7 +73,7 @@ class TestBasicCollection:
         c.observe(miss(1))
         c.observe_instructions(100)
         probe = c.finish()
-        assert probe.entries == [1]
+        assert probe.entries.tolist() == [1]
         assert probe.instructions == 100
         assert probe.l1d_misses == 1
         assert probe.exceptions == 1
@@ -85,19 +85,19 @@ class TestStalePrefetchEntries:
         c = collector(pmu_model=PMUModel.POWER5)
         c.observe(miss(10, prefetched=[11, 12]))
         # One real entry + two stale repeats of the SDAR value.
-        assert c.log.entries() == [10, 10, 10]
+        assert c.log.entries().tolist() == [10, 10, 10]
         assert c.stale_entries == 2
 
     def test_power5_plus_omits_prefetches(self):
         c = collector(pmu_model=PMUModel.POWER5_PLUS)
         c.observe(miss(10, prefetched=[11, 12]))
-        assert c.log.entries() == [10]
+        assert c.log.entries().tolist() == [10]
         assert c.stale_entries == 0
 
     def test_stale_entries_respect_log_capacity(self):
         c = collector(log_capacity=2, pmu_model=PMUModel.POWER5)
         c.observe(miss(10, prefetched=[11, 12, 13]))
-        assert c.log.entries() == [10, 10]
+        assert c.log.entries().tolist() == [10, 10]
 
     def test_stale_runs_are_what_correction_expects(self):
         from repro.core.correction import correct_stale_repetitions
@@ -122,7 +122,7 @@ class TestMissedEvents:
         c.observe(miss(1))   # recorded (no previous miss in flight)
         c.observe(miss(2))   # adjacent -> dropped
         assert c.dropped_events == 1
-        assert c.log.entries() == [1]
+        assert c.log.entries().tolist() == [1]
         assert c.l1d_misses == 2
 
     def test_separated_misses_not_dropped(self):
@@ -133,7 +133,7 @@ class TestMissedEvents:
         c.observe(hit(100))
         c.observe(miss(2))
         assert c.dropped_events == 0
-        assert c.log.entries() == [1, 2]
+        assert c.log.entries().tolist() == [1, 2]
 
     def test_drops_are_reproducible(self):
         def run(seed):
@@ -142,7 +142,7 @@ class TestMissedEvents:
             )
             for line in range(50):
                 c.observe(miss(line))
-            return c.log.entries()
+            return c.log.entries().tolist()
 
         assert run(3) == run(3)
 

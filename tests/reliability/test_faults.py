@@ -92,7 +92,7 @@ class TestDeterminism:
         plan = FaultPlan.parse("all", seed=42)
         first = drive(FaultyTraceCollector(clean_collector(), plan, "s"), lines)
         second = drive(FaultyTraceCollector(clean_collector(), plan, "s"), lines)
-        assert first.entries == second.entries
+        assert first.entries.tolist() == second.entries.tolist()
         assert first.dropped_events == second.dropped_events
 
     def test_different_seed_different_injection(self):
@@ -103,7 +103,7 @@ class TestDeterminism:
         b = drive(FaultyTraceCollector(
             clean_collector(), FaultPlan.parse("corrupt-sdar", seed=2), "s",
         ), lines)
-        assert a.entries != b.entries
+        assert a.entries.tolist() != b.entries.tolist()
 
     def test_anchor_corruption_deterministic(self):
         plan = FaultPlan.parse("garbage-anchor", seed=5)
@@ -137,7 +137,7 @@ class TestLostExceptions:
         wrapped = FaultyTraceCollector(clean_collector(), plan)
         trace = drive(wrapped, range(150))
         assert wrapped.report.lost_exceptions == 150
-        assert trace.entries == []
+        assert len(trace.entries) == 0
         # The PMC still counted the misses: the channel's statistics
         # admit to the loss, which is what the drop gate audits.
         assert trace.l1d_misses == 150

@@ -5,12 +5,13 @@ an exact transliteration of the scalar hot path, so its contract is the
 same as the rest of :mod:`repro.sim.fastsim`: bit identity with the
 scalar driver on every covered configuration -- counters, cache
 residency in LRU order, float cycle clocks, the process RNG state, the
-PMU-visible event stream, and co-run interleavings.  These tests pin
-the pieces the pure-Python paths do not exercise: the CPython-exact
-MT19937, the C trace channel (real and ideal collectors, stopping on
-the access that fills the log), the chunk rollback protocol that other
-observers still use, negative virtual addresses (Python floor-division
-semantics in C), the kill switch, and the visible build fallback.
+PMU trace log, and co-run interleavings.  These tests pin the pieces
+the pure-Python paths do not exercise: the CPython-exact MT19937, the C
+trace channel (real and ideal collectors, writing the log's int64
+buffer in place and stopping on the access that fills it), the scalar
+route of observers C does not model (the fault-injecting wrapper),
+negative virtual addresses (Python floor-division semantics in C), the
+kill switch, and the visible build fallback.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +29,7 @@ from repro.obs import Telemetry, use_telemetry
 from repro.obs.report import RunReport
 from repro.pmu.ideal import IdealTraceCollector
 from repro.pmu.sampling import PMUModel, TraceCollector
-from repro.reliability.faults import FaultPlan, FaultyTraceCollector
+from repro.reliability.faults import FaultPlan
 from repro.runner.corun import CorunSpec, corun
 from repro.runner.driver import Process, drive
 from repro.runner.offline import OfflineConfig, real_mrc
@@ -73,7 +75,7 @@ def _build(machine, name, prefetch=True, colors=None, seed_offset=0,
 def _channel_state(collector):
     """Everything a trace collector holds, for exact comparison."""
     state = {
-        "entries": collector.log.entries(),
+        "entries": collector.log.entries().tolist(),
         "instructions": collector.instructions,
         "l1d_misses": collector.l1d_misses,
         "dropped_events": collector.dropped_events,
@@ -92,6 +94,11 @@ def _channel_state(collector):
             pmc_pending=collector.pmc.overflow_pending,
         )
     return state
+
+
+def _plain(trace):
+    """A ProbeTrace's fields as plain values (the int64 log as a list)."""
+    return {**dataclasses.asdict(trace), "entries": trace.entries.tolist()}
 
 
 def _observed_run(machine, driver, make_collector, name="mcf",
@@ -356,6 +363,10 @@ class TestMixedEngineContinuity:
 
 
 class TestObservedRollback:
+    """Observed drives: the C trace channel stops on the exact access
+    the scalar loop stops on, and every other observer runs the scalar
+    reference."""
+
     @pytest.mark.parametrize("log_capacity", [1, 7, 333])
     def test_stop_mid_chunk_rewinds_exactly(self, log_capacity):
         """The log fills mid-chunk; the C channel must stop on the exact
@@ -409,10 +420,30 @@ class TestObservedRollback:
         access, so a drive armed on a full log executes exactly one."""
         def full_collector():
             collector = TraceCollector(log_capacity=2, seed=3)
-            collector.log.extend([11, 12])
+            collector.log.append(11)
+            collector.log.append(12)
             return collector
 
         _assert_channel_identical(full_collector)
+
+    @pytest.mark.parametrize("ideal", [False, True])
+    def test_partly_filled_log_appends_after_its_entries(self, ideal):
+        """C writes the log's own buffer in place: it appends right after
+        the k entries already logged, stops at capacity, and leaves the
+        same log as the scalar run."""
+        def partly_filled():
+            collector = (
+                IdealTraceCollector(log_capacity=333, buffer_entries=8)
+                if ideal else TraceCollector(log_capacity=333, seed=3)
+            )
+            for line in range(5):
+                collector.log.append(1000 + line)
+            return collector
+
+        coll = _assert_channel_identical(partly_filled)
+        assert coll.log.is_full
+        assert coll.log.entries()[:5].tolist() == [1000, 1001, 1002, 1003,
+                                                   1004]
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -430,26 +461,54 @@ class TestObservedRollback:
             accesses=20_000,
         )
 
-    def test_faulty_collector_keeps_rollback_path(self):
-        """The fault wrapper is not a stock collector: it still runs
-        through the event buffer + rollback protocol, bit-identically."""
+    def test_faulted_probe_takes_scalar_reference(self, monkeypatch):
+        """The fault wrapper is not a channel C models: its probe runs
+        the scalar drive (one observer fallback, native accesses for the
+        warmup only) and equals the REPRO_NATIVE=0 probe exactly."""
         plan = FaultPlan.parse("all", seed=3)
+        online = OnlineProbeConfig()
+        runs = {}
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_NATIVE", flag)
+            telemetry = Telemetry.in_memory()
+            with use_telemetry(telemetry):
+                probe = collect_trace(make_workload("mcf", MACHINE), MACHINE,
+                                      online, fault_plan=plan)
+            runs[flag] = (probe, RunReport.from_telemetry(telemetry))
+        (native_probe, report), (py_probe, _) = runs["1"], runs["0"]
+        assert report.counter_by_label(
+            "sim.batch_fallbacks", "reason") == {"observer": 1}
+        assert report.counter_by_label("sim.batch_accesses", "engine") == {
+            "native": online.resolved_warmup(MACHINE),
+            "scalar": native_probe.accesses_executed,
+        }
+        assert _plain(native_probe.probe) == _plain(py_probe.probe)
+        assert native_probe.accesses_executed == py_probe.accesses_executed
+        assert native_probe.quality == py_probe.quality
+        assert native_probe.injection.summary() == py_probe.injection.summary()
+        assert native_probe.injection.corrupted_entries > 0
 
-        def make():
-            return FaultyTraceCollector(
-                TraceCollector(log_capacity=300, seed=5), plan, salt="mcf")
+    @pytest.mark.parametrize("route", ["native-real", "native-ideal",
+                                       "kill-switch", "faulted"])
+    def test_one_log_format(self, monkeypatch, route):
+        """Every collector hands over its log as one contiguous int64
+        array, and the native run's equals the scalar reference's element
+        for element."""
+        online = OnlineProbeConfig(use_ideal_pmu=route == "native-ideal")
+        plan = FaultPlan.parse("all", seed=3) if route == "faulted" else None
 
-        executed_s, coll_s, state_s = _observed_run(MACHINE, drive, make)
-        executed_b, coll_b, state_b = _observed_run(MACHINE, drive_batch, make)
-        assert coll_b.inner.channel_engine == "python"
-        assert executed_s == executed_b
-        assert _channel_state(coll_s.inner) == _channel_state(coll_b.inner)
-        assert coll_s._rng.getstate() == coll_b._rng.getstate()
-        assert coll_s.report.summary() == coll_b.report.summary()
-        assert coll_b.report.corrupted_entries > 0
-        assert dataclasses.asdict(coll_s.finish()) == dataclasses.asdict(
-            coll_b.finish())
-        assert state_s == state_b
+        def entries(flag):
+            monkeypatch.setenv("REPRO_NATIVE", flag)
+            return collect_trace(make_workload("mcf", MACHINE), MACHINE,
+                                 online, fault_plan=plan).probe.entries
+
+        flag = "0" if route == "kill-switch" else "1"
+        logged = entries(flag)
+        other = entries("1" if flag == "0" else "0")
+        for log in (logged, other):
+            assert isinstance(log, np.ndarray)
+            assert log.dtype == np.int64 and log.flags.c_contiguous
+        assert np.array_equal(logged, other)
 
     @pytest.mark.parametrize("use_ideal_pmu", [False, True])
     def test_collect_trace_matches_kill_switch(self, monkeypatch,
@@ -470,8 +529,7 @@ class TestObservedRollback:
             runs["1"], runs["0"])
         assert native_channel == {"native": 1}
         assert py_channel == {"python": 1}
-        assert dataclasses.asdict(native_probe.probe) == dataclasses.asdict(
-            py_probe.probe)
+        assert _plain(native_probe.probe) == _plain(py_probe.probe)
         assert native_probe.accesses_executed == py_probe.accesses_executed
         assert native_probe.log_filled == py_probe.log_filled
         assert native_probe.quality == py_probe.quality
