@@ -286,6 +286,13 @@ class RunReport:
                 for engine, count in sorted(channels.items())
             )
             out(f"pmu channel engine: {detail}")
+        copybacks = self.counter_by_label("sim.native_copybacks", "reason")
+        why = ", ".join(
+            f"{reason}={count}" for reason, count in sorted(copybacks.items())
+        )
+        out(f"native state: adopted "
+            f"{self.counter_total('sim.native_adopts')}, copied back "
+            f"{sum(copybacks.values())}{f' ({why})' if why else ''}")
         out("")
         out("per-stage cost breakdown (paper Table 2 structure):")
         out(f"  {'stage':<20} {'count':>7} {'total ms':>12} "

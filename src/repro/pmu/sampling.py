@@ -193,7 +193,7 @@ class TraceCollector(BatchEventConsumer):
         self.exceptions = 0
         #: Which engine ran the channel model: "python" (this class's
         #: per-event methods) or "native" (set when the compiled engine
-        #: collected, see repro.sim.native.NativeSession).
+        #: collected, see repro.sim.native.TraceChannel).
         self.channel_engine = "python"
 
     @property

@@ -20,7 +20,7 @@ class TraceLog:
     capacity; the first ``len(log)`` slots are filled.  The scalar
     collectors :meth:`append` one entry at a time, and the native trace
     channel writes straight into the free tail of the same buffer (see
-    :class:`repro.sim.native.NativeSession`).
+    :class:`repro.sim.native.TraceChannel`).
     """
 
     def __init__(self, capacity: int):

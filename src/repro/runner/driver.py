@@ -90,9 +90,14 @@ class Process:
         # Set by the batch engine when it adopts this process's stream;
         # scalar step() keeps working through it (see repro.sim.fastsim).
         self._fastsim_source = None
+        # The native engine's session while it holds this process's
+        # state (repro.sim.native.NativeSession).
+        self._native = None
 
     def step(self, hierarchy: MemoryHierarchy) -> AccessResult:
         """Execute one access (plus its surrounding instructions)."""
+        if self._native is not None:
+            self._native.materialize("step")
         stream = self._stream
         if stream is None:
             stream = self._stream = self.workload.accesses(self._seed_offset)

@@ -13,14 +13,17 @@ native
     straight into the collector's buffer.  It covers LRU L1D/L2/L3
     geometry with prefetch depth up to 64, no observer or a stock
     collector's ``observe``, and a stop predicate that is absent or a
-    :class:`CollectorStop` over that collector.
+    :class:`CollectorStop` over that collector.  The machine's state
+    stays in C from one drive to the next (its
+    :class:`~repro.sim.native.NativeSession`).
 
 scalar
     Anything else -- a non-LRU cache, a deeper prefetcher, no C compiler
     or ``REPRO_NATIVE=0``, an observer C does not model (the
-    fault-injecting wrapper, a plain callable) or an opaque stop -- runs
-    the scalar :func:`~repro.runner.driver.drive` unchanged and counts
-    ``sim.batch_fallbacks{reason}``.
+    fault-injecting wrapper, a plain callable) or an opaque stop -- first
+    copies a live session's state back (``sim.native_copybacks{reason}``),
+    then runs the scalar :func:`~repro.runner.driver.drive` unchanged and
+    counts ``sim.batch_fallbacks{reason}``.
 
 Either way ``sim.batch_accesses{engine}`` records which engine ran.  All
 native drives consume the process's one logical access stream through a
@@ -234,7 +237,7 @@ def _drive_native(
     slab_size: int,
     channel=None,
 ) -> Tuple[int, int]:
-    """Solo drive on the compiled C engine.
+    """Solo drive on the compiled C engine, in the machine's session.
 
     ``channel`` is the observing collector, or None for an unobserved
     drive.  C applies every access to its trace channel and, under a
@@ -245,17 +248,18 @@ def _drive_native(
     """
     from repro.sim import native as _native
 
-    session = _native.NativeSession(
-        hierarchy, [process], channel=channel,
-        stop_on_full=channel is not None and stop is not None,
-    )
-    proc = session.procs[0]
+    session, slots = _native.enter(hierarchy, (process,))
+    slot = slots[0]
+    proc = session.proc(slot)
+    trace = None
     executed = 0
     chunks = 0
     limit = num_accesses
-    session.adopt()
     try:
-        if channel is None and stop is not None and stop():
+        if channel is not None:
+            trace = _native.TraceChannel(channel,
+                                         stop_on_full=stop is not None)
+        elif stop is not None and stop():
             # Scalar parity: the per-access loop executes one access and
             # only then consults the predicate, so a predicate that is
             # already true still consumes exactly one access.  (Without
@@ -263,14 +267,14 @@ def _drive_native(
             # the C channel checks its own log after every access.)
             limit = 1
         while executed < limit:
-            if session.chunk_remaining(0) == 0:
+            if session.chunk_remaining(slot) == 0:
                 vaddrs, stores = source.take(
                     min(slab_size, limit - executed)
                 )
                 chunks += 1
-                session.set_chunk(0, vaddrs, stores)
+                session.set_chunk(slot, vaddrs, stores)
             quota = limit - executed
-            ran = session.run_solo(0, quota)
+            ran = session.run_solo(slot, quota, trace)
             executed += ran
             if ran == quota:
                 break
@@ -278,9 +282,11 @@ def _drive_native(
             if reason == _native.STOP_LOG_FULL:
                 break
             if reason != _native.STOP_REFILL:
-                session.grow(0, reason)
+                session.grow(slot, reason)
     finally:
-        session.commit()
+        session.leave(hierarchy, (process,), slots)
+        if trace is not None:
+            trace.commit()
     return executed, chunks
 
 
@@ -290,46 +296,48 @@ class NativeCorun:
     Replaces the per-access heap loop of ``runner.corun``'s quota legs
     with :func:`repro_corun`, which repeatedly steps the process with
     the lowest (cycles, index) key -- the exact argmin order the heap
-    produces -- until some process completes its quota.  Legs commit on
-    return, so warmup resets and scalar interleaving see live state.
+    produces -- until some process completes its quota.  Each leg runs
+    in the machine's native session, so the heavy state stays in C from
+    one leg to the next; a leg copies back only the counters and clocks
+    that warmup resets and the IPC accounting read.
     """
 
     def __init__(self, processes, hierarchy: MemoryHierarchy,
                  slab_size: int = DEFAULT_SLAB):
-        from repro.sim import native as _native
-
-        self._native = _native
         self.processes = list(processes)
+        self.hierarchy = hierarchy
         self.slab_size = slab_size
         self.sources = [_source_for(p) for p in self.processes]
-        self.session = _native.NativeSession(hierarchy, self.processes)
 
     def run_until(self, start, target_extra: int) -> bool:
         """Run every process until one has executed ``target_extra``
         accesses beyond its entry in ``start``.  Always returns True
         (the leg completed).
         """
-        native = self._native
-        session = self.session
-        session.adopt()
+        from repro.sim import native
+
+        session, slots = native.enter(self.hierarchy, self.processes)
         try:
             while True:
                 finisher, reason, proc = session.run_corun(
-                    start, target_extra
+                    slots, start, target_extra
                 )
                 if finisher >= 0:
                     return True
+                slot = slots[proc]
                 if reason == native.STOP_REFILL:
                     # Refill with at most what this leg can still consume.
-                    left = target_extra - (session.accesses(proc) - start[proc])
+                    left = target_extra - (
+                        session.proc(slot).accesses - start[proc]
+                    )
                     vaddrs, stores = self.sources[proc].take(
                         min(self.slab_size, left)
                     )
-                    session.set_chunk(proc, vaddrs, stores)
+                    session.set_chunk(slot, vaddrs, stores)
                 else:
-                    session.grow(proc, reason)
+                    session.grow(slot, reason)
         finally:
-            session.commit()
+            session.leave(self.hierarchy, self.processes, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +368,10 @@ def drive_batch(
     if reason is not None:
         from repro.runner.driver import drive
 
+        # The scalar loop needs the machine's state back in Python.
+        for owner in (hierarchy, process):
+            if owner._native is not None:
+                owner._native.materialize(reason)
         engine = "scalar"
         chunks = 0
         executed = drive(process, hierarchy, num_accesses,

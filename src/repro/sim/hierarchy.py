@@ -161,6 +161,10 @@ class MemoryHierarchy:
         # demand hit on a prefetched line can be distinguished (these are
         # the accesses the PMU never sees, Section 5.2.7).
         self._prefetched_l1: List[set] = [set() for _ in range(num_cores)]
+        # The native engine's session while it holds this machine's cache
+        # sets (repro.sim.native.NativeSession); every method below that
+        # touches them hands them back first.
+        self._native = None
 
     # -- counters ------------------------------------------------------------
 
@@ -226,6 +230,8 @@ class MemoryHierarchy:
         is_ifetch: bool = False,
     ) -> AccessResult:
         """Perform one demand access to physical ``line`` from ``core``."""
+        if self._native is not None:
+            self._native.materialize("access")
         counters = self.counters[core]
         result = AccessResult(core=core, line=line, is_store=is_store, is_ifetch=is_ifetch)
 
@@ -294,6 +300,8 @@ class MemoryHierarchy:
         """Install a prefetched line into the L2 (and optionally the
         core's L1D).  An L2-only install hides the would-be L2 miss but
         leaves the later demand L1 miss visible to the PMU."""
+        if self._native is not None:
+            self._native.materialize("prefetch_fill")
         if not self.l2.probe(line):
             victim = self.l2.fill(line)
             if victim is not None:
@@ -323,12 +331,16 @@ class MemoryHierarchy:
         measurement boundary: drop tracked lines the L1 has since
         evicted so no pre-flush install can be reported afterwards.
         """
+        if self._native is not None:
+            self._native.materialize("flush_l2")
         self.l2.flush()
         for core in range(self.num_cores):
             resident = set(self.l1d[core].resident_lines())
             self._prefetched_l1[core].intersection_update(resident)
 
     def flush_all(self) -> None:
+        if self._native is not None:
+            self._native.materialize("flush_all")
         for cache in self.l1d + self.l1i:
             cache.flush()
         self.l2.flush()

@@ -82,11 +82,18 @@ class PageAllocator:
         # in place so holders' references stay valid.
         self.translation_epoch = 0
         self._line_cache: Dict[int, Dict[int, int]] = {}
+        # The native engine's session while it holds page tables, line
+        # caches, cursors, frame counters and migration debt
+        # (repro.sim.native.NativeSession); every method below that
+        # touches them hands them back first.
+        self._native = None
 
     # -- policy -------------------------------------------------------------
 
     def set_colors(self, process: int, colors: Iterable[int]) -> None:
         """Restrict ``process`` to the given partition colors."""
+        if self._native is not None:
+            self._native.materialize("set_colors")
         allowed = sorted(set(colors))
         if not allowed:
             raise ValueError("a process needs at least one color")
@@ -107,6 +114,8 @@ class PageAllocator:
     def translate(self, process: int, vaddr: int) -> int:
         """Translate a virtual byte address to a physical byte address,
         allocating a frame on first touch."""
+        if self._native is not None:
+            self._native.materialize("translate")
         page_size = self.machine.page_size
         vpage, offset = divmod(vaddr, page_size)
         frame = self._frame_for(process, vpage)
@@ -124,6 +133,8 @@ class PageAllocator:
         until :meth:`bump_translation_epoch` clears them (in place, so a
         held reference never goes stale).
         """
+        if self._native is not None:
+            self._native.materialize("line_cache")
         cache = self._line_cache.get(process)
         if cache is None:
             cache = self._line_cache[process] = {}
@@ -136,6 +147,8 @@ class PageAllocator:
         :meth:`_frame_for`, so allocation round-robin order and lazy
         migration debt behave exactly as per-access translation.
         """
+        if self._native is not None:
+            self._native.materialize("translate_page_lines")
         cache = self.line_cache(process)
         base = cache.get(vpage)
         if base is None:
@@ -147,6 +160,8 @@ class PageAllocator:
 
     def bump_translation_epoch(self) -> None:
         """Invalidate all per-process line caches (mappings changed)."""
+        if self._native is not None:
+            self._native.materialize("bump_translation_epoch")
         self.translation_epoch += 1
         for cache in self._line_cache.values():
             cache.clear()
@@ -173,6 +188,8 @@ class PageAllocator:
     def take_migration_debt(self, process: int) -> int:
         """Collect (and clear) cycles owed for lazy migrations performed
         since the last call -- the caller charges them to the process."""
+        if self._native is not None:
+            self._native.materialize("take_migration_debt")
         return self._migration_debt.pop(process, 0)
 
     def _allocate(self, process: int) -> int:
@@ -197,6 +214,8 @@ class PageAllocator:
         :meth:`take_migration_debt` -- on its next touch, so cold pages
         (a streaming application's history) cost nothing.
         """
+        if self._native is not None:
+            self._native.materialize("resize")
         new_allowed = sorted(set(new_colors))
         self.set_colors(process, new_allowed)
         allowed_set = set(new_allowed)
@@ -225,10 +244,14 @@ class PageAllocator:
     # -- introspection ----------------------------------------------------------
 
     def resident_pages(self, process: int) -> int:
+        if self._native is not None:
+            self._native.materialize("resident_pages")
         return sum(1 for (proc, _v) in self._page_table if proc == process)
 
     def footprint_colors(self, process: int) -> Dict[int, int]:
         """Histogram of the process's frames by color (for tests)."""
+        if self._native is not None:
+            self._native.materialize("footprint_colors")
         hist: Dict[int, int] = {}
         for (proc, _v), frame in self._page_table.items():
             if proc != process:

@@ -9,12 +9,16 @@ other half of the contract:
   use, keyed by a hash of the source (so edits invalidate the cache),
   and load it through ctypes.  No compiler, no native engine -- callers
   fall back to the scalar driver.
-- **marshal**: :class:`NativeSession` adopts the live Python objects
-  (caches, counters, allocator slices, prefetcher streams, the CPython
-  MT19937 state) into C-visible arrays, and commits the advanced state
-  back so scalar and batched execution interleave seamlessly.  A trace
-  collector's log is the exception: C appends to its int64 buffer in
-  place, and commit only advances the log's length.
+- **marshal**: :class:`NativeSession` adopts a machine's live Python
+  objects (caches, counters, allocator slices, prefetcher streams, the
+  CPython MT19937 state) into C-visible arrays on the machine's first
+  native run and keeps them there for the machine's life.  Later drives
+  and co-run legs reuse them and copy only a few dozen scalar fields
+  (counters, statistics, clocks) at each run boundary; a Python path
+  that needs the rest calls :meth:`NativeSession.materialize`, which
+  copies it back and drops the session.  A trace collector is bound per
+  drive (:class:`TraceChannel`): C appends to its int64 buffer in place,
+  and commit only advances the log's length.
 - **generate**: :class:`MTStream` holds one workload stream's MT19937
   state in a C-visible buffer for the fill kernels (``random()``
   doubles and ``_randbelow``) behind
@@ -28,10 +32,10 @@ other half of the contract:
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
 entirely (every drive then runs the scalar reference, every generator
-its Python draws).  That is silent;
-a native engine that is wanted but cannot be
-built (no compiler, failed compile) warns once per process and counts
-``sim.native_unavailable{reason}`` on every lookup that falls back.
+its Python draws).  That is silent; a native engine that is wanted but
+cannot be built (no compiler, failed compile) warns once per process
+and counts ``sim.native_unavailable{reason}`` on every lookup that
+falls back.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import os
 import subprocess
 import tempfile
 import warnings
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +57,9 @@ from repro.obs import get_telemetry
 __all__ = [
     "MTStream",
     "NativeSession",
+    "TraceChannel",
     "channel_kind",
+    "enter",
     "native_lib",
     "native_available",
     "STOP_NONE",
@@ -374,21 +381,28 @@ def _ht_fill(
     vals: Optional[Sequence[int]],
     cap: int,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Open-addressing table layout identical to C ``map_put`` order."""
-    mask = cap - 1
-    tk = [HT_EMPTY] * cap
-    tv = [0] * cap if vals is not None else None
-    for index, key in enumerate(keys):
-        h = (key * _HASH_MULT) & _M64
-        h ^= h >> 29
-        slot = h & mask
-        while tk[slot] != HT_EMPTY:
-            slot = (slot + 1) & mask
-        tk[slot] = key
-        if tv is not None:
-            tv[slot] = vals[index]
-    keys_arr = np.array(tk, dtype=np.int64)
-    vals_arr = np.array(tv, dtype=np.int64) if tv is not None else None
+    """Open-addressing table layout identical to C ``map_put`` order.
+
+    The hashes are computed as one array; only the linear-probe walk
+    runs per key, so an empty table costs two array fills.
+    """
+    keys_arr = np.full(cap, HT_EMPTY, dtype=np.int64)
+    vals_arr = np.zeros(cap, dtype=np.int64) if vals is not None else None
+    if len(keys):
+        mask = cap - 1
+        h = np.asarray(keys, dtype=np.int64).view(np.uint64)
+        h = h * np.uint64(_HASH_MULT)
+        h ^= h >> np.uint64(29)
+        slots: List[int] = []
+        taken = set()
+        for slot in (h & np.uint64(mask)).tolist():
+            while slot in taken:
+                slot = (slot + 1) & mask
+            taken.add(slot)
+            slots.append(slot)
+        keys_arr[slots] = keys
+        if vals_arr is not None:
+            vals_arr[slots] = vals
     return keys_arr, vals_arr
 
 
@@ -421,20 +435,19 @@ def _bind_map(
 # RNG marshalling (CPython random.Random <-> C MT19937)
 # ---------------------------------------------------------------------------
 
-def _bind_mt(struct: _NMt, rng) -> Tuple[np.ndarray, tuple]:
+def _bind_mt(struct: _NMt, rng) -> Tuple[array.array, tuple]:
     """Adopt ``rng``'s key words and position; returns the key array and
     the ``(version, gauss_next)`` pair :func:`_commit_mt` needs back."""
     version, internal, gauss_next = rng.getstate()
-    key = np.array(internal[:624], dtype=np.uint32)
-    struct.key = key.ctypes.data_as(P_u32)
+    key = array.array("I", internal[:624])
+    struct.key = ctypes.cast(key.buffer_info()[0], P_u32)
     struct.pos = internal[624]
     return key, (version, gauss_next)
 
 
-def _commit_mt(struct: _NMt, key: np.ndarray, extra: tuple, rng) -> None:
+def _commit_mt(struct: _NMt, key: array.array, extra: tuple, rng) -> None:
     version, gauss_next = extra
-    rng.setstate((version, tuple(key.tolist()) + (int(struct.pos),),
-                  gauss_next))
+    rng.setstate((version, (*key, int(struct.pos)), gauss_next))
 
 
 # ---------------------------------------------------------------------------
@@ -442,35 +455,34 @@ def _commit_mt(struct: _NMt, key: np.ndarray, extra: tuple, rng) -> None:
 # ---------------------------------------------------------------------------
 
 def _bind_cache(struct: _NCache, cache) -> Dict[str, np.ndarray]:
-    """Adopt a SetAssociativeCache: per-set way arrays in recency order
-    (oldest first), matching OrderedDict iteration order."""
+    """Adopt a SetAssociativeCache's sets: per-set way arrays in recency
+    order (oldest first), matching OrderedDict iteration order.  An
+    empty cache -- every fresh machine -- is two zero arrays."""
     nsets = cache.config.num_sets
     assoc = cache.config.associativity
-    ways = [0] * (nsets * assoc)
-    occ = [0] * nsets
-    for index, bucket in enumerate(cache._sets):
-        base = index * assoc
-        j = 0
-        for line in bucket:
-            ways[base + j] = line
-            j += 1
-        occ[index] = j
-    ways_arr = np.array(ways, dtype=np.int64)
-    occ_arr = np.array(occ, dtype=np.int64)
-    stats = cache.stats
+    sets = cache._sets
+    if any(sets):
+        ways = [0] * (nsets * assoc)
+        occ = [0] * nsets
+        for index, bucket in enumerate(sets):
+            if bucket:
+                base = index * assoc
+                ways[base:base + len(bucket)] = bucket
+                occ[index] = len(bucket)
+        ways_arr = np.array(ways, dtype=np.int64)
+        occ_arr = np.array(occ, dtype=np.int64)
+    else:
+        ways_arr = np.zeros(nsets * assoc, dtype=np.int64)
+        occ_arr = np.zeros(nsets, dtype=np.int64)
     struct.nsets = nsets
     struct.assoc = assoc
     struct.ways = ways_arr.ctypes.data_as(P_i64)
     struct.occ = occ_arr.ctypes.data_as(P_i64)
-    struct.accesses = stats.accesses
-    struct.hits = stats.hits
-    struct.evictions = stats.evictions
-    struct.fills = stats.fills
     return {"ways": ways_arr, "occ": occ_arr}
 
 
-def _commit_cache(struct: _NCache, arrs: Dict[str, np.ndarray], cache) -> None:
-    assoc = struct.assoc
+def _commit_cache(arrs: Dict[str, np.ndarray], cache) -> None:
+    assoc = cache.config.associativity
     ways = arrs["ways"].tolist()
     occ = arrs["occ"].tolist()
     for index, bucket in enumerate(cache._sets):
@@ -478,7 +490,16 @@ def _commit_cache(struct: _NCache, arrs: Dict[str, np.ndarray], cache) -> None:
         base = index * assoc
         for j in range(occ[index]):
             bucket[ways[base + j]] = None
-    stats = cache.stats
+
+
+def _load_stats(struct: _NCache, stats) -> None:
+    struct.accesses = stats.accesses
+    struct.hits = stats.hits
+    struct.evictions = stats.evictions
+    struct.fills = stats.fills
+
+
+def _store_stats(struct: _NCache, stats) -> None:
     stats.accesses = struct.accesses
     stats.hits = struct.hits
     stats.evictions = struct.evictions
@@ -486,68 +507,186 @@ def _commit_cache(struct: _NCache, arrs: Dict[str, np.ndarray], cache) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The session: adopt / run / grow / commit
+# The trace channel: adopted and committed per observed drive
 # ---------------------------------------------------------------------------
 
-class NativeSession:
-    """One adopted (hierarchy, allocator, processes) triple.
+class TraceChannel:
+    """A stock collector's PMU model bound to C for one drive.
 
-    Lifecycle: construct, :meth:`adopt`, feed chunks + run, then
-    :meth:`commit`.  Between adopt and commit the C-side arrays are the
-    single source of truth for everything they cover; nothing else may
-    touch the hierarchy, allocator, prefetchers or RNGs.
-
-    ``channel`` optionally binds a trace collector accepted by
-    :func:`channel_kind` to solo runs: C applies every access to it,
-    appending to its log's buffer in place, and, with ``stop_on_full``,
-    stops right after the access that fills the log (``STOP_LOG_FULL``).
-    The collector is adopted and committed with the rest of the state.
+    C applies every access of the drive to it, appending to the log's
+    int64 buffer in place and, with ``stop_on_full``, stopping right
+    after the access that fills the log (``STOP_LOG_FULL``).
+    :meth:`commit` advances the log's length and folds back the
+    collector's counters, SDAR/PMC state and RNG.
     """
 
-    def __init__(self, hierarchy, processes: Sequence, lib=None,
-                 channel=None, stop_on_full: bool = False):
-        self.lib = lib if lib is not None else native_lib()
+    def __init__(self, collector, stop_on_full: bool):
+        kind = channel_kind(collector)
+        if kind is None:
+            raise ValueError(
+                f"{type(collector).__name__} has no native trace channel"
+            )
+        self.collector = collector
+        self.steps = 0   # accesses the C channel observed
+        u = self.pmu = _NPmu()
+        u.kind = kind
+        u.stop_on_full = 1 if stop_on_full else 0
+        log = collector.log
+        # C appends right after the entries already logged.
+        u.log = log.buffer[len(log):].ctypes.data_as(P_i64)
+        u.log_cap = log.capacity - len(log)
+        u.log_n = 0
+        u.l1d_misses = collector.l1d_misses
+        u.dropped = collector.dropped_events
+        u.stale = collector.stale_entries
+        u.exceptions = collector.exceptions
+        if kind == PMU_IDEAL:
+            u.since_miss = -1
+            u.buffer_entries = collector.buffer_entries
+            u.record_prefetches = 1 if collector.record_prefetches else 0
+            u.buffered = collector._buffered
+            return
+        value = collector.sdar.read()
+        u.sdar_valid = 0 if value is None else 1
+        u.sdar_value = 0 if value is None else value
+        u.sdar_updates = collector.sdar.updates
+        u.pmc_total = collector.pmc.total
+        since = collector._accesses_since_miss
+        u.since_miss = -1 if since is None else since
+        u.inflight_window = collector.inflight_window
+        u.drop_p = collector.drop_probability
+        u.dual_lsu = 1 if collector.issue_mode.dual_lsu else 0
+        u.stale_on_prefetch = (
+            1 if collector.pmu_model.prefetch_raises_stale_entry else 0
+        )
+        self._mt, self._gauss = _bind_mt(u.mt, collector._rng)
+
+    def commit(self) -> None:
+        collector = self.collector
+        u = self.pmu
+        collector.log._length += u.log_n
+        collector.l1d_misses = u.l1d_misses
+        collector.dropped_events = u.dropped
+        collector.stale_entries = u.stale
+        collector.exceptions = u.exceptions
+        if self.steps:
+            collector.channel_engine = "native"
+        if u.kind == PMU_IDEAL:
+            collector._buffered = u.buffered
+            return
+        sdar = collector.sdar
+        sdar._value = u.sdar_value if u.sdar_valid else None
+        sdar.updates = u.sdar_updates
+        pmc = collector.pmc
+        if u.pmc_total != pmc.total:
+            # Threshold one: every count overflowed and was taken at once.
+            pmc.total = u.pmc_total
+            pmc._since_overflow = 0
+            pmc._pending = False
+        collector._accesses_since_miss = (
+            None if u.since_miss < 0 else u.since_miss
+        )
+        _commit_mt(u.mt, self._mt, self._gauss, collector._rng)
+
+
+# ---------------------------------------------------------------------------
+# The session: one per machine, alive until Python needs the state back
+# ---------------------------------------------------------------------------
+
+class _Slot:
+    """One adopted process: who it is, its C state, and the arrays and
+    Python objects that state mirrors (none of which refers back to the
+    process)."""
+
+    __slots__ = ("process", "pid", "core", "proc", "arrs", "chunk",
+                 "gauss", "tlb", "prefetcher", "rng")
+
+    def __init__(self, process):
+        self.process = weakref.ref(process)
+        self.proc = _NProc()
+        self.pid = process.pid
+        self.core = process.core
+        self.arrs: Dict[str, object] = {}
+        self.chunk: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.gauss: tuple = ()
+        self.tlb = process._tlb
+        self.prefetcher = process.prefetcher
+        self.rng = process._pf_rng
+
+
+def enter(hierarchy, processes: Sequence) -> Tuple["NativeSession", List[int]]:
+    """The machine's live session with every process in ``processes``
+    adopted, and their scalar state copied in.
+
+    Returns ``(session, slots)``: ``slots[i]`` is the session's index
+    for ``processes[i]``.  Reuses the hierarchy's session, adopting the
+    machine first when it has none.  A process adopted by another
+    machine's session, or one that clashes with this one (another
+    allocator, or a pid or core an adopted process holds), first has
+    the old state handed back (``rebind``).  Pair every call with
+    :meth:`NativeSession.leave`.
+    """
+    session = hierarchy._native
+    for process in processes:
+        for owner in (process, process.allocator):
+            other = owner._native
+            if other is not None and other is not session:
+                other.materialize("rebind")
+        if session is not None and session._clashes(process):
+            session.materialize("rebind")
+            session = None
+    if session is None:
+        session = NativeSession(hierarchy, processes[0].allocator)
+    slots = [session._slot_of(process) for process in processes]
+    session._load_scalars(hierarchy, processes, slots)
+    return session, slots
+
+
+class NativeSession:
+    """One machine's (hierarchy, allocator, processes) state in C.
+
+    Created by :func:`enter` on the machine's first native run and kept
+    on ``hierarchy._native`` for as long as the machine lives; each
+    process is adopted the first time it runs natively.  While the
+    session is live, C arrays are the only copy of the *heavy* state:
+    cache sets, the TLB, page-table and stale maps, the prefetched-L1
+    sets, prefetcher streams and RNGs, allocator frame counters, cursors
+    and migration debt, and the bound chunk tail.  *Scalar* state --
+    core counters, cache and L3 statistics, process clocks, lazy
+    migrations -- is copied in by :func:`enter` and out by
+    :meth:`leave`, so Python may read and reset it between runs.
+
+    Every Python path that touches heavy state (``Process.step``,
+    ``MemoryHierarchy.access``/``prefetch_fill``/flushes, the
+    allocator's page-table and colour methods, a scalar fallback) first
+    calls :meth:`materialize`, which copies it back and drops the
+    session.  The session holds only weak references to the hierarchy,
+    allocator and processes, which hold it: dropping the machine frees
+    its C arrays with no garbage collection.
+    """
+
+    def __init__(self, hierarchy, allocator):
+        self.lib = native_lib()
         if self.lib is None:
             raise RuntimeError("native engine unavailable")
-        self.hierarchy = hierarchy
-        self.processes = list(processes)
-        self.allocator = self.processes[0].allocator
+        self._hierarchy = weakref.ref(hierarchy)
+        self._allocator = weakref.ref(allocator)
         self.sh = _NShared()
-        self.procs = [_NProc() for _ in self.processes]
-        self._proc_ptrs = (ctypes.POINTER(_NProc) * len(self.procs))(
-            *[ctypes.pointer(p) for p in self.procs]
-        )
+        self._slots: List[_Slot] = []
         self._sh_arrs: Dict[str, np.ndarray] = {}
-        self._proc_arrs: List[Dict[str, object]] = [
-            {} for _ in self.processes
-        ]
-        self._chunks: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [
-            None for _ in self.processes
-        ]
-        self._gauss: List[object] = [None for _ in self.processes]
-        self.channel = channel
-        self.pmu: Optional[_NPmu] = None
-        if channel is not None:
-            kind = channel_kind(channel)
-            if kind is None:
-                raise ValueError(
-                    f"{type(channel).__name__} has no native trace channel"
-                )
-            self.pmu = _NPmu()
-            self.pmu.kind = kind
-            self.pmu.stop_on_full = 1 if stop_on_full else 0
-        self._pmu_arrs: Dict[str, object] = {}
-        self._channel_steps = 0   # accesses the C channel observed
-        self._adopted = False
+        self._corun_ptrs: Dict[Tuple[int, ...], object] = {}
+        self._adopt_shared(hierarchy, allocator)
+        hierarchy._native = self
+        allocator._native = self
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.registry.counter("sim.native_adopts").inc()
 
     # -- adopt --------------------------------------------------------------
 
-    def adopt(self) -> None:
-        hierarchy = self.hierarchy
-        allocator = self.allocator
+    def _adopt_shared(self, hierarchy, allocator) -> None:
         machine = hierarchy.machine
         sh = self.sh
-
         self._sh_arrs["l2"] = _bind_cache(sh.l2, hierarchy.l2)
         l3 = hierarchy.l3
         sh.l3_enabled = 1 if (l3.enabled and l3._cache is not None) else 0
@@ -557,37 +696,50 @@ class NativeSession:
         else:
             sh.l3.nsets = 1
             sh.l3.assoc = 0
-        sh.l3_accesses = l3.stats.accesses
-        sh.l3_hits = l3.stats.hits
-        sh.l3_fills = l3.stats.fills
 
         mapper = allocator.mapper
         sh.pages_per_group = mapper._pages_per_group
         sh.pages_per_color = mapper._pages_per_color
         sh.migration_cost = allocator.migration_cost_cycles
-        nfoc = np.array(
-            [allocator._next_frame_of_color[c]
-             for c in range(machine.num_colors)],
-            dtype=np.int64,
+        nfoc = np.fromiter(
+            (allocator._next_frame_of_color[c]
+             for c in range(machine.num_colors)),
+            dtype=np.int64, count=machine.num_colors,
         )
         sh.next_frame_of_color = nfoc.ctypes.data_as(P_i64)
         self._sh_arrs["nfoc"] = nfoc
-        sh.lazy_migrations = allocator.lazy_migrations
         sh.stop_reason = STOP_NONE
         sh.stop_proc = -1
 
-        for index, process in enumerate(self.processes):
-            self._adopt_proc(index, process)
-        if self.pmu is not None:
-            self._adopt_channel()
-        self._adopted = True
+    def _clashes(self, process) -> bool:
+        """Whether ``process`` cannot join: it is not adopted, and it uses
+        another allocator or a pid or core an adopted process holds."""
+        if any(slot.process() is process for slot in self._slots):
+            return False
+        return (process.allocator is not self._allocator()
+                or any(slot.pid == process.pid or slot.core == process.core
+                       for slot in self._slots))
 
-    def _adopt_proc(self, index: int, process) -> None:
-        hierarchy = self.hierarchy
-        allocator = self.allocator
+    def _slot_of(self, process) -> int:
+        for index, slot in enumerate(self._slots):
+            if slot.process() is process:
+                return index
+        slot = _Slot(process)
+        self._adopt_proc(slot, process)
+        self._slots.append(slot)
+        process._native = self
+        return len(self._slots) - 1
+
+    def proc(self, index: int) -> _NProc:
+        """The C state of the process in slot ``index``."""
+        return self._slots[index].proc
+
+    def _adopt_proc(self, slot: _Slot, process) -> None:
+        hierarchy = self._hierarchy()
+        allocator = process.allocator
         machine = hierarchy.machine
-        p = self.procs[index]
-        arrs = self._proc_arrs[index]
+        p = slot.proc
+        arrs = slot.arrs
         core = process.core
         pid = process.pid
 
@@ -595,7 +747,6 @@ class NativeSession:
         p.stores = P_u8()
         p.pos = 0
         p.len = 0
-        self._chunks[index] = None
 
         p.line_size = process._line_size
         p.lines_per_page = process._lines_per_page
@@ -605,10 +756,6 @@ class NativeSession:
         p.pen_l3 = expose * machine.l3_latency
         p.pen_mem = expose * machine.memory_latency
         p.ipa = process._ipa
-
-        p.cycles = process.cycles
-        p.instructions = process.instructions
-        p.accesses = process.accesses
         p.debt_pending = allocator._migration_debt.pop(pid, 0)
 
         colors = np.array(allocator.colors_of(pid), dtype=np.int64)
@@ -617,7 +764,7 @@ class NativeSession:
         p.cursor = allocator._cursor.get(pid, 0)
         arrs["colors"] = colors
 
-        tlb = process._tlb
+        tlb = slot.tlb
         arrs["tlb"] = _bind_map(
             p.tlb, [_zigzag(vpage) for vpage in tlb], list(tlb.values()),
             max(4096, len(tlb)),
@@ -649,37 +796,24 @@ class NativeSession:
         pf.confirm_after = config.confirm_after
         pf.late_p = process._pf_late
         pf.install_p = process._pf_install
-        streams = process.prefetcher._streams
+        prefetcher = slot.prefetcher
+        streams = prefetcher._streams
         pf.count = len(streams)
-        pf.clock = process.prefetcher._clock
-        pf.issued = process.prefetcher.issued
+        pf.clock = prefetcher._clock
+        pf.issued = prefetcher.issued
         size = max(config.num_streams, 1)
-        pf_next = np.zeros(size, dtype=np.int64)
-        pf_hits = np.zeros(size, dtype=np.int64)
-        pf_conf = np.zeros(size, dtype=np.int64)
-        pf_last = np.zeros(size, dtype=np.int64)
+        pf_arrs = np.zeros((4, size), dtype=np.int64)
         for j, stream in enumerate(streams):
-            pf_next[j] = stream.next_line
-            pf_hits[j] = stream.hits
-            pf_conf[j] = 1 if stream.confirmed else 0
-            pf_last[j] = stream.last_use
+            pf_arrs[:, j] = (stream.next_line, stream.hits,
+                             1 if stream.confirmed else 0, stream.last_use)
+        pf_next, pf_hits, pf_conf, pf_last = pf_arrs
         pf.next_line = pf_next.ctypes.data_as(P_i64)
         pf.hits = pf_hits.ctypes.data_as(P_i64)
         pf.confirmed = pf_conf.ctypes.data_as(P_i64)
         pf.last_use = pf_last.ctypes.data_as(P_i64)
-        arrs["pf"] = (pf_next, pf_hits, pf_conf, pf_last)
+        arrs["pf"] = pf_arrs
 
-        arrs["mt"], self._gauss[index] = _bind_mt(p.mt, process._pf_rng)
-
-        counters = hierarchy.counters[core]
-        p.c_instructions = counters.instructions
-        p.c_loads = counters.loads
-        p.c_stores = counters.stores
-        p.c_l1d_misses = counters.l1d_misses
-        p.c_l2da = counters.l2_demand_accesses
-        p.c_l2dm = counters.l2_demand_misses
-        p.c_l3_hits = counters.l3_hits
-        p.c_mem = counters.memory_accesses
+        arrs["mt"], slot.gauss = _bind_mt(p.mt, slot.rng)
 
         arrs["l1"] = _bind_cache(p.l1, hierarchy.l1d[core])
 
@@ -691,211 +825,182 @@ class NativeSession:
         )
         p.stop_reason = STOP_NONE
 
-    # -- commit -------------------------------------------------------------
+    # -- scalar state: copied at every run boundary -------------------------
 
-    def commit(self) -> None:
-        if not self._adopted:
-            return
-        hierarchy = self.hierarchy
-        allocator = self.allocator
-        machine = hierarchy.machine
+    def _load_scalars(self, hierarchy, processes, slots) -> None:
         sh = self.sh
-
-        _commit_cache(sh.l2, self._sh_arrs["l2"], hierarchy.l2)
+        _load_stats(sh.l2, hierarchy.l2.stats)
         l3 = hierarchy.l3
         if sh.l3_enabled:
-            _commit_cache(sh.l3, self._sh_arrs["l3"], l3._cache)
+            _load_stats(sh.l3, l3._cache.stats)
+        sh.l3_accesses = l3.stats.accesses
+        sh.l3_hits = l3.stats.hits
+        sh.l3_fills = l3.stats.fills
+        sh.lazy_migrations = processes[0].allocator.lazy_migrations
+        for process, index in zip(processes, slots):
+            p = self._slots[index].proc
+            p.cycles = process.cycles
+            p.instructions = process.instructions
+            p.accesses = process.accesses
+            counters = hierarchy.counters[process.core]
+            p.c_instructions = counters.instructions
+            p.c_loads = counters.loads
+            p.c_stores = counters.stores
+            p.c_l1d_misses = counters.l1d_misses
+            p.c_l2da = counters.l2_demand_accesses
+            p.c_l2dm = counters.l2_demand_misses
+            p.c_l3_hits = counters.l3_hits
+            p.c_mem = counters.memory_accesses
+            _load_stats(p.l1, hierarchy.l1d[process.core].stats)
+
+    def leave(self, hierarchy, processes: Sequence,
+              slots: Sequence[int]) -> None:
+        """Copy the scalar state of a finished run back to Python."""
+        sh = self.sh
+        _store_stats(sh.l2, hierarchy.l2.stats)
+        l3 = hierarchy.l3
+        if sh.l3_enabled:
+            _store_stats(sh.l3, l3._cache.stats)
         l3.stats.accesses = sh.l3_accesses
         l3.stats.hits = sh.l3_hits
         l3.stats.fills = sh.l3_fills
+        processes[0].allocator.lazy_migrations = sh.lazy_migrations
+        for process, index in zip(processes, slots):
+            p = self._slots[index].proc
+            process.cycles = p.cycles
+            process.instructions = p.instructions
+            process.accesses = p.accesses
+            counters = hierarchy.counters[process.core]
+            counters.instructions = p.c_instructions
+            counters.loads = p.c_loads
+            counters.stores = p.c_stores
+            counters.l1d_misses = p.c_l1d_misses
+            counters.l2_demand_accesses = p.c_l2da
+            counters.l2_demand_misses = p.c_l2dm
+            counters.l3_hits = p.c_l3_hits
+            counters.memory_accesses = p.c_mem
+            _store_stats(p.l1, hierarchy.l1d[process.core].stats)
 
-        nfoc = self._sh_arrs["nfoc"].tolist()
-        for color in range(machine.num_colors):
-            allocator._next_frame_of_color[color] = nfoc[color]
-        allocator.lazy_migrations = sh.lazy_migrations
+    # -- materialize --------------------------------------------------------
 
-        for index, process in enumerate(self.processes):
-            self._commit_proc(index, process)
-        if self.pmu is not None:
-            self._commit_channel()
-        self._adopted = False
+    def materialize(self, reason: str) -> None:
+        """Copy the heavy state back into the Python objects and drop the
+        session (counted as ``sim.native_copybacks{reason}``).
 
-    # -- trace channel ------------------------------------------------------
+        Scalar state is already current in Python and is left alone.  The
+        next native run adopts the machine afresh.
+        """
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.registry.counter(
+                "sim.native_copybacks", reason=reason
+            ).inc()
+        hierarchy = self._hierarchy()
+        allocator = self._allocator()
+        if hierarchy is not None:
+            _commit_cache(self._sh_arrs["l2"], hierarchy.l2)
+            if self.sh.l3_enabled:
+                _commit_cache(self._sh_arrs["l3"], hierarchy.l3._cache)
+            if hierarchy._native is self:
+                hierarchy._native = None
+        if allocator is not None:
+            nfoc = self._sh_arrs["nfoc"].tolist()
+            for color, count in enumerate(nfoc):
+                allocator._next_frame_of_color[color] = count
+            if allocator._native is self:
+                allocator._native = None
+        for slot in self._slots:
+            self._commit_proc(slot, hierarchy, allocator)
+        self._slots = []
+        self._sh_arrs = {}
+        self._corun_ptrs = {}
 
-    def _adopt_channel(self) -> None:
-        collector = self.channel
-        u = self.pmu
-        log = collector.log
-        # C appends right after the entries already logged.
-        u.log = log.buffer[len(log):].ctypes.data_as(P_i64)
-        u.log_cap = log.capacity - len(log)
-        u.log_n = 0
-        u.l1d_misses = collector.l1d_misses
-        u.dropped = collector.dropped_events
-        u.stale = collector.stale_entries
-        u.exceptions = collector.exceptions
-        if u.kind == PMU_IDEAL:
-            u.since_miss = -1
-            u.buffer_entries = collector.buffer_entries
-            u.record_prefetches = 1 if collector.record_prefetches else 0
-            u.buffered = collector._buffered
-            return
-        value = collector.sdar.read()
-        u.sdar_valid = 0 if value is None else 1
-        u.sdar_value = 0 if value is None else value
-        u.sdar_updates = collector.sdar.updates
-        u.pmc_total = collector.pmc.total
-        since = collector._accesses_since_miss
-        u.since_miss = -1 if since is None else since
-        u.inflight_window = collector.inflight_window
-        u.drop_p = collector.drop_probability
-        u.dual_lsu = 1 if collector.issue_mode.dual_lsu else 0
-        u.stale_on_prefetch = (
-            1 if collector.pmu_model.prefetch_raises_stale_entry else 0
-        )
-        self._pmu_arrs["mt"], self._pmu_arrs["gauss"] = _bind_mt(
-            u.mt, collector._rng
-        )
-
-    def _commit_channel(self) -> None:
-        collector = self.channel
-        u = self.pmu
-        collector.log._length += u.log_n
-        collector.l1d_misses = u.l1d_misses
-        collector.dropped_events = u.dropped
-        collector.stale_entries = u.stale
-        collector.exceptions = u.exceptions
-        if self._channel_steps:
-            collector.channel_engine = "native"
-        if u.kind == PMU_IDEAL:
-            collector._buffered = u.buffered
-            return
-        sdar = collector.sdar
-        sdar._value = u.sdar_value if u.sdar_valid else None
-        sdar.updates = u.sdar_updates
-        pmc = collector.pmc
-        if u.pmc_total != pmc.total:
-            # Threshold one: every count overflowed and was taken at once.
-            pmc.total = u.pmc_total
-            pmc._since_overflow = 0
-            pmc._pending = False
-        collector._accesses_since_miss = (
-            None if u.since_miss < 0 else u.since_miss
-        )
-        arrs = self._pmu_arrs
-        _commit_mt(u.mt, arrs["mt"], arrs["gauss"], collector._rng)
-
-    def _commit_proc(self, index: int, process) -> None:
+    def _commit_proc(self, slot: _Slot, hierarchy, allocator) -> None:
         from repro.sim.prefetcher import _Stream
 
-        hierarchy = self.hierarchy
-        allocator = self.allocator
-        p = self.procs[index]
-        arrs = self._proc_arrs[index]
-        core = process.core
-        pid = process.pid
+        p = slot.proc
+        arrs = slot.arrs
+        pid = slot.pid
+        process = slot.process()
+        if process is not None:
+            if slot.chunk is not None and p.pos < p.len:
+                # The bound chunk tail goes back to the front of the
+                # stream, for the scalar steps that follow.
+                vaddrs, stores = slot.chunk
+                process._fastsim_source.push_back(
+                    vaddrs[p.pos:], stores[p.pos:]
+                )
+            if process._native is self:
+                process._native = None
 
-        self.push_back_chunk(index)
-
-        process.cycles = p.cycles
-        process.instructions = p.instructions
-        process.accesses = p.accesses
-        if p.debt_pending:
-            allocator._migration_debt[pid] = p.debt_pending
-        allocator._cursor[pid] = p.cursor
-
-        # New page-table entries and lazy migrations, in allocation
-        # order (dict insertion order matters for eager resize's
-        # round-robin walk).
-        log = arrs["newpages"][: p.newpages_len].tolist()
-        for at in range(0, len(log), 3):
-            vpage, frame, was_migration = log[at], log[at + 1], log[at + 2]
-            if was_migration:
-                allocator._stale.discard((pid, vpage))
-            allocator._page_table[(pid, vpage)] = frame
+        if allocator is not None:
+            if p.debt_pending:
+                allocator._migration_debt[pid] = p.debt_pending
+            allocator._cursor[pid] = p.cursor
+            # New page-table entries and lazy migrations, in allocation
+            # order (dict insertion order matters for eager resize's
+            # round-robin walk).
+            log = arrs["newpages"][: p.newpages_len].tolist()
+            for at in range(0, len(log), 3):
+                vpage, frame, was_migration = (
+                    log[at], log[at + 1], log[at + 2]
+                )
+                if was_migration:
+                    allocator._stale.discard((pid, vpage))
+                allocator._page_table[(pid, vpage)] = frame
 
         # The line cache can hold entries for pages that were already
-        # allocated before this run (fresh cache after an epoch bump),
+        # allocated before adoption (fresh cache after an epoch bump),
         # which the newpages log does not cover: sync the whole table.
         live = arrs["tlb"]["keys"] >= 0
-        tlb_keys = _unzigzag(arrs["tlb"]["keys"][live]).tolist()
-        tlb_vals = arrs["tlb"]["vals"][live].tolist()
-        cache = process._tlb
-        cache.clear()
-        cache.update(zip(tlb_keys, tlb_vals))
+        tlb = slot.tlb
+        tlb.clear()
+        tlb.update(zip(_unzigzag(arrs["tlb"]["keys"][live]).tolist(),
+                       arrs["tlb"]["vals"][live].tolist()))
 
-        streams = []
-        pf_next, pf_hits, pf_conf, pf_last = arrs["pf"]
-        for j in range(p.pf.count):
-            streams.append(_Stream(
-                next_line=int(pf_next[j]),
-                hits=int(pf_hits[j]),
-                confirmed=bool(pf_conf[j]),
-                last_use=int(pf_last[j]),
-            ))
-        process.prefetcher._streams = streams
-        process.prefetcher._clock = p.pf.clock
-        process.prefetcher.issued = p.pf.issued
+        prefetcher = slot.prefetcher
+        prefetcher._streams = [
+            _Stream(next_line=next_line, hits=hits,
+                    confirmed=bool(confirmed), last_use=last_use)
+            for next_line, hits, confirmed, last_use in
+            arrs["pf"][:, : p.pf.count].T.tolist()
+        ]
+        prefetcher._clock = p.pf.clock
+        prefetcher.issued = p.pf.issued
+        _commit_mt(p.mt, arrs["mt"], slot.gauss, slot.rng)
 
-        _commit_mt(p.mt, arrs["mt"], self._gauss[index], process._pf_rng)
-
-        counters = hierarchy.counters[core]
-        counters.instructions = p.c_instructions
-        counters.loads = p.c_loads
-        counters.stores = p.c_stores
-        counters.l1d_misses = p.c_l1d_misses
-        counters.l2_demand_accesses = p.c_l2da
-        counters.l2_demand_misses = p.c_l2dm
-        counters.l3_hits = p.c_l3_hits
-        counters.memory_accesses = p.c_mem
-
-        _commit_cache(p.l1, arrs["l1"], hierarchy.l1d[core])
-
-        tracked = hierarchy._prefetched_l1[core]
-        live, _ = _map_live(arrs["pf_set"]["keys"], None)
-        tracked.clear()
-        tracked.update(live)
+        if hierarchy is not None:
+            _commit_cache(arrs["l1"], hierarchy.l1d[slot.core])
+            tracked = hierarchy._prefetched_l1[slot.core]
+            live_lines, _ = _map_live(arrs["pf_set"]["keys"], None)
+            tracked.clear()
+            tracked.update(live_lines)
 
     # -- stream buffers -----------------------------------------------------
 
     def set_chunk(self, index: int, vaddrs: np.ndarray,
                   stores: np.ndarray) -> None:
-        """Point the process at a fresh chunk of its access stream."""
+        """Point a process at a fresh chunk of its access stream.  Its
+        unconsumed tail stays bound across runs until
+        :meth:`materialize` returns it to the stream."""
         vaddrs = np.ascontiguousarray(vaddrs, dtype=np.int64)
-        stores_u8 = np.ascontiguousarray(stores).view(np.uint8)
-        p = self.procs[index]
+        stores = np.ascontiguousarray(stores)
+        p = self._slots[index].proc
         p.vaddrs = vaddrs.ctypes.data_as(P_i64)
-        p.stores = stores_u8.ctypes.data_as(P_u8)
+        p.stores = stores.view(np.uint8).ctypes.data_as(P_u8)
         p.pos = 0
         p.len = vaddrs.size
-        self._chunks[index] = (vaddrs, stores)
+        self._slots[index].chunk = (vaddrs, stores)
 
     def chunk_remaining(self, index: int) -> int:
-        p = self.procs[index]
+        p = self._slots[index].proc
         return p.len - p.pos
-
-    def push_back_chunk(self, index: int) -> None:
-        """Return this process's unconsumed chunk tail to its source."""
-        chunk = self._chunks[index]
-        if chunk is None:
-            return
-        p = self.procs[index]
-        if p.pos < p.len:
-            vaddrs, stores = chunk
-            source = getattr(self.processes[index], "_fastsim_source", None)
-            if source is not None:
-                source.push_back(vaddrs[p.pos:], stores[p.pos:])
-        p.pos = 0
-        p.len = 0
-        p.vaddrs = P_i64()
-        p.stores = P_u8()
-        self._chunks[index] = None
 
     # -- growth -------------------------------------------------------------
 
     def grow(self, index: int, reason: int) -> None:
-        p = self.procs[index]
-        arrs = self._proc_arrs[index]
+        p = self._slots[index].proc
+        arrs = self._slots[index].arrs
         if reason == STOP_GROW_TLB:
             self._rehash(p.tlb, arrs, "tlb")
         elif reason == STOP_GROW_PT:
@@ -925,26 +1030,32 @@ class NativeSession:
 
     # -- running ------------------------------------------------------------
 
-    def run_solo(self, index: int, n: int) -> int:
-        pmu = ctypes.byref(self.pmu) if self.pmu is not None else None
+    def run_solo(self, index: int, n: int,
+                 channel: Optional[TraceChannel] = None) -> int:
+        pmu = ctypes.byref(channel.pmu) if channel is not None else None
         ran = int(self.lib.repro_solo(
-            ctypes.byref(self.sh), ctypes.byref(self.procs[index]), n, pmu,
+            ctypes.byref(self.sh), ctypes.byref(self._slots[index].proc), n,
+            pmu,
         ))
-        if pmu is not None:
-            self._channel_steps += ran
+        if channel is not None:
+            channel.steps += ran
         return ran
 
-    def run_corun(self, start: Sequence[int],
+    def run_corun(self, slots: Sequence[int], start: Sequence[int],
                   target_extra: int) -> Tuple[int, int, int]:
-        """One native co-run leg.  Returns ``(finisher, stop_reason,
-        stop_proc)`` -- ``finisher`` is -1 when the engine stopped for a
+        """One native co-run leg over ``slots`` (in scheduling order).
+        Returns ``(finisher, stop_reason, stop_proc)``, both indices into
+        ``slots`` -- ``finisher`` is -1 when the engine stopped for a
         refill or growth instead of finishing."""
+        key = tuple(slots)
+        ptrs = self._corun_ptrs.get(key)
+        if ptrs is None:
+            ptrs = self._corun_ptrs[key] = (
+                ctypes.POINTER(_NProc) * len(key)
+            )(*[ctypes.pointer(self._slots[index].proc) for index in key])
         start_arr = np.array(start, dtype=np.int64)
         finisher = int(self.lib.repro_corun(
-            ctypes.byref(self.sh), self._proc_ptrs, len(self.procs),
+            ctypes.byref(self.sh), ptrs, len(key),
             start_arr.ctypes.data_as(P_i64), target_extra,
         ))
         return finisher, int(self.sh.stop_reason), int(self.sh.stop_proc)
-
-    def accesses(self, index: int) -> int:
-        return int(self.procs[index].accesses)

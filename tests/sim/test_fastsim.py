@@ -87,7 +87,16 @@ def _cache_state(cache):
     }
 
 
+def _materialize(hierarchy, process):
+    """Hand a live native session's heavy state back to Python, so the
+    caches, maps and RNGs below can be read."""
+    for owner in (hierarchy, process):
+        if owner._native is not None:
+            owner._native.materialize("inspect")
+
+
 def _state(hierarchy, process):
+    _materialize(hierarchy, process)
     state = {
         "counters": dataclasses.asdict(hierarchy.counters[0]),
         "l1d": _cache_state(hierarchy.l1d[0]),

@@ -142,7 +142,16 @@ def _mid_event_stale_capacity(name="mcf"):
     raise AssertionError("no multi-prefetch event found")
 
 
+def _materialize(hierarchy, process):
+    """Hand a live native session's heavy state back to Python, so the
+    caches, maps and RNGs below can be read."""
+    for owner in (hierarchy, process):
+        if owner._native is not None:
+            owner._native.materialize("inspect")
+
+
 def _state(hierarchy, process):
+    _materialize(hierarchy, process)
     state = {
         "counters": dataclasses.asdict(hierarchy.counters[0]),
         "l1d": [list(b) for b in hierarchy.l1d[0]._sets],
