@@ -97,7 +97,7 @@ def run_statcache_comparison(machine, offline):
         sampler = StatCacheSampler(period=20, seed=9, max_watchpoints=4096)
 
         def feed(result):
-            if result.l1_miss and not result.is_ifetch:
+            if result.l1_miss:
                 sampler.observe(result.line)
 
         drive(process, hierarchy, 40 * machine.l2_lines, observer=feed)

@@ -66,8 +66,6 @@ class IdealTraceCollector(BatchEventConsumer):
 
     def observe(self, result: AccessResult) -> None:
         """Feed one hierarchy access event during the probe."""
-        if result.is_ifetch:
-            return
         self.observe_event(result.line, result.l1_hit, result.prefetched_lines)
 
     def observe_event(self, line, l1_hit, prefetched_lines=()) -> None:

@@ -207,14 +207,10 @@ class TraceCollector(BatchEventConsumer):
 
     def observe(self, result: AccessResult) -> None:
         """Feed one hierarchy access event that occurred during the probe."""
-        if result.is_ifetch:
-            self._tick()
-            return
         self.observe_event(result.line, result.l1_hit, result.prefetched_lines)
 
     def observe_event(self, line, l1_hit, prefetched_lines=()) -> None:
-        """Raw-event form of :meth:`observe` (no ``AccessResult`` needed):
-        exactly :meth:`observe` for a non-ifetch event."""
+        """Raw-event form of :meth:`observe` (no ``AccessResult`` needed)."""
         if self.done:
             self._tick()
             return

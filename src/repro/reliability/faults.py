@@ -319,11 +319,6 @@ class FaultyTraceCollector(BatchEventConsumer):
         self.inner.observe_instructions(count)
 
     def observe(self, result: AccessResult) -> None:
-        if result.is_ifetch:
-            if self.done:
-                return
-            self.inner.observe(result)
-            return
         self.observe_event(result.line, result.l1_hit, result.prefetched_lines)
 
     def observe_event(self, line, l1_hit, prefetched_lines=()) -> None:

@@ -83,7 +83,7 @@ class Process:
         self._page_size = self.machine.page_size
         self._lines_per_page = self._page_size // self._line_size
         # Hot-path bindings: the per-access loop must not re-resolve these.
-        self._tlb = allocator.line_cache(pid)
+        self._page_table, self._stale_pages = allocator.page_table(pid)
         self._pf_random = self._pf_rng.random
         self._pf_late = self._pf_config.late_probability
         self._pf_install = self._pf_config.l1_install_probability
@@ -105,26 +105,26 @@ class Process:
         vaddr = access.vaddr
         vline = vaddr // self._line_size
         lines_per_page = self._lines_per_page
-        tlb = self._tlb
+        table = self._page_table
+        stale = self._stale_pages
         vpage, page_line = divmod(vline, lines_per_page)
-        base = tlb.get(vpage)
-        translated = base is None
+        frame = table.get(vpage)
+        translated = frame is None or vpage in stale
         if translated:
-            base = self.allocator.translate_page_lines(self.pid, vpage)
+            frame = self.allocator.frame_for(self.pid, vpage)
         result = hierarchy.access(
-            self.core, base + page_line, is_store=access.is_store
+            self.core, frame * lines_per_page + page_line,
+            is_store=access.is_store,
         )
         if result.l1_miss:
             pf_random = self._pf_random
             for pf_vline in self.prefetcher.observe_miss(vline):
                 pf_vpage, pf_page_line = divmod(pf_vline, lines_per_page)
-                pf_base = tlb.get(pf_vpage)
-                if pf_base is None:
-                    pf_base = self.allocator.translate_page_lines(
-                        self.pid, pf_vpage
-                    )
+                pf_frame = table.get(pf_vpage)
+                if pf_frame is None or pf_vpage in stale:
+                    pf_frame = self.allocator.frame_for(self.pid, pf_vpage)
                     translated = True
-                pf_line = pf_base + pf_page_line
+                pf_line = pf_frame * lines_per_page + pf_page_line
                 # Every *request* is visible to the PMU (stale entries);
                 # late prefetches install nothing, timely ones always
                 # reach the L2 and sometimes the L1.
@@ -138,8 +138,8 @@ class Process:
         self.accesses += 1
         self.cycles += self._base_cost + self._penalty(result, hierarchy.machine)
         if translated:
-            # Lazy page migrations only happen on a translation-cache
-            # miss; the cycles are charged to the access that migrated.
+            # A page a lazy resize marked stale migrates on its next
+            # touch; the cycles are charged to the access that migrated.
             self.cycles += self.allocator.take_migration_debt(self.pid)
         return result
 

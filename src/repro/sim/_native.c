@@ -3,10 +3,13 @@
  * Compiled on demand by repro.sim.native (cc -O2 -shared -fPIC) and
  * loaded through ctypes.  It is a transliteration of the Python hot
  * path -- Process.step + MemoryHierarchy.access +
- * StreamPrefetcher.observe_miss + PageAllocator._frame_for -- over
+ * StreamPrefetcher.observe_miss + PageAllocator.frame_for -- over
  * state arrays marshalled from the Python objects, so every counter,
  * cache-state ordering, RNG draw and float64 rounding step matches the
  * scalar driver bit for bit (the differential suite enforces this).
+ * It holds only state some output reads: the L1D/L2/L3 sets, each
+ * process's page table (its only vpage -> frame map) and stale set, and
+ * the prefetcher streams and RNGs.  Only the data stream is simulated.
  *
  * Invariants the wrapper relies on:
  *  - C never allocates and never calls back.  Every buffer is a numpy
@@ -44,11 +47,9 @@ typedef uint32_t u32;
 /* Stop reasons (NProc.stop_reason / NShared.stop_reason). */
 #define STOP_NONE          0
 #define STOP_REFILL        1   /* access buffer exhausted */
-#define STOP_GROW_TLB      2   /* line-cache map near capacity */
-#define STOP_GROW_PT       3   /* page-table map near capacity */
-#define STOP_GROW_PFSET    4   /* prefetched-line set near capacity */
-#define STOP_GROW_NEWPAGES 5   /* allocation log full */
-#define STOP_LOG_FULL      6   /* PMU trace log filled by the last access */
+#define STOP_GROW_PT       2   /* page-table map near capacity */
+#define STOP_GROW_NEWPAGES 3   /* allocation log full */
+#define STOP_LOG_FULL      4   /* PMU trace log filled by the last access */
 
 /* ----------------------------------------------------------------- */
 /* MT19937 (CPython random.Random core)                               */
@@ -241,8 +242,8 @@ static void cache_invalidate(NCache *c, i64 line)
 /* ----------------------------------------------------------------- */
 /* Open-addressing hash map / set for int64 keys >= 0                 */
 /*                                                                    */
-/* Virtual page numbers may be negative, so the vpage-keyed maps (tlb, */
-/* page_table, stale) store zigzag(vpage), which is non-negative and   */
+/* Virtual page numbers may be negative, so the vpage-keyed maps      */
+/* (page_table, stale) store zigzag(vpage), which is non-negative and  */
 /* never collides with the HT_EMPTY / HT_TOMB sentinels.               */
 /* ----------------------------------------------------------------- */
 
@@ -470,11 +471,10 @@ typedef struct {
     i64 *colors;
     i64 ncolors;
     i64 cursor;
-    NMap tlb;            /* vpage -> base line (allocator line cache) */
-    NMap page_table;     /* vpage -> frame (this pid's slice) */
-    NMap stale;          /* set of stale vpages (this pid's slice) */
+    NMap page_table;     /* vpage -> frame (this pid's map) */
+    NMap stale;          /* set of stale vpages (this pid's set) */
 
-    /* log of _frame_for allocations this run, for Python fold-back:
+    /* log of frame_for allocations this run, for Python fold-back:
      * triples (vpage, frame, was_lazy_migration) */
     i64 *newpages;
     i64 newpages_len;
@@ -488,10 +488,7 @@ typedef struct {
     i64 c_instructions, c_loads, c_stores, c_l1d_misses;
     i64 c_l2da, c_l2dm, c_l3_hits, c_mem;
 
-    /* L1D + prefetch provenance */
-    NCache l1;
-    NMap pf_set;         /* set of prefetched L1-resident lines */
-    i64 pf_trim_bound;   /* 4 * machine.l1d_lines */
+    NCache l1;           /* this core's L1D */
 
     i64 stop_reason;
 } NProc;
@@ -603,7 +600,7 @@ static void pmu_ideal(NPmu *u, i64 line, int l1_hit,
 }
 
 /* ----------------------------------------------------------------- */
-/* Translation (line_cache miss -> translate_page_lines -> _frame_for)*/
+/* Translation (Process.step's page-table read -> frame_for)         */
 /* ----------------------------------------------------------------- */
 
 static i64 alloc_frame(NShared *sh, NProc *p)
@@ -616,39 +613,33 @@ static i64 alloc_frame(NShared *sh, NProc *p)
         + (n % sh->pages_per_color);
 }
 
-/* Base line of vpage; sets *translated on a line-cache miss (exactly
- * Process.step's `translated` flag). */
+/* Base line of vpage.  A mapped page that is not stale is one page-table
+ * read; a first touch allocates a frame and a stale page migrates to one
+ * (charging the migration to debt_pending).  Either sets *translated,
+ * exactly Process.step's flag, so the step charges the debt. */
 static i64 translate_page(NShared *sh, NProc *p, i64 vpage, int *translated)
 {
-    i64 base;
     i64 key = zigzag(vpage);
-    if (map_get(&p->tlb, key, &base))
-        return base;
-    *translated = 1;
     i64 frame;
-    i64 log_it = 0, was_migration = 0;
-    if (set_contains(&p->stale, key)) {
+    i64 was_migration = 0;
+    if (p->stale.count > 0 && set_contains(&p->stale, key)) {
         /* Lazy migration: new frame on first touch, cost charged. */
         set_discard(&p->stale, key);
         frame = alloc_frame(sh, p);
         p->debt_pending += sh->migration_cost;
         sh->lazy_migrations++;
-        map_put(&p->page_table, key, frame);
-        log_it = 1;
         was_migration = 1;
-    } else if (!map_get(&p->page_table, key, &frame)) {
+    } else if (map_get(&p->page_table, key, &frame)) {
+        return frame * p->lines_per_page;
+    } else {
         frame = alloc_frame(sh, p);
-        map_put(&p->page_table, key, frame);
-        log_it = 1;
     }
-    base = frame * p->lines_per_page;
-    map_put(&p->tlb, key, base);
-    if (log_it) {
-        p->newpages[p->newpages_len++] = vpage;
-        p->newpages[p->newpages_len++] = frame;
-        p->newpages[p->newpages_len++] = was_migration;
-    }
-    return base;
+    map_put(&p->page_table, key, frame);
+    *translated = 1;
+    p->newpages[p->newpages_len++] = vpage;
+    p->newpages[p->newpages_len++] = frame;
+    p->newpages[p->newpages_len++] = was_migration;
+    return frame * p->lines_per_page;
 }
 
 /* ----------------------------------------------------------------- */
@@ -695,25 +686,6 @@ static void hier_prefetch_fill(NShared *sh, NProc *p, i64 line, int install_l1)
     if (install_l1) {
         i64 victim;
         cache_fill(&p->l1, line, &victim);
-        map_put(&p->pf_set, line, 0);
-        /* _trim_prefetched: bound to 4x the L1 line count, keeping
-         * only lines still L1-resident (same set content as Python's
-         * intersection_update; in-place tombstone rebuild). */
-        if (p->pf_set.count > p->pf_trim_bound) {
-            NMap *s = &p->pf_set;
-            i64 kept = 0;
-            for (i64 i = 0; i < s->cap; i++) {
-                i64 k = s->keys[i];
-                if (k >= 0) {
-                    if (cache_probe(&p->l1, k))
-                        kept++;
-                    else
-                        s->keys[i] = HT_TOMB;
-                }
-            }
-            s->tombs += s->count - kept;
-            s->count = kept;
-        }
     }
 }
 
@@ -725,14 +697,10 @@ static void hier_prefetch_fill(NShared *sh, NProc *p, i64 line, int install_l1)
  * state exactly as the previous access left it. */
 static i64 step_precheck(const NProc *p)
 {
-    i64 depth = p->pf.enabled ? p->pf.depth : 0;
-    i64 pages = 1 + depth;   /* demand page + one page per prefetch */
-    if (map_needs_grow(&p->tlb, pages))
-        return STOP_GROW_TLB;
+    /* demand page + one page per prefetch */
+    i64 pages = 1 + (p->pf.enabled ? p->pf.depth : 0);
     if (map_needs_grow(&p->page_table, pages))
         return STOP_GROW_PT;
-    if (map_needs_grow(&p->pf_set, depth))
-        return STOP_GROW_PFSET;
     if (p->newpages_len + 3 * pages > p->newpages_cap)
         return STOP_GROW_NEWPAGES;
     return STOP_NONE;
@@ -769,7 +737,6 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
         }
     } else {
         p->c_l1d_misses++;
-        set_discard(&p->pf_set, line);
         /* _fetch_into_l2 */
         p->c_l2da++;
         i64 l2_victim;

@@ -167,11 +167,6 @@ class SetAssociativeCache:
             return True
         return False
 
-    def flush(self) -> None:
-        """Empty the cache (used when re-partitioning, Section 4)."""
-        for bucket in self._sets:
-            bucket.clear()
-
     # -- internals -----------------------------------------------------------
 
     def _promote(self, bucket: "OrderedDict[int, None]", line: int) -> None:
@@ -204,9 +199,6 @@ class SetAssociativeCache:
     @property
     def occupancy(self) -> int:
         return sum(len(bucket) for bucket in self._sets)
-
-    def resident_lines(self) -> List[int]:
-        return [line for bucket in self._sets for line in bucket]
 
     def set_occupancy(self, set_index: int) -> int:
         return len(self._sets[set_index])

@@ -1,8 +1,9 @@
-"""The composed memory hierarchy: per-core L1s, shared L2, victim L3.
+"""The composed memory hierarchy: per-core L1Ds, shared L2, victim L3.
 
 This is the machine the experiments run on.  Each core has a private
-write-through L1 data cache and a private L1 instruction cache; the
-cores share one L2 and one off-chip L3 victim cache (paper Table 1).
+write-through L1 data cache; the cores share one L2 and one off-chip L3
+victim cache (paper Table 1).  Only the data stream is simulated:
+RapidMRC samples L1D misses, and no workload issues instruction fetches.
 Accesses are *physical* line numbers -- translation and page coloring
 happen upstream in :class:`repro.sim.memory.PageAllocator`, so
 partitioning needs no special support here: a colored process simply
@@ -44,12 +45,10 @@ class AccessResult:
     core: int
     line: int
     is_store: bool = False
-    is_ifetch: bool = False
     l1_hit: bool = False
     l2_hit: bool = False
     l3_hit: bool = False
     memory_access: bool = False
-    l1_fill_was_prefetched: bool = False
     prefetched_lines: List[int] = field(default_factory=list)
 
     @property
@@ -105,7 +104,7 @@ class CoreCounters:
 
 
 class MemoryHierarchy:
-    """L1s + shared L2 + victim L3.
+    """L1Ds + shared L2 + victim L3.
 
     Args:
         machine: machine geometry.
@@ -132,17 +131,7 @@ class MemoryHierarchy:
                 )
             )
 
-        def l1i() -> SetAssociativeCache:
-            return SetAssociativeCache(
-                CacheConfig(
-                    size_bytes=machine.l1i_size,
-                    line_size=machine.line_size,
-                    associativity=machine.l1i_assoc,
-                )
-            )
-
         self.l1d = [l1d() for _ in range(num_cores)]
-        self.l1i = [l1i() for _ in range(num_cores)]
         self.l2 = SetAssociativeCache(
             CacheConfig(
                 size_bytes=machine.l2_size,
@@ -157,20 +146,12 @@ class MemoryHierarchy:
             l2_line_size=machine.line_size,
         )
         self.counters = [CoreCounters() for _ in range(num_cores)]
-        # L1D lines installed by the prefetcher, per core; consulted so a
-        # demand hit on a prefetched line can be distinguished (these are
-        # the accesses the PMU never sees, Section 5.2.7).
-        self._prefetched_l1: List[set] = [set() for _ in range(num_cores)]
         # The native engine's session while it holds this machine's cache
         # sets (repro.sim.native.NativeSession); every method below that
         # touches them hands them back first.
         self._native = None
 
     # -- counters ------------------------------------------------------------
-
-    def count_instructions(self, core: int, count: int) -> None:
-        """Advance the instruction counter (non-memory instructions)."""
-        self.counters[core].instructions += count
 
     def reset_counters(self) -> None:
         for counter in self.counters:
@@ -222,21 +203,12 @@ class MemoryHierarchy:
 
     # -- the access path ---------------------------------------------------------
 
-    def access(
-        self,
-        core: int,
-        line: int,
-        is_store: bool = False,
-        is_ifetch: bool = False,
-    ) -> AccessResult:
-        """Perform one demand access to physical ``line`` from ``core``."""
+    def access(self, core: int, line: int, is_store: bool = False) -> AccessResult:
+        """Perform one demand data access to physical ``line`` from ``core``."""
         if self._native is not None:
             self._native.materialize("access")
         counters = self.counters[core]
-        result = AccessResult(core=core, line=line, is_store=is_store, is_ifetch=is_ifetch)
-
-        if is_ifetch:
-            return self._ifetch(core, line, result)
+        result = AccessResult(core=core, line=line, is_store=is_store)
 
         if is_store:
             counters.stores += 1
@@ -247,7 +219,6 @@ class MemoryHierarchy:
         hit, _ = l1.access(line)
         if hit:
             result.l1_hit = True
-            result.l1_fill_was_prefetched = line in self._prefetched_l1[core]
             if is_store:
                 # Write-through: the store is forwarded to the L2; the line
                 # is normally resident there (inclusive fill on miss path).
@@ -256,26 +227,10 @@ class MemoryHierarchy:
 
         # L1D miss -> the access the PMU can observe.
         counters.l1d_misses += 1
-        self._prefetched_l1[core].discard(line)
-        self._fetch_into_l2(core, line, result, demand=True)
+        self._fetch_into_l2(core, line, result)
         return result
 
-    def _ifetch(self, core: int, line: int, result: AccessResult) -> AccessResult:
-        hit, _ = self.l1i[core].access(line)
-        if hit:
-            result.l1_hit = True
-            return result
-        self._fetch_into_l2(core, line, result, demand=True, instruction=True)
-        return result
-
-    def _fetch_into_l2(
-        self,
-        core: int,
-        line: int,
-        result: AccessResult,
-        demand: bool,
-        instruction: bool = False,
-    ) -> None:
+    def _fetch_into_l2(self, core: int, line: int, result: AccessResult) -> None:
         counters = self.counters[core]
         counters.l2_demand_accesses += 1
         l2_hit, victim = self.l2.access(line)
@@ -291,10 +246,7 @@ class MemoryHierarchy:
             else:
                 result.memory_access = True
                 counters.memory_accesses += 1
-        if instruction:
-            self.l1i[core].fill(line)
-        else:
-            self.l1d[core].fill(line)
+        self.l1d[core].fill(line)
 
     def prefetch_fill(self, core: int, line: int, install_l1: bool = True) -> None:
         """Install a prefetched line into the L2 (and optionally the
@@ -310,40 +262,3 @@ class MemoryHierarchy:
             self.l3.lookup(line)
         if install_l1:
             self.l1d[core].fill(line)
-            self._prefetched_l1[core].add(line)
-            self._trim_prefetched(core)
-
-    def _trim_prefetched(self, core: int) -> None:
-        # The prefetched-line set is advisory; bound it to the L1 size so
-        # it cannot grow without limit (stale entries are harmless: they
-        # only matter while the line is still L1-resident).
-        tracked = self._prefetched_l1[core]
-        if len(tracked) > 4 * self.machine.l1d_lines:
-            resident = set(self.l1d[core].resident_lines())
-            tracked.intersection_update(resident)
-
-    # -- maintenance ------------------------------------------------------------
-
-    def flush_l2(self) -> None:
-        """Empty the L2 (used between partitioning configurations).
-
-        Prefetch provenance is advisory, but a repartition flush is a
-        measurement boundary: drop tracked lines the L1 has since
-        evicted so no pre-flush install can be reported afterwards.
-        """
-        if self._native is not None:
-            self._native.materialize("flush_l2")
-        self.l2.flush()
-        for core in range(self.num_cores):
-            resident = set(self.l1d[core].resident_lines())
-            self._prefetched_l1[core].intersection_update(resident)
-
-    def flush_all(self) -> None:
-        if self._native is not None:
-            self._native.materialize("flush_all")
-        for cache in self.l1d + self.l1i:
-            cache.flush()
-        self.l2.flush()
-        # The L1s are now empty, so no tracked prefetch install survives.
-        for tracked in self._prefetched_l1:
-            tracked.clear()

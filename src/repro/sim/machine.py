@@ -24,6 +24,8 @@ class MachineConfig:
 
     All sizes are in bytes.  ``num_colors`` is the number of page-coloring
     partitions the shared L2 is divided into (16 throughout the paper).
+    ``l1i_size``/``l1i_assoc`` record Table 1's instruction cache only:
+    no instruction stream is simulated (RapidMRC samples L1D misses).
     """
 
     name: str = "POWER5"
@@ -102,14 +104,6 @@ class MachineConfig:
     def pages_per_color_group(self) -> int:
         """Distinct physical-page colors repeat with this page period."""
         return self.l2_sets // self.lines_per_page
-
-    @property
-    def l1d_lines(self) -> int:
-        return self.l1d_size // self.line_size
-
-    @property
-    def l1i_lines(self) -> int:
-        return self.l1i_size // self.line_size
 
     @property
     def l3_lines(self) -> int:

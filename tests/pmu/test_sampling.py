@@ -17,10 +17,6 @@ def hit(line):
     return AccessResult(core=0, line=line, l1_hit=True)
 
 
-def ifetch(line):
-    return AccessResult(core=0, line=line, is_ifetch=True)
-
-
 def collector(**kwargs):
     defaults = dict(
         log_capacity=100,
@@ -47,11 +43,6 @@ class TestBasicCollection:
         c.observe(miss(2))
         c.observe(hit(3))
         assert c.log.entries().tolist() == [2]
-
-    def test_ifetches_are_not_data_samples(self):
-        c = collector()
-        c.observe(ifetch(1))
-        assert len(c.log) == 0
 
     def test_done_when_log_full(self):
         c = collector(log_capacity=2)

@@ -4,11 +4,15 @@ import pytest
 
 from repro.runner.driver import Process, drive
 from repro.sim.cpu import IssueMode
+from repro.sim.fastsim import drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
+from repro.sim.native import native_available
 from repro.sim.prefetcher import PrefetcherConfig
 from repro.workloads.base import Workload
 from repro.workloads.patterns import LoopingScan, SequentialStream
+from repro.workloads.spec import make_workload
 
 LINE = 128
 
@@ -144,3 +148,67 @@ class TestDrive:
             process, hierarchy, 1000, stop=lambda: process.accesses >= 5
         )
         assert executed == 5
+
+
+def _lazily_resized_mcf():
+    """mcf warmed on colours 0-7 of a 1/32 machine, then lazily resized to
+    the disjoint colours 8-15: every page it touched is now stale."""
+    machine = MachineConfig.scaled(32)
+    hierarchy = MemoryHierarchy(machine)
+    allocator = PageAllocator(machine)
+    process = Process(
+        pid=0, workload=make_workload("mcf", machine), core=0,
+        allocator=allocator, colors=list(range(8)),
+        prefetcher=PrefetcherConfig(enabled=True),
+    )
+    drive_batch(process, hierarchy, 20_000)
+    report = allocator.resize(0, list(range(8, 16)), lazy=True)
+    assert report.pages_marked_stale > 0
+    return hierarchy, process
+
+
+def _migration_state(process):
+    table, stale = process.allocator.page_table(process.pid)
+    return (process.cycles, process.allocator.lazy_migrations,
+            list(table.items()), sorted(stale))
+
+
+class TestLazyMigrationCharge:
+    """The page table and stale set alone decide which access migrates a
+    page after a lazy resize; that access, and only it, pays."""
+
+    def test_each_access_pays_for_the_pages_it_migrates(self):
+        hierarchy, process = _lazily_resized_mcf()
+        allocator = process.allocator
+        machine = hierarchy.machine
+        cost = allocator.migration_cost_cycles
+        table, stale = allocator.page_table(process.pid)
+        moved_by = {"demand": 0, "prefetch": 0}
+        for _ in range(20_000):
+            cycles = process.cycles
+            migrations = allocator.lazy_migrations
+            stale_before = set(stale)
+            result = process.step(hierarchy)
+            added = allocator.lazy_migrations - migrations
+            moved = stale_before - stale
+            assert len(moved) == added
+            base_and_penalty = (process._base_cost
+                                + process._penalty(result, machine))
+            assert process.cycles == (cycles + base_and_penalty) + cost * added
+            demand_frame = result.line // machine.lines_per_page
+            for vpage in moved:
+                kind = "demand" if table[vpage] == demand_frame else "prefetch"
+                moved_by[kind] += 1
+        assert moved_by["demand"] > 0 and moved_by["prefetch"] > 0
+
+    def test_native_drive_matches_scalar(self, monkeypatch):
+        if not native_available():
+            pytest.skip("no C compiler / native engine disabled")
+        hierarchy, process = _lazily_resized_mcf()
+        assert drive_batch(process, hierarchy, 20_000) == 20_000
+        assert process.cycles > 0 and process.allocator.lazy_migrations > 0
+        native_end = _migration_state(process)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        hierarchy, process = _lazily_resized_mcf()
+        drive_batch(process, hierarchy, 20_000)
+        assert _migration_state(process) == native_end

@@ -88,13 +88,6 @@ class TestBasicOperation:
         assert not cache.invalidate(3)
         assert not cache.probe(3)
 
-    def test_flush(self):
-        cache = small_cache()
-        for line in range(8):
-            cache.access(line)
-        cache.flush()
-        assert cache.occupancy == 0
-
     def test_fill_does_not_count_access(self):
         cache = small_cache()
         cache.fill(7)

@@ -97,12 +97,14 @@ def _materialize(hierarchy, process):
 
 def _state(hierarchy, process):
     _materialize(hierarchy, process)
+    table, stale = process.allocator.page_table(process.pid)
     state = {
         "counters": dataclasses.asdict(hierarchy.counters[0]),
         "l1d": _cache_state(hierarchy.l1d[0]),
         "l2": _cache_state(hierarchy.l2),
         "l3_stats": dataclasses.asdict(hierarchy.l3.stats),
-        "prefetched_l1": [set(s) for s in hierarchy._prefetched_l1],
+        "page_table": list(table.items()),
+        "stale": sorted(stale),
         "cycles": process.cycles,
         "instructions": process.instructions,
         "accesses": process.accesses,
@@ -414,27 +416,3 @@ class TestDemandDrivenSource:
         for sizes in counted:
             assert 0 < sum(sizes) <= 3_000 + 9_000
 
-
-# ---------------------------------------------------------------------------
-# Regression: flushes must clear the prefetched-line bookkeeping
-# ---------------------------------------------------------------------------
-
-class TestFlushPrefetchBookkeeping:
-    def _warmed(self):
-        hierarchy, process = _build(MACHINE, "mcf", prefetch=True)
-        drive(process, hierarchy, 4_000)
-        return hierarchy, process
-
-    def test_flush_all_drops_stale_prefetch_marks(self):
-        hierarchy, _process = self._warmed()
-        assert hierarchy._prefetched_l1[0]
-        hierarchy.flush_all()
-        assert not hierarchy._prefetched_l1[0]
-
-    def test_flush_l2_keeps_only_resident_lines(self):
-        hierarchy, _process = self._warmed()
-        hierarchy.flush_l2()
-        resident = set()
-        for bucket in hierarchy.l1d[0]._sets:
-            resident.update(bucket)
-        assert hierarchy._prefetched_l1[0] <= resident

@@ -57,14 +57,6 @@ class TestDemandPath:
         hierarchy.reset_counters()
         assert hierarchy.counters[0].l1d_misses == 0
 
-    def test_ifetch_uses_l1i(self, hierarchy):
-        result = hierarchy.access(0, 7, is_ifetch=True)
-        assert result.l1_miss
-        again = hierarchy.access(0, 7, is_ifetch=True)
-        assert again.l1_hit
-        # The d-side L1 never saw the line.
-        assert not hierarchy.l1d[0].probe(7)
-
 
 class TestVictimPath:
     def test_l2_eviction_lands_in_l3(self, tiny_machine):
@@ -127,7 +119,6 @@ class TestPrefetchFill:
         misses_before = hierarchy.counters[0].l1d_misses
         result = hierarchy.access(0, 1002)
         assert result.l1_hit
-        assert result.l1_fill_was_prefetched
         assert hierarchy.counters[0].l1d_misses == misses_before
 
     def test_prefetch_fill_counts_no_demand_traffic(self, tiny_machine):
@@ -137,12 +128,6 @@ class TestPrefetchFill:
         assert counters.l1d_misses == 0
         assert counters.l2_demand_accesses == 0
 
-    def test_demand_miss_clears_prefetch_mark(self, tiny_machine):
-        hierarchy = MemoryHierarchy(tiny_machine)
-        hierarchy.access(0, 5)
-        result = hierarchy.access(0, 5)
-        assert result.l1_hit and not result.l1_fill_was_prefetched
-
     def test_prefetch_consumes_l3_victim_copy(self, tiny_machine):
         hierarchy = MemoryHierarchy(tiny_machine)
         hierarchy.l3.insert_victim(40)
@@ -151,21 +136,6 @@ class TestPrefetchFill:
 
 
 class TestMaintenance:
-    def test_flush_l2(self, hierarchy):
-        hierarchy.access(0, 9)
-        hierarchy.flush_l2()
-        assert not hierarchy.l2.probe(9)
-
-    def test_flush_all(self, hierarchy):
-        hierarchy.access(0, 9)
-        hierarchy.flush_all()
-        assert not hierarchy.l1d[0].probe(9)
-        assert not hierarchy.l2.probe(9)
-
     def test_requires_a_core(self, tiny_machine):
         with pytest.raises(ValueError):
             MemoryHierarchy(tiny_machine, num_cores=0)
-
-    def test_count_instructions(self, hierarchy):
-        hierarchy.count_instructions(0, 500)
-        assert hierarchy.counters[0].instructions == 500

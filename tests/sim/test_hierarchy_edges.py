@@ -41,7 +41,6 @@ class TestAccessResultSemantics:
         result = hierarchy.access(0, 33)
         assert result.l1_miss           # not in L1
         assert result.l2_hit            # but the prefetch put it in L2
-        assert not result.l1_fill_was_prefetched
 
 
 class TestCounters:
@@ -52,12 +51,6 @@ class TestCounters:
         hierarchy.access(0, 1)
         hierarchy.access(0, 1)  # L1 hit: no L2 demand access
         assert hierarchy.counters[0].l2_demand_accesses == 1
-
-    def test_ifetch_not_counted_as_load(self, hierarchy):
-        hierarchy.access(0, 2, is_ifetch=True)
-        counters = hierarchy.counters[0]
-        assert counters.loads == 0
-        assert counters.stores == 0
 
 
 class TestVictimInteraction:

@@ -152,6 +152,7 @@ def _materialize(hierarchy, process):
 
 def _state(hierarchy, process):
     _materialize(hierarchy, process)
+    table, stale = process.allocator.page_table(process.pid)
     state = {
         "counters": dataclasses.asdict(hierarchy.counters[0]),
         "l1d": [list(b) for b in hierarchy.l1d[0]._sets],
@@ -159,7 +160,6 @@ def _state(hierarchy, process):
         "l2": [list(b) for b in hierarchy.l2._sets],
         "l2_stats": dataclasses.asdict(hierarchy.l2.stats),
         "l3_stats": dataclasses.asdict(hierarchy.l3.stats),
-        "prefetched": sorted(hierarchy._prefetched_l1[0]),
         "cycles": process.cycles,
         "instructions": process.instructions,
         "accesses": process.accesses,
@@ -170,8 +170,8 @@ def _state(hierarchy, process):
         ],
         "pf_clock": process.prefetcher._clock,
         "pf_issued": process.prefetcher.issued,
-        "tlb": sorted(process._tlb.items()),
-        "page_table": sorted(process.allocator._page_table.items()),
+        "page_table": list(table.items()),
+        "stale": sorted(stale),
         "debt": dict(process.allocator._migration_debt),
         "cursor": dict(process.allocator._cursor),
     }
@@ -309,7 +309,8 @@ class TestMixedEngineContinuity:
             executed = drive_batch(proc_b, hier_b, 5_000, slab_size=512)
         assert executed == 5_000
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
-        assert any(vpage < 0 for vpage in proc_b._tlb)
+        table, _stale = proc_b.allocator.page_table(proc_b.pid)
+        assert any(vpage < 0 for vpage in table)
         assert _native_accesses(telemetry) == {"native": 5_000}
 
     def test_channel_hands_over_to_python_mid_probe(self):
@@ -369,6 +370,57 @@ class TestMixedEngineContinuity:
         assert scalar.mpki == batch.mpki
         assert scalar.instructions == batch.instructions
         assert scalar.accesses == batch.accesses
+
+
+class _PageWalk(AccessPattern):
+    """One access per page, over ``pages`` consecutive pages, repeated."""
+
+    def __init__(self, page_size: int, pages: int):
+        self.page_size = page_size
+        self.pages = pages
+
+    def generate(self, rng):
+        while True:
+            for page in range(self.pages):
+                yield MemoryAccess(page * self.page_size)
+
+    def footprint_bytes(self):
+        return self.pages * self.page_size
+
+
+class TestTableGrowth:
+    def test_growth_stops_resume_bit_identically(self, monkeypatch):
+        """A drive that maps more pages than the adopted page table and
+        allocation log hold stops before each overflow, grows the table
+        in place and resumes: the same state as the scalar run."""
+        reasons = []
+        grow = native.NativeSession.grow
+
+        def counting_grow(session, index, reason):
+            reasons.append(reason)
+            return grow(session, index, reason)
+
+        monkeypatch.setattr(native.NativeSession, "grow", counting_grow)
+
+        def build():
+            workload = Workload(
+                "pages", _PageWalk(MACHINE.page_size, 12_000), seed=3
+            )
+            hierarchy = MemoryHierarchy(MACHINE, num_cores=1)
+            process = Process(
+                pid=0, workload=workload, core=0,
+                allocator=PageAllocator(MACHINE),
+                prefetcher=PrefetcherConfig(enabled=True),
+            )
+            return hierarchy, process
+
+        hier_s, proc_s = build()
+        drive(proc_s, hier_s, 15_000)
+        hier_b, proc_b = build()
+        assert drive_batch(proc_b, hier_b, 15_000) == 15_000
+        assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
+        assert set(reasons) == {native.STOP_GROW_PT,
+                                native.STOP_GROW_NEWPAGES}
 
 
 class TestObservedRollback:
