@@ -93,27 +93,6 @@ class ProbeOverhead:
             and self.measured_calculation_seconds is not None
         )
 
-    def model_shares(self) -> Tuple[float, float]:
-        """(logging, calculation) shares under the cycle model."""
-        total = self.total_cycles
-        if total <= 0:
-            return 0.0, 0.0
-        return self.logging_cycles / total, self.calculation_cycles / total
-
-    def measured_shares(self) -> Optional[Tuple[float, float]]:
-        """(logging, calculation) shares under the measured spans."""
-        if not self.has_measurement:
-            return None
-        total = (
-            self.measured_logging_seconds + self.measured_calculation_seconds
-        )
-        if total <= 0:
-            return 0.0, 0.0
-        return (
-            self.measured_logging_seconds / total,
-            self.measured_calculation_seconds / total,
-        )
-
     def amortized_overhead(self, phase_length_instructions: float,
                            cycles_per_instruction: float = 1.0) -> float:
         """Runtime overhead fraction if one probe runs per phase.

@@ -131,10 +131,6 @@ class MissRateCurve:
         shift = anchor_mpki - self.value_at(anchor_size)
         return self.shifted(shift), shift
 
-    def misses_over(self, size: int) -> float:
-        """Alias for :meth:`value_at`, reading as 'miss rate at size'."""
-        return self.value_at(size)
-
     def affine_matched(
         self,
         anchor_a: int,

@@ -182,10 +182,6 @@ class _Health:
     def rejected(self) -> int:
         return self._rejected.value
 
-    @property
-    def retries_left(self) -> int:
-        return self.consecutive_failures  # interpreted against max_retries
-
 
 class ProbeSupervisor:
     """Quality-gates probes and walks the degradation ladder.

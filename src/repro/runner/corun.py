@@ -59,9 +59,6 @@ class CorunResult:
     instructions: List[int]
     accesses: List[int]
 
-    def ipc_of(self, index: int) -> float:
-        return self.ipc[index]
-
 
 def corun(
     specs: Sequence[CorunSpec],

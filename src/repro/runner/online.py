@@ -40,7 +40,7 @@ from repro.reliability.quality import (
 )
 from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import CollectorStop, drive_batch
+from repro.sim.fastsim import drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -215,8 +215,7 @@ def collect_trace(
                 process,
                 hierarchy,
                 online.resolved_max_accesses(machine, log_entries),
-                observer=collector.observe,
-                stop=CollectorStop(collector),
+                collector=collector,
             )
             collector.observe_instructions(
                 process.instructions - instructions_before

@@ -29,10 +29,11 @@
  *    advanced state travels back so later scalar draws continue
  *    seamlessly.  The PMU channel's drop RNG travels the same way.
  *  - The PMU trace channel (TraceCollector / IdealTraceCollector) runs
- *    here too: every access is applied to it at the end of its step,
- *    exactly as the scalar driver's observer call would, and a solo run
- *    stops (STOP_LOG_FULL) right after the access that fills the log --
- *    where the scalar loop's CollectorStop predicate fires.
+ *    here too: every access of an observed process is applied to it at
+ *    the end of its step, exactly as the scalar driver's observer call
+ *    would, and the run stops (STOP_LOG_FULL) right after the access
+ *    that fills the log -- where the scalar loop's "collector done"
+ *    predicate fires.
  */
 
 #include <stdint.h>
@@ -44,7 +45,7 @@ typedef int64_t i64;
 typedef uint8_t u8;
 typedef uint32_t u32;
 
-/* Stop reasons (NProc.stop_reason / NShared.stop_reason). */
+/* Stop reasons (NShared.stop_reason). */
 #define STOP_NONE          0
 #define STOP_REFILL        1   /* access buffer exhausted */
 #define STOP_GROW_PT       2   /* page-table map near capacity */
@@ -489,8 +490,6 @@ typedef struct {
     i64 c_l2da, c_l2dm, c_l3_hits, c_mem;
 
     NCache l1;           /* this core's L1D */
-
-    i64 stop_reason;
 } NProc;
 
 /* ----------------------------------------------------------------- */
@@ -502,7 +501,6 @@ typedef struct {
 
 typedef struct {
     i64 kind;
-    i64 stop_on_full;    /* repro_solo stops with STOP_LOG_FULL */
     i64 *log;            /* the TraceLog buffer, after its logged entries */
     i64 log_cap;
     i64 log_n;
@@ -536,8 +534,7 @@ static inline void pmu_tick(NPmu *u)
 
 /* TraceCollector.observe_event with threshold 1: every count()
  * overflows, so every counted event takes one exception. */
-static void pmu_real(NPmu *u, i64 line, int l1_hit,
-                     const i64 *pf, i64 npf)
+static void pmu_real(NPmu *u, i64 line, int l1_hit, i64 npf)
 {
     if (pmu_full(u) || l1_hit) {
         pmu_tick(u);
@@ -790,7 +787,7 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
 
     if (pmu) {
         if (pmu->kind == PMU_REAL)
-            pmu_real(pmu, line, l1_hit, pf_lines, pf_emitted);
+            pmu_real(pmu, line, l1_hit, pf_emitted);
         else
             pmu_ideal(pmu, line, l1_hit, pf_lines, pf_emitted);
     }
@@ -800,38 +797,15 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
 /* Entry points                                                       */
 /* ----------------------------------------------------------------- */
 
-/* Solo drive: execute up to n accesses; returns the number executed.
- * When < n, p->stop_reason says why (refill / grow / log full).
- * pmu, when given, observes every access; with stop_on_full set the run
- * ends right after the access that fills its log. */
-EXPORT i64 repro_solo(NShared *sh, NProc *p, i64 n, NPmu *pmu)
-{
-    p->stop_reason = STOP_NONE;
-    for (i64 i = 0; i < n; i++) {
-        if (p->pos >= p->len) {
-            p->stop_reason = STOP_REFILL;
-            return i;
-        }
-        i64 reason = step_precheck(p);
-        if (reason != STOP_NONE) {
-            p->stop_reason = reason;
-            return i;
-        }
-        step_one(sh, p, pmu);
-        if (pmu && pmu->stop_on_full && pmu_full(pmu)) {
-            p->stop_reason = STOP_LOG_FULL;
-            return i + 1;
-        }
-    }
-    return n;
-}
-
 /* Cycle-fair co-run: repeatedly step the process with the smallest
  * (cycles, index) -- heapq's (cycles, index) tuple order -- until one
- * has executed target_extra accesses beyond its start count.  Returns
- * that process index, or -1 with sh->stop_reason / sh->stop_proc set
- * (refill or growth needed for that process). */
-EXPORT i64 repro_corun(NShared *sh, NProc **procs, i64 nproc,
+ * has executed target_extra accesses beyond its start count.  A solo
+ * drive is the one-process case.  pmus[i] is process i's trace channel,
+ * or NULL when it is not observed.  Returns the finishing process's
+ * index, or -1 with sh->stop_reason / sh->stop_proc set: a refill or
+ * growth is needed for that process, or the access it just ran filled
+ * its channel's log (an access that also reaches the quota finishes). */
+EXPORT i64 repro_corun(NShared *sh, NProc **procs, NPmu **pmus, i64 nproc,
                        const i64 *start, i64 target_extra)
 {
     sh->stop_reason = STOP_NONE;
@@ -857,8 +831,14 @@ EXPORT i64 repro_corun(NShared *sh, NProc **procs, i64 nproc,
             sh->stop_proc = best;
             return -1;
         }
-        step_one(sh, p, 0);
+        NPmu *pmu = pmus[best];
+        step_one(sh, p, pmu);
         if (p->accesses - start[best] >= target_extra)
             return best;
+        if (pmu && pmu_full(pmu)) {
+            sh->stop_reason = STOP_LOG_FULL;
+            sh->stop_proc = best;
+            return -1;
+        }
     }
 }

@@ -105,10 +105,6 @@ class MachineConfig:
         """Distinct physical-page colors repeat with this page period."""
         return self.l2_sets // self.lines_per_page
 
-    @property
-    def l3_lines(self) -> int:
-        return self.l3_size // self.l3_line_size
-
     def color_sizes_in_lines(self) -> list:
         """The 16 candidate cache sizes in lines, ascending (MRC x-axis)."""
         return [c * self.lines_per_color for c in range(1, self.num_colors + 1)]

@@ -208,6 +208,8 @@ class PageAllocator:
                 stale.add(vpage)
                 marked += 1
             else:
+                # Migrated now: an earlier lazy mark must not move it again.
+                stale.discard(vpage)
                 table[vpage] = self._allocate(process)
                 migrated += 1
         return MigrationReport(

@@ -17,7 +17,7 @@ other half of the contract:
   dozen scalar fields (counters, statistics, clocks) at each run
   boundary; a Python path that needs the rest calls
   :meth:`NativeSession.materialize`, which copies it back and drops the
-  session.  A trace collector is bound per drive
+  session.  A trace collector is bound per run
   (:class:`TraceChannel`): C appends to its int64 buffer in place, and
   commit only advances the log's length.
 - **generate**: :class:`MTStream` holds one workload stream's MT19937
@@ -25,10 +25,14 @@ other half of the contract:
   doubles and ``_randbelow``) behind
   :class:`repro.workloads.base.BatchRandom`.
 - **protocol**: the engine never calls back into Python and never
-  allocates.  A run stops with one reason: its chunk of accesses is
-  exhausted (``STOP_REFILL``), the trace log filled (``STOP_LOG_FULL``),
-  or a step *would* overflow the page table or the allocation log --
-  then it stops before mutating anything and reports
+  allocates.  It has one run entry, ``repro_corun``
+  (:meth:`NativeSession.run_corun`): a cycle-fair co-run of adopted
+  processes, each optionally observed by a trace channel; a solo drive
+  is the one-process case.  A run ends when a process completes its
+  quota, or stops with one reason: a chunk of accesses is exhausted
+  (``STOP_REFILL``), a trace log filled (``STOP_LOG_FULL``), or a step
+  *would* overflow the page table or the allocation log -- then it stops
+  before mutating anything and reports
   ``STOP_GROW_PT``/``STOP_GROW_NEWPAGES``, the session grows the buffer
   in place and the run resumes, bit-identically either way.
 
@@ -152,13 +156,12 @@ class _NProc(ctypes.Structure):
         ("c_l1d_misses", i64), ("c_l2da", i64), ("c_l2dm", i64),
         ("c_l3_hits", i64), ("c_mem", i64),
         ("l1", _NCache),
-        ("stop_reason", i64),
     ]
 
 
 class _NPmu(ctypes.Structure):
     _fields_ = [
-        ("kind", i64), ("stop_on_full", i64),
+        ("kind", i64),
         ("log", P_i64), ("log_cap", i64), ("log_n", i64),
         ("sdar_valid", i64), ("sdar_value", i64), ("sdar_updates", i64),
         ("pmc_total", i64), ("since_miss", i64), ("inflight_window", i64),
@@ -209,7 +212,8 @@ def _build_lib() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
         return None, "build_failed"
     tag = hashlib.sha256(blob + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     name = f"_repro_native_{tag}.so"
-    for cache_dir in (os.path.dirname(source), tempfile.gettempdir()):
+    package_dir = os.path.dirname(source)
+    for cache_dir in (package_dir, tempfile.gettempdir()):
         so_path = os.path.join(cache_dir, name)
         if os.path.exists(so_path):
             try:
@@ -226,14 +230,31 @@ def _build_lib() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
                 check=True, capture_output=True, timeout=120,
             )
             os.replace(tmp_path, so_path)
-            return ctypes.CDLL(so_path), None
+            lib = ctypes.CDLL(so_path)
         except (OSError, subprocess.SubprocessError):
             try:
                 os.unlink(tmp_path)
             except OSError:
                 pass
             continue
+        if cache_dir == package_dir:
+            # Builds of older sources are never loaded again.  The shared
+            # temp directory is left alone: another checkout's build may
+            # live there.
+            _remove_builds(package_dir, keep=name)
+        return lib, None
     return None, "build_failed"
+
+
+def _remove_builds(directory: str, keep: str) -> None:
+    """Delete every ``_repro_native_*.so`` in ``directory`` but ``keep``."""
+    for entry in os.listdir(directory):
+        if (entry != keep and entry.startswith("_repro_native_")
+                and entry.endswith(".so")):
+            try:
+                os.unlink(os.path.join(directory, entry))
+            except OSError:
+                pass
 
 
 def _report_unavailable(reason: str) -> None:
@@ -268,14 +289,10 @@ def native_lib() -> Optional[ctypes.CDLL]:
             lib.repro_mt_fill.restype = None
             lib.repro_mt_randbelow.argtypes = [vp, vp, i64, vp, i64]
             lib.repro_mt_randbelow.restype = None
-            lib.repro_solo.argtypes = [
-                ctypes.POINTER(_NShared), ctypes.POINTER(_NProc), i64,
-                ctypes.POINTER(_NPmu),
-            ]
-            lib.repro_solo.restype = i64
             lib.repro_corun.argtypes = [
                 ctypes.POINTER(_NShared),
-                ctypes.POINTER(ctypes.POINTER(_NProc)), i64, P_i64, i64,
+                ctypes.POINTER(ctypes.POINTER(_NProc)),
+                ctypes.POINTER(vp), i64, P_i64, i64,
             ]
             lib.repro_corun.restype = i64
         _LIB = lib
@@ -499,26 +516,24 @@ def _store_stats(struct: _NCache, stats) -> None:
 # ---------------------------------------------------------------------------
 
 class TraceChannel:
-    """A stock collector's PMU model bound to C for one drive.
+    """A stock collector's PMU model bound to C for one run.
 
-    C applies every access of the drive to it, appending to the log's
-    int64 buffer in place and, with ``stop_on_full``, stopping right
-    after the access that fills the log (``STOP_LOG_FULL``).
-    :meth:`commit` advances the log's length and folds back the
-    collector's counters, SDAR/PMC state and RNG.
+    C applies every access of the observed process to it, appending to
+    the log's int64 buffer in place, and stops right after the access
+    that fills the log (``STOP_LOG_FULL``).  :meth:`commit` advances the
+    log's length and folds back the collector's counters, SDAR/PMC state
+    and RNG.
     """
 
-    def __init__(self, collector, stop_on_full: bool):
+    def __init__(self, collector):
         kind = channel_kind(collector)
         if kind is None:
             raise ValueError(
                 f"{type(collector).__name__} has no native trace channel"
             )
         self.collector = collector
-        self.steps = 0   # accesses the C channel observed
         u = self.pmu = _NPmu()
         u.kind = kind
-        u.stop_on_full = 1 if stop_on_full else 0
         log = collector.log
         # C appends right after the entries already logged.
         u.log = log.buffer[len(log):].ctypes.data_as(P_i64)
@@ -557,8 +572,7 @@ class TraceChannel:
         collector.dropped_events = u.dropped
         collector.stale_entries = u.stale
         collector.exceptions = u.exceptions
-        if self.steps:
-            collector.channel_engine = "native"
+        collector.channel_engine = "native"
         if u.kind == PMU_IDEAL:
             collector._buffered = u.buffered
             return
@@ -663,7 +677,7 @@ class NativeSession:
         self.sh = _NShared()
         self._slots: List[_Slot] = []
         self._sh_arrs: Dict[str, np.ndarray] = {}
-        self._corun_ptrs: Dict[Tuple[int, ...], object] = {}
+        self._run_args: Dict[Tuple[int, ...], tuple] = {}
         self._adopt_shared(hierarchy, allocator)
         hierarchy._native = self
         allocator._native = self
@@ -796,7 +810,6 @@ class NativeSession:
         arrs["mt"], slot.gauss = _bind_mt(p.mt, slot.rng)
 
         arrs["l1"] = _bind_cache(p.l1, hierarchy.l1d[core])
-        p.stop_reason = STOP_NONE
 
     # -- scalar state: copied at every run boundary -------------------------
 
@@ -886,7 +899,7 @@ class NativeSession:
             self._commit_proc(slot, hierarchy, allocator)
         self._slots = []
         self._sh_arrs = {}
-        self._corun_ptrs = {}
+        self._run_args = {}
 
     def _commit_proc(self, slot: _Slot, hierarchy, allocator) -> None:
         from repro.sim.prefetcher import _Stream
@@ -982,32 +995,39 @@ class NativeSession:
 
     # -- running ------------------------------------------------------------
 
-    def run_solo(self, index: int, n: int,
-                 channel: Optional[TraceChannel] = None) -> int:
-        pmu = ctypes.byref(channel.pmu) if channel is not None else None
-        ran = int(self.lib.repro_solo(
-            ctypes.byref(self.sh), ctypes.byref(self._slots[index].proc), n,
-            pmu,
-        ))
-        if channel is not None:
-            channel.steps += ran
-        return ran
-
     def run_corun(self, slots: Sequence[int], start: Sequence[int],
-                  target_extra: int) -> Tuple[int, int, int]:
-        """One native co-run leg over ``slots`` (in scheduling order).
-        Returns ``(finisher, stop_reason, stop_proc)``, both indices into
-        ``slots`` -- ``finisher`` is -1 when the engine stopped for a
-        refill or growth instead of finishing."""
+                  target_extra: int,
+                  channels: Optional[Sequence[Optional[TraceChannel]]] = None,
+                  ) -> Tuple[int, int, int]:
+        """One native run over ``slots`` (in scheduling order) until one
+        process has executed ``target_extra`` accesses beyond its entry
+        in ``start``.  ``channels[i]`` observes ``slots[i]`` (None, or no
+        ``channels`` at all, observes nothing).  Returns ``(finisher,
+        stop_reason, stop_proc)``, both indices into ``slots`` --
+        ``finisher`` is -1 when the engine stopped for a refill, a growth
+        or a full trace log instead of finishing."""
         key = tuple(slots)
-        ptrs = self._corun_ptrs.get(key)
-        if ptrs is None:
-            ptrs = self._corun_ptrs[key] = (
-                ctypes.POINTER(_NProc) * len(key)
-            )(*[ctypes.pointer(self._slots[index].proc) for index in key])
-        start_arr = np.array(start, dtype=np.int64)
+        args = self._run_args.get(key)
+        if args is None:
+            # Argument arrays cached per slot tuple: filling a ctypes
+            # array costs less than building one per call.
+            count = len(key)
+            args = self._run_args[key] = (
+                (ctypes.POINTER(_NProc) * count)(
+                    *[ctypes.pointer(self._slots[index].proc) for index in key]
+                ),
+                (ctypes.c_void_p * count)(),
+                (i64 * count)(),
+            )
+        procs, pmus, starts = args
+        for i, entry in enumerate(start):
+            starts[i] = entry
+            channel = channels[i] if channels is not None else None
+            pmus[i] = (
+                None if channel is None else ctypes.addressof(channel.pmu)
+            )
         finisher = int(self.lib.repro_corun(
-            ctypes.byref(self.sh), ptrs, len(key),
-            start_arr.ctypes.data_as(P_i64), target_extra,
+            ctypes.byref(self.sh), procs, pmus, len(key), starts,
+            target_extra,
         ))
         return finisher, int(self.sh.stop_reason), int(self.sh.stop_proc)

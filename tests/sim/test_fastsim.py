@@ -229,21 +229,28 @@ class TestFallbackReasons:
     counted under the reason that skipped native (``replacement`` is
     :meth:`TestEligibility.test_non_lru_falls_back_to_scalar`)."""
 
-    def _compare(self, mutate=None, drive_kwargs=None, accesses=6_000):
+    def _compare(self, mutate=None, collector_type=None, accesses=6_000):
+        """``collector_type`` None runs unobserved drives."""
         def build():
             hierarchy, process = _build(MACHINE, "mcf", prefetch=True)
             if mutate is not None:
                 mutate(hierarchy, process)
-            collector = TraceCollector(log_capacity=1 << 20, seed=5)
-            kwargs = (drive_kwargs or (lambda c: {}))(collector)
-            return hierarchy, process, collector, kwargs
+            collector = (collector_type or TraceCollector)(
+                log_capacity=1 << 20, seed=5)
+            return hierarchy, process, collector
 
-        hier_s, proc_s, coll_s, kwargs_s = build()
-        executed_s = drive(proc_s, hier_s, accesses, **kwargs_s)
+        hier_s, proc_s, coll_s = build()
+        observed = collector_type is not None
+        executed_s = drive(
+            proc_s, hier_s, accesses,
+            observer=coll_s.observe if observed else None,
+            stop=(lambda: coll_s.done) if observed else None,
+        )
         telemetry = Telemetry.in_memory()
-        hier_b, proc_b, coll_b, kwargs_b = build()
+        hier_b, proc_b, coll_b = build()
         with use_telemetry(telemetry):
-            executed_b = drive_batch(proc_b, hier_b, accesses, **kwargs_b)
+            executed_b = drive_batch(proc_b, hier_b, accesses,
+                                     collector=coll_b if observed else None)
         assert executed_s == executed_b
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
         assert coll_s.log.entries().tolist() == coll_b.log.entries().tolist()
@@ -264,13 +271,12 @@ class TestFallbackReasons:
 
     @needs_native
     def test_observer(self):
-        """A plain-function observer and an opaque stop cannot be run
-        ahead of, so they stay on the scalar loop."""
-        def opaque(collector):
-            return {"observer": lambda result: collector.observe(result),
-                    "stop": lambda: collector.done}
+        """A collector subclass may override any per-event hook, so C
+        does not model it and it stays on the scalar loop."""
+        class Subclass(TraceCollector):
+            pass
 
-        assert self._compare(drive_kwargs=opaque) == {"observer": 1}
+        assert self._compare(collector_type=Subclass) == {"observer": 1}
 
 
 class TestEligibility:

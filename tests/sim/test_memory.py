@@ -148,6 +148,25 @@ class TestResize:
         allocator.translate(0, 0)
         assert allocator.take_migration_debt(0) == 0
 
+    def test_eager_resize_after_lazy_migrates_once(self):
+        """An eager resize migrates the pages an earlier lazy resize
+        marked: they are no longer stale, so their next touch neither
+        moves nor charges them again."""
+        machine = MachineConfig.scaled(32)
+        allocator = PageAllocator(machine)
+        allocator.set_colors(0, [0, 1])
+        for vpage in range(8):
+            allocator.translate(0, vpage * machine.page_size)
+        allocator.resize(0, [2, 3], lazy=True)
+        report = allocator.resize(0, [4, 5], lazy=False)
+        assert report.pages_migrated == 8
+        table, stale = allocator.page_table(0)
+        eager_frame = table[0]
+        assert stale == set()
+        assert allocator.translate(0, 0) == eager_frame * machine.page_size
+        assert allocator.lazy_migrations == 0
+        assert allocator.take_migration_debt(0) == 0
+
     def test_resident_pages(self, allocator, machine):
         assert allocator.resident_pages(0) == 0
         allocator.translate(0, 0)

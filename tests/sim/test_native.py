@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
+import shutil
 import warnings
 
 import numpy as np
@@ -36,11 +38,7 @@ from repro.runner.offline import OfflineConfig, real_mrc
 from repro.runner.online import OnlineProbeConfig, collect_trace
 from repro.sim import native
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import (
-    CollectorStop,
-    drive_batch,
-    native_fallback_reason,
-)
+from repro.sim.fastsim import drive_batch, native_fallback_reason
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -101,26 +99,35 @@ def _plain(trace):
     return {**dataclasses.asdict(trace), "entries": trace.entries.tolist()}
 
 
+def _drive_observed(driver, process, hierarchy, accesses, collector,
+                    **kwargs):
+    """An observed drive that ends when ``collector``'s log fills, on the
+    scalar reference or on ``drive_batch`` (which takes ``kwargs``)."""
+    if driver is drive:
+        return drive(process, hierarchy, accesses,
+                     observer=collector.observe, stop=lambda: collector.done)
+    return driver(process, hierarchy, accesses, collector=collector,
+                  **kwargs)
+
+
 def _observed_run(machine, driver, make_collector, name="mcf",
                   prefetch=True, issue_mode=IssueMode.COMPLEX,
-                  accesses=50_000, with_stop=True):
+                  accesses=50_000, **kwargs):
     hierarchy, process = _build(machine, name, prefetch=prefetch,
                                 issue_mode=issue_mode)
     collector = make_collector()
-    executed = driver(
-        process, hierarchy, accesses,
-        observer=collector.observe,
-        stop=CollectorStop(collector) if with_stop else None,
-    )
+    executed = _drive_observed(driver, process, hierarchy, accesses,
+                               collector, **kwargs)
     return executed, collector, _state(hierarchy, process)
 
 
-def _assert_channel_identical(make_collector, **kwargs):
+def _assert_channel_identical(make_collector, slab_size=None, **kwargs):
     """Scalar drive vs the C trace channel: identical in every field."""
     executed_s, coll_s, state_s = _observed_run(
         MACHINE, drive, make_collector, **kwargs)
+    batch_kwargs = {} if slab_size is None else {"slab_size": slab_size}
     executed_b, coll_b, state_b = _observed_run(
-        MACHINE, drive_batch, make_collector, **kwargs)
+        MACHINE, drive_batch, make_collector, **kwargs, **batch_kwargs)
     assert coll_b.channel_engine == "native"
     assert executed_s == executed_b
     assert _channel_state(coll_s) == _channel_state(coll_b)
@@ -327,9 +334,8 @@ class TestMixedEngineContinuity:
             )
             collector = TraceCollector(log_capacity=4_000, seed=5)
             kwargs = {"slab_size": 512} if driver is drive_batch else {}
-            executed = driver(process, hierarchy, 8_000,
-                              observer=collector.observe,
-                              stop=CollectorStop(collector), **kwargs)
+            executed = _drive_observed(driver, process, hierarchy, 8_000,
+                                       collector, **kwargs)
             return executed, collector, _state(hierarchy, process)
 
         executed_s, coll_s, state_s = run(MACHINE, drive)
@@ -389,10 +395,9 @@ class _PageWalk(AccessPattern):
 
 
 class TestTableGrowth:
-    def test_growth_stops_resume_bit_identically(self, monkeypatch):
-        """A drive that maps more pages than the adopted page table and
-        allocation log hold stops before each overflow, grows the table
-        in place and resumes: the same state as the scalar run."""
+    @pytest.fixture
+    def grow_reasons(self, monkeypatch):
+        """The reason of every growth stop the session serves."""
         reasons = []
         grow = native.NativeSession.grow
 
@@ -401,31 +406,56 @@ class TestTableGrowth:
             return grow(session, index, reason)
 
         monkeypatch.setattr(native.NativeSession, "grow", counting_grow)
+        return reasons
 
-        def build():
-            workload = Workload(
-                "pages", _PageWalk(MACHINE.page_size, 12_000), seed=3
-            )
-            hierarchy = MemoryHierarchy(MACHINE, num_cores=1)
-            process = Process(
-                pid=0, workload=workload, core=0,
-                allocator=PageAllocator(MACHINE),
-                prefetcher=PrefetcherConfig(enabled=True),
-            )
-            return hierarchy, process
+    @staticmethod
+    def _build():
+        workload = Workload(
+            "pages", _PageWalk(MACHINE.page_size, 12_000), seed=3
+        )
+        hierarchy = MemoryHierarchy(MACHINE, num_cores=1)
+        process = Process(
+            pid=0, workload=workload, core=0,
+            allocator=PageAllocator(MACHINE),
+            prefetcher=PrefetcherConfig(enabled=True),
+        )
+        return hierarchy, process
 
-        hier_s, proc_s = build()
+    def test_growth_stops_resume_bit_identically(self, grow_reasons):
+        """A drive that maps more pages than the adopted page table and
+        allocation log hold stops before each overflow, grows the table
+        in place and resumes: the same state as the scalar run."""
+        hier_s, proc_s = self._build()
         drive(proc_s, hier_s, 15_000)
-        hier_b, proc_b = build()
+        hier_b, proc_b = self._build()
         assert drive_batch(proc_b, hier_b, 15_000) == 15_000
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
-        assert set(reasons) == {native.STOP_GROW_PT,
-                                native.STOP_GROW_NEWPAGES}
+        assert set(grow_reasons) == {native.STOP_GROW_PT,
+                                     native.STOP_GROW_NEWPAGES}
+
+    def test_growth_stops_inside_an_observed_drive(self, grow_reasons):
+        """Both growth stops land mid-probe: the trace channel stays
+        bound across them, and the drive ends where the scalar run's log
+        fills."""
+        def run(driver):
+            hierarchy, process = self._build()
+            # Fills after both growth stops (at access 14,142).
+            collector = TraceCollector(log_capacity=16_000, seed=5)
+            executed = _drive_observed(driver, process, hierarchy, 15_000,
+                                       collector)
+            return (executed, _channel_state(collector),
+                    _state(hierarchy, process))
+
+        scalar = run(drive)
+        assert run(drive_batch) == scalar
+        assert scalar[0] < 15_000
+        assert set(grow_reasons) == {native.STOP_GROW_PT,
+                                     native.STOP_GROW_NEWPAGES}
 
 
 class TestObservedRollback:
     """Observed drives: the C trace channel stops on the exact access
-    the scalar loop stops on, and every other observer runs the scalar
+    the scalar loop stops on, and every other collector runs the scalar
     reference."""
 
     @pytest.mark.parametrize("log_capacity", [1, 7, 333])
@@ -466,16 +496,6 @@ class TestObservedRollback:
                 record_prefetches=record_prefetches,
             ))
 
-    def test_observer_without_stop_feeds_every_event(self):
-        """With no stop predicate the scalar loop keeps feeding a done
-        collector (the real one keeps ticking); C must do the same."""
-        for make_collector in (
-            lambda: TraceCollector(log_capacity=5, seed=9),
-            lambda: IdealTraceCollector(log_capacity=5, buffer_entries=2),
-        ):
-            _assert_channel_identical(make_collector, name="jbb",
-                                      accesses=4_000, with_stop=False)
-
     def test_already_full_log_still_runs_one_access(self):
         """Scalar parity: the stop predicate is only consulted after an
         access, so a drive armed on a full log executes exactly one."""
@@ -486,6 +506,48 @@ class TestObservedRollback:
             return collector
 
         _assert_channel_identical(full_collector)
+
+    @pytest.mark.parametrize("ideal", [False, True])
+    def test_log_fills_on_the_quotas_last_access(self, ideal):
+        """The access that fills the log is also the last one the quota
+        allows: the drive ends there, exactly as the scalar loop does,
+        and one access less leaves the log one step short."""
+        def make_collector():
+            if ideal:
+                return IdealTraceCollector(log_capacity=333,
+                                           buffer_entries=8)
+            return TraceCollector(log_capacity=333, seed=5)
+
+        fills_at, _, _ = _observed_run(MACHINE, drive, make_collector)
+        for accesses in (fills_at - 1, fills_at):
+            coll = _assert_channel_identical(make_collector,
+                                             accesses=accesses)
+            assert coll.log.is_full == (accesses == fills_at)
+
+    @pytest.mark.parametrize("per_chunk", ["all", "one"])
+    def test_log_fills_on_a_chunks_last_access(self, per_chunk):
+        """The log fills on the last access of a chunk, so the next one
+        would need a refill: the drive stops with its chunk used up, and
+        the drive after it binds the next chunk at the right place in
+        the stream."""
+        def make_collector():
+            return TraceCollector(log_capacity=333, seed=5)
+
+        fills_at, _, _ = _observed_run(MACHINE, drive, make_collector)
+        slab = fills_at if per_chunk == "all" else 1
+
+        def run(driver, **kwargs):
+            hierarchy, process = _build(MACHINE, "mcf")
+            collector = make_collector()
+            executed = _drive_observed(driver, process, hierarchy, 50_000,
+                                       collector, **kwargs)
+            if driver is drive_batch:
+                assert hierarchy._native.chunk_remaining(0) == 0
+            driver(process, hierarchy, 1_000, **kwargs)
+            return executed, _channel_state(collector), _state(hierarchy,
+                                                               process)
+
+        assert run(drive_batch, slab_size=slab) == run(drive)
 
     @pytest.mark.parametrize("ideal", [False, True])
     def test_partly_filled_log_appends_after_its_entries(self, ideal):
@@ -597,23 +659,6 @@ class TestObservedRollback:
         assert dict(native_probe.result.mrc.mpki) == dict(
             py_probe.result.mrc.mpki)
 
-    def test_opaque_stop_stays_on_slab_path(self):
-        """A plain lambda cannot be reasoned about: the drive must not
-        run ahead of it, so it runs the scalar driver (results exact)."""
-        telemetry = Telemetry.in_memory()
-        hierarchy, process = _build(MACHINE, "mcf", prefetch=True)
-        seen = []
-        with use_telemetry(telemetry):
-            drive_batch(
-                process, hierarchy, 3_000,
-                observer=None, stop=lambda: len(seen) >= 0 and False,
-            )
-        report = RunReport.from_telemetry(telemetry)
-        by_engine = report.counter_by_label("sim.batch_accesses", "engine")
-        assert by_engine == {"scalar": 3_000}
-        assert report.counter_by_label(
-            "sim.batch_fallbacks", "reason") == {"observer": 1}
-
 
 class TestKillSwitch:
     def test_repro_native_0_disables_engine(self, monkeypatch):
@@ -655,6 +700,23 @@ class TestBuildFallback:
         report = RunReport.from_telemetry(telemetry)
         assert report.counter_by_label(
             "sim.native_unavailable", "reason") == {"no_compiler": 2}
+
+    def test_build_removes_older_builds(self, monkeypatch, tmp_path):
+        """A build into the package directory deletes the builds of
+        older sources there and leaves every other file alone."""
+        shutil.copy(os.path.join(os.path.dirname(native.__file__),
+                                 "_native.c"), tmp_path)
+        older = ["_repro_native_0123456789abcdef.so",
+                 "_repro_native_fedcba9876543210.so"]
+        others = ["other.so", "_repro_native_0123456789abcdef.so.tmp42"]
+        for name in older + others:
+            (tmp_path / name).write_bytes(b"")
+        monkeypatch.setattr(native, "__file__", str(tmp_path / "native.py"))
+        lib, failure = native._build_lib()
+        assert lib is not None and failure is None
+        built = set(os.listdir(tmp_path)) - {"_native.c", *others}
+        assert len(built) == 1
+        assert built.pop() not in older
 
     def test_kill_switch_is_silent(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")

@@ -35,7 +35,7 @@ from repro.runner.offline import measure_mpki, mpki_timeline
 from repro.runner.online import OnlineProbeConfig, collect_trace
 from repro.sim import native
 from repro.sim.cache import CacheConfig, SetAssociativeCache
-from repro.sim.fastsim import CollectorStop, NativeCorun, drive_batch
+from repro.sim.fastsim import NativeCorun, drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -269,8 +269,7 @@ def _reset(hierarchy, processes):
 def _faulted_drive(hierarchy, processes):
     collector = wrap_collector(TraceCollector(log_capacity=2_000, seed=5),
                                FaultPlan.parse("all", seed=3), salt="mcf")
-    drive_batch(processes[0], hierarchy, 6_000, observer=collector.observe,
-                stop=CollectorStop(collector))
+    drive_batch(processes[0], hierarchy, 6_000, collector=collector)
 
 
 #: entry -> (what it does, the copy backs it costs on the native engine)
@@ -296,8 +295,7 @@ def _sequence(entry):
     # A probe that stops on a full log leaves its chunk's tail bound in C.
     collector = TraceCollector(log_capacity=500, seed=5)
     executed = drive_batch(processes[0], hierarchy, 9_000,
-                           observer=collector.observe,
-                           stop=CollectorStop(collector))
+                           collector=collector)
     assert executed < 9_000
     entry(hierarchy, processes)
     drive_batch(processes[0], hierarchy, 7_000)
