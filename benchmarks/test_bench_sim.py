@@ -4,7 +4,7 @@ Times the simulation drivers end to end on the paper's full-scale
 POWER5 (15360-line L2) and writes machine-readable results to
 ``benchmarks/results/BENCH_sim.json``.
 
-Four paths are measured, one row each:
+Five paths are measured, one row each:
 
 * **solo** -- one process, prefetch off: ``drive_batch`` on the
   compiled native engine (``repro.sim._native``).  Gate: >= 5x the
@@ -16,6 +16,11 @@ Four paths are measured, one row each:
   scheduler with prefetching on: the native co-run kernel
   (``fastsim.NativeCorun``).  Gate: >= 10x the scalar interleave, which
   runs with ``REPRO_NATIVE=0``.
+* **managed** -- the same two processes under the dynamic partition
+  manager's closed loop (``DynamicPartitionManager.run``): native legs
+  that stop only at the accesses where one of its hooks fires.  Gates:
+  the report equals the ``REPRO_NATIVE=0`` scalar loop's field for
+  field, and the speedup is at least the co-run's.
 * **sharded** -- the offline ``real_mrc`` curve fanned out across
   worker processes (``--sim-workers`` plumbing).  Gate: the pooled
   curve and its folded telemetry counters equal the sequential run's
@@ -35,7 +40,8 @@ Environment overrides (the CI smoke job shortens the runs):
 * ``REPRO_BENCH_SIM_QUOTA`` -- co-run per-process quota (default 250k).
 * ``REPRO_BENCH_SIM_MRC_SIZES`` -- sharded-curve sizes (default 2,5,8,11).
 * ``REPRO_BENCH_SIM_MIN_SOLO`` / ``REPRO_BENCH_SIM_MIN_PREFETCH`` /
-  ``REPRO_BENCH_SIM_MIN_CORUN`` -- speedup gates (defaults 5 / 5 / 10).
+  ``REPRO_BENCH_SIM_MIN_CORUN`` -- speedup gates (defaults 5 / 5 / 10;
+  the co-run's gate also applies to the managed loop).
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from repro.obs import Telemetry, use_telemetry
 from repro.obs.report import RunReport
 from repro.runner.corun import CorunSpec, corun
 from repro.runner.driver import Process, drive
+from repro.runner.dynamic import DynamicPartitionManager
 from repro.runner.offline import OfflineConfig, real_mrc
 from repro.sim.fastsim import drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
@@ -161,6 +168,26 @@ def _time_corun(machine, telemetry):
     return results
 
 
+def _time_managed(machine, telemetry):
+    results = {}
+    for label in ("scalar", "batch"):
+        best, report = float("inf"), None
+        for _ in range(ROUNDS):
+            start = time.perf_counter()
+            with (_native_off() if label == "scalar"
+                  else use_telemetry(telemetry)):
+                manager = DynamicPartitionManager(
+                    machine,
+                    [make_workload("jbb", machine),
+                     make_workload("mcf", machine)],
+                )
+                report = manager.run(CORUN_QUOTA,
+                                     warmup_accesses=CORUN_WARMUP)
+            best = min(best, time.perf_counter() - start)
+        results[label] = (best, dataclasses.asdict(report))
+    return results
+
+
 @contextlib.contextmanager
 def _native_off():
     """The scalar reference: ``REPRO_NATIVE=0`` for the block."""
@@ -234,6 +261,7 @@ def test_bench_sim(machine, report_dir):
         "solo": _solo_rows(machine, telemetry, prefetch=False),
         "prefetch_on": _solo_rows(machine, telemetry, prefetch=True),
         "corun": {},
+        "managed": {},
         "sharded": {},
         "parity": True,
     }
@@ -252,6 +280,22 @@ def test_bench_sim(machine, report_dir):
         "speedup": round(scalar_s / batch_s, 2),
     }
 
+    managed_results = _time_managed(machine, telemetry)
+    scalar_s, scalar_outcome = managed_results["scalar"]
+    batch_s, batch_outcome = managed_results["batch"]
+    # Parity gate: the same report, events and decisions included.
+    assert batch_outcome == scalar_outcome
+    report["managed"] = {
+        "workloads": ["jbb", "mcf"],
+        "scalar_seconds": round(scalar_s, 4),
+        "batch_seconds": round(batch_s, 4),
+        "scalar_accesses_per_sec": round(corun_total / scalar_s),
+        "batch_accesses_per_sec": round(corun_total / batch_s),
+        "speedup": round(scalar_s / batch_s, 2),
+        "probes_run": batch_outcome["probes_run"],
+        "events": len(batch_outcome["events"]),
+    }
+
     report["sharded"] = _time_sharded(machine)
 
     path = report_dir / "BENCH_sim.json"
@@ -265,11 +309,12 @@ def test_bench_sim(machine, report_dir):
                 f"batch engine only {speedup}x vs scalar on {section} "
                 f"{name} (need >= {floor}x); see {path}"
             )
-    corun_speedup = report["corun"]["speedup"]
-    assert corun_speedup >= MIN_CORUN_SPEEDUP, (
-        f"batch engine only {corun_speedup}x vs scalar on the co-run "
-        f"(need >= {MIN_CORUN_SPEEDUP}x); see {path}"
-    )
+    for section in ("corun", "managed"):
+        speedup = report[section]["speedup"]
+        assert speedup >= MIN_CORUN_SPEEDUP, (
+            f"batch engine only {speedup}x vs scalar on the {section} "
+            f"run (need >= {MIN_CORUN_SPEEDUP}x); see {path}"
+        )
 
     # All configurations above are LRU: the native engine must never
     # have dropped to the per-access scalar loop.

@@ -31,7 +31,14 @@ from repro.sim.memory import PageAllocator
 from repro.sim.prefetcher import PrefetcherConfig
 from repro.workloads.base import Workload
 
-__all__ = ["CorunSpec", "CorunResult", "corun", "normalized_ipc"]
+__all__ = [
+    "CorunSpec",
+    "CorunResult",
+    "corun",
+    "native_runner",
+    "normalized_ipc",
+    "run_leg",
+]
 
 
 @dataclass(frozen=True)
@@ -101,36 +108,14 @@ def corun(
             )
         )
 
-    # The whole interleave runs inside one C call when the native engine
-    # covers every process; otherwise the scalar heap below steps them.
-    native_runner = None
-    reason = next(
-        filter(None, (native_fallback_reason(p, hierarchy) for p in processes)),
-        None,
-    )
-    if reason is None:
-        native_runner = NativeCorun(processes, hierarchy)
-    else:
+    runner, reason = native_runner(processes, hierarchy)
+    if reason is not None:
         get_telemetry().registry.counter(
             "sim.batch_fallbacks", reason=reason
         ).inc()
 
-    def run_until(target_extra: int) -> None:
-        """Advance processes clock-fairly until one executes target_extra
-        more accesses than it had when this call began."""
-        started = time.perf_counter()
-        start = [p.accesses for p in processes]
-        if native_runner is not None:
-            native_runner.run_until(start, target_extra)
-        else:
-            _scalar_leg(processes, hierarchy, start, target_extra)
-        record_drive(
-            "native" if native_runner is not None else "scalar",
-            sum(p.accesses for p in processes) - sum(start), started,
-        )
-
     if warmup_accesses > 0:
-        run_until(warmup_accesses)
+        run_leg(processes, hierarchy, runner, warmup_accesses)
         hierarchy.reset_counters()
         for process in processes:
             process.reset_metrics()
@@ -140,7 +125,7 @@ def corun(
     else:
         cycle_base = [0.0] * len(processes)
 
-    run_until(quota_accesses)
+    run_leg(processes, hierarchy, runner, quota_accesses)
 
     ipc: List[float] = []
     mpki: List[float] = []
@@ -156,6 +141,43 @@ def corun(
         mpki=mpki,
         instructions=[p.instructions for p in processes],
         accesses=[p.accesses for p in processes],
+    )
+
+
+def native_runner(
+    processes: Sequence[Process], hierarchy: MemoryHierarchy,
+) -> Tuple[Optional[NativeCorun], Optional[str]]:
+    """``(runner, None)`` when the native engine covers every process,
+    else ``(None, reason)``: the whole interleave then runs inside one C
+    call per leg instead of the scalar heap."""
+    reason = next(
+        filter(None, (native_fallback_reason(p, hierarchy) for p in processes)),
+        None,
+    )
+    if reason is not None:
+        return None, reason
+    return NativeCorun(processes, hierarchy), None
+
+
+def run_leg(
+    processes: Sequence[Process],
+    hierarchy: MemoryHierarchy,
+    runner: Optional[NativeCorun],
+    target_extra: int,
+) -> None:
+    """Advance processes clock-fairly until one executes ``target_extra``
+    more accesses than it had when this call began: on ``runner`` (see
+    :func:`native_runner`), or on the scalar heap when it is None.  The
+    accesses count under the engine that ran them."""
+    started = time.perf_counter()
+    start = [p.accesses for p in processes]
+    if runner is not None:
+        runner.run_until(start, target_extra)
+    else:
+        _scalar_leg(processes, hierarchy, start, target_extra)
+    record_drive(
+        "native" if runner is not None else "scalar",
+        sum(p.accesses for p in processes) - sum(start), started,
     )
 
 

@@ -30,6 +30,17 @@ cooldown, bounded by an access-budget deadline, and resizes happen only
 when the selector's decision actually changes.  Every reliability
 decision is visible both as a :class:`ManagerEvent` and as a structured
 :class:`~repro.reliability.supervisor.ReliabilityEvent`.
+
+Steps 1-3 look at every access, but each of their hooks fires at an
+access that can be computed ahead (an interval end, a probe deadline,
+the check after a probe becomes due).  So the processes run in the
+native engine's co-run legs, each ending right after the next such
+access, and the hooks run in Python for exactly that access; the
+per-access feed -- instruction counts, the PMU trace channel and its
+exception charge -- stays in C.  The scalar heap over ``Process.step``
+is the bit-identical reference: it runs when the engine cannot
+(``REPRO_NATIVE=0``, a geometry C does not model) and while a probe
+whose collector has no C channel (the fault wrapper) is in flight.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import heapq
+import time
 
 from repro.core.analytic import AnalyticConfig, AnalyticMRCBank
 from repro.core.mrc import MissRateCurve
@@ -57,8 +69,10 @@ from repro.reliability.supervisor import (
 )
 from repro.store.mrc_store import MRCStore, StoreConfig
 from repro.store.signature import PhaseSignature, signature_of
+from repro.runner.corun import native_runner, run_leg
 from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
+from repro.sim.fastsim import record_drive
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -350,6 +364,10 @@ class DynamicPartitionManager:
         self.probe_gate: Optional[Callable[[int, int], bool]] = None
         self.probe_listener: Optional[Callable[[ProbeOutcome], None]] = None
         self._cycle_base: Optional[List[float]] = None
+        # The engine, chosen once by begin(): a NativeCorun over the
+        # processes, or None with the reason the scalar heap runs.
+        self._runner = None
+        self._engine_reason: Optional[str] = None
 
         # Start from an even split -- the uninformed default.
         even = machine.num_colors // len(workloads)
@@ -393,8 +411,15 @@ class DynamicPartitionManager:
 
     def begin(self, warmup_accesses: int = 0) -> None:
         """Warm up and arm the loop for incremental :meth:`step_accesses`."""
+        processes = [m.process for m in self.managed]
+        self._runner, self._engine_reason = native_runner(
+            processes, self.hierarchy
+        )
         if warmup_accesses > 0:
-            self._advance(warmup_accesses, managed_hooks=False)
+            # No hook runs during warmup: it is a plain co-run leg.
+            if self._runner is None:
+                self._count_fallback(self._engine_reason)
+            run_leg(processes, self.hierarchy, self._runner, warmup_accesses)
             self.hierarchy.reset_counters()
             for managed in self.managed:
                 managed.process.reset_metrics()
@@ -411,7 +436,7 @@ class DynamicPartitionManager:
             raise RuntimeError("step_accesses before begin()")
         if target_extra <= 0:
             raise ValueError("target_extra must be positive")
-        self._advance(target_extra, managed_hooks=True)
+        self._advance(target_extra)
 
     def finish(self) -> DynamicReport:
         """Flush telemetry and build the report for the stepped span."""
@@ -469,36 +494,170 @@ class DynamicPartitionManager:
         if self.drift_monitor is not None:
             self.drift_monitor.note_fresh_curve(index)
 
-    def _advance(self, target_extra: int, managed_hooks: bool) -> None:
-        start = [m.process.accesses for m in self.managed]
+    def _advance(self, target_extra: int) -> None:
+        """Step the processes clock-fairly, running every per-access
+        hook, until one gains ``target_extra`` accesses.
+
+        Stretches alternate between the engines: native legs while every
+        in-flight probe has a C trace channel, the scalar heap while one
+        does not (the fault wrapper) or the engine cannot run at all.
+        Each stretch counts its accesses under the engine that ran them,
+        and each scalar one counts a ``sim.batch_fallbacks{reason}``.
+        """
+        processes = [m.process for m in self.managed]
+        start = [p.accesses for p in processes]
+        while True:
+            reason = self._fallback_reason()
+            started = time.perf_counter()
+            before = sum(p.accesses for p in processes)
+            if reason is None:
+                done = self._native_stretch(start, target_extra)
+            else:
+                self._count_fallback(reason)
+                done = self._scalar_stretch(start, target_extra)
+            record_drive(
+                "scalar" if reason else "native",
+                sum(p.accesses for p in processes) - before, started,
+            )
+            if done:
+                return
+
+    def _fallback_reason(self) -> Optional[str]:
+        """Why the next stretch must run on the scalar heap, or None."""
+        if self._engine_reason is not None:
+            return self._engine_reason
+        from repro.sim.native import channel_kind
+
+        for managed in self.managed:
+            if (managed.collector is not None
+                    and channel_kind(managed.collector) is None):
+                return "observer"
+        return None
+
+    def _count_fallback(self, reason: str) -> None:
+        get_telemetry().registry.counter(
+            "sim.batch_fallbacks", reason=reason
+        ).inc()
+
+    def _scalar_stretch(self, start: List[int], target_extra: int) -> bool:
+        """The reference loop: a min-heap on (cycles, index) steps the
+        least-advanced process, and every access runs its feed and hooks.
+
+        Returns True once a process reaches the quota, False when a
+        settled probe lets the native engine take over again.
+        """
         heap: List[Tuple[float, int]] = [
             (m.process.cycles, i) for i, m in enumerate(self.managed)
         ]
         heapq.heapify(heap)
-        while heap:
+        while True:
             _cycles, index = heapq.heappop(heap)
             managed = self.managed[index]
+            probing = managed.collector is not None
             result = managed.process.step(self.hierarchy)
-            if managed_hooks:
-                self._observe(index, managed, result)
+            self._observe(index, managed, result)
             if managed.process.accesses - start[index] >= target_extra:
-                return
+                return True
+            if (probing and managed.collector is None
+                    and self._fallback_reason() is None):
+                return False
             heapq.heappush(heap, (managed.process.cycles, index))
+
+    def _native_stretch(self, start: List[int], target_extra: int) -> bool:
+        """Native legs, each ending right after the first access at which
+        a hook can fire (:meth:`_next_hook`); the hooks then run for that
+        access exactly as the scalar loop runs them.
+
+        Returns True once a process reaches the quota, False before a leg
+        whose in-flight probe has no C trace channel.
+        """
+        from repro.sim.native import TraceChannel, channel_kind
+
+        cost = self.config.exception_cost_cycles
+        quota = [entry + target_extra for entry in start]
+        while True:
+            channels = []
+            for managed in self.managed:
+                collector = managed.collector
+                if collector is None:
+                    channels.append(None)
+                elif channel_kind(collector) is None:
+                    return False
+                else:
+                    channels.append(TraceChannel(collector, cost))
+            stop_at = [
+                min(limit, self._next_hook(managed))
+                for limit, managed in zip(quota, self.managed)
+            ]
+            before = [m.process.accesses for m in self.managed]
+            self._runner.run_until(start, target_extra, stop_at, channels)
+            stopped = -1
+            for index, managed in enumerate(self.managed):
+                process = managed.process
+                managed.interval_instructions_seen += (
+                    (process.accesses - before[index])
+                    * process.workload.instructions_per_access
+                )
+                if process.accesses >= stop_at[index] or (
+                    channels[index] is not None and managed.collector.done
+                ):
+                    stopped = index
+            managed = self.managed[stopped]
+            self._after_access(stopped, managed)
+            if managed.process.accesses >= quota[stopped]:
+                return True
+
+    def _next_hook(self, managed: _Managed) -> int:
+        """The access count at which a hook of :meth:`_after_access` can
+        next change this process's state -- no access before it can.
+
+        The interval ends on the access that brings its instruction
+        count to the interval.  An in-flight probe adds its deadline (C
+        stops by itself on the access that fills its log).  A due
+        probe-start check fires on the very next access, unless the
+        probe is held: a held check changes nothing until an interval
+        end refills the phase window.  Calls from outside the loop and
+        other processes' hooks can change these inputs, so the targets
+        are recomputed before every leg.
+        """
+        process = managed.process
+        ipa = process.workload.instructions_per_access
+        left = self._interval - managed.interval_instructions_seen
+        target = process.accesses + max(1, -(-left // ipa))
+        if managed.collector is not None:
+            deadline = (
+                managed.probe_accesses_start + managed.probe_deadline_accesses
+            )
+            return min(target, max(process.accesses + 1, deadline))
+        if self._probe_check_due(managed) and not self._probe_held(managed):
+            return process.accesses + 1
+        return target
 
     # -- monitoring / probing --------------------------------------------------
 
     def _observe(self, index: int, managed: _Managed, result) -> None:
+        """The scalar loop's per-access feed, then the hooks.
+
+        The native engine does the feed itself (instruction count, PMU
+        channel, exception charge) and calls only :meth:`_after_access`.
+        """
         ipa = managed.process.workload.instructions_per_access
         managed.interval_instructions_seen += ipa
-
-        if managed.collector is not None:
-            before = managed.collector.exceptions
-            managed.collector.observe(result)
-            taken = managed.collector.exceptions - before
+        collector = managed.collector
+        if collector is not None:
+            before = collector.exceptions
+            collector.observe(result)
+            taken = collector.exceptions - before
             if taken:
                 managed.process.cycles += (
                     taken * self.config.exception_cost_cycles
                 )
+        self._after_access(index, managed)
+
+    def _after_access(self, index: int, managed: _Managed) -> None:
+        """Every hook that can run after an access of process ``index``:
+        probe settlement, the probe-start check, the interval end."""
+        if managed.collector is not None:
             probe_accesses = (
                 managed.process.accesses - managed.probe_accesses_start
             )
@@ -506,32 +665,38 @@ class DynamicPartitionManager:
                 self._finish_probe(index, managed)
             elif probe_accesses >= managed.probe_deadline_accesses:
                 self._abort_probe(index, managed, probe_accesses)
-        elif managed.needs_probe and (
-            managed.intervals_since_probe >= managed.cooldown_intervals
-        ):
+        elif self._probe_check_due(managed):
             # Section 7 future work: when the workload returns to a
             # phase already profiled, reuse the cached curve instead of
             # paying a full probe.  A miss (or a failed reuse gate)
             # falls through to the ordinary probe path.
             if not self._try_reuse(index, managed):
-                if (
-                    self.store is not None
-                    and self.config.reuse_enabled
-                    and not self._phase_window(managed)
-                ):
+                if self._probe_held(managed):
                     # The phase has no settled sample yet, so the cache
                     # could not even be consulted.  Hold the probe for
                     # the interval(s) it takes one to arrive: a hit then
                     # saves the whole probe, and a probe started now
                     # could not be fingerprinted for storage anyway.
                     pass
-                elif not self._gate_allows(index, managed):
-                    pass
-                else:
+                elif self._gate_allows(index, managed):
                     self._start_probe(index, managed)
 
         if managed.interval_instructions_seen >= self._interval:
             self._end_interval(index, managed)
+
+    @staticmethod
+    def _probe_check_due(managed: _Managed) -> bool:
+        return managed.needs_probe and (
+            managed.intervals_since_probe >= managed.cooldown_intervals
+        )
+
+    def _probe_held(self, managed: _Managed) -> bool:
+        """A due probe waits for its phase's first settled sample."""
+        return (
+            self.store is not None
+            and self.config.reuse_enabled
+            and not self._phase_window(managed)
+        )
 
     def _gate_allows(self, index: int, managed: _Managed) -> bool:
         """Ask the external probe gate (budget admission) if one is set.

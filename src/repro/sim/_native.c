@@ -33,7 +33,14 @@
  *    the end of its step, exactly as the scalar driver's observer call
  *    would, and the run stops (STOP_LOG_FULL) right after the access
  *    that fills the log -- where the scalar loop's "collector done"
- *    predicate fires.
+ *    predicate fires.  Each exception the channel takes charges its
+ *    exception_cost to the process clock, as the dynamic manager's
+ *    scalar loop does.
+ *  - A run ends right after the access that brings a process to its
+ *    stop target (an absolute access count per process).  The caller
+ *    picks the targets: a quota leg's end, or the next access at which
+ *    the dynamic manager's Python hooks can change state, so those
+ *    hooks run between runs for exactly the accesses they fire on.
  */
 
 #include <stdint.h>
@@ -519,6 +526,9 @@ typedef struct {
     i64 buffered;
     /* collector counters */
     i64 l1d_misses, dropped, stale, exceptions;
+    /* cycles charged to the observed process per exception taken (the
+     * managed loop's exception_cost_cycles; 0 for a plain probe) */
+    i64 exception_cost;
 } NPmu;
 
 static inline int pmu_full(const NPmu *u)
@@ -786,10 +796,16 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
     }
 
     if (pmu) {
+        i64 before = pmu->exceptions;
         if (pmu->kind == PMU_REAL)
             pmu_real(pmu, line, l1_hit, pf_emitted);
         else
             pmu_ideal(pmu, line, l1_hit, pf_lines, pf_emitted);
+        /* The exception charge lands before the next argmin: it steers
+         * the interleave. */
+        i64 taken = pmu->exceptions - before;
+        if (taken)
+            p->cycles += (double)(taken * pmu->exception_cost);
     }
 }
 
@@ -799,14 +815,17 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
 
 /* Cycle-fair co-run: repeatedly step the process with the smallest
  * (cycles, index) -- heapq's (cycles, index) tuple order -- until one
- * has executed target_extra accesses beyond its start count.  A solo
- * drive is the one-process case.  pmus[i] is process i's trace channel,
- * or NULL when it is not observed.  Returns the finishing process's
- * index, or -1 with sh->stop_reason / sh->stop_proc set: a refill or
- * growth is needed for that process, or the access it just ran filled
- * its channel's log (an access that also reaches the quota finishes). */
+ * reaches its stop target: right after the access that brings process i
+ * to stop_at[i] accesses (an absolute count), return i.  A quota leg
+ * passes start + quota; the managed loop passes the earlier of that and
+ * the next access at which one of its hooks can fire.  A solo drive is
+ * the one-process case.  pmus[i] is process i's trace channel, or NULL
+ * when it is not observed.  Returns -1 with sh->stop_reason /
+ * sh->stop_proc set when a refill or growth is needed for that process,
+ * or when the access it just ran filled its channel's log (an access
+ * that also reaches the stop target returns the process instead). */
 EXPORT i64 repro_corun(NShared *sh, NProc **procs, NPmu **pmus, i64 nproc,
-                       const i64 *start, i64 target_extra)
+                       const i64 *stop_at)
 {
     sh->stop_reason = STOP_NONE;
     sh->stop_proc = -1;
@@ -833,7 +852,7 @@ EXPORT i64 repro_corun(NShared *sh, NProc **procs, NPmu **pmus, i64 nproc,
         }
         NPmu *pmu = pmus[best];
         step_one(sh, p, pmu);
-        if (p->accesses - start[best] >= target_extra)
+        if (p->accesses >= stop_at[best])
             return best;
         if (pmu && pmu_full(pmu)) {
             sh->stop_reason = STOP_LOG_FULL;

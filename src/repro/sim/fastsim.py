@@ -9,7 +9,10 @@ native
     The compiled engine (:mod:`repro.sim.native`) simulates the access
     stream in chunks, each generated on demand at the size the drive
     will run.  A solo drive is a one-process :class:`NativeCorun` leg,
-    through the engine's one run entry.  Its one way to serve a
+    through the engine's one run entry; co-runs and the dynamic
+    manager's loop run multi-process legs, the manager's with a stop
+    target per process at the next access where one of its hooks can
+    fire.  Its one way to serve a
     collector is its own trace channel: the stock collectors' PMU model
     runs inside C and logs straight into the collector's buffer.  It
     covers LRU L1D/L2/L3 geometry with prefetch depth up to 64, and no
@@ -184,9 +187,11 @@ class NativeCorun:
     """Compiled co-run scheduler: all cores interleave inside one C call.
 
     Replaces the per-access heap loop of ``runner.corun``'s quota legs
-    with :func:`repro_corun`, which repeatedly steps the process with
-    the lowest (cycles, index) key -- the exact argmin order the heap
-    produces -- until some process completes its quota.  Each leg runs
+    and of the dynamic manager's loop with :func:`repro_corun`, which
+    repeatedly steps the process with the lowest (cycles, index) key --
+    the exact argmin order the heap produces -- until some process
+    reaches its stop target (its quota, or a nearer access the caller
+    names).  Each leg runs
     in the machine's native session, so the heavy state stays in C from
     one leg to the next; a leg copies back only the counters and clocks
     that warmup resets and the IPC accounting read.  A native solo drive
@@ -200,27 +205,34 @@ class NativeCorun:
         self.slab_size = slab_size
         self.sources = [_source_for(p) for p in self.processes]
 
-    def run_until(self, start, target_extra: int) -> bool:
+    def run_until(self, start, target_extra: int, stop_at=None,
+                  channels=None) -> bool:
         """Run every process until one has executed ``target_extra``
-        accesses beyond its entry in ``start``.  Always returns True
-        (the leg completed).
+        accesses beyond its entry in ``start`` -- or, with ``stop_at``
+        (absolute access counts, none beyond that quota), until process
+        ``i`` reaches ``stop_at[i]``.  ``channels[i]`` (a
+        :class:`~repro.sim.native.TraceChannel` or None) observes process
+        ``i``; the leg also ends right after the access that fills an
+        observed log.  Always returns True (the leg completed).
         """
-        self._run(start, target_extra)
+        self._run(start, target_extra, stop_at, channels)
         return True
 
-    def _run(self, start, target_extra: int, channels=None) -> int:
+    def _run(self, start, target_extra: int, stop_at=None,
+             channels=None) -> int:
         """The leg loop behind :meth:`run_until` and every native solo
-        drive.  ``channels[i]`` (a :class:`~repro.sim.native.TraceChannel`
-        or None) observes process ``i``; the leg also ends right after
-        the access that fills an observed log.  Returns the number of
-        chunks bound."""
+        drive.  Returns the number of chunks bound."""
         from repro.sim import native
 
+        if stop_at is None:
+            stop_at = [entry + target_extra for entry in start]
         session, slots = native.enter(self.hierarchy, self.processes)
         chunks = 0
 
         def refill(index: int) -> None:
-            # At most what this leg can still consume.
+            # At most what this process can still consume before the
+            # quota, whatever nearer stop the leg has: a chunk's tail
+            # stays bound for the next leg.
             slot = slots[index]
             left = target_extra - (session.proc(slot).accesses - start[index])
             session.set_chunk(
@@ -235,7 +247,7 @@ class NativeCorun:
                     chunks += 1
             while True:
                 finisher, reason, index = session.run_corun(
-                    slots, start, target_extra, channels
+                    slots, stop_at, channels
                 )
                 if finisher >= 0 or reason == native.STOP_LOG_FULL:
                     return chunks
@@ -307,7 +319,7 @@ def drive_batch(
             None if collector is None else [native.TraceChannel(collector)]
         )
         chunks = NativeCorun((process,), hierarchy, slab_size)._run(
-            (start,), num_accesses, channels
+            (start,), num_accesses, channels=channels
         )
         executed = process.accesses - start
     record_drive(engine, executed, started, chunks)

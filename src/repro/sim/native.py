@@ -28,8 +28,10 @@ other half of the contract:
   allocates.  It has one run entry, ``repro_corun``
   (:meth:`NativeSession.run_corun`): a cycle-fair co-run of adopted
   processes, each optionally observed by a trace channel; a solo drive
-  is the one-process case.  A run ends when a process completes its
-  quota, or stops with one reason: a chunk of accesses is exhausted
+  is the one-process case.  A run ends when a process reaches its stop
+  target -- an absolute access count per process: a quota leg's end, or
+  the dynamic manager's next hook access -- or stops with one reason:
+  a chunk of accesses is exhausted
   (``STOP_REFILL``), a trace log filled (``STOP_LOG_FULL``), or a step
   *would* overflow the page table or the allocation log -- then it stops
   before mutating anything and reports
@@ -170,7 +172,7 @@ class _NPmu(ctypes.Structure):
         ("buffer_entries", i64), ("record_prefetches", i64),
         ("buffered", i64),
         ("l1d_misses", i64), ("dropped", i64), ("stale", i64),
-        ("exceptions", i64),
+        ("exceptions", i64), ("exception_cost", i64),
     ]
 
 
@@ -292,7 +294,7 @@ def native_lib() -> Optional[ctypes.CDLL]:
             lib.repro_corun.argtypes = [
                 ctypes.POINTER(_NShared),
                 ctypes.POINTER(ctypes.POINTER(_NProc)),
-                ctypes.POINTER(vp), i64, P_i64, i64,
+                ctypes.POINTER(vp), i64, P_i64,
             ]
             lib.repro_corun.restype = i64
         _LIB = lib
@@ -520,12 +522,14 @@ class TraceChannel:
 
     C applies every access of the observed process to it, appending to
     the log's int64 buffer in place, and stops right after the access
-    that fills the log (``STOP_LOG_FULL``).  :meth:`commit` advances the
-    log's length and folds back the collector's counters, SDAR/PMC state
-    and RNG.
+    that fills the log (``STOP_LOG_FULL``).  Each exception taken adds
+    ``exception_cost`` cycles to the process clock, inside the step (the
+    dynamic manager's charge; a plain probe passes 0).  :meth:`commit`
+    advances the log's length and folds back the collector's counters,
+    SDAR/PMC state and RNG.
     """
 
-    def __init__(self, collector):
+    def __init__(self, collector, exception_cost: int = 0):
         kind = channel_kind(collector)
         if kind is None:
             raise ValueError(
@@ -543,6 +547,7 @@ class TraceChannel:
         u.dropped = collector.dropped_events
         u.stale = collector.stale_entries
         u.exceptions = collector.exceptions
+        u.exception_cost = exception_cost
         if kind == PMU_IDEAL:
             u.since_miss = -1
             u.buffer_entries = collector.buffer_entries
@@ -995,17 +1000,17 @@ class NativeSession:
 
     # -- running ------------------------------------------------------------
 
-    def run_corun(self, slots: Sequence[int], start: Sequence[int],
-                  target_extra: int,
+    def run_corun(self, slots: Sequence[int], stop_at: Sequence[int],
                   channels: Optional[Sequence[Optional[TraceChannel]]] = None,
                   ) -> Tuple[int, int, int]:
         """One native run over ``slots`` (in scheduling order) until one
-        process has executed ``target_extra`` accesses beyond its entry
-        in ``start``.  ``channels[i]`` observes ``slots[i]`` (None, or no
-        ``channels`` at all, observes nothing).  Returns ``(finisher,
-        stop_reason, stop_proc)``, both indices into ``slots`` --
-        ``finisher`` is -1 when the engine stopped for a refill, a growth
-        or a full trace log instead of finishing."""
+        process reaches its stop target: ``stop_at[i]`` is an absolute
+        access count for ``slots[i]``.  ``channels[i]`` observes
+        ``slots[i]`` (None, or no ``channels`` at all, observes nothing).
+        Returns ``(finisher, stop_reason, stop_proc)``, both indices into
+        ``slots`` -- ``finisher`` is -1 when the engine stopped for a
+        refill, a growth or a full trace log instead of reaching a
+        target."""
         key = tuple(slots)
         args = self._run_args.get(key)
         if args is None:
@@ -1019,15 +1024,14 @@ class NativeSession:
                 (ctypes.c_void_p * count)(),
                 (i64 * count)(),
             )
-        procs, pmus, starts = args
-        for i, entry in enumerate(start):
-            starts[i] = entry
+        procs, pmus, stops = args
+        for i, entry in enumerate(stop_at):
+            stops[i] = entry
             channel = channels[i] if channels is not None else None
             pmus[i] = (
                 None if channel is None else ctypes.addressof(channel.pmu)
             )
         finisher = int(self.lib.repro_corun(
-            ctypes.byref(self.sh), procs, pmus, len(key), starts,
-            target_extra,
+            ctypes.byref(self.sh), procs, pmus, len(key), stops,
         ))
         return finisher, int(self.sh.stop_reason), int(self.sh.stop_proc)

@@ -34,6 +34,8 @@ Everything is deterministic (scheduled fault windows, seeded probe
 faults), so a failure here replays bit-for-bit.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.analytic import AnalyticConfig
@@ -199,3 +201,30 @@ class TestRecoveryScenario:
         assert calm_report.quarantines == 0
         for stats in calm_report.breaker_stats.values():
             assert stats["opens"] == 0
+
+
+#: Each scenario fixture and the arguments that rebuild it.
+SCENARIOS = {
+    "chaos_report": dict(probe_faults=True, service_faults=True,
+                         ticks=CHAOS_TICKS),
+    "recovery_report": dict(probe_faults=False, service_faults=True,
+                            ticks=RECOVERY_TICKS, replace_every=4),
+    "calm_report": dict(probe_faults=False, service_faults=False,
+                        ticks=RECOVERY_TICKS, replace_every=4),
+}
+
+
+class TestEngineParity:
+    """The managed loops run native legs between hook accesses (and the
+    scalar heap around fault-wrapped probes); the scalar heap alone,
+    under ``REPRO_NATIVE=0``, must produce the identical fleet run."""
+
+    @pytest.mark.parametrize("fixture", sorted(SCENARIOS))
+    def test_native_equals_scalar(self, fixture, tiny_machine, request,
+                                  monkeypatch):
+        native = request.getfixturevalue(fixture)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        scalar = run_scenario(tiny_machine, **SCENARIOS[fixture])
+        assert scalar.placement_groups() == native.placement_groups()
+        assert scalar.budget_stats == native.budget_stats
+        assert dataclasses.asdict(scalar) == dataclasses.asdict(native)

@@ -21,6 +21,9 @@ Two runs share one deterministic schedule:
   re-solicited through the ordinary admission path within the run.
 """
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.core.mrc import MissRateCurve
@@ -29,7 +32,10 @@ from repro.core.rapidmrc import ProbeConfig
 from repro.fleet.service import FleetConfig, FleetService
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.drift import DriftConfig
+from repro.obs.report import RunReport
+from repro.reliability.faults import FaultPlan
 from repro.runner.dynamic import DynamicConfig
+from repro.sim.native import native_available
 from repro.store.mrc_store import MRCStore, StoreConfig
 from repro.workloads import make_workload
 
@@ -240,3 +246,43 @@ class TestObservabilityToggle:
         assert report.series is None
         assert report.health is None
         assert report.drift_events == 0
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="no C compiler / native engine disabled")
+class TestEngineReport:
+    """``obs report`` names the engine that ran the managed loops."""
+
+    def test_clean_run_is_native(self, clean_run):
+        _, _, telemetry = clean_run
+        report = RunReport.from_telemetry(telemetry)
+        engines = report.counter_by_label("sim.batch_accesses", "engine")
+        assert engines.get("native", 0) > 0
+        assert engines.get("scalar", 0) == 0
+        text = report.render()
+        assert re.search(
+            r"simulation engine: native [1-9][0-9]*, scalar 0 accesses; "
+            r"fallbacks: none", text)
+        assert re.search(r"pmu channel engine: native [0-9]+ probes?$",
+                         text, re.MULTILINE)
+
+    def test_probe_faults_run_scalar_as_observer_fallbacks(
+            self, tiny_machine):
+        dynamic = dataclasses.replace(
+            _dynamic(tiny_machine, drift=None),
+            fault_plan=FaultPlan.parse("all", seed=0),
+        )
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            FleetService(
+                tiny_machine,
+                [make_workload(name, tiny_machine) for name in MEMBERS],
+                FleetConfig(num_domains=2, ticks=TICKS, dynamic=dynamic),
+            ).run()
+        report = RunReport.from_telemetry(telemetry)
+        fallbacks = report.counter_by_label("sim.batch_fallbacks", "reason")
+        assert set(fallbacks) == {"observer"}
+        engines = report.counter_by_label("sim.batch_accesses", "engine")
+        assert engines.get("scalar", 0) > 0
+        assert engines.get("native", 0) > 0
+        assert f"fallbacks: observer={fallbacks['observer']}" in report.render()
