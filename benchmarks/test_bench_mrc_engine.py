@@ -9,14 +9,19 @@ simulation, MRC construction) on the paper's full-scale POWER5 L2
   :func:`~repro.core.correction.correct_stale_repetitions`, then
   :func:`~repro.core.stack.reference_histogram` over a
   :class:`~repro.core.stack.RangeListLRUStack` (the paper's engine);
-* ``batch`` -- ``RapidMRC.compute``, the vectorized kernel every exact
-  probe runs.
+* ``batch`` -- ``RapidMRC.compute`` as every exact probe runs it: the
+  native engine's one-pass stack kernel whenever that library loads
+  (each row records the ``kernel`` the ``mrc.stack_kernel`` counter saw);
+* ``numpy`` -- the same ``RapidMRC.compute`` under ``REPRO_NATIVE=0``,
+  which takes the numpy merge kernel, the fallback when no compiler is
+  available.
 
 Two hard gates ride along with the timings:
 
 * **Parity** -- at every trace size the pipeline's histogram and MRC
-  must be bit-identical to the range-list reference's.  A fast path that
-  drifts is worse than no fast path; CI fails on any divergence.
+  must be bit-identical to the range-list reference's, on both kernels.
+  A fast path that drifts is worse than no fast path; CI fails on any
+  divergence.
 * **Speedup** -- on the 160k-entry trace the pipeline must sustain at
   least 5x the accesses/sec of the per-access range-list reference (the
   design target of the vectorized kernel).
@@ -37,9 +42,10 @@ import pytest
 
 from repro.core.rapidmrc import RapidMRC
 from repro.obs import Telemetry, use_telemetry
+from repro.obs.report import RunReport
 from repro.sim.machine import MachineConfig
 
-ENGINES = ["rangelist", "batch"]
+ENGINES = ["rangelist", "batch", "numpy"]
 DEFAULT_SIZES = [10_000, 160_000, 1_000_000]
 SPEEDUP_SIZE = 160_000
 MIN_SPEEDUP = 5.0
@@ -93,6 +99,18 @@ def timed_compute(machine, trace):
     return best_of(RapidMRC(machine).compute, trace)
 
 
+def counted_compute(machine, trace):
+    """:func:`timed_compute` plus the stack kernel every timed run took."""
+    telemetry = Telemetry.in_memory()
+    with use_telemetry(telemetry):
+        result, seconds = timed_compute(machine, trace)
+    kernels = RunReport.from_telemetry(telemetry).counter_by_label(
+        "mrc.stack_kernel", "kernel"
+    )
+    assert len(kernels) == 1, kernels
+    return result, seconds, next(iter(kernels))
+
+
 @pytest.fixture(scope="module")
 def machine():
     # Full-scale POWER5 L2: the configuration the paper's online numbers
@@ -100,7 +118,8 @@ def machine():
     return MachineConfig()
 
 
-def test_bench_mrc_engine(machine, report_dir, range_list_reference):
+def test_bench_mrc_engine(machine, report_dir, range_list_reference,
+                          monkeypatch):
     sizes = bench_sizes()
     report = {
         "machine": machine.name,
@@ -109,6 +128,7 @@ def test_bench_mrc_engine(machine, report_dir, range_list_reference):
         "sizes": sizes,
         "engines": {engine: {} for engine in ENGINES},
         "speedup_vs_rangelist": {},
+        "speedup_vs_numpy": {},
         "parity": True,
     }
     for size in sizes:
@@ -116,21 +136,41 @@ def test_bench_mrc_engine(machine, report_dir, range_list_reference):
         ref, ref_seconds = best_of(
             lambda t, n: range_list_reference(machine, t, n), trace
         )
-        got, seconds = timed_compute(machine, trace)
-        for engine, elapsed in (("rangelist", ref_seconds), ("batch", seconds)):
-            report["engines"][engine][str(size)] = {
+        got, seconds, kernel = counted_compute(machine, trace)
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_NATIVE", "0")
+            fallback, numpy_seconds, numpy_kernel = counted_compute(
+                machine, trace
+            )
+        assert numpy_kernel == "numpy"
+        rows = (
+            ("rangelist", ref_seconds, None),
+            ("batch", seconds, kernel),
+            ("numpy", numpy_seconds, numpy_kernel),
+        )
+        for engine, elapsed, ran in rows:
+            row = {
                 "seconds": round(elapsed, 6),
                 "accesses_per_sec": round(size / elapsed),
             }
+            if ran is not None:
+                row["kernel"] = ran
+            report["engines"][engine][str(size)] = row
         # Parity gate: the pipeline must be bit-identical to the
         # range-list reference -- histogram and final curve.
         assert got.histogram.counts == ref.histogram.counts, size
         assert got.histogram.cold_misses == ref.histogram.cold_misses, size
         assert dict(got.mrc) == dict(ref.mrc), size
         assert got.correction.converted == ref.correction.converted, size
+        # The fallback kernel is held to the same reference.
+        assert fallback.histogram.counts == ref.histogram.counts, size
+        assert fallback.histogram.cold_misses == ref.histogram.cold_misses, size
+        assert dict(fallback.mrc) == dict(ref.mrc), size
         base = report["engines"]["rangelist"][str(size)]["accesses_per_sec"]
         fast = report["engines"]["batch"][str(size)]["accesses_per_sec"]
+        slow = report["engines"]["numpy"][str(size)]["accesses_per_sec"]
         report["speedup_vs_rangelist"][str(size)] = round(fast / base, 2)
+        report["speedup_vs_numpy"][str(size)] = round(fast / slow, 2)
 
     path = report_dir / "BENCH_mrc_engine.json"
     path.write_text(json.dumps(report, indent=2) + "\n")

@@ -1,4 +1,4 @@
-"""The exact MRC path: whole-trace, numpy-vectorized pipeline stages.
+"""The exact MRC path: whole-trace pipeline stages on int64 arrays.
 
 Every exact probe runs here (through :class:`~repro.core.rapidmrc.
 RapidMRC` and :class:`~repro.core.stack.LRUStackSimulator`) instead of
@@ -7,29 +7,45 @@ paying Python interpreter overhead on each of the ~160k trace entries
 
 - :func:`correct_stale_repetitions`, the stale-SDAR repair of
   :mod:`repro.core.correction` on int64 arrays;
-- :func:`batch_stack_distances`, a batched Mattson kernel that computes
-  every access's exact bounded stack distance in O(n log n) vectorized
-  numpy work;
+- :func:`batch_stack_distances`, every access's exact bounded stack
+  distance, from one C pass over the trace (a numpy merge when the
+  native engine is unavailable);
 - :func:`batch_histogram`, which quantizes distances to the partition
   boundaries and accumulates the stack-distance histogram with
   ``numpy.bincount``, honoring the warmup policies of
   :mod:`repro.core.warmup`.
 
-Everything here is **bit-identical** to the scalar references: the
-kernel reproduces :class:`~repro.core.stack.NaiveLRUStack`'s exact
+Everything here is **bit-identical** to the scalar references: both
+kernels reproduce :class:`~repro.core.stack.NaiveLRUStack`'s exact
 distances and the quantized histogram that
 :func:`~repro.core.stack.reference_histogram` accumulates over a
 :class:`~repro.core.stack.RangeListLRUStack` (the differential tests in
-``tests/core/test_fastpath.py`` and ``tests/integration/
-test_reference_parity.py`` and the engine benchmark enforce this).
+``tests/core/test_stack_kernels.py``, ``tests/core/test_fastpath.py``
+and ``tests/integration/test_reference_parity.py`` and the engine
+benchmark enforce this).
 
 How the kernel works
 --------------------
 
 The stack distance of access ``i`` with previous occurrence ``p`` is the
-number of *distinct* lines touched in ``(p, i)``, plus one.  Counting
-each distinct line at its first in-window occurrence ``j`` (those with
-``prev[j] <= p``) and subtracting the rest gives
+number of *distinct* lines touched in ``(p, i)``, plus one.
+
+**The C pass** (``repro_stack_distances`` in the native engine,
+selected whenever :func:`repro.sim.native.native_lib` loads) walks the
+trace once.  A Fenwick tree over time positions marks each line's
+latest access, and an open-addressing map from line to that position
+yields ``p``; every marked position after ``p`` is one distinct line
+touched since, so the distance is their count plus one, O(log n) per
+access.  The same pass notes the access at which ``max_depth``
+distinct lines have been seen, which is where the automatic and
+hybrid warmups stop.  Its scratch (map, tree, output) is numpy arrays
+owned by the caller.
+
+**The numpy merge** is the fallback for ``REPRO_NATIVE=0`` and for a
+machine without a C compiler.  One stable argsort gives every access
+its previous occurrence ``prev``; counting each distinct line at its
+first in-window occurrence ``j`` (those with ``prev[j] <= p``) and
+subtracting the rest gives
 
     distance(i) = i - prev[i] - G(i),
     G(i) = #{ j < i : prev[j] > prev[i] },
@@ -38,16 +54,17 @@ because every access ``j`` in ``(p, i)`` whose line was *already* seen
 inside the window has its own previous occurrence inside the window
 (``prev[j] > p``).  ``G`` is a dominance count over the ``prev`` array,
 evaluated for all ``i`` at once by a bottom-up merge over power-of-two
-time blocks -- the same interval decomposition an array-backed Fenwick
-tree over timestamps uses, but with every level's counting done by one
-sorted ``numpy.searchsorted`` call instead of n sequential tree walks.
-Distances beyond ``max_depth`` become cold misses, exactly as the
-paper's bounded stack reports them.
+time blocks, with every level's counting done by one sorted
+``numpy.searchsorted`` call.
+
+Either way, distances beyond ``max_depth`` become cold misses, exactly
+as the paper's bounded stack reports them, and the kernel that ran is
+counted as ``mrc.stack_kernel{kernel=native|numpy}``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,15 +85,6 @@ __all__ = [
     "batch_stack_distances",
     "batch_histogram",
 ]
-
-
-#: Block width at or below which the merge kernel uses a dense broadcast
-#: compare instead of searchsorted (a global binary search costs ~log n
-#: steps per element regardless of block width, so tiny blocks are much
-#: cheaper to compare directly).
-_BROADCAST_WIDTH = 16
-
-_INT32_MAX = np.iinfo(np.int32).max
 
 
 def as_trace_array(trace: Iterable[int]) -> np.ndarray:
@@ -119,8 +127,31 @@ def correct_stale_repetitions(trace: Iterable[int]) -> CorrectionResult:
 
 
 # ---------------------------------------------------------------------------
-# Batched stack-distance kernel
+# Exact stack distances: the C pass, or the numpy merge as its fallback
 # ---------------------------------------------------------------------------
+
+def _stack_distances(arr: np.ndarray, max_depth: int) -> Tuple[np.ndarray, int]:
+    """Distances of ``arr`` and the index at which its stack fills.
+
+    Runs the native engine's one-pass kernel whenever that library
+    loads, else the numpy merge (``REPRO_NATIVE=0``, no compiler); both
+    are exact.  Counts ``mrc.stack_kernel{kernel=native|numpy}``.
+    """
+    # Imported here, not at module level: set-up processes that never
+    # compute a curve should not load the native harness.
+    from repro.sim import native
+
+    lib = native.native_lib()
+    get_telemetry().registry.counter(
+        "mrc.stack_kernel", kernel="numpy" if lib is None else "native"
+    ).inc()
+    if lib is not None:
+        return native.stack_distances(lib, arr, max_depth)
+    prev = previous_occurrences(arr)
+    return _distances_from_prev(prev, max_depth), _stack_fill_index(
+        prev, max_depth
+    )
+
 
 def previous_occurrences(arr: np.ndarray) -> np.ndarray:
     """Index of each entry's previous occurrence, or -1 for a first touch.
@@ -134,17 +165,7 @@ def previous_occurrences(arr: np.ndarray) -> np.ndarray:
     prev = np.full(n, -1, dtype=np.int64)
     if n < 2:
         return prev
-    # Quicksort on a (value, time) composite key yields the same
-    # grouped-by-line, time-ordered permutation as a stable argsort but
-    # runs ~4x faster; fall back to the stable sort when the composite
-    # could overflow int64 (absurdly large line numbers).
-    vmin = int(arr.min())
-    vspan = int(arr.max()) - vmin
-    if vspan < (1 << 62) // n:
-        key = (arr - vmin) * np.int64(n) + np.arange(n, dtype=np.int64)
-        order = np.argsort(key)
-    else:
-        order = np.argsort(arr, kind="stable")
+    order = np.argsort(arr, kind="stable")
     grouped = arr[order]
     same_line = grouped[1:] == grouped[:-1]
     prev[order[1:][same_line]] = order[:-1][same_line]
@@ -173,11 +194,7 @@ def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
     padded[:n] = values + 2
     # Rows offset by span must never collide: every padded value
     # (including the shifted maximum) has to stay below it.
-    span = max(size + 4, int(values.max()) + 3)  # strictly above the max shifted value
-    # Values are bounded by size+1, so a narrow copy is essentially
-    # always available; binary search over half the bytes is measurably
-    # faster on the wide searchsorted levels.
-    narrow = padded.astype(np.int32) if span <= _INT32_MAX else padded
+    span = int(values.max()) + 3
     padded_counts = np.zeros(size, dtype=np.int64)
     width = 1
     while width < size:
@@ -185,41 +202,23 @@ def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
         # Pair-rows made entirely of padding contribute nothing real:
         # restrict every level to the rows that reach position n.
         rows = min(pairs, -(-n // (2 * width)))
-        if width == 1:
-            # Sibling singletons: one strided compare.
-            greater = (narrow[0 : 2 * rows : 2] > narrow[1 : 2 * rows : 2])[
-                :, None
-            ]
-        elif width <= _BROADCAST_WIDTH:
-            # Tiny blocks: a dense compare beats paying a full global
-            # binary search per element.
-            blocks = narrow.reshape(pairs, 2, width)[:rows]
-            greater = (blocks[:, 1, :, None] < blocks[:, 0, None, :]).sum(
-                axis=2, dtype=np.int64
-            )
-        else:
-            # Offset each pair-row into its own disjoint value band so
-            # one flat searchsorted resolves every row at once (int32
-            # whenever the top offset still fits).
-            fits32 = narrow.dtype == np.int32 and rows * span <= _INT32_MAX
-            src = narrow if fits32 else padded
-            blocks = src.reshape(pairs, 2, width)[:rows]
-            sorted_left = np.sort(blocks[:, 0, :], axis=1)
-            offsets = np.arange(rows, dtype=src.dtype) * src.dtype.type(span)
-            sorted_left += offsets[:, None]
-            queries = blocks[:, 1, :] + offsets[:, None]
-            at_most = np.searchsorted(
-                sorted_left.ravel(), queries.ravel(), side="right"
-            ).reshape(rows, width)
-            at_most -= (np.arange(rows, dtype=np.int64) * width)[:, None]
-            greater = width - at_most
-        padded_counts.reshape(pairs, 2, width)[:rows, 1, :] += greater
+        blocks = padded.reshape(pairs, 2, width)[:rows]
+        # Offset each pair-row into its own disjoint value band so one
+        # flat searchsorted resolves every row at once.
+        offsets = np.arange(rows, dtype=np.int64) * span
+        sorted_left = np.sort(blocks[:, 0, :], axis=1) + offsets[:, None]
+        queries = blocks[:, 1, :] + offsets[:, None]
+        at_most = np.searchsorted(
+            sorted_left.ravel(), queries.ravel(), side="right"
+        ).reshape(rows, width)
+        at_most -= (np.arange(rows, dtype=np.int64) * width)[:, None]
+        padded_counts.reshape(pairs, 2, width)[:rows, 1, :] += width - at_most
         width *= 2
     return padded_counts[:n]
 
 
 def batch_stack_distances(trace: Iterable[int], max_depth: int) -> np.ndarray:
-    """Exact bounded LRU stack distance of every access, vectorized.
+    """Exact bounded LRU stack distance of every access.
 
     Returns an int64 array: 1-based distances for reuses within
     ``max_depth``, :data:`~repro.core.histogram.COLD_MISS` for first
@@ -228,12 +227,8 @@ def batch_stack_distances(trace: Iterable[int], max_depth: int) -> np.ndarray:
     """
     if max_depth <= 0:
         raise ValueError("max_depth must be positive")
-    arr = as_trace_array(trace)
-    n = arr.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    prev = previous_occurrences(arr)
-    return _distances_from_prev(prev, max_depth)
+    distances, _ = _stack_distances(as_trace_array(trace), max_depth)
+    return distances
 
 
 def _distances_from_prev(prev: np.ndarray, max_depth: int) -> np.ndarray:
@@ -250,14 +245,7 @@ def _distances_from_prev(prev: np.ndarray, max_depth: int) -> np.ndarray:
     if reuse.size == 0:
         return distances
     compact_prev = prev[reuse]
-    # Dense-rank the predecessor indices (they are distinct: each access
-    # is the predecessor of at most one reuse) so the counting kernel
-    # sees values < m and keeps its narrow row-offset layout.
-    seen = np.zeros(prev.size, dtype=np.int8)
-    seen[compact_prev] = 1
-    rank = np.cumsum(seen, dtype=np.int64)
-    inside = _count_earlier_greater(rank[compact_prev] - 1)
-    dist = reuse - compact_prev - inside
+    dist = reuse - compact_prev - _count_earlier_greater(compact_prev)
     distances[reuse] = np.where(dist > max_depth, np.int64(COLD_MISS), dist)
     return distances
 
@@ -280,21 +268,20 @@ def _stack_fill_index(prev: np.ndarray, max_depth: int) -> int:
     return int(np.argmax(full))
 
 
-def _resolve_warmup_start(warmup, prev: np.ndarray, max_depth: int) -> int:
+def _resolve_warmup_start(warmup, fill: int, n: int) -> int:
     """First recorded index under ``warmup``, mirroring the scalar loop.
 
-    Also back-fills the policy object's bookkeeping attributes
-    (``warmup_entries``, ``automatic_triggered``) so that
+    ``fill`` is the index at which the bounded stack fills (``n`` when
+    it never does).  Also back-fills the policy object's bookkeeping
+    attributes (``warmup_entries``, ``automatic_triggered``) so that
     :func:`repro.core.warmup.warmup_fraction_used` reports exactly what
     it would after :func:`repro.core.stack.reference_histogram`.
     """
-    n = int(prev.size)
     if warmup is None or isinstance(warmup, NoWarmup):
         return 0
     if isinstance(warmup, StaticWarmup):
         return min(warmup.entries, n)
     if isinstance(warmup, HybridWarmup):
-        fill = _stack_fill_index(prev, max_depth)
         start = min(fill, warmup.fallback_entries, n)
         warmup.warmup_entries = start
         if start < n:
@@ -302,7 +289,6 @@ def _resolve_warmup_start(warmup, prev: np.ndarray, max_depth: int) -> int:
             warmup.automatic_triggered = fill <= warmup.fallback_entries
         return start
     if isinstance(warmup, AutomaticWarmup):
-        fill = _stack_fill_index(prev, max_depth)
         start = min(fill, n)
         warmup.warmup_entries = start
         if start < n:
@@ -337,7 +323,7 @@ def batch_histogram(
     boundaries: Optional[Sequence[int]] = None,
     warmup=None,
 ) -> StackDistanceHistogram:
-    """Whole-trace stack-distance histogram, vectorized end to end.
+    """Whole-trace stack-distance histogram from the exact kernel.
 
     Distances are bucketed to the upper boundary of their range, so the
     result is identical to :func:`~repro.core.stack.reference_histogram`
@@ -361,14 +347,10 @@ def batch_histogram(
     registry.counter("fastpath.histograms").inc()
     registry.counter("fastpath.histogram_entries").inc(n)
     histogram = StackDistanceHistogram(max_depth=max_depth)
-    if n == 0:
-        _resolve_warmup_start(warmup, np.empty(0, dtype=np.int64), max_depth)
-        return histogram
-    prev = previous_occurrences(arr)
-    start = _resolve_warmup_start(warmup, prev, max_depth)
+    distances, fill = _stack_distances(arr, max_depth)
+    start = _resolve_warmup_start(warmup, fill, n)
     if start >= n:
         return histogram
-    distances = _distances_from_prev(prev, max_depth)
     recorded_cold = distances[start:] == COLD_MISS
     recorded = distances[start:][~recorded_cold]
     histogram.cold_misses = int(recorded_cold.sum())

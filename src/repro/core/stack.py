@@ -8,8 +8,9 @@ lines and misses in any smaller one, so a single pass yields the whole
 miss-rate curve.
 
 The pipeline's :class:`LRUStackSimulator` runs whole traces through the
-numpy-vectorized kernel of :mod:`repro.core.fastpath` (or a sampling
-estimator).  Two per-access stacks stay here as the references that
+exact kernel of :mod:`repro.core.fastpath` -- one C pass, or a numpy
+merge where the native engine is unavailable -- or a sampling
+estimator.  Two per-access stacks stay here as the references that
 kernel is pinned bit-identical to, driven by :func:`reference_histogram`:
 
 - :class:`NaiveLRUStack` -- a literal list-based stack, O(depth) per
@@ -334,8 +335,9 @@ class LRUStackSimulator:
 
     Args:
         max_depth: stack bound in lines (the L2 size: 15360 on POWER5).
-        engine: ``batch`` -- the exact vectorized kernel of
-            :mod:`repro.core.fastpath`, bit-identical to
+        engine: ``batch`` -- the exact whole-trace kernel of
+            :mod:`repro.core.fastpath` (C, or numpy without the native
+            engine), bit-identical to
             :func:`reference_histogram` over a :class:`RangeListLRUStack`
             -- or a sampling estimator from :mod:`repro.core.estimators`
             (``shards``), which leaves its cost accounting in

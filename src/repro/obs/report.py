@@ -293,6 +293,9 @@ class RunReport:
         out(f"native state: adopted "
             f"{self.counter_total('sim.native_adopts')}, copied back "
             f"{sum(copybacks.values())}{f' ({why})' if why else ''}")
+        kernels = self.counter_by_label("mrc.stack_kernel", "kernel")
+        out(f"stack kernel: native {kernels.get('native', 0)}, "
+            f"numpy {kernels.get('numpy', 0)}")
         out("")
         out("per-stage cost breakdown (paper Table 2 structure):")
         out(f"  {'stage':<20} {'count':>7} {'total ms':>12} "

@@ -10,6 +10,9 @@
  * It holds only state some output reads: the L1D/L2/L3 sets, each
  * process's page table (its only vpage -> frame map) and stale set, and
  * the prefetcher streams and RNGs.  Only the data stream is simulated.
+ * Two standalone kernel families share the library: the workload
+ * generators' MT19937 fills and the exact stack-distance pass of
+ * repro.core.fastpath.
  *
  * Invariants the wrapper relies on:
  *  - C never allocates and never calls back.  Every buffer is a numpy
@@ -359,6 +362,59 @@ static void set_discard(NMap *m, i64 key)
             return;
         idx = (idx + 1) & (m->cap - 1);
     }
+}
+
+/* ----------------------------------------------------------------- */
+/* Exact bounded LRU stack distances (the probe's calculation kernel) */
+/*                                                                    */
+/* One pass over the trace.  A Fenwick tree over time positions 1..n  */
+/* marks each line's latest access, and an open-addressing map from   */
+/* line to that position finds the previous access p.  Every marked   */
+/* position after p is one distinct line touched since, so the stack  */
+/* distance is their count plus one.                                  */
+/* ----------------------------------------------------------------- */
+
+/* repro_stack_distances: out[i] = the 1-based LRU stack distance of
+ * trace[i], or -1 (COLD_MISS) for a first touch and for a distance
+ * beyond max_depth.  Returns the index of the access that brings the
+ * distinct lines seen to max_depth (the bounded stack is full after
+ * it), or n when it never fills.  The scratch is the caller's: `map`
+ * holds cap (line, position) pairs, cap a power of two above n, and
+ * `tree` holds n + 1 counts.  Any int64 is a legal line, so the map
+ * reserves no key: a slot is free while its position is -1. */
+EXPORT i64 repro_stack_distances(const i64 *trace, i64 n, i64 max_depth,
+                                 i64 *out, i64 *map, i64 cap, i64 *tree)
+{
+    i64 fill = n;
+    i64 distinct = 0;
+    for (i64 s = 0; s < cap; s++)
+        map[2 * s + 1] = -1;
+    memset(tree, 0, (size_t)(n + 1) * sizeof(i64));
+    for (i64 i = 0; i < n; i++) {
+        i64 line = trace[i];
+        i64 s = ht_hash(line, cap);
+        while (map[2 * s + 1] >= 0 && map[2 * s] != line)
+            s = (s + 1) & (cap - 1);
+        i64 prev = map[2 * s + 1];
+        map[2 * s] = line;
+        map[2 * s + 1] = i;
+        if (prev < 0) {
+            out[i] = -1;
+            if (++distinct == max_depth)
+                fill = i;
+        } else {
+            i64 upto = 0;   /* marked positions at or before prev */
+            for (i64 k = prev + 1; k > 0; k -= k & -k)
+                upto += tree[k];
+            i64 d = distinct - upto + 1;
+            out[i] = d > max_depth ? -1 : d;
+            for (i64 k = prev + 1; k <= n; k += k & -k)
+                tree[k]--;
+        }
+        for (i64 k = i + 1; k <= n; k += k & -k)
+            tree[k]++;
+    }
+    return fill;
 }
 
 /* ----------------------------------------------------------------- */

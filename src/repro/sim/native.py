@@ -24,6 +24,9 @@ other half of the contract:
   state in a C-visible buffer for the fill kernels (``random()``
   doubles and ``_randbelow``) behind
   :class:`repro.workloads.base.BatchRandom`.
+- **stack distances**: :func:`stack_distances` runs the exact LRU
+  stack-distance kernel (``repro_stack_distances``) that
+  :mod:`repro.core.fastpath` selects whenever this library loads.
 - **protocol**: the engine never calls back into Python and never
   allocates.  It has one run entry, ``repro_corun``
   (:meth:`NativeSession.run_corun`): a cycle-fair co-run of adopted
@@ -40,10 +43,10 @@ other half of the contract:
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
 entirely (every drive then runs the scalar reference, every generator
-its Python draws).  That is silent; a native engine that is wanted but
-cannot be built (no compiler, failed compile) warns once per process
-and counts ``sim.native_unavailable{reason}`` on every lookup that
-falls back.
+its Python draws, every stack-distance pass the numpy merge).  That is
+silent; a native engine that is wanted but cannot be built (no
+compiler, failed compile) warns once per process and counts
+``sim.native_unavailable{reason}`` on every lookup that falls back.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ __all__ = [
     "enter",
     "native_lib",
     "native_available",
+    "stack_distances",
     "STOP_NONE",
     "STOP_REFILL",
     "STOP_LOG_FULL",
@@ -270,7 +274,8 @@ def _report_unavailable(reason: str) -> None:
         _WARNED = True
         warnings.warn(
             f"native simulation engine unavailable ({reason}); drives "
-            "fall back to the slower scalar reference",
+            "fall back to the slower scalar reference and stack "
+            "distances to the numpy kernel",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -291,6 +296,8 @@ def native_lib() -> Optional[ctypes.CDLL]:
             lib.repro_mt_fill.restype = None
             lib.repro_mt_randbelow.argtypes = [vp, vp, i64, vp, i64]
             lib.repro_mt_randbelow.restype = None
+            lib.repro_stack_distances.argtypes = [vp, i64, i64, vp, vp, i64, vp]
+            lib.repro_stack_distances.restype = i64
             lib.repro_corun.argtypes = [
                 ctypes.POINTER(_NShared),
                 ctypes.POINTER(ctypes.POINTER(_NProc)),
@@ -372,6 +379,33 @@ class MTStream:
         rng.setstate(
             (self._version, (*self._key, self._pos.value), self._gauss)
         )
+
+
+def stack_distances(
+    lib: ctypes.CDLL, trace: np.ndarray, max_depth: int
+) -> Tuple[np.ndarray, int]:
+    """Exact bounded LRU stack distances of ``trace`` in one C pass.
+
+    ``trace`` is a contiguous int64 array.  Returns the distances (as
+    :func:`repro.core.fastpath.batch_stack_distances` defines them) and
+    the index of the access that fills a ``max_depth``-line stack, or
+    ``len(trace)`` when it never fills.  The kernel's scratch -- a
+    (line, position) map at most 0.7 full and a Fenwick tree over time
+    positions -- lives in arrays freed when this returns.
+    """
+    if (trace.dtype != np.int64 or trace.ndim != 1
+            or not trace.flags.c_contiguous):
+        raise ValueError("stack_distances needs a contiguous 1-D int64 array")
+    n = int(trace.size)
+    cap = _ht_cap_for(n, 0)
+    slots = np.empty(2 * cap, dtype=np.int64)
+    tree = np.empty(n + 1, dtype=np.int64)
+    distances = np.empty(n, dtype=np.int64)
+    fill = lib.repro_stack_distances(
+        trace.ctypes.data, n, max_depth, distances.ctypes.data,
+        slots.ctypes.data, cap, tree.ctypes.data,
+    )
+    return distances, int(fill)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ class TestBatchDistances:
             fp.batch_stack_distances([[1, 2], [3, 4]], max_depth=4)
 
     def test_huge_line_numbers_use_stable_fallback(self):
-        # Line numbers too large for the composite argsort key must fall
-        # back to the stable sort and still be exact.
+        # Line numbers near the top of the int64 range, next to small and
+        # negative ones, must still give exact distances.
         trace = [2**61, 5, 2**61 + 1, 5, 2**61, -3, -3, 2**61 + 1]
         got = fp.batch_stack_distances(trace, max_depth=4).tolist()
         assert got == naive_distances(trace, 4)

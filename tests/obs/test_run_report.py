@@ -206,3 +206,13 @@ class TestRender:
         assert ("simulation engine: native 900, scalar 100 accesses; "
                 "fallbacks: observer=2, replacement=1") in text
         assert "fallbacks: none" in RunReport().render()
+
+    def test_render_stack_kernel_after_native_state(self):
+        telemetry = _capture_sample()
+        telemetry.registry.counter("mrc.stack_kernel", kernel="native").inc(3)
+        telemetry.registry.counter("mrc.stack_kernel", kernel="numpy").inc()
+        lines = RunReport.from_telemetry(telemetry).render().splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("native state:"))
+        assert lines[at + 1] == "stack kernel: native 3, numpy 1"
+        assert "stack kernel: native 0, numpy 0" in RunReport().render()
