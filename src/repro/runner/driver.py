@@ -83,7 +83,7 @@ class Process:
         self._page_size = self.machine.page_size
         self._lines_per_page = self._page_size // self._line_size
         # Hot-path bindings: the per-access loop must not re-resolve these.
-        self._page_table, self._stale_pages = allocator.page_table(pid)
+        self._page_table = allocator.page_table(pid)
         self._pf_random = self._pf_rng.random
         self._pf_late = self._pf_config.late_probability
         self._pf_install = self._pf_config.l1_install_probability
@@ -106,10 +106,10 @@ class Process:
         vline = vaddr // self._line_size
         lines_per_page = self._lines_per_page
         table = self._page_table
-        stale = self._stale_pages
         vpage, page_line = divmod(vline, lines_per_page)
         frame = table.get(vpage)
-        translated = frame is None or vpage in stale
+        # Unmapped (None) or stale (~frame < 0): frame_for maps it.
+        translated = frame is None or frame < 0
         if translated:
             frame = self.allocator.frame_for(self.pid, vpage)
         result = hierarchy.access(
@@ -121,7 +121,7 @@ class Process:
             for pf_vline in self.prefetcher.observe_miss(vline):
                 pf_vpage, pf_page_line = divmod(pf_vline, lines_per_page)
                 pf_frame = table.get(pf_vpage)
-                if pf_frame is None or pf_vpage in stale:
+                if pf_frame is None or pf_frame < 0:
                     pf_frame = self.allocator.frame_for(self.pid, pf_vpage)
                     translated = True
                 pf_line = pf_frame * lines_per_page + pf_page_line
@@ -138,8 +138,8 @@ class Process:
         self.accesses += 1
         self.cycles += self._base_cost + self._penalty(result, hierarchy.machine)
         if translated:
-            # A page a lazy resize marked stale migrates on its next
-            # touch; the cycles are charged to the access that migrated.
+            # A page a resize marked stale migrates on its next touch;
+            # the cycles are charged to the access that migrated.
             self.cycles += self.allocator.take_migration_debt(self.pid)
         return result
 

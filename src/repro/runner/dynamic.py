@@ -352,7 +352,6 @@ class DynamicPartitionManager:
         )
         self._interval = config.resolved_interval(machine)
         self.events: List[ManagerEvent] = []
-        self.migration_cycles = 0.0
         self.probes_run = 0
         self.probes_rejected = 0
         self.degraded_decisions = 0
@@ -459,9 +458,8 @@ class DynamicPartitionManager:
             mpki_timelines=[m.timeline for m in self.managed],
             probes_run=self.probes_run,
             resizes=self.resizes,
-            migration_cycles=(
-                self.migration_cycles
-                + self.allocator.lazy_migrations
+            migration_cycles=float(
+                self.allocator.lazy_migrations
                 * self.allocator.migration_cost_cycles
             ),
             probes_rejected=self.probes_rejected,
@@ -1230,16 +1228,13 @@ class DynamicPartitionManager:
     ) -> None:
         if new_colors == self.current_colors:
             return
-        for index, (managed, colors) in enumerate(
-            zip(self.managed, new_colors)
+        for index, (old, colors) in enumerate(
+            zip(self.current_colors, new_colors)
         ):
-            if colors == self.current_colors[index]:
-                continue
-            # Lazy resize: only pages the process actually touches again
-            # migrate (and pay), so cold history is free.
-            report = self.allocator.resize(index, colors, lazy=True)
-            managed.process.cycles += report.cycles
-            self.migration_cycles += report.cycles
+            if colors != old:
+                # Only pages the process actually touches again migrate
+                # (and pay), so cold history is free.
+                self.allocator.resize(index, colors)
         self.current_colors = new_colors
         self.resizes += 1
         get_telemetry().registry.counter("dynamic.resizes", **self._labels()).inc()

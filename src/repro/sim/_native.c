@@ -8,8 +8,9 @@
  * cache-state ordering, RNG draw and float64 rounding step matches the
  * scalar driver bit for bit (the differential suite enforces this).
  * It holds only state some output reads: the L1D/L2/L3 sets, each
- * process's page table (its only vpage -> frame map) and stale set, and
- * the prefetcher streams and RNGs.  Only the data stream is simulated.
+ * process's page table (its only vpage -> frame map, a stale page held
+ * as ~frame), and the prefetcher streams and RNGs.  Only the data
+ * stream is simulated.
  * Two standalone kernel families share the library: the workload
  * generators' MT19937 fills and the exact stack-distance pass of
  * repro.core.fastpath.
@@ -18,10 +19,9 @@
  *  - C never allocates and never calls back.  Every buffer is a numpy
  *    array owned by Python, presized before the call (the PMU channel
  *    appends to the trace log's own buffer).  When a step *would*
- *    overflow a map or the allocation log, the engine stops cleanly
- *    BEFORE mutating anything and reports a stop_reason; the wrapper
- *    grows the buffer in place and resumes -- state is identical
- *    either way.
+ *    overflow a page table, the engine stops cleanly BEFORE mutating
+ *    anything and reports a stop_reason; the wrapper grows the table in
+ *    place and resumes -- state is identical either way.
  *  - All integers are int64; floats are IEEE double, and float
  *    expressions copy the Python parenthesization exactly
  *    (cycles += base + penalty; migration debt is its own +=).
@@ -56,11 +56,10 @@ typedef uint8_t u8;
 typedef uint32_t u32;
 
 /* Stop reasons (NShared.stop_reason). */
-#define STOP_NONE          0
-#define STOP_REFILL        1   /* access buffer exhausted */
-#define STOP_GROW_PT       2   /* page-table map near capacity */
-#define STOP_GROW_NEWPAGES 3   /* allocation log full */
-#define STOP_LOG_FULL      4   /* PMU trace log filled by the last access */
+#define STOP_NONE     0
+#define STOP_REFILL   1   /* access buffer exhausted */
+#define STOP_GROW_PT  2   /* page-table map near capacity */
+#define STOP_LOG_FULL 3   /* PMU trace log filled by the last access */
 
 /* ----------------------------------------------------------------- */
 /* MT19937 (CPython random.Random core)                               */
@@ -251,22 +250,20 @@ static void cache_invalidate(NCache *c, i64 line)
 }
 
 /* ----------------------------------------------------------------- */
-/* Open-addressing hash map / set for int64 keys >= 0                 */
+/* Open-addressing hash map for int64 keys >= 0                       */
 /*                                                                    */
-/* Virtual page numbers may be negative, so the vpage-keyed maps      */
-/* (page_table, stale) store zigzag(vpage), which is non-negative and  */
-/* never collides with the HT_EMPTY / HT_TOMB sentinels.               */
+/* Virtual page numbers may be negative, so the page table stores     */
+/* zigzag(vpage), which is non-negative and never collides with the   */
+/* HT_EMPTY sentinel.  Entries are never deleted.                     */
 /* ----------------------------------------------------------------- */
 
 #define HT_EMPTY (-1)
-#define HT_TOMB  (-2)
 
 typedef struct {
     i64 cap;      /* power of two */
     i64 count;    /* live entries */
-    i64 tombs;    /* tombstoned slots (set_discard leftovers) */
-    i64 *keys;    /* cap, HT_EMPTY / HT_TOMB sentinels */
-    i64 *vals;    /* cap (NULL for sets) */
+    i64 *keys;    /* cap, HT_EMPTY where free */
+    i64 *vals;    /* cap */
 } NMap;
 
 static inline i64 zigzag(i64 v)
@@ -289,77 +286,20 @@ static inline i64 ht_hash(i64 key, i64 cap)
 }
 
 /* True when inserting `extra` more entries could push the table past
- * its 0.7 load ceiling.  Tombstones count against the ceiling: probes
- * only terminate on EMPTY slots, so a table saturated with tombstones
- * must be rehashed (the wrapper does that on a grow stop). */
+ * its 0.7 load ceiling. */
 static inline int map_needs_grow(const NMap *m, i64 extra)
 {
-    return (m->count + m->tombs + extra) * 10 > m->cap * 7;
+    return (m->count + extra) * 10 > m->cap * 7;
 }
 
-static int map_get(const NMap *m, i64 key, i64 *val)
+/* The slot holding `key`, or the free slot where it would go. */
+static i64 map_slot(const NMap *m, i64 key)
 {
     i64 idx = ht_hash(key, m->cap);
     for (;;) {
         i64 k = m->keys[idx];
-        if (k == key) {
-            if (val)
-                *val = m->vals[idx];
-            return 1;
-        }
-        if (k == HT_EMPTY)
-            return 0;
-        idx = (idx + 1) & (m->cap - 1);
-    }
-}
-
-/* Insert or update.  Capacity is guaranteed by the pre-step check. */
-static void map_put(NMap *m, i64 key, i64 val)
-{
-    i64 idx = ht_hash(key, m->cap);
-    i64 first_tomb = -1;
-    for (;;) {
-        i64 k = m->keys[idx];
-        if (k == key) {
-            if (m->vals)
-                m->vals[idx] = val;
-            return;
-        }
-        if (k == HT_TOMB && first_tomb < 0)
-            first_tomb = idx;
-        if (k == HT_EMPTY) {
-            if (first_tomb >= 0) {
-                idx = first_tomb;
-                m->tombs--;
-            }
-            m->keys[idx] = key;
-            if (m->vals)
-                m->vals[idx] = val;
-            m->count++;
-            return;
-        }
-        idx = (idx + 1) & (m->cap - 1);
-    }
-}
-
-static int set_contains(const NMap *m, i64 key)
-{
-    return map_get(m, key, 0);
-}
-
-static void set_discard(NMap *m, i64 key)
-{
-    i64 idx = ht_hash(key, m->cap);
-    for (;;) {
-        i64 k = m->keys[idx];
-        if (k == key) {
-            m->keys[idx] = HT_TOMB;
-            m->count--;
-            m->tombs++;
-            return;
-        }
-        if (k == HT_EMPTY)
-            return;
+        if (k == key || k == HT_EMPTY)
+            return idx;
         idx = (idx + 1) & (m->cap - 1);
     }
 }
@@ -535,14 +475,7 @@ typedef struct {
     i64 *colors;
     i64 ncolors;
     i64 cursor;
-    NMap page_table;     /* vpage -> frame (this pid's map) */
-    NMap stale;          /* set of stale vpages (this pid's set) */
-
-    /* log of frame_for allocations this run, for Python fold-back:
-     * triples (vpage, frame, was_lazy_migration) */
-    i64 *newpages;
-    i64 newpages_len;
-    i64 newpages_cap;
+    NMap page_table;     /* vpage -> frame, ~frame when stale (this pid's) */
 
     /* prefetcher + RNG */
     NPf pf;
@@ -676,32 +609,29 @@ static i64 alloc_frame(NShared *sh, NProc *p)
         + (n % sh->pages_per_color);
 }
 
-/* Base line of vpage.  A mapped page that is not stale is one page-table
- * read; a first touch allocates a frame and a stale page migrates to one
- * (charging the migration to debt_pending).  Either sets *translated,
- * exactly Process.step's flag, so the step charges the debt. */
+/* Base line of vpage.  A mapped page (frame >= 0) is one page-table
+ * read; a first touch allocates a frame, and a stale page (~frame < 0)
+ * migrates to one, charging the migration to debt_pending.  Either sets
+ * *translated, exactly Process.step's flag, so the step charges the
+ * debt. */
 static i64 translate_page(NShared *sh, NProc *p, i64 vpage, int *translated)
 {
+    NMap *m = &p->page_table;
     i64 key = zigzag(vpage);
-    i64 frame;
-    i64 was_migration = 0;
-    if (p->stale.count > 0 && set_contains(&p->stale, key)) {
+    i64 idx = map_slot(m, key);
+    if (m->keys[idx] == key) {
+        if (m->vals[idx] >= 0)
+            return m->vals[idx] * p->lines_per_page;
         /* Lazy migration: new frame on first touch, cost charged. */
-        set_discard(&p->stale, key);
-        frame = alloc_frame(sh, p);
         p->debt_pending += sh->migration_cost;
         sh->lazy_migrations++;
-        was_migration = 1;
-    } else if (map_get(&p->page_table, key, &frame)) {
-        return frame * p->lines_per_page;
     } else {
-        frame = alloc_frame(sh, p);
+        m->keys[idx] = key;
+        m->count++;
     }
-    map_put(&p->page_table, key, frame);
+    i64 frame = alloc_frame(sh, p);
+    m->vals[idx] = frame;
     *translated = 1;
-    p->newpages[p->newpages_len++] = vpage;
-    p->newpages[p->newpages_len++] = frame;
-    p->newpages[p->newpages_len++] = was_migration;
     return frame * p->lines_per_page;
 }
 
@@ -764,8 +694,6 @@ static i64 step_precheck(const NProc *p)
     i64 pages = 1 + (p->pf.enabled ? p->pf.depth : 0);
     if (map_needs_grow(&p->page_table, pages))
         return STOP_GROW_PT;
-    if (p->newpages_len + 3 * pages > p->newpages_cap)
-        return STOP_GROW_NEWPAGES;
     return STOP_NONE;
 }
 

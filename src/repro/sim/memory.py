@@ -7,33 +7,19 @@ map into the L2 sets of colors 2 and 5, which is the entire partitioning
 mechanism (paper Section 4 / [42]).
 
 Also implements the page-migration primitive of Section 5.3 (used when a
-partition is resized online): remapping a virtual page to a new frame of
-an allowed color, with an attendant cycle cost per page.
+partition is resized online), lazily: a resize only marks the pages its
+new colors exclude, and each moves to an allowed frame, at a cycle cost
+per page, on its next touch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List
 
 from repro.sim.coloring import ColorMapper
 from repro.sim.machine import MachineConfig
 
-__all__ = ["PageAllocator", "MigrationReport"]
-
-
-@dataclass
-class MigrationReport:
-    """Result of a partition resize (Section 5.3 page migration).
-
-    With lazy resizing, ``pages_migrated``/``cycles`` count only the
-    eager work; ``pages_marked_stale`` counts mappings that will migrate
-    (and be charged) on their next touch.
-    """
-
-    pages_migrated: int
-    cycles: int
-    pages_marked_stale: int = 0
+__all__ = ["PageAllocator"]
 
 
 class PageAllocator:
@@ -43,33 +29,25 @@ class PageAllocator:
     so its footprint spreads evenly over its partition, mirroring the
     paper's mechanism.  Distinct processes receive distinct frames.
 
-    Args:
-        machine: machine geometry.
-        migration_cost_cycles: cycles to migrate one page when resizing.
-            The paper measured 7.3 us per 4 kB page (~11k cycles at
-            1.5 GHz); the default scales that copy-dominated cost with
-            the machine's (possibly scaled-down) page size.
+    Migrating one page costs ``migration_cost_cycles``: the paper
+    measured 7.3 us per 4 kB page (~11k cycles at 1.5 GHz), scaled here
+    with the machine's (possibly scaled-down) page size, since the cost
+    is the copy.
     """
 
-    def __init__(
-        self,
-        machine: MachineConfig,
-        migration_cost_cycles: Optional[int] = None,
-    ):
+    def __init__(self, machine: MachineConfig):
         self.machine = machine
         self.mapper = ColorMapper(machine)
-        if migration_cost_cycles is None:
-            migration_cost_cycles = max(
-                200, round(11_000 * machine.page_size / 4096)
-            )
-        self.migration_cost_cycles = migration_cost_cycles
-        # process -> {vpage: frame}, in allocation order (the order an
-        # eager resize walks), and process -> its stale vpages (mappings a
-        # lazy resize invalidated: migrated, and charged, on next touch).
-        # Both are only ever updated in place, so a process may hold its
-        # own (see page_table).
+        self.migration_cost_cycles = max(
+            200, round(11_000 * machine.page_size / 4096)
+        )
+        # process -> {vpage: frame}.  A stale page (one a resize left
+        # outside the process's colors) holds ~frame, which is negative:
+        # it migrates, and is charged, on its next touch, and a resize
+        # that gives its color back restores the frame.  Only ever
+        # updated in place, so a process may hold its own (see
+        # page_table).
         self._page_tables: Dict[int, Dict[int, int]] = {}
-        self._stale: Dict[int, Set[int]] = {}
         self._migration_debt: Dict[int, int] = {}
         self.lazy_migrations = 0
         # color -> index of the next unallocated frame of that color
@@ -79,8 +57,8 @@ class PageAllocator:
         # process -> allowed colors (round-robin cursor kept alongside)
         self._allowed: Dict[int, List[int]] = {}
         self._cursor: Dict[int, int] = {}
-        # The native engine's session while it holds page tables, stale
-        # sets, cursors, frame counters and migration debt
+        # The native engine's session while it holds page tables,
+        # cursors, frame counters and migration debt
         # (repro.sim.native.NativeSession); every method below that
         # touches them hands them back first.
         self._native = None
@@ -115,52 +93,45 @@ class PageAllocator:
         vpage, offset = divmod(vaddr, page_size)
         return self.frame_for(process, vpage) * page_size + offset
 
-    def translate_line(self, process: int, vaddr: int) -> int:
-        """Translate a virtual byte address to a physical *line* number."""
-        return self.translate(process, vaddr) // self.machine.line_size
+    def page_table(self, process: int) -> Dict[int, int]:
+        """The process's ``{vpage: frame}`` map; a stale page holds
+        ``~frame``.
 
-    def page_table(self, process: int) -> Tuple[Dict[int, int], Set[int]]:
-        """The process's ``{vpage: frame}`` map and its set of stale
-        vpages.
-
-        Both are created once and only updated in place, so a held
-        reference stays current.  A vpage that is mapped and not stale
+        The map is created once and only updated in place, so a held
+        reference stays current.  A vpage mapped to a non-negative frame
         translates by a plain read of the map; anything else goes
         through :meth:`frame_for`.
         """
         if self._native is not None:
             self._native.materialize("page_table")
-        return self._maps(process)
+        return self._table(process)
 
-    def _maps(self, process: int) -> Tuple[Dict[int, int], Set[int]]:
+    def _table(self, process: int) -> Dict[int, int]:
         table = self._page_tables.get(process)
         if table is None:
             table = self._page_tables[process] = {}
-            self._stale[process] = set()
-        return table, self._stale[process]
+        return table
 
     def frame_for(self, process: int, vpage: int) -> int:
         """Physical frame of ``vpage``, allocated on first touch.
 
-        A page a lazy resize marked stale moves to an allowed frame here,
-        and its migration cost is added to the process's debt
-        (:meth:`take_migration_debt`).
+        A stale page moves to an allowed frame here, and its migration
+        cost is added to the process's debt (:meth:`take_migration_debt`).
         """
         if self._native is not None:
             self._native.materialize("frame_for")
-        table, stale = self._maps(process)
-        if vpage in stale:
-            stale.discard(vpage)
-            frame = table[vpage] = self._allocate(process)
+        table = self._table(process)
+        frame = table.get(vpage)
+        if frame is not None and frame >= 0:
+            return frame
+        if frame is not None:
+            # Stale: it migrates now, and the process owes the copy.
             self._migration_debt[process] = (
                 self._migration_debt.get(process, 0)
                 + self.migration_cost_cycles
             )
             self.lazy_migrations += 1
-            return frame
-        frame = table.get(vpage)
-        if frame is None:
-            frame = table[vpage] = self._allocate(process)
+        frame = table[vpage] = self._allocate(process)
         return frame
 
     def take_migration_debt(self, process: int) -> int:
@@ -181,42 +152,33 @@ class PageAllocator:
 
     # -- resizing ---------------------------------------------------------------
 
-    def resize(
-        self, process: int, new_colors: Iterable[int], lazy: bool = False
-    ) -> MigrationReport:
-        """Change a process's colors, migrating now-disallowed pages.
+    def resize(self, process: int, new_colors: Iterable[int]) -> int:
+        """Change a process's colors; returns how many of its pages are
+        now stale.
 
-        Eager mode remaps every disallowed page immediately, each costing
-        ``migration_cost_cycles`` (Section 5.3: 7.3 us per 4 kB page).
-        Lazy mode only *marks* them; each migrates -- and is charged via
-        :meth:`take_migration_debt` -- on its next touch, so cold pages
-        (a streaming application's history) cost nothing.
+        Nothing moves here.  Each page whose frame the new colors
+        exclude is marked stale, and migrates -- charged
+        ``migration_cost_cycles`` via :meth:`take_migration_debt`
+        (Section 5.3: 7.3 us per 4 kB page) -- on its next touch, so
+        cold pages (a streaming application's history) cost nothing.
+        A stale page whose color comes back keeps its frame.
         """
         if self._native is not None:
             self._native.materialize("resize")
-        new_allowed = sorted(set(new_colors))
-        self.set_colors(process, new_allowed)
-        allowed_set = set(new_allowed)
-        table, stale = self._maps(process)
-        migrated = 0
-        marked = 0
-        for vpage, frame in list(table.items()):
-            if self.mapper.color_of_page(frame) in allowed_set:
-                stale.discard(vpage)
-                continue
-            if lazy:
-                stale.add(vpage)
-                marked += 1
+        self.set_colors(process, new_colors)
+        allowed = set(self._allowed[process])
+        color_of_page = self.mapper.color_of_page
+        table = self._table(process)
+        stale = 0
+        for vpage, frame in table.items():
+            if frame < 0:
+                frame = ~frame
+            if color_of_page(frame) in allowed:
+                table[vpage] = frame
             else:
-                # Migrated now: an earlier lazy mark must not move it again.
-                stale.discard(vpage)
-                table[vpage] = self._allocate(process)
-                migrated += 1
-        return MigrationReport(
-            pages_migrated=migrated,
-            cycles=migrated * self.migration_cost_cycles,
-            pages_marked_stale=marked,
-        )
+                table[vpage] = ~frame
+                stale += 1
+        return stale
 
     # -- introspection ----------------------------------------------------------
 
@@ -231,6 +193,6 @@ class PageAllocator:
             self._native.materialize("footprint_colors")
         hist: Dict[int, int] = {}
         for frame in self._page_tables.get(process, {}).values():
-            color = self.mapper.color_of_page(frame)
+            color = self.mapper.color_of_page(frame if frame >= 0 else ~frame)
             hist[color] = hist.get(color, 0) + 1
         return hist

@@ -10,16 +10,15 @@ other half of the contract:
   and load it through ctypes.  No compiler, no native engine -- callers
   fall back to the scalar driver.
 - **marshal**: :class:`NativeSession` adopts a machine's live Python
-  objects (caches, counters, page tables and stale sets, prefetcher
-  streams, the CPython MT19937 state) into C-visible arrays on the
-  machine's first native run and keeps them there for the machine's
-  life.  Later drives and co-run legs reuse them and copy only a few
-  dozen scalar fields (counters, statistics, clocks) at each run
-  boundary; a Python path that needs the rest calls
-  :meth:`NativeSession.materialize`, which copies it back and drops the
-  session.  A trace collector is bound per run
-  (:class:`TraceChannel`): C appends to its int64 buffer in place, and
-  commit only advances the log's length.
+  objects (caches, counters, page tables, prefetcher streams, the
+  CPython MT19937 state) into C-visible arrays on the machine's first
+  native run and keeps them there for the machine's life.  Later
+  drives and co-run legs reuse them and copy only a few dozen scalar
+  fields (counters, statistics, clocks) at each run boundary; a Python
+  path that needs the rest calls :meth:`NativeSession.materialize`,
+  which copies it back and drops the session.  A trace collector is
+  bound per run (:class:`TraceChannel`): C appends to its int64 buffer
+  in place, and commit only advances the log's length.
 - **generate**: :class:`MTStream` holds one workload stream's MT19937
   state in a C-visible buffer for the fill kernels (``random()``
   doubles and ``_randbelow``) behind
@@ -36,10 +35,9 @@ other half of the contract:
   the dynamic manager's next hook access -- or stops with one reason:
   a chunk of accesses is exhausted
   (``STOP_REFILL``), a trace log filled (``STOP_LOG_FULL``), or a step
-  *would* overflow the page table or the allocation log -- then it stops
-  before mutating anything and reports
-  ``STOP_GROW_PT``/``STOP_GROW_NEWPAGES``, the session grows the buffer
-  in place and the run resumes, bit-identically either way.
+  *would* overflow the page table -- then it stops before mutating
+  anything and reports ``STOP_GROW_PT``, the session grows the table in
+  place and the run resumes, bit-identically either way.
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
 entirely (every drive then runs the scalar reference, every generator
@@ -90,8 +88,7 @@ P_u8 = ctypes.POINTER(u8)
 STOP_NONE = 0
 STOP_REFILL = 1
 STOP_GROW_PT = 2
-STOP_GROW_NEWPAGES = 3
-STOP_LOG_FULL = 4
+STOP_LOG_FULL = 3
 
 PMU_REAL = 1
 PMU_IDEAL = 2
@@ -115,7 +112,7 @@ class _NCache(ctypes.Structure):
 
 class _NMap(ctypes.Structure):
     _fields_ = [
-        ("cap", i64), ("count", i64), ("tombs", i64),
+        ("cap", i64), ("count", i64),
         ("keys", P_i64), ("vals", P_i64),
     ]
 
@@ -155,8 +152,7 @@ class _NProc(ctypes.Structure):
         ("cycles", f64), ("instructions", i64), ("accesses", i64),
         ("debt_pending", i64),
         ("colors", P_i64), ("ncolors", i64), ("cursor", i64),
-        ("page_table", _NMap), ("stale", _NMap),
-        ("newpages", P_i64), ("newpages_len", i64), ("newpages_cap", i64),
+        ("page_table", _NMap),
         ("pf", _NPf), ("mt", _NMt),
         ("c_instructions", i64), ("c_loads", i64), ("c_stores", i64),
         ("c_l1d_misses", i64), ("c_l2da", i64), ("c_l2dm", i64),
@@ -425,17 +421,16 @@ def _ht_cap_for(count: int, extra: int) -> int:
 
 
 def _ht_fill(
-    keys: Sequence[int],
-    vals: Optional[Sequence[int]],
-    cap: int,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Open-addressing table layout identical to C ``map_put`` order.
+    keys: Sequence[int], vals: Sequence[int], cap: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Open-addressing table layout identical to C inserting ``keys`` in
+    order (``map_slot``'s linear probe).
 
     The hashes are computed as one array; only the linear-probe walk
     runs per key, so an empty table costs two array fills.
     """
     keys_arr = np.full(cap, HT_EMPTY, dtype=np.int64)
-    vals_arr = np.zeros(cap, dtype=np.int64) if vals is not None else None
+    vals_arr = np.zeros(cap, dtype=np.int64)
     if len(keys):
         mask = cap - 1
         h = np.asarray(keys, dtype=np.int64).view(np.uint64)
@@ -449,26 +444,19 @@ def _ht_fill(
             taken.add(slot)
             slots.append(slot)
         keys_arr[slots] = keys
-        if vals_arr is not None:
-            vals_arr[slots] = vals
+        vals_arr[slots] = vals
     return keys_arr, vals_arr
 
 
 def _bind_map(
-    struct: _NMap,
-    keys: Sequence[int],
-    vals: Optional[Sequence[int]],
-    extra: int,
-) -> Dict[str, Optional[np.ndarray]]:
+    struct: _NMap, keys: Sequence[int], vals: Sequence[int], extra: int,
+) -> Dict[str, np.ndarray]:
     cap = _ht_cap_for(len(keys), extra)
     keys_arr, vals_arr = _ht_fill(keys, vals, cap)
     struct.cap = cap
     struct.count = len(keys)
-    struct.tombs = 0
     struct.keys = keys_arr.ctypes.data_as(P_i64)
-    struct.vals = (
-        vals_arr.ctypes.data_as(P_i64) if vals_arr is not None else P_i64()
-    )
+    struct.vals = vals_arr.ctypes.data_as(P_i64)
     return {"keys": keys_arr, "vals": vals_arr}
 
 
@@ -638,7 +626,7 @@ class _Slot:
     """One adopted process: who it is, its C state, the arrays that state
     lives in, and the Python objects it is copied back into -- the
     prefetcher and its RNG, none of which refers back to the process.
-    The process's page table and stale set belong to the allocator."""
+    The process's page table belongs to the allocator."""
 
     __slots__ = ("process", "pid", "core", "proc", "arrs", "chunk",
                  "gauss", "prefetcher", "rng")
@@ -690,10 +678,9 @@ class NativeSession:
     on ``hierarchy._native`` for as long as the machine lives; each
     process is adopted the first time it runs natively.  While the
     session is live, C arrays are the only copy of the *heavy* state:
-    L1D, L2 and L3 sets, each process's page table and stale set
-    (zigzag-keyed hash maps), prefetcher streams and RNGs, allocator
-    frame counters, cursors and migration debt, and the bound chunk
-    tail.  *Scalar* state -- core counters, cache and L3 statistics,
+    L1D, L2 and L3 sets, each process's page table (a zigzag-keyed
+    hash map), prefetcher streams and RNGs, allocator frame counters,
+    cursors and migration debt, and the bound chunk tail.  *Scalar* state -- core counters, cache and L3 statistics,
     process clocks, lazy migrations -- is copied in by :func:`enter`
     and out by :meth:`leave`, so Python may read and reset it between
     runs.
@@ -806,20 +793,11 @@ class NativeSession:
         p.cursor = allocator._cursor.get(pid, 0)
         arrs["colors"] = colors
 
-        table, stale = allocator._maps(pid)
+        table = allocator._table(pid)
         arrs["pt"] = _bind_map(
             p.page_table, [_zigzag(vpage) for vpage in table],
             list(table.values()), max(4096, len(table)),
         )
-        arrs["stale"] = _bind_map(
-            p.stale, [_zigzag(vpage) for vpage in stale], None, 64
-        )
-
-        newpages = np.empty(1 << 15, dtype=np.int64)
-        p.newpages = newpages.ctypes.data_as(P_i64)
-        p.newpages_len = 0
-        p.newpages_cap = newpages.size
-        arrs["newpages"] = newpages
 
         config = process._pf_config
         pf = p.pf
@@ -962,18 +940,15 @@ class NativeSession:
             if p.debt_pending:
                 allocator._migration_debt[pid] = p.debt_pending
             allocator._cursor[pid] = p.cursor
-            # New page-table entries and lazy migrations, in allocation
-            # order (dict insertion order matters for eager resize's
-            # round-robin walk).
-            table, stale = allocator._maps(pid)
-            log = arrs["newpages"][: p.newpages_len].tolist()
-            for at in range(0, len(log), 3):
-                vpage, frame, was_migration = (
-                    log[at], log[at + 1], log[at + 2]
-                )
-                if was_migration:
-                    stale.discard(vpage)
-                table[vpage] = frame
+            # Every live slot, zigzag-decoded, into the dict the process
+            # holds (so in place).  C never deletes, so each of the
+            # dict's keys is among them; new ones land in slot order.
+            pt = arrs["pt"]
+            live = pt["keys"] >= 0
+            zig = pt["keys"][live]
+            allocator._table(pid).update(zip(
+                ((zig >> 1) ^ -(zig & 1)).tolist(), pt["vals"][live].tolist()
+            ))
 
         prefetcher = slot.prefetcher
         prefetcher._streams = [
@@ -1014,23 +989,15 @@ class NativeSession:
     def grow(self, index: int, reason: int) -> None:
         p = self._slots[index].proc
         arrs = self._slots[index].arrs
-        if reason == STOP_GROW_PT:
-            # Rebuild with room for as many entries again.
-            table = arrs["pt"]
-            live = table["keys"] >= 0
-            keys = table["keys"][live].tolist()
-            arrs["pt"] = _bind_map(p.page_table, keys,
-                                   table["vals"][live].tolist(),
-                                   max(256, len(keys)))
-        elif reason == STOP_GROW_NEWPAGES:
-            old = arrs["newpages"]
-            bigger = np.empty(old.size * 2, dtype=np.int64)
-            bigger[: p.newpages_len] = old[: p.newpages_len]
-            p.newpages = bigger.ctypes.data_as(P_i64)
-            p.newpages_cap = bigger.size
-            arrs["newpages"] = bigger
-        else:
+        if reason != STOP_GROW_PT:
             raise AssertionError(f"unexpected grow reason {reason}")
+        # Rebuild with room for as many entries again.
+        table = arrs["pt"]
+        live = table["keys"] >= 0
+        keys = table["keys"][live].tolist()
+        arrs["pt"] = _bind_map(p.page_table, keys,
+                               table["vals"][live].tolist(),
+                               max(256, len(keys)))
 
     # -- running ------------------------------------------------------------
 

@@ -162,35 +162,39 @@ def _lazily_resized_mcf():
         prefetcher=PrefetcherConfig(enabled=True),
     )
     drive_batch(process, hierarchy, 20_000)
-    report = allocator.resize(0, list(range(8, 16)), lazy=True)
-    assert report.pages_marked_stale > 0
+    assert allocator.resize(0, list(range(8, 16))) > 0
     return hierarchy, process
 
 
+def _stale_pages(table):
+    return {vpage for vpage, frame in table.items() if frame < 0}
+
+
 def _migration_state(process):
-    table, stale = process.allocator.page_table(process.pid)
+    table = process.allocator.page_table(process.pid)
     return (process.cycles, process.allocator.lazy_migrations,
-            list(table.items()), sorted(stale))
+            dict(table), sorted(_stale_pages(table)))
 
 
 class TestLazyMigrationCharge:
-    """The page table and stale set alone decide which access migrates a
-    page after a lazy resize; that access, and only it, pays."""
+    """The page table alone decides which access migrates a page after a
+    lazy resize; that access, and only it, pays."""
 
     def test_each_access_pays_for_the_pages_it_migrates(self):
         hierarchy, process = _lazily_resized_mcf()
         allocator = process.allocator
         machine = hierarchy.machine
         cost = allocator.migration_cost_cycles
-        table, stale = allocator.page_table(process.pid)
+        table = allocator.page_table(process.pid)
         moved_by = {"demand": 0, "prefetch": 0}
         for _ in range(20_000):
             cycles = process.cycles
             migrations = allocator.lazy_migrations
-            stale_before = set(stale)
+            stale_before = _stale_pages(table)
             result = process.step(hierarchy)
             added = allocator.lazy_migrations - migrations
-            moved = stale_before - stale
+            # Migrated: stale before the step, a frame (>= 0) after it.
+            moved = {vpage for vpage in stale_before if table[vpage] >= 0}
             assert len(moved) == added
             base_and_penalty = (process._base_cost
                                 + process._penalty(result, machine))

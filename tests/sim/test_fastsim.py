@@ -97,14 +97,14 @@ def _materialize(hierarchy, process):
 
 def _state(hierarchy, process):
     _materialize(hierarchy, process)
-    table, stale = process.allocator.page_table(process.pid)
+    table = process.allocator.page_table(process.pid)
     state = {
         "counters": dataclasses.asdict(hierarchy.counters[0]),
         "l1d": _cache_state(hierarchy.l1d[0]),
         "l2": _cache_state(hierarchy.l2),
         "l3_stats": dataclasses.asdict(hierarchy.l3.stats),
-        "page_table": list(table.items()),
-        "stale": sorted(stale),
+        "page_table": dict(table),
+        "stale": sorted(vpage for vpage, frame in table.items() if frame < 0),
         "cycles": process.cycles,
         "instructions": process.instructions,
         "accesses": process.accesses,

@@ -37,10 +37,6 @@ class TestTranslation:
         b = allocator.translate(1, 0) // machine.page_size
         assert a != b
 
-    def test_translate_line(self, allocator, machine):
-        line = allocator.translate_line(0, 0)
-        assert line == allocator.translate(0, 0) // machine.line_size
-
 
 class TestColorRestriction:
     def test_confined_process_stays_in_colors(self, allocator, machine):
@@ -82,12 +78,14 @@ class TestResize:
         allocator.set_colors(0, [0, 1])
         for vpage in range(20):
             allocator.translate(0, vpage * machine.page_size)
-        report = allocator.resize(0, [2, 3])
-        assert report.pages_migrated == 20
-        assert report.cycles == 20 * allocator.migration_cost_cycles
+        assert allocator.resize(0, [2, 3]) == 20
         for vpage in range(20):
             paddr = allocator.translate(0, vpage * machine.page_size)
             assert mapper.color_of_page(paddr // machine.page_size) in (2, 3)
+        assert allocator.take_migration_debt(0) == (
+            20 * allocator.migration_cost_cycles
+        )
+        assert allocator.lazy_migrations == 20
 
     def test_resize_keeps_still_allowed_pages(self, allocator, machine):
         allocator.set_colors(0, [0])
@@ -95,13 +93,15 @@ class TestResize:
             allocator.translate(0, vpage * machine.page_size)
             for vpage in range(5)
         ]
-        report = allocator.resize(0, [0, 1])  # grow: color 0 still allowed
-        assert report.pages_migrated == 0
+        # Grow: color 0 is still allowed, so nothing is stale.
+        assert allocator.resize(0, [0, 1]) == 0
         frames_after = [
             allocator.translate(0, vpage * machine.page_size)
             for vpage in range(5)
         ]
         assert frames_before == frames_after
+        assert allocator.take_migration_debt(0) == 0
+        assert allocator.lazy_migrations == 0
 
     def test_resize_does_not_touch_other_processes(self, allocator, machine):
         allocator.set_colors(0, [0])
@@ -123,9 +123,7 @@ class TestResize:
         allocator.set_colors(0, [0])
         for vpage in range(10):
             allocator.translate(0, vpage * machine.page_size)
-        report = allocator.resize(0, [1], lazy=True)
-        assert report.pages_migrated == 0
-        assert report.pages_marked_stale == 10
+        assert allocator.resize(0, [1]) == 10
         assert allocator.take_migration_debt(0) == 0
         # Touch three pages: they migrate and accrue debt.
         mapper = ColorMapper(machine)
@@ -142,29 +140,10 @@ class TestResize:
     def test_lazy_marking_cleared_if_colors_return(self, allocator, machine):
         allocator.set_colors(0, [0])
         allocator.translate(0, 0)
-        allocator.resize(0, [1], lazy=True)
+        allocator.resize(0, [1])
         # Resize back before any touch: the stale mark must be dropped.
-        allocator.resize(0, [0, 1], lazy=True)
+        allocator.resize(0, [0, 1])
         allocator.translate(0, 0)
-        assert allocator.take_migration_debt(0) == 0
-
-    def test_eager_resize_after_lazy_migrates_once(self):
-        """An eager resize migrates the pages an earlier lazy resize
-        marked: they are no longer stale, so their next touch neither
-        moves nor charges them again."""
-        machine = MachineConfig.scaled(32)
-        allocator = PageAllocator(machine)
-        allocator.set_colors(0, [0, 1])
-        for vpage in range(8):
-            allocator.translate(0, vpage * machine.page_size)
-        allocator.resize(0, [2, 3], lazy=True)
-        report = allocator.resize(0, [4, 5], lazy=False)
-        assert report.pages_migrated == 8
-        table, stale = allocator.page_table(0)
-        eager_frame = table[0]
-        assert stale == set()
-        assert allocator.translate(0, 0) == eager_frame * machine.page_size
-        assert allocator.lazy_migrations == 0
         assert allocator.take_migration_debt(0) == 0
 
     def test_resident_pages(self, allocator, machine):

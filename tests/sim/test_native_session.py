@@ -1,13 +1,12 @@
 """The native session: one per machine, state copied back only on demand.
 
-A machine's heavy state (cache sets, page tables and stale sets,
-prefetcher streams, RNGs, allocator frame counters) is adopted into C
-on its first native run and stays there across drives and co-run legs;
-only counters, statistics and clocks cross at each run boundary.  These
-tests pin:
+A machine's heavy state (cache sets, page tables, prefetcher streams,
+RNGs, allocator frame counters) is adopted into C on its first native
+run and stays there across drives and co-run legs; only counters,
+statistics and clocks cross at each run boundary.  These tests pin:
 
 - adopting: the numpy table and cache layouts equal the
-  list-walking layouts C's ``map_put`` order and the LRU sets define;
+  list-walking layouts C's insertion order and the LRU sets define;
 - every figure and probe path adopts its machine once and copies
   nothing back, and the fault wrapper's scalar drive copies back once,
   counted under ``observer``;
@@ -66,11 +65,11 @@ def _native_counts(telemetry):
 # ---------------------------------------------------------------------------
 
 def _reference_ht_fill(keys, vals, cap):
-    """The table C builds by calling ``map_put`` on each key in order."""
+    """The table C builds by inserting each key in order."""
     mask = cap - 1
     table_keys = [native.HT_EMPTY] * cap
     table_vals = [0] * cap
-    for key, val in zip(keys, vals if vals is not None else keys):
+    for key, val in zip(keys, vals):
         h = (key * native._HASH_MULT) & native._M64
         h ^= h >> 29
         slot = h & mask
@@ -78,7 +77,7 @@ def _reference_ht_fill(keys, vals, cap):
             slot = (slot + 1) & mask
         table_keys[slot] = key
         table_vals[slot] = val
-    return table_keys, table_vals if vals is not None else None
+    return table_keys, table_vals
 
 
 def _reference_cache_layout(cache):
@@ -93,22 +92,22 @@ def _reference_cache_layout(cache):
 
 
 class TestAdoptLayouts:
-    @pytest.mark.parametrize("with_vals", [True, False])
+    @pytest.mark.parametrize("stale", [True, False])
     @pytest.mark.parametrize("count,cap", [(0, 8192), (1, 64), (44, 64),
                                           (700, 1024)])
-    def test_table_matches_map_put_order(self, count, cap, with_vals):
+    def test_table_matches_map_put_order(self, count, cap, stale):
         rng = np.random.default_rng(count)
         vpages = rng.integers(-5_000, 50_000, size=count).tolist()
         keys = list(dict.fromkeys(native._zigzag(v) for v in vpages))
-        vals = [3 * key + 1 for key in keys] if with_vals else None
+        vals = [3 * key + 1 for key in keys]
+        if stale:
+            # Every third page is stale: its frame is stored as ~frame.
+            vals[::3] = [~frame for frame in vals[::3]]
         got_keys, got_vals = native._ht_fill(keys, vals, cap)
         want_keys, want_vals = _reference_ht_fill(keys, vals, cap)
         assert got_keys.dtype == np.int64
         assert got_keys.tolist() == want_keys
-        if with_vals:
-            assert got_vals.tolist() == want_vals
-        else:
-            assert got_vals is None
+        assert got_vals.tolist() == want_vals
 
     @pytest.mark.parametrize("fills", [0, 5, 300])
     def test_cache_layout_matches_lru_sets(self, fills):
@@ -229,13 +228,13 @@ def _machine_state(hierarchy, processes):
     }
     for process in processes:
         core = process.core
-        table, stale = allocator.page_table(process.pid)
+        table = allocator.page_table(process.pid)
         state[f"proc{core}"] = {
             "counters": dataclasses.asdict(hierarchy.counters[core]),
             "l1d": _cache(hierarchy.l1d[core]),
-            # In allocation order (what an eager resize walks).
-            "page_table": list(table.items()),
-            "stale": sorted(stale),
+            "page_table": dict(table),
+            "stale": sorted(vpage for vpage, frame in table.items()
+                            if frame < 0),
             "streams": [dataclasses.astuple(s)
                         for s in process.prefetcher._streams],
             "pf_clock": process.prefetcher._clock,
@@ -280,10 +279,7 @@ _ENTRIES = {
         lambda h, ps: ps[0].allocator.set_colors(0, [2, 3, 4]),
         {"set_colors": 1}),
     "resize-lazy": (
-        lambda h, ps: ps[0].allocator.resize(0, [0, 1, 2], lazy=True),
-        {"resize": 1}),
-    "resize-eager": (
-        lambda h, ps: ps[0].allocator.resize(0, [0, 1, 2], lazy=False),
+        lambda h, ps: ps[0].allocator.resize(0, [0, 1, 2]),
         {"resize": 1}),
     "faulted_drive": (_faulted_drive, {"observer": 1}),
     "corun_leg": (lambda h, ps: _leg(h, ps, 5_000), {}),
