@@ -15,13 +15,15 @@ kernel run actually took.  Patterns that draw no random numbers
 code either way and are recorded for scale.
 
 It also drives one offline ``real_mrc`` each for twolf and mcf and
-records the accesses generated against the accesses simulated: the
-drives ask for exactly the chunk they will run, so the two are equal.
+records the accesses generated and replayed against the accesses
+simulated: the curve's first size generates its stream, asking for
+exactly the chunks it runs, and the other 15 replay that recording.
 
 Gates: both paths produce the identical stream for every class, and
 its first ``SCALAR_PREFIX`` accesses equal the scalar ``generate()``
-stream (the parity gate).  When the native engine ran, the generated
-count must also equal the simulated count for both curves, and
+stream (the parity gate).  When the native engine ran, each curve must
+also generate exactly one size's run (warmup plus measurement) and
+generate plus replay exactly the simulated count, and
 ``RandomWorkingSet`` must run at least ``MIN_RANDOM_SPEEDUP`` (5) times
 faster on the kernels than on the Python path.
 """
@@ -175,11 +177,14 @@ def _curve_rows(machine):
         with use_telemetry(telemetry):
             real_mrc(workload, machine, OfflineConfig())
         seconds = time.perf_counter() - start
-        simulated = RunReport.from_telemetry(telemetry).counter_total(
-            "sim.batch_accesses"
+        report = RunReport.from_telemetry(telemetry)
+        simulated = report.counter_total("sim.batch_accesses")
+        sources = report.counter_by_label(
+            "workloads.stream_accesses", "source"
         )
         rows[name] = {
             "generated_accesses": generated[0],
+            "replayed_accesses": sources.get("replayed", 0),
             "simulated_accesses": int(simulated),
             "ratio": round(generated[0] / simulated, 4),
             "seconds": round(seconds, 3),
@@ -204,9 +209,17 @@ def test_bench_workloads(bench_machine, report_dir):
 
     if engine != "native":
         return  # every drive ran the scalar loop: nothing was batched
+    config = OfflineConfig()
+    one_run = (config.resolved_warmup(bench_machine)
+               + config.resolved_measure(bench_machine))
     for name, row in report["real_mrc"].items():
-        assert row["generated_accesses"] == row["simulated_accesses"], (
-            f"{name}: generated {row['generated_accesses']} accesses for "
+        assert row["generated_accesses"] == one_run, (
+            f"{name}: generated {row['generated_accesses']} accesses, "
+            f"not one size's run of {one_run}; see {path}"
+        )
+        streamed = row["generated_accesses"] + row["replayed_accesses"]
+        assert streamed == row["simulated_accesses"], (
+            f"{name}: generated + replayed {streamed} accesses for "
             f"{row['simulated_accesses']} simulated; see {path}"
         )
     speedup = rows["RandomWorkingSet"]["speedup"]

@@ -296,6 +296,9 @@ class RunReport:
         kernels = self.counter_by_label("mrc.stack_kernel", "kernel")
         out(f"stack kernel: native {kernels.get('native', 0)}, "
             f"numpy {kernels.get('numpy', 0)}")
+        streams = self.counter_by_label("workloads.stream_accesses", "source")
+        out(f"access streams: generated {streams.get('generated', 0)}, "
+            f"replayed {streams.get('replayed', 0)}")
         out("")
         out("per-stage cost breakdown (paper Table 2 structure):")
         out(f"  {'stage':<20} {'count':>7} {'total ms':>12} "

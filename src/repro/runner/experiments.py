@@ -32,6 +32,7 @@ from repro.runner.online import OnlineProbe, OnlineProbeConfig, collect_trace
 from repro.sim.cpu import IssueMode
 from repro.sim.machine import MachineConfig
 from repro.workloads import make_workload
+from repro.workloads.base import Workload, shared_streams
 from repro.workloads.spec import WORKLOAD_NAMES
 
 __all__ = [
@@ -196,20 +197,22 @@ class AccuracyRow:
 
 
 def _probe_and_compare(
-    name: str,
+    workload: Workload,
     machine: MachineConfig,
     offline: OfflineConfig,
     online: OnlineProbeConfig,
     probe_config: ProbeConfig,
     anchor_color: int = 8,
 ) -> AccuracyRow:
-    workload = make_workload(name, machine)
-    real = real_mrc(workload, machine, offline)
-    probe = collect_trace(workload, machine, online, probe_config)
+    # The probe runs the stream the real MRC's runs recorded, and a
+    # caller's enclosing scope (Fig. 7's pair) keeps sharing it.
+    with shared_streams():
+        real = real_mrc(workload, machine, offline)
+        probe = collect_trace(workload, machine, online, probe_config)
     probe.calibrate(anchor_color, real[anchor_color])
     calc = probe.result.best_mrc
     return AccuracyRow(
-        workload=name,
+        workload=workload.name,
         real=real,
         calculated=calc,
         distance=mpki_distance(real, calc),
@@ -234,21 +237,16 @@ def fig3_accuracy(
     """
     machine = machine or default_machine()
     chosen = list(names) if names is not None else list(WORKLOAD_NAMES)
+    tasks = [
+        (make_workload(name, machine), machine, offline, online, probe_config)
+        for name in chosen
+    ]
     pool = get_pool(max_workers)
     if pool is not None and len(chosen) > 1:
         # Worker telemetry payloads fold back into this process's
         # registry (the pool owns the call_traced/absorb dance).
-        return pool.map_traced(
-            _probe_and_compare,
-            [
-                (name, machine, offline, online, probe_config)
-                for name in chosen
-            ],
-        )
-    return [
-        _probe_and_compare(name, machine, offline, online, probe_config)
-        for name in chosen
-    ]
+        return pool.map_traced(_probe_and_compare, tasks)
+    return [_probe_and_compare(*task) for task in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +269,24 @@ def fig4_improvements(
     # swim alternates stencil passes; its representative real MRC must
     # average several full pass cycles (the paper's real slices are ~20x
     # the calculated slice and do this implicitly).
-    swim_cycle = make_workload("swim", machine).schedule.period_accesses
+    swim = make_workload("swim", machine)
     swim_offline = OfflineConfig(
         warmup_accesses=offline.resolved_warmup(machine),
-        measure_accesses=3 * swim_cycle,
+        measure_accesses=3 * swim.schedule.period_accesses,
     )
     swim_standard = _probe_and_compare(
-        "swim", machine, swim_offline, OnlineProbeConfig(), ProbeConfig()
+        swim, machine, swim_offline, OnlineProbeConfig(), ProbeConfig()
     )
     swim_long = _probe_and_compare(
-        "swim", machine, swim_offline, OnlineProbeConfig(),
+        swim, machine, swim_offline, OnlineProbeConfig(),
         ProbeConfig(log_entries=10 * standard_log),
     )
+    art = make_workload("art", machine)
     art_complex = _probe_and_compare(
-        "art", machine, offline, OnlineProbeConfig(), ProbeConfig()
+        art, machine, offline, OnlineProbeConfig(), ProbeConfig()
     )
     art_simplified = _probe_and_compare(
-        "art", machine, offline,
+        art, machine, offline,
         OnlineProbeConfig(
             issue_mode=IssueMode.SIMPLIFIED,
             prefetch_enabled=False,
@@ -524,32 +523,14 @@ def fig7_partitioning(
 
     results: List[Fig7Result] = []
     for name_a, name_b in pairs:
-        pool = get_pool(max_workers)
-        if pool is not None:
-            row_a, row_b = pool.map_traced(
-                _probe_and_compare,
-                [
-                    (name, machine, offline, OnlineProbeConfig(), ProbeConfig())
-                    for name in (name_a, name_b)
-                ],
-            )
-        else:
-            row_a, row_b = (
-                _probe_and_compare(
-                    name, machine, offline, OnlineProbeConfig(), ProbeConfig()
-                )
-                for name in (name_a, name_b)
-            )
-        chosen_real = choose_partition_sizes(
-            row_a.real, row_b.real, machine.num_colors
-        )
-        chosen_rapid = choose_partition_sizes(
-            row_a.calculated, row_b.calculated, machine.num_colors
-        )
+        workload_a = make_workload(name_a, machine)
+        workload_b = make_workload(name_b, machine)
+        tasks = [
+            (workload, machine, offline, OnlineProbeConfig(), ProbeConfig())
+            for workload in (workload_a, workload_b)
+        ]
 
         def specs(split: Optional[int]) -> List[CorunSpec]:
-            workload_a = make_workload(name_a, machine)
-            workload_b = make_workload(name_b, machine)
             if split is None:
                 return [CorunSpec(workload_a), CorunSpec(workload_b)]
             return [
@@ -560,13 +541,29 @@ def fig7_partitioning(
                 ),
             ]
 
-        baseline = corun(
-            specs(None), corun_machine, quota, warmup_accesses=warm
-        )
-        spectrum: Dict[int, List[float]] = {}
-        for split in chosen_splits:
-            run = corun(specs(split), corun_machine, quota, warmup_accesses=warm)
-            spectrum[split] = normalized_ipc(run, baseline)
+        # Both probe rows and every co-run run the pair's two streams:
+        # each is generated once for the whole pair.
+        with shared_streams():
+            pool = get_pool(max_workers)
+            if pool is not None:
+                row_a, row_b = pool.map_traced(_probe_and_compare, tasks)
+            else:
+                row_a, row_b = (_probe_and_compare(*task) for task in tasks)
+            chosen_real = choose_partition_sizes(
+                row_a.real, row_b.real, machine.num_colors
+            )
+            chosen_rapid = choose_partition_sizes(
+                row_a.calculated, row_b.calculated, machine.num_colors
+            )
+            baseline = corun(
+                specs(None), corun_machine, quota, warmup_accesses=warm
+            )
+            spectrum: Dict[int, List[float]] = {}
+            for split in chosen_splits:
+                run = corun(
+                    specs(split), corun_machine, quota, warmup_accesses=warm
+                )
+                spectrum[split] = normalized_ipc(run, baseline)
 
         results.append(
             Fig7Result(
@@ -605,44 +602,45 @@ def fig7_ammp_3applu(
         range(1, machine.num_colors)
     )
 
-    ammp_row = _probe_and_compare(
-        "ammp", machine, offline, OnlineProbeConfig(), ProbeConfig()
-    )
-    applu_row = _probe_and_compare(
-        "applu", machine, offline, OnlineProbeConfig(), ProbeConfig()
-    )
+    ammp = make_workload("ammp", machine)
+    applu = make_workload("applu", machine)
 
     def tripled(mrc: MissRateCurve) -> MissRateCurve:
         return MissRateCurve(
             {size: 3 * value for size, value in mrc}, label="3x" + mrc.label
         )
 
-    chosen_real = choose_partition_sizes(
-        ammp_row.real, tripled(applu_row.real), machine.num_colors
-    )
-    chosen_rapid = choose_partition_sizes(
-        ammp_row.calculated, tripled(applu_row.calculated), machine.num_colors
-    )
-
     def specs(split: Optional[int]) -> List[CorunSpec]:
-        ammp = make_workload("ammp", machine)
-        applus = [make_workload("applu", machine) for _ in range(3)]
         if split is None:
             return [CorunSpec(ammp)] + [
-                CorunSpec(applu, seed_offset=k + 1)
-                for k, applu in enumerate(applus)
+                CorunSpec(applu, seed_offset=k + 1) for k in range(3)
             ]
         shared = list(range(split, machine.num_colors))
         return [CorunSpec(ammp, colors=list(range(split)))] + [
             CorunSpec(applu, colors=shared, seed_offset=k + 1)
-            for k, applu in enumerate(applus)
+            for k in range(3)
         ]
 
-    baseline = corun(specs(None), machine, quota, warmup_accesses=warm)
-    spectrum: Dict[int, List[float]] = {}
-    for split in chosen_splits:
-        run = corun(specs(split), machine, quota, warmup_accesses=warm)
-        spectrum[split] = normalized_ipc(run, baseline)
+    # The later co-runs replay the four streams the first one generated.
+    with shared_streams():
+        ammp_row = _probe_and_compare(
+            ammp, machine, offline, OnlineProbeConfig(), ProbeConfig()
+        )
+        applu_row = _probe_and_compare(
+            applu, machine, offline, OnlineProbeConfig(), ProbeConfig()
+        )
+        chosen_real = choose_partition_sizes(
+            ammp_row.real, tripled(applu_row.real), machine.num_colors
+        )
+        chosen_rapid = choose_partition_sizes(
+            ammp_row.calculated, tripled(applu_row.calculated),
+            machine.num_colors,
+        )
+        baseline = corun(specs(None), machine, quota, warmup_accesses=warm)
+        spectrum: Dict[int, List[float]] = {}
+        for split in chosen_splits:
+            run = corun(specs(split), machine, quota, warmup_accesses=warm)
+            spectrum[split] = normalized_ipc(run, baseline)
 
     return Fig7Result(
         names=["ammp", "applu", "applu", "applu"],
@@ -681,11 +679,11 @@ def table2_statistics(
     rows: List[Table2Row] = []
     timeline_total = timeline_accesses or 60 * machine.l2_lines
     for name in chosen:
+        workload = make_workload(name, machine)
         row = _probe_and_compare(
-            name, machine, offline, OnlineProbeConfig(), ProbeConfig()
+            workload, machine, offline, OnlineProbeConfig(), ProbeConfig()
         )
         probe = row.probe
-        workload = make_workload(name, machine)
 
         # Columns a-b: the cycle cost model over the probe.
         app_cycles = probe.probe.instructions * 1.0  # ~1 IPC of app progress

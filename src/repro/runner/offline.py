@@ -25,7 +25,7 @@ from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
 from repro.sim.prefetcher import PrefetcherConfig
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, shared_streams
 
 __all__ = ["OfflineConfig", "real_mrc", "measure_mpki", "mpki_timeline"]
 
@@ -116,7 +116,9 @@ def real_mrc(
             processes (the runs are fully independent, so the curve is
             identical to the sequential one).  ``None`` falls back to
             the process-wide ``--sim-workers`` default, then to the
-            sequential in-process loop.
+            sequential in-process loop, which generates the stream once
+            and replays it for every later size
+            (:func:`~repro.workloads.base.shared_streams`).
     """
     chosen = list(sizes) if sizes is not None else list(
         range(1, machine.num_colors + 1)
@@ -136,11 +138,14 @@ def real_mrc(
         )
         points = dict(zip(chosen, measured))
     else:
-        for size in chosen:
-            colors = list(range(size))
-            points[size] = measure_mpki(
-                workload, machine, colors, config, seed_offset
-            )
+        # Every size runs the same stream (same workload, same offset):
+        # the first run generates it and the others replay it.
+        with shared_streams():
+            for size in chosen:
+                colors = list(range(size))
+                points[size] = measure_mpki(
+                    workload, machine, colors, config, seed_offset
+                )
     return MissRateCurve(points, label=f"real:{workload.name}")
 
 

@@ -31,7 +31,12 @@ Either way ``sim.batch_accesses{engine}`` records which engine ran.  All
 native drives consume the process's one logical access stream through a
 shared :class:`BatchAccessSource`, so batched drives, scalar ``step()``
 calls and co-run interleaving can be mixed freely on the same process
-without skipping or replaying accesses.
+without skipping or replaying accesses.  Inside
+:func:`~repro.workloads.base.shared_streams` (one offline curve, one
+Fig. 3 row, one Fig. 7 pair) every source of the same workload object
+and ``seed_offset`` reads one recording of that stream, generated once;
+``workloads.stream_accesses{source}`` counts generated against replayed
+accesses.
 """
 
 from __future__ import annotations
@@ -70,11 +75,14 @@ class BatchAccessSource:
     """Sole owner of one process's access stream, in array form.
 
     Created the first time the batch engine drives a process.  A stream
-    that has never been pulled is regenerated through the workload's
-    native array producers (:meth:`Workload.access_batches`); a live
+    that has never been pulled is read from the workload's native array
+    producers (:meth:`Workload.access_batches`) -- or, inside
+    :func:`~repro.workloads.base.shared_streams`, replayed from the
+    scope's one recording of that ``(workload, seed_offset)`` stream,
+    which the first reader generates and later readers extend; a live
     iterator (the process was already stepped scalar) is wrapped and
     buffered.  Either way the stream is demand-driven: :meth:`take`
-    generates exactly the chunk its caller asks for.  ``process._stream``
+    returns exactly the chunk its caller asks for.  ``process._stream``
     is redirected through this source, so scalar ``step()`` calls
     interleaved with batched drives keep consuming one single stream in
     order.
@@ -83,15 +91,21 @@ class BatchAccessSource:
     __slots__ = ("_batches", "_demand", "_pending")
 
     def __init__(self, process):
+        from repro.workloads.base import recorded_stream
+
         # The generator sees the demand through this one-element list,
         # never through a reference back to the source: a source <->
         # generator cycle would keep dead streams' chunks alive until a
         # full garbage collection.
         self._demand = [0]
         if process._stream is None:
-            self._batches = process.workload.access_batches(
-                process._seed_offset, demand=self._demand
-            )
+            recording = recorded_stream(process.workload, process._seed_offset)
+            if recording is None:
+                self._batches = process.workload.access_batches(
+                    process._seed_offset, demand=self._demand
+                )
+            else:
+                self._batches = recording.replay(self._demand)
         else:
             self._batches = _buffer_stream(process._stream, self._demand)
         self._pending: deque = deque()
@@ -101,7 +115,7 @@ class BatchAccessSource:
     def take(self, limit: int) -> Tuple[np.ndarray, np.ndarray]:
         """The next chunk of at most ``limit`` accesses as ``(vaddrs,
         stores)``: a pushed-back tail if one is pending, else exactly
-        ``limit`` freshly generated accesses."""
+        ``limit`` accesses pulled from the stream."""
         if not self._pending:
             self._demand[0] = limit
             return next(self._batches)
@@ -219,15 +233,18 @@ class NativeCorun:
         return True
 
     def _run(self, start, target_extra: int, stop_at=None,
-             channels=None) -> int:
+             channels=None, first_chunk: Optional[int] = None) -> int:
         """The leg loop behind :meth:`run_until` and every native solo
-        drive.  Returns the number of chunks bound."""
+        drive.  With ``first_chunk``, each process's first refill asks
+        for at most that many accesses and each later one for twice the
+        last, up to ``slab_size``.  Returns the number of chunks bound."""
         from repro.sim import native
 
         if stop_at is None:
             stop_at = [entry + target_extra for entry in start]
         session, slots = native.enter(self.hierarchy, self.processes)
         chunks = 0
+        sizes = [first_chunk or self.slab_size] * len(slots)
 
         def refill(index: int) -> None:
             # At most what this process can still consume before the
@@ -235,9 +252,9 @@ class NativeCorun:
             # stays bound for the next leg.
             slot = slots[index]
             left = target_extra - (session.proc(slot).accesses - start[index])
-            session.set_chunk(
-                slot, *self.sources[index].take(min(self.slab_size, left))
-            )
+            size = sizes[index]
+            sizes[index] = min(2 * size, self.slab_size)
+            session.set_chunk(slot, *self.sources[index].take(min(size, left)))
 
         try:
             # Bind empty chunks up front rather than be told to by a stop.
@@ -280,8 +297,11 @@ def drive_batch(
     the access that fills its log: ``drive(..., observer=collector.observe,
     stop=lambda: collector.done)``.  Runs the native engine when it
     covers the configuration and the collector, and the scalar driver
-    otherwise (counting ``sim.batch_fallbacks{reason}``).  Returns the
-    number of accesses executed.
+    otherwise (counting ``sim.batch_fallbacks{reason}``).  An observed
+    native drive asks for its first chunk at the log's free entries (at
+    most ``slab_size``) and doubles each refill up to ``slab_size``, so a
+    probe whose log fills early generates little it never runs.  Returns
+    the number of accesses executed.
     """
     if num_accesses <= 0:
         return 0
@@ -315,11 +335,15 @@ def drive_batch(
     else:
         engine = "native"
         start = process.accesses
-        channels = (
-            None if collector is None else [native.TraceChannel(collector)]
-        )
+        channels = first_chunk = None
+        if collector is not None:
+            channel = native.TraceChannel(collector)
+            channels = [channel]
+            # A probe runs until its log fills, often far short of its
+            # access bound: start at the log's free entries and double.
+            first_chunk = max(1, min(slab_size, channel.pmu.log_cap))
         chunks = NativeCorun((process,), hierarchy, slab_size)._run(
-            (start,), num_accesses, channels=channels
+            (start,), num_accesses, channels=channels, first_chunk=first_chunk
         )
         executed = process.accesses - start
     record_drive(engine, executed, started, chunks)

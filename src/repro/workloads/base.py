@@ -12,11 +12,15 @@ words, each typically touched by its own instruction).
 from __future__ import annotations
 
 import abc
+import contextlib
+import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from repro.obs import get_telemetry
 
 __all__ = [
     "MemoryAccess",
@@ -24,9 +28,12 @@ __all__ = [
     "AccessPattern",
     "AccessBatch",
     "BatchRandom",
+    "StreamRecording",
     "TakeFn",
     "cyclic_stream",
     "draw_uniform",
+    "recorded_stream",
+    "shared_streams",
 ]
 
 #: One generated chunk: line-aligned virtual addresses plus store flags.
@@ -263,6 +270,7 @@ class Workload:
             if loads.size:
                 stores = stores.copy()
                 stores[loads] = store_draws.random(loads.size) < fraction
+            _count_stream("generated", vaddrs.size)
             yield vaddrs, stores
 
     def footprint_bytes(self) -> int:
@@ -273,3 +281,112 @@ class Workload:
             f"Workload({self.name!r}, ipa={self.instructions_per_access}, "
             f"footprint={self.footprint_bytes()}B)"
         )
+
+
+# ---------------------------------------------------------------------------
+# Stream sharing: generate once, replay many times
+# ---------------------------------------------------------------------------
+
+class StreamRecording:
+    """One ``(workload, seed_offset)`` stream, generated once and
+    replayed from its first access by any number of readers.
+
+    The accesses generated so far live in two read-only arrays, so no
+    reader can change what a later one replays.  A reader that runs past
+    their end extends them through ``workload.access_batches``, by
+    exactly the missing accesses.  Growth allocates new arrays and
+    copies: it never resizes in place, so chunks already handed out --
+    views of the old arrays, possibly bound in C -- stay valid.
+    """
+
+    def __init__(self, workload: Workload, seed_offset: int):
+        # The recording holds its workload, so the object id that keys it
+        # cannot be reused while the recording lives.
+        self.workload = workload
+        self.vaddrs = np.empty(0, dtype=np.int64)
+        self.stores = np.empty(0, dtype=np.bool_)
+        self._demand = [0]
+        self._batches = workload.access_batches(
+            seed_offset, demand=self._demand
+        )
+
+    def replay(self, demand: List[int]) -> Iterator[AccessBatch]:
+        """The stream from its start, in the protocol of
+        :meth:`Workload.access_batches`: each pull returns exactly
+        ``demand[0]`` accesses, as views of the recording."""
+        cursor = 0
+        while True:
+            end = cursor + demand[0]
+            recorded = self.vaddrs.size
+            if end > recorded:
+                self._demand[0] = end - recorded
+                vaddrs, stores = next(self._batches)
+                self.vaddrs = np.concatenate((self.vaddrs, vaddrs))
+                self.stores = np.concatenate((self.stores, stores))
+                self.vaddrs.flags.writeable = False
+                self.stores.flags.writeable = False
+            _count_stream("replayed", min(end, recorded) - cursor)
+            yield self.vaddrs[cursor:end], self.stores[cursor:end]
+            cursor = end
+
+
+#: The open scope's recordings by ``(id(workload), seed_offset)``; None
+#: outside :func:`shared_streams`.
+_recordings: Optional[Dict[Tuple[int, int], StreamRecording]] = None
+
+
+def _drop_recordings() -> None:
+    global _recordings
+    _recordings = None
+
+
+# A forked pool worker generates its own streams: it never inherits the
+# scope its parent had open when it forked.
+os.register_at_fork(after_in_child=_drop_recordings)
+
+
+@contextlib.contextmanager
+def shared_streams() -> Iterator[None]:
+    """Generate each access stream at most once inside the block.
+
+    The first native drive in the block that pulls a ``(workload
+    object, seed_offset)`` stream records it, and every later drive of
+    the same stream replays the recording (:func:`recorded_stream`).
+    The key is the workload object itself, never its name: two
+    workloads built alike for different machines stay apart.  A nested
+    block reuses the outermost one; leaving the outermost frees every
+    recording.
+    """
+    global _recordings
+    if _recordings is not None:
+        yield
+        return
+    _recordings = {}
+    try:
+        yield
+    finally:
+        _recordings = None
+
+
+def recorded_stream(
+    workload: Workload, seed_offset: int
+) -> Optional[StreamRecording]:
+    """The open scope's recording of this stream, created on first use;
+    None outside :func:`shared_streams`."""
+    if _recordings is None:
+        return None
+    key = (id(workload), seed_offset)
+    recording = _recordings.get(key)
+    if recording is None:
+        recording = _recordings[key] = StreamRecording(workload, seed_offset)
+    return recording
+
+
+def _count_stream(source: str, accesses: int) -> None:
+    """Count stream accesses by source (``generated`` or ``replayed``);
+    counters, so pooled runs fold back to the sequential totals."""
+    telemetry = get_telemetry()
+    if telemetry.enabled and accesses:
+        telemetry.registry.counter(
+            "workloads.stream_accesses", source=source
+        ).inc(accesses)

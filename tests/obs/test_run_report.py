@@ -216,3 +216,18 @@ class TestRender:
                   if line.startswith("native state:"))
         assert lines[at + 1] == "stack kernel: native 3, numpy 1"
         assert "stack kernel: native 0, numpy 0" in RunReport().render()
+
+    def test_render_access_streams_after_stack_kernel(self):
+        telemetry = _capture_sample()
+        registry = telemetry.registry
+        registry.counter("workloads.stream_accesses",
+                         source="generated").inc(30_720)
+        registry.counter("workloads.stream_accesses",
+                         source="replayed").inc(460_800)
+        lines = RunReport.from_telemetry(telemetry).render().splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("stack kernel:"))
+        assert lines[at + 1] == (
+            "access streams: generated 30720, replayed 460800")
+        assert "access streams: generated 0, replayed 0" in (
+            RunReport().render())

@@ -413,6 +413,29 @@ class TestDemandDrivenSource:
         assert len(sizes) == 2 and sizes[0] == 1_000
         assert _state(hier_s, proc_s) == _state(hierarchy, process)
 
+    def test_observed_drive_starts_at_the_free_log_entries(self):
+        """A probe's first chunk is its log's free entries, and each
+        refill doubles: mcf fills 1,000 entries within 3,000 accesses,
+        so the drive generates 1,000 + 2,000, not a whole slab."""
+        hierarchy, process = _build(MACHINE, "mcf")
+        sizes = _count_generation(process.workload)
+        collector = TraceCollector(log_capacity=1_000, seed=3)
+        executed = drive_batch(process, hierarchy, 50_000,
+                               collector=collector)
+        assert collector.done and 1_000 < executed <= 3_000
+        assert sizes == [1_000, 2_000]
+
+    def test_observed_drive_with_a_slab_of_free_entries_is_unchanged(self):
+        """Logs with at least a slab of free entries (a full-scale probe)
+        keep slab-sized chunks."""
+        hierarchy, process = _build(MACHINE, "mcf")
+        sizes = _count_generation(process.workload)
+        collector = TraceCollector(log_capacity=2 * DEFAULT_SLAB, seed=3)
+        drive_batch(process, hierarchy, DEFAULT_SLAB + 1_234,
+                    collector=collector)
+        assert not collector.done
+        assert sizes == [DEFAULT_SLAB, 1_234]
+
     def test_corun_generates_at_most_each_leg(self):
         workloads = [make_workload("jbb", MACHINE), make_workload("mcf", MACHINE)]
         counted = [_count_generation(w) for w in workloads]
