@@ -27,8 +27,9 @@ Five paths are measured, one row each:
   exactly (wall-clock is reported but not gated: the pool only helps
   on multi-core hosts).
 
-A parity gate rides along with each timing: the batch run's counters
-and cache statistics must be bit-identical to the scalar run's, and
+A parity gate rides along with each timing: the batch run's counters,
+cache contents (resident lines per set, in LRU order) and clocks must
+be bit-identical to the scalar run's, and
 every native drive in this file must complete with zero
 ``sim.batch_fallbacks`` (all configurations here are LRU, so the native
 engine must never fall back to the scalar loop).  A fast engine that drifts
@@ -103,14 +104,26 @@ def _build_solo(machine, name, prefetch):
     return hierarchy, process
 
 
+def _resident(cache):
+    """A cache's resident lines per set, in LRU order."""
+    return [list(bucket) for bucket in cache._sets]
+
+
 def _solo_state(hierarchy, process):
-    return {
+    # Hand a live native session's caches back to Python first, so the
+    # sets below can be read.
+    for owner in (hierarchy, process):
+        if owner._native is not None:
+            owner._native.materialize("inspect")
+    state = {
         "counters": dataclasses.asdict(hierarchy.counters[0]),
-        "l1d": dataclasses.asdict(hierarchy.l1d[0].stats),
-        "l2": dataclasses.asdict(hierarchy.l2.stats),
-        "l3": dataclasses.asdict(hierarchy.l3.stats),
+        "l1d": _resident(hierarchy.l1d[0]),
+        "l2": _resident(hierarchy.l2),
         "cycles": process.cycles,
     }
+    if hierarchy.l3._cache is not None:
+        state["l3"] = _resident(hierarchy.l3._cache)
+    return state
 
 
 def _time_solo(machine, name, driver, prefetch):
@@ -132,7 +145,8 @@ def _solo_rows(machine, telemetry, prefetch):
             batch_s, batch_state = _time_solo(
                 machine, name, drive_batch, prefetch
             )
-        # Parity gate: bit-identical counters, stats, and cycle clocks.
+        # Parity gate: bit-identical counters, cache contents in LRU
+        # order, and cycle clocks.
         assert batch_state == scalar_state, name
         rows[name] = {
             "scalar_seconds": round(scalar_s, 4),

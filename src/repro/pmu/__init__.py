@@ -19,13 +19,10 @@ package models them:
   appears in the trace.
 """
 
-from repro.pmu.registers import PerformanceCounter, SampledDataAddressRegister
 from repro.pmu.sampling import PMUModel, ProbeTrace, TraceCollector
 from repro.pmu.tracelog import TraceLog
 
 __all__ = [
-    "PerformanceCounter",
-    "SampledDataAddressRegister",
     "PMUModel",
     "ProbeTrace",
     "TraceCollector",

@@ -15,6 +15,11 @@ simulated hierarchy and reproduces the channel defects of Section 3.1.1:
 - **stale-SDAR prefetch entries** (POWER5): each hardware prefetch raises
   a trace entry, but the SDAR keeps its old value, producing runs of
   repeated entries.  On the POWER5+ the prefetch raises nothing at all.
+
+The registers themselves hold no state here: with threshold one every
+counted event overflows at once, and each handler reads the address the
+current miss just wrote.  So every entry a miss logs, demand or stale,
+is that miss's line, and each entry costs one exception.
 """
 
 from __future__ import annotations
@@ -22,13 +27,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.core.fastpath import as_trace_array
 from repro.obs import get_telemetry
-from repro.pmu.registers import PerformanceCounter, SampledDataAddressRegister
 from repro.pmu.tracelog import TraceLog
 from repro.sim.cpu import IssueMode
 from repro.sim.hierarchy import AccessResult
@@ -182,10 +185,10 @@ class TraceCollector(BatchEventConsumer):
         self.pmu_model = pmu_model
         self.drop_probability = drop_probability
         self.inflight_window = inflight_window
-        self.sdar = SampledDataAddressRegister()
-        self.pmc = PerformanceCounter(threshold=1, name="PM_LD_MISS_L1")
         self._rng = random.Random(seed)
-        self._accesses_since_miss: Optional[int] = None
+        # Accesses since the last L1D miss; starting at the window means
+        # no miss is in flight yet.
+        self._accesses_since_miss = inflight_window
         self.instructions = 0
         self.l1d_misses = 0
         self.dropped_events = 0
@@ -228,39 +231,29 @@ class TraceCollector(BatchEventConsumer):
             self._accesses_since_miss = 0
             return
 
-        # The hardware updates the SDAR, the PMC overflows, the exception
-        # handler reads the SDAR into the log.
-        self.sdar.update(line)
-        self.pmc.count()
-        if self.pmc.take_overflow():
-            self.exceptions += 1
-            value = self.sdar.read()
-            if value is not None:
-                self.log.append(value)
+        # The miss writes its address into the SDAR and overflows the
+        # threshold-one PMC; the exception handler logs the SDAR: ``line``.
+        self.exceptions += 1
+        self.log.append(line)
         self._accesses_since_miss = 0
 
-        # Prefetches triggered by this miss: stale-SDAR entries on POWER5.
+        # Prefetches triggered by this miss (POWER5): each raises one more
+        # exception, whose handler reads the unchanged SDAR -- ``line``
+        # again, a stale entry.
         if self.pmu_model.prefetch_raises_stale_entry:
             for _pf_line in prefetched_lines:
                 if self.done:
                     break
-                self.pmc.count()
-                if self.pmc.take_overflow():
-                    self.exceptions += 1
-                    stale = self.sdar.read()
-                    if stale is not None:
-                        self.log.append(stale)
-                        self.stale_entries += 1
+                self.exceptions += 1
+                self.log.append(line)
+                self.stale_entries += 1
 
     def _tick(self) -> None:
-        if self._accesses_since_miss is not None:
-            self._accesses_since_miss += 1
+        self._accesses_since_miss += 1
 
     def _should_drop(self) -> bool:
         """Dual-LSU drop model: only adjacent in-flight misses collide."""
         if not self.issue_mode.dual_lsu:
-            return False
-        if self._accesses_since_miss is None:
             return False
         if self._accesses_since_miss >= self.inflight_window:
             return False

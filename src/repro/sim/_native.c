@@ -9,8 +9,10 @@
  * scalar driver bit for bit (the differential suite enforces this).
  * It holds only state some output reads: the L1D/L2/L3 sets, each
  * process's page table (its only vpage -> frame map, a stale page held
- * as ~frame), and the prefetcher streams and RNGs.  Only the data
- * stream is simulated.
+ * as ~frame), the prefetcher streams and RNGs, the core counters and
+ * clocks, and the trace channel's log, counters and drop model.  No
+ * cache keeps statistics and the PMU keeps no SDAR or PMC.  Only the
+ * data stream is simulated.
  * Two standalone kernel families share the library: the workload
  * generators' MT19937 fills and the exact stack-distance pass of
  * repro.core.fastpath.
@@ -161,21 +163,20 @@ typedef struct {
     i64 assoc;
     i64 *ways;       /* nsets * assoc */
     i64 *occ;        /* nsets */
-    i64 accesses, hits, evictions, fills;   /* CacheStats */
 } NCache;
 
-/* access(line): returns 1 on hit; *victim = evicted line or -1.
- * Stats exactly as SetAssociativeCache.access(fill_on_miss=True). */
+/* SetAssociativeCache.access(line): promote on a hit (returns 1), else
+ * install as MRU (returns 0).  *victim = evicted line or -1.  Demand
+ * accesses, store forwards, prefetch installs and victim insertions
+ * all make this one state change. */
 static int cache_access(NCache *c, i64 line, i64 *victim)
 {
     i64 set = line % c->nsets;
     i64 *w = c->ways + set * c->assoc;
     i64 n = c->occ[set];
-    c->accesses++;
     *victim = -1;
     for (i64 i = 0; i < n; i++) {
         if (w[i] == line) {
-            c->hits++;
             for (; i < n - 1; i++)
                 w[i] = w[i + 1];
             w[n - 1] = line;
@@ -186,42 +187,13 @@ static int cache_access(NCache *c, i64 line, i64 *victim)
         *victim = w[0];
         memmove(w, w + 1, (size_t)(n - 1) * sizeof(i64));
         n--;
-        c->evictions++;
     }
     w[n] = line;
     c->occ[set] = n + 1;
-    c->fills++;
     return 0;
 }
 
-/* fill(line): promote if resident (no stats), else install (fills++,
- * evicting with evictions++ when the set is full). */
-static void cache_fill(NCache *c, i64 line, i64 *victim)
-{
-    i64 set = line % c->nsets;
-    i64 *w = c->ways + set * c->assoc;
-    i64 n = c->occ[set];
-    *victim = -1;
-    for (i64 i = 0; i < n; i++) {
-        if (w[i] == line) {
-            for (; i < n - 1; i++)
-                w[i] = w[i + 1];
-            w[n - 1] = line;
-            return;
-        }
-    }
-    if (n >= c->assoc) {
-        *victim = w[0];
-        memmove(w, w + 1, (size_t)(n - 1) * sizeof(i64));
-        n--;
-        c->evictions++;
-    }
-    w[n] = line;
-    c->occ[set] = n + 1;
-    c->fills++;
-}
-
-/* probe(line): residency check, no stats, no recency update. */
+/* probe(line): residency check, no recency update. */
 static int cache_probe(const NCache *c, i64 line)
 {
     i64 set = line % c->nsets;
@@ -233,8 +205,8 @@ static int cache_probe(const NCache *c, i64 line)
     return 0;
 }
 
-/* invalidate(line): remove if present, no stats. */
-static void cache_invalidate(NCache *c, i64 line)
+/* invalidate(line): remove if present; returns whether it was. */
+static int cache_invalidate(NCache *c, i64 line)
 {
     i64 set = line % c->nsets;
     i64 *w = c->ways + set * c->assoc;
@@ -244,9 +216,10 @@ static void cache_invalidate(NCache *c, i64 line)
             for (; i < n - 1; i++)
                 w[i] = w[i + 1];
             c->occ[set] = n - 1;
-            return;
+            return 1;
         }
     }
+    return 0;
 }
 
 /* ----------------------------------------------------------------- */
@@ -370,7 +343,6 @@ typedef struct {
     double install_p;    /* l1_install_probability */
     i64 count;           /* live streams */
     i64 clock;
-    i64 issued;
     i64 *next_line;      /* num_streams */
     i64 *hits;
     i64 *confirmed;
@@ -395,7 +367,6 @@ static i64 pf_observe_miss(NPf *pf, i64 vline, i64 *out)
                 for (i64 d = 0; d < pf->depth; d++)
                     out[d] = vline + 1 + d;
                 pf->next_line[i] = out[pf->depth - 1] + 1;
-                pf->issued += pf->depth;
                 return pf->depth;
             }
             return 0;
@@ -433,7 +404,6 @@ typedef struct {
     i64 l3_enabled;
     i64 l3_ratio;        /* l3 line size / l2 line size */
     NCache l3;           /* inner cache over L3-granularity lines */
-    i64 l3_accesses, l3_hits, l3_fills;   /* VictimCache.stats */
 
     /* allocator (shared across processes) */
     i64 pages_per_group;
@@ -492,7 +462,7 @@ typedef struct {
 /* PMU trace channel (TraceCollector / IdealTraceCollector)           */
 /* ----------------------------------------------------------------- */
 
-#define PMU_REAL  1   /* POWER5 SDAR + PMC(threshold 1) + dual-LSU drops */
+#define PMU_REAL  1   /* POWER5 channel: one exception per entry, drops */
 #define PMU_IDEAL 2   /* Section 6 trace buffer */
 
 typedef struct {
@@ -501,9 +471,7 @@ typedef struct {
     i64 log_cap;
     i64 log_n;
     /* real channel */
-    i64 sdar_valid, sdar_value, sdar_updates;
-    i64 pmc_total;
-    i64 since_miss;      /* _accesses_since_miss; -1 == None */
+    i64 since_miss;      /* _accesses_since_miss */
     i64 inflight_window;
     double drop_p;
     i64 dual_lsu;
@@ -525,32 +493,21 @@ static inline int pmu_full(const NPmu *u)
     return u->log_n >= u->log_cap;
 }
 
-static inline void pmu_tick(NPmu *u)
-{
-    if (u->since_miss >= 0)
-        u->since_miss++;
-}
-
-/* TraceCollector.observe_event with threshold 1: every count()
- * overflows, so every counted event takes one exception. */
+/* TraceCollector.observe_event: each logged entry, demand or stale, is
+ * this miss's line and costs one exception. */
 static void pmu_real(NPmu *u, i64 line, int l1_hit, i64 npf)
 {
     if (pmu_full(u) || l1_hit) {
-        pmu_tick(u);
+        u->since_miss++;
         return;
     }
     u->l1d_misses++;
-    if (u->dual_lsu && u->since_miss >= 0
-            && u->since_miss < u->inflight_window
+    if (u->dual_lsu && u->since_miss < u->inflight_window
             && mt_random(&u->mt) < u->drop_p) {
         u->dropped++;
         u->since_miss = 0;
         return;
     }
-    u->sdar_value = line;
-    u->sdar_valid = 1;
-    u->sdar_updates++;
-    u->pmc_total++;
     u->exceptions++;
     u->log[u->log_n++] = line;
     u->since_miss = 0;
@@ -559,9 +516,8 @@ static void pmu_real(NPmu *u, i64 line, int l1_hit, i64 npf)
     for (i64 j = 0; j < npf; j++) {
         if (pmu_full(u))
             break;
-        u->pmc_total++;
         u->exceptions++;
-        u->log[u->log_n++] = u->sdar_value;
+        u->log[u->log_n++] = line;
         u->stale++;
     }
 }
@@ -643,14 +599,7 @@ static int l3_lookup(NShared *sh, i64 l2_line)
 {
     if (!sh->l3_enabled)
         return 0;
-    sh->l3_accesses++;
-    i64 l3_line = l2_line / sh->l3_ratio;
-    if (cache_probe(&sh->l3, l3_line)) {
-        sh->l3_hits++;
-        cache_invalidate(&sh->l3, l3_line);
-        return 1;
-    }
-    return 0;
+    return cache_invalidate(&sh->l3, l2_line / sh->l3_ratio);
 }
 
 static void l3_insert_victim(NShared *sh, i64 l2_line)
@@ -658,8 +607,7 @@ static void l3_insert_victim(NShared *sh, i64 l2_line)
     if (!sh->l3_enabled)
         return;
     i64 victim;
-    cache_fill(&sh->l3, l2_line / sh->l3_ratio, &victim);
-    sh->l3_fills++;
+    cache_access(&sh->l3, l2_line / sh->l3_ratio, &victim);
 }
 
 /* ----------------------------------------------------------------- */
@@ -670,7 +618,7 @@ static void hier_prefetch_fill(NShared *sh, NProc *p, i64 line, int install_l1)
 {
     if (!cache_probe(&sh->l2, line)) {
         i64 victim;
-        cache_fill(&sh->l2, line, &victim);
+        cache_access(&sh->l2, line, &victim);
         if (victim >= 0)
             l3_insert_victim(sh, victim);
         /* A prefetch that finds its line in L3 consumes it. */
@@ -678,7 +626,7 @@ static void hier_prefetch_fill(NShared *sh, NProc *p, i64 line, int install_l1)
     }
     if (install_l1) {
         i64 victim;
-        cache_fill(&p->l1, line, &victim);
+        cache_access(&p->l1, line, &victim);
     }
 }
 
@@ -722,9 +670,9 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
     int l1_hit = cache_access(&p->l1, line, &victim);
     if (l1_hit) {
         if (is_store) {
-            /* Write-through forward: L2 fill; any victim is dropped
-             * (but still counted by the fill, as in Python). */
-            cache_fill(&sh->l2, line, &victim);
+            /* Write-through forward to the L2; any victim is dropped,
+             * as in Python. */
+            cache_access(&sh->l2, line, &victim);
         }
     } else {
         p->c_l1d_misses++;
@@ -745,9 +693,6 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
                 penalty = p->pen_mem;
             }
         }
-        /* Python ends _fetch_into_l2 with l1d.fill(line); the access
-         * above already installed `line` as MRU, so that fill is a
-         * pure promote of the MRU line: no state or stat change. */
 
         if (p->pf.enabled) {
             i64 pf_vlines[PF_MAX_DEPTH];

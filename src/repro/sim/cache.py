@@ -21,7 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["CacheConfig", "CacheStats", "SetAssociativeCache", "REPLACEMENT_POLICIES"]
+__all__ = ["CacheConfig", "SetAssociativeCache", "REPLACEMENT_POLICIES"]
 
 REPLACEMENT_POLICIES = ("lru", "fifo", "mru", "random")
 
@@ -35,15 +35,12 @@ class CacheConfig:
         line_size: bytes per line.
         associativity: ways per set; use ``fully_associative`` for one set.
         replacement: one of :data:`REPLACEMENT_POLICIES`.
-        write_through: if True, stores propagate to the next level even on
-            hit (the POWER5 L1D is write-through, Section 3.1).
     """
 
     size_bytes: int
     line_size: int
     associativity: int
     replacement: str = "lru"
-    write_through: bool = False
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.line_size <= 0 or self.associativity <= 0:
@@ -79,31 +76,6 @@ class CacheConfig:
         )
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting for one cache."""
-
-    accesses: int = 0
-    hits: int = 0
-    evictions: int = 0
-    fills: int = 0
-
-    @property
-    def misses(self) -> int:
-        return self.accesses - self.hits
-
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-    def reset(self) -> None:
-        self.accesses = 0
-        self.hits = 0
-        self.evictions = 0
-        self.fills = 0
-
-
 class SetAssociativeCache:
     """A set-associative cache over line numbers.
 
@@ -114,7 +86,6 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig, seed: int = 0):
         self.config = config
-        self.stats = CacheStats()
         self._sets: List["OrderedDict[int, None]"] = [
             OrderedDict() for _ in range(config.num_sets)
         ]
@@ -128,36 +99,24 @@ class SetAssociativeCache:
     # -- operations --------------------------------------------------------------
 
     def probe(self, line: int) -> bool:
-        """Check residency without updating recency or statistics."""
+        """Check residency without updating recency."""
         return line in self._sets[self.set_index(line)]
 
-    def access(self, line: int, fill_on_miss: bool = True) -> Tuple[bool, Optional[int]]:
-        """Look up ``line``; on a miss optionally fill it.
+    def access(self, line: int) -> Tuple[bool, Optional[int]]:
+        """Look up ``line``, promoting it on a hit and filling it on a
+        miss -- the one operation demand accesses, store forwards,
+        prefetch installs and victim insertions all make.
 
         Returns:
             ``(hit, victim_line)`` -- ``victim_line`` is the line evicted
-            to make room, or ``None`` when the set had a free way, the
-            access hit, or ``fill_on_miss`` was False.
+            to make room, or ``None`` when the access hit or the set had
+            a free way.
         """
-        self.stats.accesses += 1
         bucket = self._sets[self.set_index(line)]
         if line in bucket:
-            self.stats.hits += 1
             self._promote(bucket, line)
             return True, None
-        if not fill_on_miss:
-            return False, None
-        victim = self._fill(bucket, line)
-        return False, victim
-
-    def fill(self, line: int) -> Optional[int]:
-        """Install ``line`` without counting an access (prefetch / victim
-        insertion).  Returns the evicted line, if any."""
-        bucket = self._sets[self.set_index(line)]
-        if line in bucket:
-            self._promote(bucket, line)
-            return None
-        return self._fill(bucket, line)
+        return False, self._fill(bucket, line)
 
     def invalidate(self, line: int) -> bool:
         """Remove ``line`` if present.  Returns True if it was resident."""
@@ -179,9 +138,7 @@ class SetAssociativeCache:
         if len(bucket) >= self.config.associativity:
             victim = self._choose_victim(bucket)
             del bucket[victim]
-            self.stats.evictions += 1
         bucket[line] = None
-        self.stats.fills += 1
         return victim
 
     def _choose_victim(self, bucket: "OrderedDict[int, None]") -> int:

@@ -127,7 +127,6 @@ class MemoryHierarchy:
                     size_bytes=machine.l1d_size,
                     line_size=machine.line_size,
                     associativity=machine.l1d_assoc,
-                    write_through=True,
                 )
             )
 
@@ -222,7 +221,7 @@ class MemoryHierarchy:
             if is_store:
                 # Write-through: the store is forwarded to the L2; the line
                 # is normally resident there (inclusive fill on miss path).
-                self.l2.fill(line)
+                self.l2.access(line)
             return result
 
         # L1D miss -> the access the PMU can observe.
@@ -246,7 +245,6 @@ class MemoryHierarchy:
             else:
                 result.memory_access = True
                 counters.memory_accesses += 1
-        self.l1d[core].fill(line)
 
     def prefetch_fill(self, core: int, line: int, install_l1: bool = True) -> None:
         """Install a prefetched line into the L2 (and optionally the
@@ -255,10 +253,10 @@ class MemoryHierarchy:
         if self._native is not None:
             self._native.materialize("prefetch_fill")
         if not self.l2.probe(line):
-            victim = self.l2.fill(line)
+            _, victim = self.l2.access(line)
             if victim is not None:
                 self.l3.insert_victim(victim)
             # Victim L3: a prefetch that finds its line in L3 consumes it.
             self.l3.lookup(line)
         if install_l1:
-            self.l1d[core].fill(line)
+            self.l1d[core].access(line)

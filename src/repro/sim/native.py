@@ -14,7 +14,7 @@ other half of the contract:
   CPython MT19937 state) into C-visible arrays on the machine's first
   native run and keeps them there for the machine's life.  Later
   drives and co-run legs reuse them and copy only a few dozen scalar
-  fields (counters, statistics, clocks) at each run boundary; a Python
+  fields (core counters, clocks) at each run boundary; a Python
   path that needs the rest calls :meth:`NativeSession.materialize`,
   which copies it back and drops the session.  A trace collector is
   bound per run (:class:`TraceChannel`): C appends to its int64 buffer
@@ -106,7 +106,6 @@ class _NCache(ctypes.Structure):
     _fields_ = [
         ("nsets", i64), ("assoc", i64),
         ("ways", P_i64), ("occ", P_i64),
-        ("accesses", i64), ("hits", i64), ("evictions", i64), ("fills", i64),
     ]
 
 
@@ -121,7 +120,7 @@ class _NPf(ctypes.Structure):
     _fields_ = [
         ("enabled", i64), ("num_streams", i64), ("depth", i64),
         ("confirm_after", i64), ("late_p", f64), ("install_p", f64),
-        ("count", i64), ("clock", i64), ("issued", i64),
+        ("count", i64), ("clock", i64),
         ("next_line", P_i64), ("hits", P_i64),
         ("confirmed", P_i64), ("last_use", P_i64),
     ]
@@ -135,7 +134,6 @@ class _NShared(ctypes.Structure):
     _fields_ = [
         ("l2", _NCache),
         ("l3_enabled", i64), ("l3_ratio", i64), ("l3", _NCache),
-        ("l3_accesses", i64), ("l3_hits", i64), ("l3_fills", i64),
         ("pages_per_group", i64), ("pages_per_color", i64),
         ("migration_cost", i64),
         ("next_frame_of_color", P_i64), ("lazy_migrations", i64),
@@ -165,8 +163,7 @@ class _NPmu(ctypes.Structure):
     _fields_ = [
         ("kind", i64),
         ("log", P_i64), ("log_cap", i64), ("log_n", i64),
-        ("sdar_valid", i64), ("sdar_value", i64), ("sdar_updates", i64),
-        ("pmc_total", i64), ("since_miss", i64), ("inflight_window", i64),
+        ("since_miss", i64), ("inflight_window", i64),
         ("drop_p", f64), ("dual_lsu", i64), ("stale_on_prefetch", i64),
         ("mt", _NMt),
         ("buffer_entries", i64), ("record_prefetches", i64),
@@ -314,15 +311,14 @@ def channel_kind(collector) -> Optional[int]:
     """``PMU_REAL`` / ``PMU_IDEAL`` when the C trace channel models
     ``collector`` exactly, else None.
 
-    Only the two stock collectors qualify (a subclass or wrapper may
-    override any per-event hook), and the real one only with the
-    paper's overflow threshold of one.
+    Only the two stock collectors qualify: a subclass or wrapper may
+    override any per-event hook.
     """
     from repro.pmu.ideal import IdealTraceCollector
     from repro.pmu.sampling import TraceCollector
 
     kind = type(collector)
-    if kind is TraceCollector and collector.pmc.threshold == 1:
+    if kind is TraceCollector:
         return PMU_REAL
     if kind is IdealTraceCollector:
         return PMU_IDEAL
@@ -521,20 +517,6 @@ def _commit_cache(arrs: Dict[str, np.ndarray], cache) -> None:
             bucket[ways[base + j]] = None
 
 
-def _load_stats(struct: _NCache, stats) -> None:
-    struct.accesses = stats.accesses
-    struct.hits = stats.hits
-    struct.evictions = stats.evictions
-    struct.fills = stats.fills
-
-
-def _store_stats(struct: _NCache, stats) -> None:
-    stats.accesses = struct.accesses
-    stats.hits = struct.hits
-    stats.evictions = struct.evictions
-    stats.fills = struct.fills
-
-
 # ---------------------------------------------------------------------------
 # The trace channel: adopted and committed per observed drive
 # ---------------------------------------------------------------------------
@@ -548,7 +530,7 @@ class TraceChannel:
     ``exception_cost`` cycles to the process clock, inside the step (the
     dynamic manager's charge; a plain probe passes 0).  :meth:`commit`
     advances the log's length and folds back the collector's counters,
-    SDAR/PMC state and RNG.
+    its accesses since the last miss and its drop RNG.
     """
 
     def __init__(self, collector, exception_cost: int = 0):
@@ -571,18 +553,11 @@ class TraceChannel:
         u.exceptions = collector.exceptions
         u.exception_cost = exception_cost
         if kind == PMU_IDEAL:
-            u.since_miss = -1
             u.buffer_entries = collector.buffer_entries
             u.record_prefetches = 1 if collector.record_prefetches else 0
             u.buffered = collector._buffered
             return
-        value = collector.sdar.read()
-        u.sdar_valid = 0 if value is None else 1
-        u.sdar_value = 0 if value is None else value
-        u.sdar_updates = collector.sdar.updates
-        u.pmc_total = collector.pmc.total
-        since = collector._accesses_since_miss
-        u.since_miss = -1 if since is None else since
+        u.since_miss = collector._accesses_since_miss
         u.inflight_window = collector.inflight_window
         u.drop_p = collector.drop_probability
         u.dual_lsu = 1 if collector.issue_mode.dual_lsu else 0
@@ -603,18 +578,7 @@ class TraceChannel:
         if u.kind == PMU_IDEAL:
             collector._buffered = u.buffered
             return
-        sdar = collector.sdar
-        sdar._value = u.sdar_value if u.sdar_valid else None
-        sdar.updates = u.sdar_updates
-        pmc = collector.pmc
-        if u.pmc_total != pmc.total:
-            # Threshold one: every count overflowed and was taken at once.
-            pmc.total = u.pmc_total
-            pmc._since_overflow = 0
-            pmc._pending = False
-        collector._accesses_since_miss = (
-            None if u.since_miss < 0 else u.since_miss
-        )
+        collector._accesses_since_miss = u.since_miss
         _commit_mt(u.mt, self._mt, self._gauss, collector._rng)
 
 
@@ -680,10 +644,10 @@ class NativeSession:
     session is live, C arrays are the only copy of the *heavy* state:
     L1D, L2 and L3 sets, each process's page table (a zigzag-keyed
     hash map), prefetcher streams and RNGs, allocator frame counters,
-    cursors and migration debt, and the bound chunk tail.  *Scalar* state -- core counters, cache and L3 statistics,
-    process clocks, lazy migrations -- is copied in by :func:`enter`
-    and out by :meth:`leave`, so Python may read and reset it between
-    runs.
+    cursors and migration debt, and the bound chunk tail.  *Scalar*
+    state -- core counters, process clocks, lazy migrations -- is copied
+    in by :func:`enter` and out by :meth:`leave`, so Python may read and
+    reset it between runs.
 
     Every Python path that touches heavy state (``Process.step``,
     ``MemoryHierarchy.access``/``prefetch_fill``, the allocator's
@@ -811,7 +775,6 @@ class NativeSession:
         streams = prefetcher._streams
         pf.count = len(streams)
         pf.clock = prefetcher._clock
-        pf.issued = prefetcher.issued
         size = max(config.num_streams, 1)
         pf_arrs = np.zeros((4, size), dtype=np.int64)
         for j, stream in enumerate(streams):
@@ -831,15 +794,7 @@ class NativeSession:
     # -- scalar state: copied at every run boundary -------------------------
 
     def _load_scalars(self, hierarchy, processes, slots) -> None:
-        sh = self.sh
-        _load_stats(sh.l2, hierarchy.l2.stats)
-        l3 = hierarchy.l3
-        if sh.l3_enabled:
-            _load_stats(sh.l3, l3._cache.stats)
-        sh.l3_accesses = l3.stats.accesses
-        sh.l3_hits = l3.stats.hits
-        sh.l3_fills = l3.stats.fills
-        sh.lazy_migrations = processes[0].allocator.lazy_migrations
+        self.sh.lazy_migrations = processes[0].allocator.lazy_migrations
         for process, index in zip(processes, slots):
             p = self._slots[index].proc
             p.cycles = process.cycles
@@ -854,20 +809,11 @@ class NativeSession:
             p.c_l2dm = counters.l2_demand_misses
             p.c_l3_hits = counters.l3_hits
             p.c_mem = counters.memory_accesses
-            _load_stats(p.l1, hierarchy.l1d[process.core].stats)
 
     def leave(self, hierarchy, processes: Sequence,
               slots: Sequence[int]) -> None:
         """Copy the scalar state of a finished run back to Python."""
-        sh = self.sh
-        _store_stats(sh.l2, hierarchy.l2.stats)
-        l3 = hierarchy.l3
-        if sh.l3_enabled:
-            _store_stats(sh.l3, l3._cache.stats)
-        l3.stats.accesses = sh.l3_accesses
-        l3.stats.hits = sh.l3_hits
-        l3.stats.fills = sh.l3_fills
-        processes[0].allocator.lazy_migrations = sh.lazy_migrations
+        processes[0].allocator.lazy_migrations = self.sh.lazy_migrations
         for process, index in zip(processes, slots):
             p = self._slots[index].proc
             process.cycles = p.cycles
@@ -882,7 +828,6 @@ class NativeSession:
             counters.l2_demand_misses = p.c_l2dm
             counters.l3_hits = p.c_l3_hits
             counters.memory_accesses = p.c_mem
-            _store_stats(p.l1, hierarchy.l1d[process.core].stats)
 
     # -- materialize --------------------------------------------------------
 
@@ -958,7 +903,6 @@ class NativeSession:
             arrs["pf"][:, : p.pf.count].T.tolist()
         ]
         prefetcher._clock = p.pf.clock
-        prefetcher.issued = p.pf.issued
         _commit_mt(p.mt, arrs["mt"], slot.gauss, slot.rng)
 
         if hierarchy is not None:

@@ -77,7 +77,6 @@ class StreamPrefetcher:
         self.config = config
         self._streams: List[_Stream] = []
         self._clock = 0
-        self.issued = 0
 
     def observe_miss(self, line: int) -> List[int]:
         """Feed one demand L1D miss; return lines to prefetch (may be [])."""
@@ -96,7 +95,6 @@ class StreamPrefetcher:
                         line + 1 + offset for offset in range(self.config.depth)
                     ]
                     stream.next_line = prefetches[-1] + 1
-                    self.issued += len(prefetches)
                     return prefetches
                 return []
         self._allocate(line)
@@ -121,5 +119,4 @@ class StreamPrefetcher:
 
     def reset(self) -> None:
         self._streams.clear()
-        self.issued = 0
         self._clock = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.cache import CacheConfig, CacheStats, SetAssociativeCache
+from repro.sim.cache import CacheConfig, SetAssociativeCache
 
 __all__ = ["VictimCache"]
 
@@ -42,7 +42,6 @@ class VictimCache:
         if line_size % l2_line_size != 0:
             raise ValueError("L3 line size must be a multiple of the L2's")
         self._ratio = line_size // l2_line_size
-        self.stats = CacheStats()
         self._cache: Optional[SetAssociativeCache] = None
         if self.enabled:
             self._cache = SetAssociativeCache(
@@ -61,20 +60,13 @@ class VictimCache:
         caches hand the line back to the L2)."""
         if not self.enabled or self._cache is None:
             return False
-        self.stats.accesses += 1
-        l3_line = self._l3_line(l2_line)
-        if self._cache.probe(l3_line):
-            self.stats.hits += 1
-            self._cache.invalidate(l3_line)
-            return True
-        return False
+        return self._cache.invalidate(self._l3_line(l2_line))
 
     def insert_victim(self, l2_line: int) -> None:
         """Accept a line evicted from the L2."""
         if not self.enabled or self._cache is None:
             return
-        self._cache.fill(self._l3_line(l2_line))
-        self.stats.fills += 1
+        self._cache.access(self._l3_line(l2_line))
 
     @property
     def occupancy(self) -> int:

@@ -76,13 +76,14 @@ class BatchRandom:
 
     With the native engine built, the RNG's MT19937 state is adopted once
     into a C-visible buffer (:class:`repro.sim.native.MTStream`) and each
-    call runs a C fill kernel, then writes the state back -- so after
-    every call ``rng`` holds exactly the state the same scalar draws
-    leave.  The stream owns ``rng`` from construction on: nothing else
-    may draw from it.  Without the engine (``REPRO_NATIVE=0``, no
-    compiler), and for ``randbelow`` bounds of 2**32 or more, the draws
-    are made by the Python path: :func:`draw_uniform` and
-    ``rng.randrange``.
+    call runs a C fill kernel that advances it there.  The stream owns
+    ``rng`` from construction on: nothing else may draw from it, and
+    while the kernels draw it is not kept current.  Without the engine
+    (``REPRO_NATIVE=0``, no compiler), and for ``randbelow`` bounds of
+    2**32 or more, the draws are made by the Python path:
+    :func:`draw_uniform` and ``rng.randrange``.  The first such bound
+    writes the kernels' state back into ``rng`` once, and the Python
+    path continues from it for good.
     """
 
     __slots__ = ("_rng", "_mt")
@@ -104,9 +105,7 @@ class BatchRandom:
         mt = self._mt
         if mt is None:
             return draw_uniform(self._rng, count)
-        out = mt.random(count)
-        mt.store(self._rng)
-        return out
+        return mt.random(count)
 
     def randbelow(self, bound: int, count: int) -> np.ndarray:
         """``count`` consecutive ``rng.randrange(bound)`` draws."""
@@ -114,17 +113,16 @@ class BatchRandom:
             raise ValueError("bound must be positive")
         mt = self._mt
         if mt is not None and bound >> 32:
-            # Past one 32-bit word per draw: ``rng`` is current (every
-            # call stores it), so the Python path takes over for good.
+            # Past one 32-bit word per draw: hand the state back to
+            # ``rng`` and let the Python path take over for good.
+            mt.store(self._rng)
             self._mt = mt = None
         if mt is None:
             randrange = self._rng.randrange
             return np.fromiter(
                 (randrange(bound) for _ in range(count)), np.int64, count
             )
-        out = mt.randbelow(bound, count)
-        mt.store(self._rng)
-        return out
+        return mt.randbelow(bound, count)
 
 
 def cyclic_stream(addresses: np.ndarray) -> TakeFn:
@@ -178,10 +176,8 @@ class AccessPattern(abc.ABC):
         ``count`` accesses as ``(vaddrs, is_store)`` arrays.  Any
         sequence of chunk sizes concatenates to the scalar stream from an
         identically seeded RNG -- same addresses, same store flags, same
-        RNG draw order -- and after each chunk ``rng`` holds the state the
-        scalar generator leaves after as many accesses.  The default
-        buffers the scalar generator; hot patterns override it with
-        vectorized generation.
+        RNG draw order.  The default buffers the scalar generator; hot
+        patterns override it with vectorized generation.
         """
         stream = self.generate(rng)
 

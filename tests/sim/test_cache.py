@@ -50,16 +50,8 @@ class TestBasicOperation:
 
     def test_stats(self):
         cache = small_cache()
-        cache.access(1)
-        cache.access(1)
-        cache.access(2)
-        assert cache.stats.accesses == 3
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 2
-        assert cache.stats.miss_rate() == pytest.approx(2 / 3)
-
-    def test_miss_rate_empty(self):
-        assert small_cache().stats.miss_rate() == 0.0
+        hits = [cache.access(line)[0] for line in (1, 1, 2)]
+        assert hits == [False, True, False]  # one hit, two misses
 
     def test_set_mapping(self):
         cache = small_cache(assoc=2, sets=4)
@@ -67,19 +59,15 @@ class TestBasicOperation:
         assert cache.set_index(5) == 1
         assert cache.set_index(7) == 3
 
-    def test_no_fill_on_miss(self):
-        cache = small_cache()
-        hit, victim = cache.access(9, fill_on_miss=False)
-        assert not hit and victim is None
-        hit, _ = cache.access(9)
-        assert not hit  # still absent
-
     def test_probe_does_not_disturb(self):
-        cache = small_cache()
+        cache = small_cache(assoc=2, sets=1)
         assert not cache.probe(3)
+        assert cache.occupancy == 0  # a probe miss installs nothing
         cache.access(3)
+        cache.access(4)
         assert cache.probe(3)
-        assert cache.stats.accesses == 1  # probe not counted
+        _, victim = cache.access(5)
+        assert victim == 3  # the probe did not promote 3
 
     def test_invalidate(self):
         cache = small_cache()
@@ -87,12 +75,6 @@ class TestBasicOperation:
         assert cache.invalidate(3)
         assert not cache.invalidate(3)
         assert not cache.probe(3)
-
-    def test_fill_does_not_count_access(self):
-        cache = small_cache()
-        cache.fill(7)
-        assert cache.stats.accesses == 0
-        assert cache.probe(7)
 
 
 class TestLRUEviction:
@@ -106,9 +88,9 @@ class TestLRUEviction:
 
     def test_eviction_counted(self):
         cache = small_cache(assoc=1, sets=1)
-        cache.access(1)
-        cache.access(2)
-        assert cache.stats.evictions == 1
+        victims = [cache.access(line)[1] for line in (1, 2)]
+        assert victims == [None, 1]  # one eviction, of line 1
+        assert not cache.probe(1)
 
     def test_sets_are_independent(self):
         cache = small_cache(assoc=1, sets=2)
@@ -152,10 +134,12 @@ class TestOtherPolicies:
         retains most of the loop."""
         def hits(policy):
             cache = small_cache(assoc=8, sets=1, replacement=policy)
+            hits = 0
             for _ in range(20):
                 for line in range(9):  # 9-line loop, 8-line cache
-                    cache.access(line)
-            return cache.stats.hits
+                    hit, _ = cache.access(line)
+                    hits += hit
+            return hits
 
         assert hits("lru") == 0
         assert hits("mru") > 100

@@ -81,10 +81,7 @@ def _build(machine, name, prefetch=True, colors=None,
 
 
 def _cache_state(cache):
-    return {
-        "stats": dataclasses.asdict(cache.stats),
-        "resident": [list(bucket) for bucket in cache._sets],
-    }
+    return {"resident": [list(bucket) for bucket in cache._sets]}
 
 
 def _materialize(hierarchy, process):
@@ -102,7 +99,6 @@ def _state(hierarchy, process):
         "counters": dataclasses.asdict(hierarchy.counters[0]),
         "l1d": _cache_state(hierarchy.l1d[0]),
         "l2": _cache_state(hierarchy.l2),
-        "l3_stats": dataclasses.asdict(hierarchy.l3.stats),
         "page_table": dict(table),
         "stale": sorted(vpage for vpage, frame in table.items() if frame < 0),
         "cycles": process.cycles,

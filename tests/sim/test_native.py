@@ -86,10 +86,6 @@ def _channel_state(collector):
         state.update(
             rng=collector._rng.getstate(),
             since_miss=collector._accesses_since_miss,
-            sdar=collector.sdar.read(),
-            sdar_updates=collector.sdar.updates,
-            pmc_total=collector.pmc.total,
-            pmc_pending=collector.pmc.overflow_pending,
         )
     return state
 
@@ -163,10 +159,7 @@ def _state(hierarchy, process):
     state = {
         "counters": dataclasses.asdict(hierarchy.counters[0]),
         "l1d": [list(b) for b in hierarchy.l1d[0]._sets],
-        "l1d_stats": dataclasses.asdict(hierarchy.l1d[0].stats),
         "l2": [list(b) for b in hierarchy.l2._sets],
-        "l2_stats": dataclasses.asdict(hierarchy.l2.stats),
-        "l3_stats": dataclasses.asdict(hierarchy.l3.stats),
         "cycles": process.cycles,
         "instructions": process.instructions,
         "accesses": process.accesses,
@@ -176,7 +169,6 @@ def _state(hierarchy, process):
             for s in process.prefetcher._streams
         ],
         "pf_clock": process.prefetcher._clock,
-        "pf_issued": process.prefetcher.issued,
         "page_table": dict(table),
         "stale": sorted(vpage for vpage, frame in table.items() if frame < 0),
         "debt": dict(process.allocator._migration_debt),
@@ -460,7 +452,7 @@ class TestObservedRollback:
     def test_stop_mid_chunk_rewinds_exactly(self, log_capacity):
         """The log fills mid-chunk; the C channel must stop on the exact
         access the scalar loop would have stopped on, with every
-        collector field (log, counters, RNG, SDAR, PMC) identical --
+        collector field (log, counters, RNG, drop window) identical --
         under both issue modes, both PMU models, prefetch on and off."""
         for issue_mode, pmu_model, prefetch in itertools.product(
             (IssueMode.COMPLEX, IssueMode.SIMPLIFIED),

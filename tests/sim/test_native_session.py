@@ -207,8 +207,7 @@ def _machine():
 
 
 def _cache(cache):
-    return {"sets": [list(bucket) for bucket in cache._sets],
-            "stats": dataclasses.asdict(cache.stats)}
+    return {"sets": [list(bucket) for bucket in cache._sets]}
 
 
 def _machine_state(hierarchy, processes):
@@ -220,7 +219,6 @@ def _machine_state(hierarchy, processes):
     state = {
         "l2": _cache(hierarchy.l2),
         "l3": _cache(hierarchy.l3._cache),
-        "l3_stats": dataclasses.asdict(hierarchy.l3.stats),
         "debt": dict(allocator._migration_debt),
         "cursor": dict(allocator._cursor),
         "next_frame": dict(allocator._next_frame_of_color),
@@ -238,7 +236,6 @@ def _machine_state(hierarchy, processes):
             "streams": [dataclasses.astuple(s)
                         for s in process.prefetcher._streams],
             "pf_clock": process.prefetcher._clock,
-            "pf_issued": process.prefetcher.issued,
             "rng": process._pf_rng.getstate(),
             "clock": (process.cycles, process.instructions,
                       process.accesses),

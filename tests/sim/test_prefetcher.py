@@ -38,7 +38,7 @@ class TestStreamDetection:
         prefetcher = StreamPrefetcher(PrefetcherConfig(enabled=False))
         for line in range(100, 120):
             assert prefetcher.observe_miss(line) == []
-        assert prefetcher.issued == 0
+        assert prefetcher.active_streams == 0
 
 
 class TestStreamTable:
@@ -57,13 +57,15 @@ class TestStreamTable:
 
     def test_issued_counter(self):
         prefetcher = StreamPrefetcher(PrefetcherConfig(depth=3, confirm_after=2))
-        prefetcher.observe_miss(10)
-        prefetcher.observe_miss(11)
-        assert prefetcher.issued == 3
+        assert prefetcher.observe_miss(10) == []
+        assert prefetcher.observe_miss(11) == [12, 13, 14]
 
     def test_reset(self):
         prefetcher = StreamPrefetcher()
         prefetcher.observe_miss(1)
         prefetcher.reset()
         assert prefetcher.active_streams == 0
-        assert prefetcher.issued == 0
+        # The stream table is empty: the old stream's next miss allocates
+        # afresh instead of confirming it.
+        assert prefetcher.observe_miss(2) == []
+        assert prefetcher.confirmed_streams == 0

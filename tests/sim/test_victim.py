@@ -38,11 +38,10 @@ class TestVictimSemantics:
     def test_stats(self):
         cache = make_victim()
         cache.insert_victim(0)
-        cache.lookup(0)
-        cache.lookup(8)
-        assert cache.stats.fills == 1
-        assert cache.stats.accesses == 2
-        assert cache.stats.hits == 1
+        assert cache.occupancy == 1
+        assert cache.lookup(0)
+        assert not cache.lookup(8)
+        assert cache.occupancy == 0
 
 
 class TestDisabled:
@@ -55,8 +54,9 @@ class TestDisabled:
 
     def test_disabled_counts_nothing(self):
         cache = make_victim(size_bytes=0)
-        cache.lookup(1)
-        assert cache.stats.accesses == 0
+        cache.insert_victim(1)
+        assert not cache.lookup(1)
+        assert cache.occupancy == 0
 
 
 class TestGeometry:
