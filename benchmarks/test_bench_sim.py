@@ -27,6 +27,12 @@ Five paths are measured, one row each:
   exactly (wall-clock is reported but not gated: the pool only helps
   on multi-core hosts).
 
+Each native row also records ``batch_step_ns_per_access``: the time
+spent inside the C engine's run calls alone (the program's own
+``sim.native_step_ns`` counter) per native access, over that row's
+batch runs; the sharded row records it for the sequential and the
+pooled curve.  It is reported, not gated.
+
 A parity gate rides along with each timing: the batch run's counters,
 cache contents (resident lines per set, in LRU order) and clocks must
 be bit-identical to the scalar run's, and
@@ -104,6 +110,22 @@ def _build_solo(machine, name, prefetch):
     return hierarchy, process
 
 
+def _native_step(telemetry):
+    """``(C-step ns, native accesses)`` counted in ``telemetry`` so far."""
+    report = RunReport.from_telemetry(telemetry)
+    return (
+        report.counter_total("sim.native_step_ns"),
+        report.counter_by_label("sim.batch_accesses", "engine").get(
+            "native", 0),
+    )
+
+
+def _step_ns_per_access(before, after):
+    """C-step nanoseconds per native access between two
+    :func:`_native_step` readings."""
+    return round((after[0] - before[0]) / (after[1] - before[1]), 1)
+
+
 def _resident(cache):
     """A cache's resident lines per set, in LRU order."""
     return [list(bucket) for bucket in cache._sets]
@@ -141,10 +163,12 @@ def _solo_rows(machine, telemetry, prefetch):
     rows = {}
     for name in SOLO_WORKLOADS:
         scalar_s, scalar_state = _time_solo(machine, name, drive, prefetch)
+        before = _native_step(telemetry)
         with use_telemetry(telemetry):
             batch_s, batch_state = _time_solo(
                 machine, name, drive_batch, prefetch
             )
+        step = _step_ns_per_access(before, _native_step(telemetry))
         # Parity gate: bit-identical counters, cache contents in LRU
         # order, and cycle clocks.
         assert batch_state == scalar_state, name
@@ -154,6 +178,7 @@ def _solo_rows(machine, telemetry, prefetch):
             "scalar_accesses_per_sec": round(SOLO_ACCESSES / scalar_s),
             "batch_accesses_per_sec": round(SOLO_ACCESSES / batch_s),
             "speedup": round(scalar_s / batch_s, 2),
+            "batch_step_ns_per_access": step,
         }
     return rows
 
@@ -260,6 +285,11 @@ def _time_sharded(machine):
         "sequential_accesses_per_sec": round(total / seq_s),
         "pooled_accesses_per_sec": round(total / pool_s),
         "accesses": total,
+        # The workers' step time folds back into the session counter.
+        "sequential_step_ns_per_access": round(
+            seq_report.native_step_ns_per_access(), 1),
+        "pooled_step_ns_per_access": round(
+            pool_report.native_step_ns_per_access(), 1),
     }
 
 
@@ -280,7 +310,9 @@ def test_bench_sim(machine, report_dir):
         "parity": True,
     }
 
+    before = _native_step(telemetry)
     corun_results = _time_corun(machine, telemetry)
+    corun_step = _step_ns_per_access(before, _native_step(telemetry))
     scalar_s, scalar_outcome = corun_results["scalar"]
     batch_s, batch_outcome = corun_results["batch"]
     assert batch_outcome == scalar_outcome
@@ -292,9 +324,12 @@ def test_bench_sim(machine, report_dir):
         "scalar_accesses_per_sec": round(corun_total / scalar_s),
         "batch_accesses_per_sec": round(corun_total / batch_s),
         "speedup": round(scalar_s / batch_s, 2),
+        "batch_step_ns_per_access": corun_step,
     }
 
+    before = _native_step(telemetry)
     managed_results = _time_managed(machine, telemetry)
+    managed_step = _step_ns_per_access(before, _native_step(telemetry))
     scalar_s, scalar_outcome = managed_results["scalar"]
     batch_s, batch_outcome = managed_results["batch"]
     # Parity gate: the same report, events and decisions included.
@@ -306,6 +341,7 @@ def test_bench_sim(machine, report_dir):
         "scalar_accesses_per_sec": round(corun_total / scalar_s),
         "batch_accesses_per_sec": round(corun_total / batch_s),
         "speedup": round(scalar_s / batch_s, 2),
+        "batch_step_ns_per_access": managed_step,
         "probes_run": batch_outcome["probes_run"],
         "events": len(batch_outcome["events"]),
     }

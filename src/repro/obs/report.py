@@ -241,6 +241,19 @@ class RunReport:
             rates[""] = total / (total_ns / 1e9)
         return rates
 
+    def native_step_ns_per_access(self) -> Optional[float]:
+        """Nanoseconds per access spent inside the C engine's run calls
+        (``sim.native_step_ns`` over the native engine's accesses), or
+        None when no native drive was timed.  Unlike the batched
+        throughput, it leaves out chunk generation, adoption and the
+        Python side of each leg."""
+        step_ns = self.counter_total("sim.native_step_ns")
+        accesses = self.counter_by_label(
+            "sim.batch_accesses", "engine").get("native", 0)
+        if not step_ns or not accesses:
+            return None
+        return step_ns / accesses
+
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
@@ -279,6 +292,9 @@ class RunReport:
             )
             out(f"batched throughput: {rates['']:,.0f} accesses/s "
                 f"({per_engine})")
+        step = self.native_step_ns_per_access()
+        if step is not None:
+            out(f"native step: {step:.1f} ns/access")
         channels = self.counter_by_label("pmu.channel", "engine")
         if channels:
             detail = ", ".join(

@@ -46,6 +46,19 @@
  *    picks the targets: a quota leg's end, or the next access at which
  *    the dynamic manager's Python hooks can change state, so those
  *    hooks run between runs for exactly the accesses they fire on.
+ *
+ * The per-access work avoids 64-bit division and data-dependent
+ * branches where an exact equivalent exists:
+ *  - Floor division by a power-of-two line size, lines per page or
+ *    L3/L2 line ratio is an arithmetic shift (the wrapper passes log2,
+ *    or -1 for any other divisor, which keeps the division).
+ *  - Every set index (L1D, L2, L3) is Lemire's fastmod with the
+ *    reciprocal the wrapper computes once per cache; it is exact below
+ *    2**32, and larger lines keep %.
+ *  - The prefetcher finds the matching stream and the oldest one in a
+ *    single pass of conditional moves.
+ *  - A prefetch installs into the L2 with one install-if-absent scan,
+ *    and every way shift is an inline loop, never a memmove call.
  */
 
 #include <stdint.h>
@@ -161,60 +174,98 @@ EXPORT void repro_mt_randbelow(u32 *key, i64 *pos, i64 bound, i64 *out,
 typedef struct {
     i64 nsets;
     i64 assoc;
+    i64 recip;       /* Lemire's M = UINT64_MAX / nsets + 1, mod 2**64 */
     i64 *ways;       /* nsets * assoc */
     i64 *occ;        /* nsets */
 } NCache;
 
+/* line % nsets.  A line below 2**32 takes Lemire's fastmod: the low
+ * 64 bits of recip * line, times nsets, high half.  That is exact for
+ * every 32-bit numerator and divisor, and nsets < 2**32 always (its way
+ * array could not be allocated otherwise).  Larger lines -- frames past
+ * 2**32 / lines_per_page -- and negative ones keep the division. */
+static inline i64 cache_set(const NCache *c, i64 line)
+{
+    uint64_t u = (uint64_t)line;
+    if (u >> 32)
+        return line % c->nsets;
+    uint64_t low = (uint64_t)c->recip * u;
+    return (i64)(((__uint128_t)low * (uint64_t)c->nsets) >> 64);
+}
+
+/* Move w[lo+1..hi] down one way, put `top` at w[hi] and return the old
+ * w[lo].  Carrying the moved value through a register keeps the
+ * compiler from turning the loop into a memmove call, which costs more
+ * than the few ways a set holds. */
+static inline i64 ways_rotate(i64 *w, i64 lo, i64 hi, i64 top)
+{
+    for (i64 j = hi; j >= lo; j--) {
+        i64 moved = w[j];
+        w[j] = top;
+        top = moved;
+    }
+    return top;
+}
+
+/* Install `line` as MRU in a set of n lines that lacks it, evicting the
+ * oldest into *victim when the set is full. */
+static void set_install(NCache *c, i64 set, i64 *w, i64 n, i64 line,
+                        i64 *victim)
+{
+    if (n >= c->assoc) {
+        *victim = ways_rotate(w, 0, n - 1, line);
+        return;
+    }
+    w[n] = line;
+    c->occ[set] = n + 1;
+}
+
 /* SetAssociativeCache.access(line): promote on a hit (returns 1), else
  * install as MRU (returns 0).  *victim = evicted line or -1.  Demand
- * accesses, store forwards, prefetch installs and victim insertions
- * all make this one state change. */
+ * accesses, store forwards and victim insertions all make this one
+ * state change. */
 static int cache_access(NCache *c, i64 line, i64 *victim)
 {
-    i64 set = line % c->nsets;
+    i64 set = cache_set(c, line);
     i64 *w = c->ways + set * c->assoc;
     i64 n = c->occ[set];
     *victim = -1;
     for (i64 i = 0; i < n; i++) {
         if (w[i] == line) {
-            for (; i < n - 1; i++)
-                w[i] = w[i + 1];
-            w[n - 1] = line;
+            ways_rotate(w, i, n - 1, line);
             return 1;
         }
     }
-    if (n >= c->assoc) {
-        *victim = w[0];
-        memmove(w, w + 1, (size_t)(n - 1) * sizeof(i64));
-        n--;
-    }
-    w[n] = line;
-    c->occ[set] = n + 1;
+    set_install(c, set, w, n, line, victim);
     return 0;
 }
 
-/* probe(line): residency check, no recency update. */
-static int cache_probe(const NCache *c, i64 line)
+/* A prefetch install: a resident line is left where it is (no
+ * promotion, returns 1), an absent one is installed as MRU (returns 0)
+ * -- MemoryHierarchy.prefetch_fill's probe-then-access in one scan.
+ * *victim = evicted line or -1. */
+static int cache_install(NCache *c, i64 line, i64 *victim)
 {
-    i64 set = line % c->nsets;
-    const i64 *w = c->ways + set * c->assoc;
+    i64 set = cache_set(c, line);
+    i64 *w = c->ways + set * c->assoc;
     i64 n = c->occ[set];
+    *victim = -1;
     for (i64 i = 0; i < n; i++)
         if (w[i] == line)
             return 1;
+    set_install(c, set, w, n, line, victim);
     return 0;
 }
 
 /* invalidate(line): remove if present; returns whether it was. */
 static int cache_invalidate(NCache *c, i64 line)
 {
-    i64 set = line % c->nsets;
+    i64 set = cache_set(c, line);
     i64 *w = c->ways + set * c->assoc;
     i64 n = c->occ[set];
     for (i64 i = 0; i < n; i++) {
         if (w[i] == line) {
-            for (; i < n - 1; i++)
-                w[i] = w[i + 1];
+            ways_rotate(w, i, n - 2, w[n - 1]);
             c->occ[set] = n - 1;
             return 1;
         }
@@ -249,6 +300,14 @@ static inline i64 floordiv(i64 a, i64 b)
 {
     i64 q = a / b;
     return (a % b < 0) ? q - 1 : q;
+}
+
+/* a // b, where shift = log2(b) when b is a power of two and -1
+ * otherwise.  An arithmetic right shift floors like // (gcc and clang
+ * shift signed values arithmetically), so only other divisors divide. */
+static inline i64 floordiv_by(i64 a, i64 b, i64 shift)
+{
+    return shift >= 0 ? a >> shift : floordiv(a, b);
 }
 
 static inline i64 ht_hash(i64 key, i64 cap)
@@ -356,39 +415,41 @@ static i64 pf_observe_miss(NPf *pf, i64 vline, i64 *out)
     if (!pf->enabled)
         return 0;
     pf->clock++;
-    for (i64 i = 0; i < pf->count; i++) {
-        if (vline == pf->next_line[i]) {
-            pf->hits[i]++;
-            pf->next_line[i] = vline + 1;
-            pf->last_use[i] = pf->clock;
-            if (pf->hits[i] >= pf->confirm_after)
-                pf->confirmed[i] = 1;
-            if (pf->confirmed[i]) {
-                for (i64 d = 0; d < pf->depth; d++)
-                    out[d] = vline + 1 + d;
-                pf->next_line[i] = out[pf->depth - 1] + 1;
-                return pf->depth;
-            }
-            return 0;
-        }
+    /* One pass over the streams, last to first, selecting with
+     * conditional moves rather than branching on the data: the first
+     * stream expecting vline, and the first with the least last_use
+     * (the one an allocation replaces, as Python's min() picks it). */
+    i64 match = -1;
+    i64 oldest = 0;
+    i64 oldest_use = INT64_MAX;
+    for (i64 i = pf->count - 1; i >= 0; i--) {
+        i64 use = pf->last_use[i];
+        match = pf->next_line[i] == vline ? i : match;
+        int older = use <= oldest_use;
+        oldest = older ? i : oldest;
+        oldest_use = older ? use : oldest_use;
     }
-    /* allocate */
-    if (pf->count < pf->num_streams) {
-        i64 i = pf->count++;
+    if (match >= 0) {
+        i64 i = match;
+        pf->hits[i]++;
         pf->next_line[i] = vline + 1;
-        pf->hits[i] = 1;
-        pf->confirmed[i] = 0;
         pf->last_use[i] = pf->clock;
+        if (pf->hits[i] >= pf->confirm_after)
+            pf->confirmed[i] = 1;
+        if (pf->confirmed[i]) {
+            for (i64 d = 0; d < pf->depth; d++)
+                out[d] = vline + 1 + d;
+            pf->next_line[i] = out[pf->depth - 1] + 1;
+            return pf->depth;
+        }
         return 0;
     }
-    i64 oldest = 0;
-    for (i64 i = 1; i < pf->count; i++)
-        if (pf->last_use[i] < pf->last_use[oldest])
-            oldest = i;
-    pf->next_line[oldest] = vline + 1;
-    pf->hits[oldest] = 1;
-    pf->confirmed[oldest] = 0;
-    pf->last_use[oldest] = pf->clock;
+    /* allocate: a free entry while the table has one, else the oldest */
+    i64 i = pf->count < pf->num_streams ? pf->count++ : oldest;
+    pf->next_line[i] = vline + 1;
+    pf->hits[i] = 1;
+    pf->confirmed[i] = 0;
+    pf->last_use[i] = pf->clock;
     return 0;
 }
 
@@ -403,6 +464,7 @@ typedef struct {
 
     i64 l3_enabled;
     i64 l3_ratio;        /* l3 line size / l2 line size */
+    i64 l3_shift;        /* log2(l3_ratio), or -1 when not a power of two */
     NCache l3;           /* inner cache over L3-granularity lines */
 
     /* allocator (shared across processes) */
@@ -431,6 +493,8 @@ typedef struct {
     /* geometry / cost */
     i64 line_size;
     i64 lines_per_page;
+    i64 line_shift;      /* log2(line_size), or -1 when not a power of two */
+    i64 page_shift;      /* log2(lines_per_page), likewise */
     double base_cost;    /* issue_mode.base_cpi * ipa */
     double pen_l2, pen_l3, pen_mem;   /* overlap_factor * latency */
     i64 ipa;
@@ -595,11 +659,18 @@ static i64 translate_page(NShared *sh, NProc *p, i64 vpage, int *translated)
 /* Victim L3 (VictimCache semantics)                                  */
 /* ----------------------------------------------------------------- */
 
+/* The L3 line holding l2_line (physical lines are never negative). */
+static inline i64 l3_line(const NShared *sh, i64 l2_line)
+{
+    return sh->l3_shift >= 0 ? l2_line >> sh->l3_shift
+                             : l2_line / sh->l3_ratio;
+}
+
 static int l3_lookup(NShared *sh, i64 l2_line)
 {
     if (!sh->l3_enabled)
         return 0;
-    return cache_invalidate(&sh->l3, l2_line / sh->l3_ratio);
+    return cache_invalidate(&sh->l3, l3_line(sh, l2_line));
 }
 
 static void l3_insert_victim(NShared *sh, i64 l2_line)
@@ -607,7 +678,7 @@ static void l3_insert_victim(NShared *sh, i64 l2_line)
     if (!sh->l3_enabled)
         return;
     i64 victim;
-    cache_access(&sh->l3, l2_line / sh->l3_ratio, &victim);
+    cache_access(&sh->l3, l3_line(sh, l2_line), &victim);
 }
 
 /* ----------------------------------------------------------------- */
@@ -616,18 +687,15 @@ static void l3_insert_victim(NShared *sh, i64 l2_line)
 
 static void hier_prefetch_fill(NShared *sh, NProc *p, i64 line, int install_l1)
 {
-    if (!cache_probe(&sh->l2, line)) {
-        i64 victim;
-        cache_access(&sh->l2, line, &victim);
+    i64 victim;
+    if (!cache_install(&sh->l2, line, &victim)) {
         if (victim >= 0)
             l3_insert_victim(sh, victim);
         /* A prefetch that finds its line in L3 consumes it. */
         l3_lookup(sh, line);
     }
-    if (install_l1) {
-        i64 victim;
+    if (install_l1)
         cache_access(&p->l1, line, &victim);
-    }
 }
 
 /* ----------------------------------------------------------------- */
@@ -651,8 +719,8 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
     int is_store = p->stores[p->pos] != 0;
     p->pos++;
 
-    i64 vline = floordiv(vaddr, p->line_size);
-    i64 vpage = floordiv(vline, p->lines_per_page);
+    i64 vline = floordiv_by(vaddr, p->line_size, p->line_shift);
+    i64 vpage = floordiv_by(vline, p->lines_per_page, p->page_shift);
     int translated = 0;
     i64 base = translate_page(sh, p, vpage, &translated);
     i64 line = base + (vline - vpage * p->lines_per_page);
@@ -699,7 +767,8 @@ static void step_one(NShared *sh, NProc *p, NPmu *pmu)
             i64 npf = pf_observe_miss(&p->pf, vline, pf_vlines);
             for (i64 j = 0; j < npf; j++) {
                 i64 pf_vline = pf_vlines[j];
-                i64 pf_vpage = floordiv(pf_vline, p->lines_per_page);
+                i64 pf_vpage = floordiv_by(pf_vline, p->lines_per_page,
+                                           p->page_shift);
                 i64 pf_base = translate_page(sh, p, pf_vpage, &translated);
                 i64 pf_line = pf_base
                     + (pf_vline - pf_vpage * p->lines_per_page);

@@ -82,14 +82,37 @@ class SetAssociativeCache:
     Each set is an :class:`collections.OrderedDict` from line number to
     ``None``; ordering encodes recency (last = most recent) or insertion
     order (FIFO).  Lookups, promotions and evictions are all O(1).
+
+    The sets and the RANDOM policy's RNG are built on first use
+    (:meth:`__getattr__`): the native engine adopts a cache Python never
+    touched as zero arrays, so most machines never build them at all.
     """
+
+    _sets: List["OrderedDict[int, None]"]
+    _rng: random.Random
 
     def __init__(self, config: CacheConfig, seed: int = 0):
         self.config = config
-        self._sets: List["OrderedDict[int, None]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
-        self._rng = random.Random(seed)
+        self._seed = seed
+
+    def __getattr__(self, name: str):
+        # Called only while the attribute is missing, so a built set
+        # list or RNG is a plain instance attribute from then on.
+        if name == "_sets":
+            value = [OrderedDict() for _ in range(self.config.num_sets)]
+        elif name == "_rng":
+            value = random.Random(self._seed)
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        setattr(self, name, value)
+        return value
+
+    @property
+    def touched(self) -> bool:
+        """Whether the sets were ever built (an untouched cache is empty)."""
+        return "_sets" in self.__dict__
 
     # -- mapping ---------------------------------------------------------------
 

@@ -237,12 +237,18 @@ class NativeCorun:
         """The leg loop behind :meth:`run_until` and every native solo
         drive.  With ``first_chunk``, each process's first refill asks
         for at most that many accesses and each later one for twice the
-        last, up to ``slab_size``.  Returns the number of chunks bound."""
+        last, up to ``slab_size``.  Returns the number of chunks bound.
+
+        With telemetry on, the time spent inside the C calls alone is
+        counted as ``sim.native_step_ns``."""
         from repro.sim import native
 
         if stop_at is None:
             stop_at = [entry + target_extra for entry in start]
         session, slots = native.enter(self.hierarchy, self.processes)
+        telemetry = get_telemetry()
+        timed = telemetry.enabled
+        step_ns = 0
         chunks = 0
         sizes = [first_chunk or self.slab_size] * len(slots)
 
@@ -263,9 +269,12 @@ class NativeCorun:
                     refill(index)
                     chunks += 1
             while True:
+                began = time.perf_counter_ns() if timed else 0
                 finisher, reason, index = session.run_corun(
                     slots, stop_at, channels
                 )
+                if timed:
+                    step_ns += time.perf_counter_ns() - began
                 if finisher >= 0 or reason == native.STOP_LOG_FULL:
                     return chunks
                 if reason == native.STOP_REFILL:
@@ -275,6 +284,9 @@ class NativeCorun:
                     session.grow(slots[index], reason)
         finally:
             session.leave(self.hierarchy, self.processes, slots)
+            if step_ns:
+                # A counter, so a worker pool's fold-back sums it.
+                telemetry.registry.counter("sim.native_step_ns").inc(step_ns)
             for channel in channels or ():
                 if channel is not None:
                     channel.commit()

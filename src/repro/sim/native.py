@@ -18,7 +18,10 @@ other half of the contract:
   path that needs the rest calls :meth:`NativeSession.materialize`,
   which copies it back and drops the session.  A trace collector is
   bound per run (:class:`TraceChannel`): C appends to its int64 buffer
-  in place, and commit only advances the log's length.
+  in place, and commit only advances the log's length.  Adopting also
+  hands C each cache's set-index reciprocal and the log2 of each
+  power-of-two divisor (:func:`_recip`, :func:`_shift`), so the step
+  reduces and floors without dividing.
 - **generate**: :class:`MTStream` holds one workload stream's MT19937
   state in a C-visible buffer for the fill kernels (``random()``
   doubles and ``_randbelow``) behind
@@ -104,7 +107,7 @@ _HASH_MULT = 0x9E3779B97F4A7C15
 
 class _NCache(ctypes.Structure):
     _fields_ = [
-        ("nsets", i64), ("assoc", i64),
+        ("nsets", i64), ("assoc", i64), ("recip", i64),
         ("ways", P_i64), ("occ", P_i64),
     ]
 
@@ -133,7 +136,8 @@ class _NMt(ctypes.Structure):
 class _NShared(ctypes.Structure):
     _fields_ = [
         ("l2", _NCache),
-        ("l3_enabled", i64), ("l3_ratio", i64), ("l3", _NCache),
+        ("l3_enabled", i64), ("l3_ratio", i64), ("l3_shift", i64),
+        ("l3", _NCache),
         ("pages_per_group", i64), ("pages_per_color", i64),
         ("migration_cost", i64),
         ("next_frame_of_color", P_i64), ("lazy_migrations", i64),
@@ -145,6 +149,7 @@ class _NProc(ctypes.Structure):
     _fields_ = [
         ("vaddrs", P_i64), ("stores", P_u8), ("pos", i64), ("len", i64),
         ("line_size", i64), ("lines_per_page", i64),
+        ("line_shift", i64), ("page_shift", i64),
         ("base_cost", f64), ("pen_l2", f64), ("pen_l3", f64),
         ("pen_mem", f64), ("ipa", i64),
         ("cycles", f64), ("instructions", i64), ("accesses", i64),
@@ -476,20 +481,37 @@ def _commit_mt(struct: _NMt, key: array.array, extra: tuple, rng) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Geometry: the divisors C shifts by and the set-index reciprocal
+# ---------------------------------------------------------------------------
+
+def _shift(divisor: int) -> int:
+    """``log2(divisor)`` for a power of two, else -1: C shifts by the
+    former and divides by anything else."""
+    return divisor.bit_length() - 1 if divisor & (divisor - 1) == 0 else -1
+
+
+def _recip(nsets: int) -> int:
+    """Lemire's fastmod multiplier ``UINT64_MAX // nsets + 1`` (mod
+    2**64), as the int64 the C field holds."""
+    recip = (_M64 // nsets + 1) & _M64
+    return recip - (1 << 64) if recip >> 63 else recip
+
+
+# ---------------------------------------------------------------------------
 # LRU cache marshalling
 # ---------------------------------------------------------------------------
 
 def _bind_cache(struct: _NCache, cache) -> Dict[str, np.ndarray]:
     """Adopt a SetAssociativeCache's sets: per-set way arrays in recency
     order (oldest first), matching OrderedDict iteration order.  An
-    empty cache -- every fresh machine -- is two zero arrays."""
+    empty cache -- every fresh machine -- is two zero arrays; one Python
+    never touched has no sets to read."""
     nsets = cache.config.num_sets
     assoc = cache.config.associativity
-    sets = cache._sets
-    if any(sets):
+    if cache.touched and any(cache._sets):
         ways = [0] * (nsets * assoc)
         occ = [0] * nsets
-        for index, bucket in enumerate(sets):
+        for index, bucket in enumerate(cache._sets):
             if bucket:
                 base = index * assoc
                 ways[base:base + len(bucket)] = bucket
@@ -501,6 +523,7 @@ def _bind_cache(struct: _NCache, cache) -> Dict[str, np.ndarray]:
         occ_arr = np.zeros(nsets, dtype=np.int64)
     struct.nsets = nsets
     struct.assoc = assoc
+    struct.recip = _recip(nsets)
     struct.ways = ways_arr.ctypes.data_as(P_i64)
     struct.occ = occ_arr.ctypes.data_as(P_i64)
     return {"ways": ways_arr, "occ": occ_arr}
@@ -684,6 +707,7 @@ class NativeSession:
         l3 = hierarchy.l3
         sh.l3_enabled = 1 if (l3.enabled and l3._cache is not None) else 0
         sh.l3_ratio = l3._ratio
+        sh.l3_shift = _shift(l3._ratio)
         if sh.l3_enabled:
             self._sh_arrs["l3"] = _bind_cache(sh.l3, l3._cache)
         else:
@@ -743,6 +767,8 @@ class NativeSession:
 
         p.line_size = process._line_size
         p.lines_per_page = process._lines_per_page
+        p.line_shift = _shift(process._line_size)
+        p.page_shift = _shift(process._lines_per_page)
         p.base_cost = process._base_cost
         expose = process._expose
         p.pen_l2 = expose * machine.l2_latency

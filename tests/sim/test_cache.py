@@ -145,6 +145,62 @@ class TestOtherPolicies:
         assert hits("mru") > 100
 
 
+class TestLazySets:
+    """The sets and the RANDOM policy's RNG are built on first use."""
+
+    def test_fresh_cache_builds_nothing(self):
+        cache = small_cache(replacement="random")
+        assert not cache.touched
+        assert set(vars(cache)) == {"config", "_seed"}
+
+    def test_first_use_builds_the_sets(self):
+        cache = small_cache(assoc=2, sets=4)
+        assert cache.occupancy == 0
+        assert cache.touched
+        assert [list(bucket) for bucket in cache._sets] == [[]] * 4
+
+    def test_random_victims_equal_an_eagerly_seeded_rng(self):
+        import random
+
+        cache = small_cache(assoc=4, sets=1, replacement="random")
+        reference = random.Random(0)
+        resident = []
+        for line in range(20):
+            _, victim = cache.access(line)
+            if len(resident) == 4:
+                assert victim == resident.pop(reference.randrange(4))
+            resident.append(line)
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            small_cache().no_such_attribute
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_copies_behave_like_the_original(self, how, warm):
+        import copy
+        import pickle
+
+        cache = small_cache(assoc=2, sets=2, replacement="random")
+        if warm:
+            for line in range(7):
+                cache.access(line)
+        clone = {
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+            "pickle": lambda c: pickle.loads(pickle.dumps(c)),
+        }[how](cache)
+        assert clone.touched == warm
+        if how == "copy" and warm:
+            # A shallow copy shares the built sets, as it always did.
+            assert clone._sets is cache._sets
+            return
+        for line in (3, 9, 4, 11, 3, 20):
+            assert clone.access(line) == cache.access(line)
+        assert ([list(b) for b in clone._sets]
+                == [list(b) for b in cache._sets])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     trace=st.lists(st.integers(min_value=0, max_value=100), max_size=300),

@@ -123,6 +123,18 @@ class TestAdoptLayouts:
         assert arrs["ways"].tolist() == ways
         assert arrs["occ"].tolist() == occ
 
+    def test_untouched_caches_are_never_built(self):
+        """A fresh machine's caches are adopted as zero arrays without
+        building their Python sets; handing the state back builds them."""
+        hierarchy = MemoryHierarchy(MACHINE, num_cores=1)
+        process = Process(pid=0, workload=make_workload("mcf", MACHINE),
+                          core=0, allocator=PageAllocator(MACHINE))
+        caches = (hierarchy.l1d[0], hierarchy.l2, hierarchy.l3._cache)
+        drive_batch(process, hierarchy, 3_000)
+        assert not any(cache.touched for cache in caches)
+        hierarchy._native.materialize("inspect")
+        assert all(cache.touched and cache.occupancy for cache in caches)
+
 
 # ---------------------------------------------------------------------------
 # One adopt per run, nothing copied back
