@@ -8,9 +8,11 @@ writes ``benchmarks/results/BENCH_workloads.json``.
 Each row is one pattern class, generated in drive-sized chunks
 (``DEFAULT_SLAB``) twice: with the native engine's MT19937 fill kernels
 (``repro_mt_fill`` / ``repro_mt_randbelow``) and with ``REPRO_NATIVE=0``,
-which is the Python reference (``draw_uniform`` and ``rng.randrange``).
-The JSON records ns/access for both, the speedup, and which engine the
-kernel run actually took.  Patterns that draw no random numbers
+which is the Python reference: one scalar ``rng.random()`` or
+``rng.randrange`` call per draw.  No drive runs that reference, since
+without the engine every drive steps the scalar generators; the column
+only measures what the kernels save.  The JSON records ns/access for
+both, the speedup, and which engine the kernel run actually took.  Patterns that draw no random numbers
 (sequential, looping, pointer chase, strided, replay) run the same
 code either way and are recorded for scale.
 

@@ -9,8 +9,8 @@ often phase transitions force recomputation (Table 2 column d).
 We cannot measure wall-clock on a simulated machine, so the same
 quantities are produced by a cost model:
 
-- logging cycles = application cycles during the probe (from the
-  :class:`~repro.sim.cpu.CostModel`) + exceptions x per-exception cost
+- logging cycles = application cycles during the probe (supplied by
+  the caller) + exceptions x per-exception cost
   (pipeline flush + kernel entry/exit + handler; ~1200 cycles is
   representative of the POWER5 numbers);
 - calculation cycles = trace length x the paper's per-entry stack cost
@@ -84,14 +84,6 @@ class ProbeOverhead:
     @property
     def total_cycles(self) -> float:
         return self.logging_cycles + self.calculation_cycles
-
-    @property
-    def has_measurement(self) -> bool:
-        """True when telemetry supplied measured span durations."""
-        return (
-            self.measured_logging_seconds is not None
-            and self.measured_calculation_seconds is not None
-        )
 
     def amortized_overhead(self, phase_length_instructions: float,
                            cycles_per_instruction: float = 1.0) -> float:

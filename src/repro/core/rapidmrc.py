@@ -39,9 +39,9 @@ class ProbeConfig:
             Table 2 policy), ``"static"`` (always half the log),
             ``"none"``, or an integer for an explicit static entry count.
         stack_engine: ``batch`` -- the exact whole-trace kernel of
-            :mod:`repro.core.fastpath` (one C pass, or a numpy merge
-            without the native engine), bit-identical to the paper's
-            range-list stack (:func:`repro.core.stack.reference_histogram`
+            :mod:`repro.core.fastpath` (one C pass, or the range-list
+            reference without the native engine), bit-identical to the
+            paper's range-list stack (:func:`repro.core.stack.reference_histogram`
             over a :class:`~repro.core.stack.RangeListLRUStack`) -- or a
             sub-linear sampling estimator (``shards``) from
             :mod:`repro.core.estimators`.  The engine changes only how

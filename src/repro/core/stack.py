@@ -8,10 +8,10 @@ lines and misses in any smaller one, so a single pass yields the whole
 miss-rate curve.
 
 The pipeline's :class:`LRUStackSimulator` runs whole traces through the
-exact kernel of :mod:`repro.core.fastpath` -- one C pass, or a numpy
-merge where the native engine is unavailable -- or a sampling
-estimator.  Two per-access stacks stay here as the references that
-kernel is pinned bit-identical to, driven by :func:`reference_histogram`:
+exact C pass of :mod:`repro.core.fastpath` or a sampling estimator.  Two
+per-access stacks stay here as the references that pass is pinned
+bit-identical to, driven by :func:`reference_histogram`; the range-list
+one is also what runs where the native engine is unavailable:
 
 - :class:`NaiveLRUStack` -- a literal list-based stack, O(depth) per
   access.  The executable specification of exact distances.
@@ -336,8 +336,8 @@ class LRUStackSimulator:
     Args:
         max_depth: stack bound in lines (the L2 size: 15360 on POWER5).
         engine: ``batch`` -- the exact whole-trace kernel of
-            :mod:`repro.core.fastpath` (C, or numpy without the native
-            engine), bit-identical to
+            :mod:`repro.core.fastpath` (C, or the range-list reference
+            without the native engine), bit-identical to
             :func:`reference_histogram` over a :class:`RangeListLRUStack`
             -- or a sampling estimator from :mod:`repro.core.estimators`
             (``shards``), which leaves its cost accounting in

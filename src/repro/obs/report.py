@@ -311,7 +311,7 @@ class RunReport:
             f"{sum(copybacks.values())}{f' ({why})' if why else ''}")
         kernels = self.counter_by_label("mrc.stack_kernel", "kernel")
         out(f"stack kernel: native {kernels.get('native', 0)}, "
-            f"numpy {kernels.get('numpy', 0)}")
+            f"reference {kernels.get('reference', 0)}")
         streams = self.counter_by_label("workloads.stream_accesses", "source")
         out(f"access streams: generated {streams.get('generated', 0)}, "
             f"replayed {streams.get('replayed', 0)}")

@@ -2,9 +2,9 @@
 
 A :class:`Process` owns a workload's access stream, its page-table slice
 in the shared :class:`~repro.sim.memory.PageAllocator`, a core id, and a
-virtual cycle clock advanced by the :class:`~repro.sim.cpu.CostModel`'s
-per-access latency.  The co-run scheduler uses the clocks to interleave
-processes the way real time would.
+virtual cycle clock that each access advances by its cost under the
+process's :class:`~repro.sim.cpu.IssueMode`.  The co-run scheduler uses
+the clocks to interleave processes the way real time would.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from repro.sim.cpu import CostModel, IssueMode
+from repro.sim.cpu import IssueMode
 from repro.sim.hierarchy import AccessResult, MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator

@@ -113,10 +113,8 @@ class DynamicConfig:
             every probe's trace channel (tests / chaos drills).
         store: phase-signature MRC cache policy; ``None`` disables
             caching entirely (no store is built, every transition pays
-            a full probe -- the pre-cache behaviour).
-        reuse_enabled: consult the store before probing.  With a store
-            configured but reuse disabled, fresh admitted probes are
-            still recorded (cache priming / ``--no-mrc-reuse``).
+            a full probe -- the pre-cache behaviour).  With a store, the
+            manager consults it before every probe.
         analytic: admission knobs of the probe-free Che/Fagin power-law
             bank feeding the ``ANALYTIC_ESTIMATE`` degradation rung.
         drift: served-curve accuracy monitoring
@@ -140,7 +138,6 @@ class DynamicConfig:
     reliability: SupervisorConfig = SupervisorConfig()
     fault_plan: Optional[FaultPlan] = None
     store: Optional[StoreConfig] = None
-    reuse_enabled: bool = True
     analytic: AnalyticConfig = AnalyticConfig()
     drift: Optional[DriftConfig] = None
 
@@ -690,11 +687,7 @@ class DynamicPartitionManager:
 
     def _probe_held(self, managed: _Managed) -> bool:
         """A due probe waits for its phase's first settled sample."""
-        return (
-            self.store is not None
-            and self.config.reuse_enabled
-            and not self._phase_window(managed)
-        )
+        return self.store is not None and not self._phase_window(managed)
 
     def _gate_allows(self, index: int, managed: _Managed) -> bool:
         """Ask the external probe gate (budget admission) if one is set.
@@ -819,7 +812,7 @@ class DynamicPartitionManager:
         same stale shape straight back and the loop would never reach a
         real probe.
         """
-        if self.store is not None and self.config.reuse_enabled:
+        if self.store is not None:
             signature = self._phase_signature(managed)
             if signature is not None:
                 entry = self.store.get(
@@ -862,7 +855,7 @@ class DynamicPartitionManager:
         currently measured MPKI point and fed to the selector -- the
         probe is then skipped entirely.
         """
-        if self.store is None or not self.config.reuse_enabled:
+        if self.store is None:
             return False
         signature = self._phase_signature(managed)
         if signature is None:

@@ -12,12 +12,12 @@ This package reproduces that substrate as a trace-driven simulator:
 - :mod:`repro.sim.hierarchy` -- the composed L1/L2/L3 hierarchy.
 - :mod:`repro.sim.memory` / :mod:`repro.sim.coloring` -- physical page
   allocation and page-color cache partitioning.
-- :mod:`repro.sim.cpu` -- issue-mode and IPC cost models.
+- :mod:`repro.sim.cpu` -- issue modes and their cycle-cost parameters.
 """
 
 from repro.sim.cache import CacheConfig, SetAssociativeCache
 from repro.sim.coloring import ColorMapper
-from repro.sim.cpu import CostModel, IssueMode
+from repro.sim.cpu import IssueMode
 from repro.sim.hierarchy import AccessResult, MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -26,7 +26,6 @@ __all__ = [
     "CacheConfig",
     "SetAssociativeCache",
     "ColorMapper",
-    "CostModel",
     "IssueMode",
     "AccessResult",
     "MemoryHierarchy",

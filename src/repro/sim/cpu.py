@@ -1,4 +1,4 @@
-"""Processor issue modes and the IPC/cycle cost model.
+"""Processor issue modes and their cycle-cost parameters.
 
 The paper runs the POWER5 in two modes (Section 5.2.8):
 
@@ -10,22 +10,20 @@ The paper runs the POWER5 in two modes (Section 5.2.8):
   trace collection for problematic applications (Figure 4b) and for the
   real-MRC sensitivity study (Figure 5e).
 
-We model the performance side analytically: cycles are accumulated from
-instruction count plus latency-weighted miss counts, with an overlap
-factor expressing how much latency the out-of-order core hides.  Figure 7
-only needs *relative* IPC across cache configurations, which this model
-preserves (IPC ordering follows miss-rate ordering).
+We model the performance side analytically: every access charges its
+process's cycle clock a base CPI times its instructions plus the
+latency of the level that served it, scaled by an overlap factor
+expressing how much latency the out-of-order core hides
+(:meth:`repro.runner.driver.Process.step`, and the native engine's step
+in C).  Figure 7 only needs *relative* IPC across cache configurations,
+which this model preserves (IPC ordering follows miss-rate ordering).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from repro.sim.hierarchy import CoreCounters
-from repro.sim.machine import MachineConfig
-
-__all__ = ["IssueMode", "CostModel", "CycleBreakdown"]
+__all__ = ["IssueMode"]
 
 
 class IssueMode(enum.Enum):
@@ -53,62 +51,3 @@ class IssueMode(enum.Enum):
         """Whether two L1D misses can be in flight simultaneously (the
         source of PMU missed events, Section 3.1.1)."""
         return self is IssueMode.COMPLEX
-
-
-@dataclass(frozen=True)
-class CycleBreakdown:
-    """Where the cycles of a window went."""
-
-    instructions: int
-    base_cycles: float
-    l2_hit_cycles: float
-    l3_hit_cycles: float
-    memory_cycles: float
-
-    @property
-    def total_cycles(self) -> float:
-        return (
-            self.base_cycles
-            + self.l2_hit_cycles
-            + self.l3_hit_cycles
-            + self.memory_cycles
-        )
-
-    @property
-    def ipc(self) -> float:
-        total = self.total_cycles
-        if total <= 0:
-            return 0.0
-        return self.instructions / total
-
-
-class CostModel:
-    """Latency-weighted cycle accounting for a core's counter window.
-
-    Args:
-        machine: supplies the per-level latencies.
-        mode: issue mode; sets base CPI and the latency overlap factor.
-    """
-
-    def __init__(self, machine: MachineConfig, mode: IssueMode = IssueMode.COMPLEX):
-        self.machine = machine
-        self.mode = mode
-
-    def cycles(self, counters: CoreCounters) -> CycleBreakdown:
-        """Cycle breakdown for the events in ``counters``."""
-        expose = self.mode.overlap_factor
-        l2_hits = counters.l1d_misses - counters.l2_demand_misses
-        l2_hit_cycles = expose * l2_hits * self.machine.l2_latency
-        l3_hit_cycles = expose * counters.l3_hits * self.machine.l3_latency
-        memory_cycles = expose * counters.memory_accesses * self.machine.memory_latency
-        return CycleBreakdown(
-            instructions=counters.instructions,
-            base_cycles=self.mode.base_cpi * counters.instructions,
-            l2_hit_cycles=l2_hit_cycles,
-            l3_hit_cycles=l3_hit_cycles,
-            memory_cycles=memory_cycles,
-        )
-
-    def ipc(self, counters: CoreCounters) -> float:
-        """Instructions per cycle for the window."""
-        return self.cycles(counters).ipc

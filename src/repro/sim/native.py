@@ -43,9 +43,9 @@ other half of the contract:
   place and the run resumes, bit-identically either way.
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
-entirely (every drive then runs the scalar reference, every generator
-its Python draws, every stack-distance pass the numpy merge).  That is
-silent; a native engine that is wanted but cannot be built (no
+entirely (every drive then steps the scalar reference on the workloads'
+scalar generators, and every stack histogram comes from the range-list
+reference).  That is silent; a native engine that is wanted but cannot be built (no
 compiler, failed compile) warns once per process and counts
 ``sim.native_unavailable{reason}`` on every lookup that falls back.
 """
@@ -272,8 +272,8 @@ def _report_unavailable(reason: str) -> None:
         _WARNED = True
         warnings.warn(
             f"native simulation engine unavailable ({reason}); drives "
-            "fall back to the slower scalar reference and stack "
-            "distances to the numpy kernel",
+            "and stack histograms fall back to the slower scalar "
+            "references",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -383,10 +383,13 @@ def stack_distances(
 ) -> Tuple[np.ndarray, int]:
     """Exact bounded LRU stack distances of ``trace`` in one C pass.
 
-    ``trace`` is a contiguous int64 array.  Returns the distances (as
-    :func:`repro.core.fastpath.batch_stack_distances` defines them) and
-    the index of the access that fills a ``max_depth``-line stack, or
-    ``len(trace)`` when it never fills.  The kernel's scratch -- a
+    ``trace`` is a contiguous int64 array.  Returns the distances --
+    1-based for reuses within ``max_depth``,
+    :data:`~repro.core.histogram.COLD_MISS` for first touches and deeper
+    reuses, element for element what
+    :class:`~repro.core.stack.NaiveLRUStack` returns -- and the index of
+    the access that fills a ``max_depth``-line stack, or ``len(trace)``
+    when it never fills.  The kernel's scratch -- a
     (line, position) map at most 0.7 full and a Fenwick tree over time
     positions -- lives in arrays freed when this returns.
     """

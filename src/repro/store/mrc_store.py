@@ -33,7 +33,7 @@ import json
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.mrc import MissRateCurve
 from repro.core.rapidmrc import RapidMRCResult
@@ -136,10 +136,6 @@ class MRCStore:
 
     def __contains__(self, signature: PhaseSignature) -> bool:
         return signature in self._entries
-
-    def signatures(self) -> List[PhaseSignature]:
-        """Cached signatures, least recently used first."""
-        return list(self._entries.keys())
 
     def get(
         self,

@@ -31,7 +31,6 @@ __all__ = [
     "StreamRecording",
     "TakeFn",
     "cyclic_stream",
-    "draw_uniform",
     "recorded_stream",
     "shared_streams",
 ]
@@ -40,35 +39,6 @@ __all__ = [
 AccessBatch = Tuple[np.ndarray, np.ndarray]
 #: ``take(count)``: the next ``count`` accesses of one stream.
 TakeFn = Callable[[int], AccessBatch]
-
-
-def draw_uniform(rng: random.Random, count: int) -> np.ndarray:
-    """``count`` consecutive ``rng.random()`` draws as a float64 array.
-
-    Bit-identical to calling ``rng.random()`` ``count`` times -- CPython's
-    ``random.Random`` and ``numpy.random.RandomState`` share the MT19937
-    core and build each double from the same two 32-bit words with the
-    same (exact, power-of-two) scaling -- but generated in C.  The
-    Python RNG's state is transferred in, advanced by the vectorized
-    draw, and written back, so scalar draws may continue seamlessly.
-    This is :class:`BatchRandom`'s path when the native kernels are
-    unavailable.
-    """
-    if count <= 0:
-        return np.empty(0, dtype=np.float64)
-    version, internal, gauss_next = rng.getstate()
-    if version != 3 or len(internal) != 625:  # pragma: no cover - exotic VM
-        return np.fromiter(
-            (rng.random() for _ in range(count)), np.float64, count
-        )
-    state = np.random.RandomState()
-    state.set_state(
-        ("MT19937", np.asarray(internal[:624], dtype=np.uint32), internal[624])
-    )
-    out = state.random_sample(count)
-    _mt, keys, pos, _hg, _cg = state.get_state()
-    rng.setstate((version, tuple(int(k) for k in keys) + (pos,), gauss_next))
-    return out
 
 
 class BatchRandom:
@@ -80,10 +50,12 @@ class BatchRandom:
     ``rng`` from construction on: nothing else may draw from it, and
     while the kernels draw it is not kept current.  Without the engine
     (``REPRO_NATIVE=0``, no compiler), and for ``randbelow`` bounds of
-    2**32 or more, the draws are made by the Python path:
-    :func:`draw_uniform` and ``rng.randrange``.  The first such bound
-    writes the kernels' state back into ``rng`` once, and the Python
-    path continues from it for good.
+    2**32 or more, the draws are made by the Python path, one scalar
+    ``rng.random()`` or ``rng.randrange`` call per draw.  The first such
+    bound writes the kernels' state back into ``rng`` once, and the
+    Python path continues from it for good.  No drive reaches the
+    Python path for want of the engine: without it every drive steps
+    the scalar generators instead of pulling arrays.
     """
 
     __slots__ = ("_rng", "_mt")
@@ -104,7 +76,10 @@ class BatchRandom:
         """``count`` consecutive ``rng.random()`` draws."""
         mt = self._mt
         if mt is None:
-            return draw_uniform(self._rng, count)
+            draw = self._rng.random
+            return np.fromiter(
+                (draw() for _ in range(count)), np.float64, count
+            )
         return mt.random(count)
 
     def randbelow(self, bound: int, count: int) -> np.ndarray:
@@ -248,6 +223,9 @@ class Workload:
     ) -> Iterator[AccessBatch]:
         """Array-chunk form of :meth:`accesses` (same stream, same draws).
 
+        Only native drives pull it (through
+        :class:`~repro.sim.fastsim.BatchAccessSource` or a
+        :class:`StreamRecording`); a scalar drive steps :meth:`accesses`.
         ``demand`` is a one-element list the consumer sets before every
         ``next()``; each pull generates exactly ``demand[0]`` accesses, so
         only the accesses the consumer will use are generated.  Store

@@ -1,11 +1,13 @@
 """Differential tests for the batched vectorized exact path.
 
 The contract of :mod:`repro.core.fastpath` is *bit-identical* output:
-the batch kernel must reproduce the scalar references exactly -- the
-exact distances of the naive stack, the quantized histograms and warmup
+the C pass must reproduce the scalar references exactly -- the exact
+distances of the naive stack, the quantized histograms and warmup
 bookkeeping of :func:`~repro.core.stack.reference_histogram` over the
-range-list stack, and the corrections of :mod:`repro.core.correction`
--- on any trace.
+range-list stack -- and the vectorized repair the corrections of
+:mod:`repro.core.correction`, on any trace.  Without the native engine
+the histograms come from that reference itself, and the exact-distance
+cases skip.
 These tests enforce that with hand-built cases and hypothesis-generated
 traces, including the boundary ``b[0] == 1``, eviction-heavy, and
 single-line-run shapes called out in the fast-path design.
@@ -33,11 +35,24 @@ from repro.core.warmup import (
     StaticWarmup,
     warmup_fraction_used,
 )
+from repro.sim import native
+
+needs_native = pytest.mark.skipif(
+    not native.native_available(),
+    reason="no C compiler / native engine disabled",
+)
 
 
 def naive_distances(trace, depth):
     stack = NaiveLRUStack(depth)
     return [stack.access(line) for line in trace]
+
+
+def c_distances(trace, max_depth):
+    distances, _ = native.stack_distances(
+        native.native_lib(), fp.as_trace_array(trace), max_depth
+    )
+    return distances.tolist()
 
 
 class TestVectorizedCorrections:
@@ -64,6 +79,10 @@ class TestVectorizedCorrections:
 
 
 class TestBatchDistances:
+    """The C pass's exact distances against the naive stack, and the
+    trace checks the histogram makes on either path."""
+
+    @needs_native
     def test_hand_cases(self):
         for trace, depth in [
             ([10, 20, 10], 4),
@@ -74,31 +93,25 @@ class TestBatchDistances:
             ([], 4),
             ([3], 4),
         ]:
-            got = fp.batch_stack_distances(trace, max_depth=depth).tolist()
+            got = c_distances(trace, max_depth=depth)
             assert got == naive_distances(trace, depth), (trace, depth)
 
     def test_rejects_bad_max_depth(self):
         with pytest.raises(ValueError):
-            fp.batch_stack_distances([1, 2], max_depth=0)
+            fp.batch_histogram([1, 2], max_depth=0)
 
     def test_rejects_multidimensional_trace(self):
         with pytest.raises(ValueError):
-            fp.batch_stack_distances([[1, 2], [3, 4]], max_depth=4)
+            fp.batch_histogram([[1, 2], [3, 4]], max_depth=4)
 
-    def test_huge_line_numbers_use_stable_fallback(self):
-        # Line numbers near the top of the int64 range, next to small and
-        # negative ones, must still give exact distances.
-        trace = [2**61, 5, 2**61 + 1, 5, 2**61, -3, -3, 2**61 + 1]
-        got = fp.batch_stack_distances(trace, max_depth=4).tolist()
-        assert got == naive_distances(trace, 4)
-
+    @needs_native
     @settings(max_examples=80, deadline=None)
     @given(
         trace=st.lists(st.integers(min_value=0, max_value=60), max_size=400),
         depth=st.integers(min_value=1, max_value=32),
     )
     def test_property_matches_naive(self, trace, depth):
-        got = fp.batch_stack_distances(trace, max_depth=depth).tolist()
+        got = c_distances(trace, max_depth=depth)
         assert got == naive_distances(trace, depth)
 
 

@@ -1,13 +1,15 @@
-"""Differential tests: the C stack-distance pass, the numpy merge, the naive stack.
+"""Differential tests: the C stack pass, the range-list and naive stacks.
 
-:mod:`repro.core.fastpath` computes exact stack distances with the
-native engine's one-pass kernel whenever that library loads, and with
-the numpy merge otherwise (``REPRO_NATIVE=0``, no compiler).  Both must
-return :class:`~repro.core.stack.NaiveLRUStack`'s distances element for
-element and resolve every warmup policy exactly as
-:func:`~repro.core.stack.reference_histogram` does.  Every case pins the
-kernel that ran through the ``mrc.stack_kernel`` counter; without the
-native engine only the numpy kernel runs.
+:mod:`repro.core.fastpath` histograms a trace with the native engine's
+one-pass kernel whenever that library loads, and with
+:func:`~repro.core.stack.reference_histogram` over a
+:class:`~repro.core.stack.RangeListLRUStack` otherwise
+(``REPRO_NATIVE=0``, no compiler).  The C pass must return
+:class:`~repro.core.stack.NaiveLRUStack`'s distances element for element
+and resolve every warmup policy exactly as the reference does, and both
+paths must reject the same bad arguments.  Every histogram case pins the
+path that ran through the ``mrc.stack_kernel`` counter; without the
+native engine only the reference runs and the exact-distance cases skip.
 """
 
 import contextlib
@@ -38,7 +40,7 @@ from repro.sim import native
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 HAS_NATIVE = native.native_available()
-KERNELS = ("native", "numpy") if HAS_NATIVE else ("numpy",)
+KERNELS = ("native", "reference") if HAS_NATIVE else ("reference",)
 
 needs_native = pytest.mark.skipif(
     not HAS_NATIVE, reason="no C compiler / native engine disabled"
@@ -57,12 +59,12 @@ LINES = st.one_of(
 def on_kernel(kernel):
     """Run the block on one kernel and check that only it was counted.
 
-    The numpy kernel is selected the way a user selects it, with
+    The reference is selected the way a user selects it, with
     ``REPRO_NATIVE=0``.
     """
     telemetry = Telemetry.in_memory()
     with pytest.MonkeyPatch.context() as patch, use_telemetry(telemetry):
-        if kernel == "numpy":
+        if kernel == "reference":
             patch.setenv("REPRO_NATIVE", "0")
         yield
     counted = RunReport.from_telemetry(telemetry).counter_by_label(
@@ -86,15 +88,19 @@ def naive_distances(trace, depth):
 
 
 def distances(trace, depth):
-    return per_kernel(lambda: fp.batch_stack_distances(trace, depth).tolist())
+    """The C pass's exact distances of ``trace``."""
+    got, _ = native.stack_distances(
+        native.native_lib(), fp.as_trace_array(trace), depth
+    )
+    return got.tolist()
 
 
 def assert_all_naive(trace, depth):
-    want = naive_distances(trace, depth)
-    for kernel, got in distances(trace, depth).items():
-        assert got == want, (kernel, trace, depth)
+    assert distances(trace, depth) == naive_distances(trace, depth), (
+        trace, depth)
 
 
+@needs_native
 class TestDistances:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -108,8 +114,8 @@ class TestDistances:
 
     @pytest.mark.parametrize("line", [0, -1, INT64_MIN, INT64_MAX])
     def test_empty_and_one_entry(self, line):
-        assert distances([], 4) == {k: [] for k in KERNELS}
-        assert distances([line], 4) == {k: [COLD_MISS] for k in KERNELS}
+        assert distances([], 4) == []
+        assert distances([line], 4) == [COLD_MISS]
         for kernel, hist in per_kernel(
             lambda: fp.batch_histogram([line], max_depth=4)
         ).items():
@@ -117,28 +123,23 @@ class TestDistances:
 
     def test_depth_one(self):
         trace = [7, 7, 8, 7, 7, 8, 8]
-        assert distances(trace, 1) == {
-            k: [COLD_MISS, 1, COLD_MISS, COLD_MISS, 1, COLD_MISS, 1]
-            for k in KERNELS
-        }
+        assert distances(trace, 1) == [
+            COLD_MISS, 1, COLD_MISS, COLD_MISS, 1, COLD_MISS, 1
+        ]
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 16, 100])
     def test_reuse_exactly_at_and_one_past_depth(self, depth):
         lines = [INT64_MAX - 7 * i for i in range(depth + 1)]
         at_depth = lines[:depth] + [lines[0]]
         past_depth = lines + [lines[0]]
-        for kernel, got in distances(at_depth, depth).items():
-            assert got[-1] == depth, kernel
-        for kernel, got in distances(past_depth, depth).items():
-            assert got[-1] == COLD_MISS, kernel
+        assert distances(at_depth, depth)[-1] == depth
+        assert distances(past_depth, depth)[-1] == COLD_MISS
         assert_all_naive(at_depth, depth)
         assert_all_naive(past_depth, depth)
 
     def test_int64_extremes(self):
         trace = [INT64_MIN, INT64_MAX, -5, INT64_MIN, -5, INT64_MAX]
-        assert distances(trace, 3) == {
-            k: [-1, -1, -1, 3, 2, 3] for k in KERNELS
-        }
+        assert distances(trace, 3) == [-1, -1, -1, 3, 2, 3]
 
     def test_long_trace_with_deep_stack(self):
         rng = random.Random(5)
@@ -146,11 +147,9 @@ class TestDistances:
             rng.randrange(300) if rng.random() < 0.5 else rng.randrange(6000)
             for _ in range(30_000)
         ]
-        results = distances(trace, 2048)
-        assert len({tuple(got) for got in results.values()}) == 1
+        assert_all_naive(trace, 2048)
         assert_all_naive(trace[:3000], 64)
 
-    @needs_native
     @settings(max_examples=60, deadline=None)
     @given(
         trace=st.lists(st.integers(min_value=-2, max_value=30), max_size=200),
@@ -159,15 +158,21 @@ class TestDistances:
     @example(trace=[], depth=1)
     @example(trace=[1, 2, 3], depth=3)
     @example(trace=[1, 1, 1], depth=2)
-    def test_property_fill_index_matches_numpy(self, trace, depth):
+    def test_property_fill_index_matches_distinct_count(self, trace, depth):
         # The C pass reports the index at which the stack fills (n when
-        # it never does); warmup resolution relies on it.
+        # it never does): the access that brings the distinct lines seen
+        # to ``depth``.  Warmup resolution relies on it.
         arr = np.asarray(trace, dtype=np.int64)
         _, fill = native.stack_distances(native.native_lib(), arr, depth)
-        want = fp._stack_fill_index(fp.previous_occurrences(arr), depth)
+        seen = set()
+        want = len(trace)
+        for index, line in enumerate(trace):
+            seen.add(line)
+            if len(seen) >= depth:
+                want = index
+                break
         assert fill == want
 
-    @needs_native
     @pytest.mark.parametrize("trace", [
         np.arange(10, dtype=np.int64)[::2],  # not contiguous
         np.arange(10, dtype=np.int32),
@@ -262,20 +267,19 @@ class TestKernelSelection:
         )
         assert (got.counts, got.cold_misses) == (want.counts, want.cold_misses)
 
-    def test_kill_switch_takes_numpy(self, monkeypatch):
+    def test_kill_switch_takes_reference(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         telemetry = Telemetry.in_memory()
         with use_telemetry(telemetry):
             fp.batch_histogram([1, 2, 1], max_depth=4)
-            fp.batch_stack_distances([1, 2, 1], max_depth=4)
         counted = RunReport.from_telemetry(telemetry).counter_by_label(
             "mrc.stack_kernel", "kernel"
         )
-        assert counted == {"numpy": 2}
+        assert counted == {"reference": 1}
 
-    def test_missing_compiler_takes_numpy(self, monkeypatch):
+    def test_missing_compiler_takes_reference(self, monkeypatch):
         # An engine that cannot be built leaves every histogram on the
-        # numpy kernel, still exact.
+        # range-list reference, still exact.
         monkeypatch.setattr(native, "_LIB", None)
         monkeypatch.setattr(native, "_LIB_TRIED", True)
         monkeypatch.setattr(native, "_LIB_FAILURE", "no_compiler")
@@ -287,6 +291,23 @@ class TestKernelSelection:
         counted = RunReport.from_telemetry(telemetry).counter_by_label(
             "mrc.stack_kernel", "kernel"
         )
-        assert counted == {"numpy": 1}
+        assert counted == {"reference": 1}
         want = reference_histogram(RangeListLRUStack(3, [1, 3]), trace)
         assert (got.counts, got.cold_misses) == (want.counts, want.cold_misses)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_same_rejections_on_every_kernel(self, kernel, monkeypatch):
+        # Arguments are checked before the path is chosen, so a bad call
+        # fails the same way with or without the native engine.
+        if kernel == "reference":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        with pytest.raises(ValueError, match="max_depth must be positive"):
+            fp.batch_histogram([1, 2], max_depth=0)
+        with pytest.raises(ValueError, match="positive depths"):
+            fp.batch_histogram([1], max_depth=4, boundaries=[0, 2])
+        with pytest.raises(ValueError, match="cannot exceed max_depth"):
+            fp.batch_histogram([1], max_depth=4, boundaries=[8])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            fp.batch_histogram([[1, 2], [3, 4]], max_depth=4)
+        with pytest.raises(TypeError, match="warmup policy"):
+            fp.batch_histogram([1, 2], max_depth=4, warmup=object())

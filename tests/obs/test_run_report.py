@@ -209,13 +209,14 @@ class TestRender:
 
     def test_render_stack_kernel_after_native_state(self):
         telemetry = _capture_sample()
-        telemetry.registry.counter("mrc.stack_kernel", kernel="native").inc(3)
-        telemetry.registry.counter("mrc.stack_kernel", kernel="numpy").inc()
+        registry = telemetry.registry
+        registry.counter("mrc.stack_kernel", kernel="native").inc(3)
+        registry.counter("mrc.stack_kernel", kernel="reference").inc()
         lines = RunReport.from_telemetry(telemetry).render().splitlines()
         at = next(i for i, line in enumerate(lines)
                   if line.startswith("native state:"))
-        assert lines[at + 1] == "stack kernel: native 3, numpy 1"
-        assert "stack kernel: native 0, numpy 0" in RunReport().render()
+        assert lines[at + 1] == "stack kernel: native 3, reference 1"
+        assert "stack kernel: native 0, reference 0" in RunReport().render()
 
     def test_render_access_streams_after_stack_kernel(self):
         telemetry = _capture_sample()

@@ -40,7 +40,7 @@ def _store_config():
     )
 
 
-def _manager(machine, store_config=None, reuse_enabled=True, store=None):
+def _manager(machine, store_config=None, store=None):
     lines = machine.l2_lines
     phased = PhasedWorkload(
         "phased",
@@ -64,7 +64,6 @@ def _manager(machine, store_config=None, reuse_enabled=True, store=None):
         probe_cooldown_intervals=1,
         detector=PhaseDetectorConfig(threshold_mpki=10.0),
         store=store_config,
-        reuse_enabled=reuse_enabled,
     )
     return DynamicPartitionManager(
         machine, [phased, streamer], config, store=store
@@ -118,17 +117,6 @@ class TestDifferential:
 
 
 class TestPrimingAndWarmStart:
-    def test_reuse_disabled_still_records_probes(self, machine):
-        # --no-mrc-reuse semantics: populate the cache, never serve it.
-        store = MRCStore(_store_config())
-        report = _manager(
-            machine, store_config=_store_config(),
-            reuse_enabled=False, store=store,
-        ).run(QUOTA, warmup_accesses=WARMUP)
-        assert report.probes_reused == 0
-        assert len(store) > 0
-        assert store.hits == 0
-
     def test_warm_start_from_saved_store(self, machine, reused, tmp_path):
         path = str(tmp_path / "warm.json")
         warm = _manager(machine, store_config=_store_config())

@@ -1,25 +1,6 @@
-"""Tests for issue modes and the IPC cost model."""
+"""Tests for the processor issue modes."""
 
-import pytest
-
-from repro.sim.cpu import CostModel, IssueMode
-from repro.sim.hierarchy import CoreCounters
-from repro.sim.machine import MachineConfig
-
-
-@pytest.fixture(scope="module")
-def machine():
-    return MachineConfig.scaled(16)
-
-
-def counters(instructions=1000, l1d_misses=0, l2_misses=0, l3_hits=0, mem=0):
-    c = CoreCounters()
-    c.instructions = instructions
-    c.l1d_misses = l1d_misses
-    c.l2_demand_misses = l2_misses
-    c.l3_hits = l3_hits
-    c.memory_accesses = mem
-    return c
+from repro.sim.cpu import IssueMode
 
 
 class TestIssueMode:
@@ -33,59 +14,3 @@ class TestIssueMode:
     def test_dual_lsu_only_in_complex(self):
         assert IssueMode.COMPLEX.dual_lsu
         assert not IssueMode.SIMPLIFIED.dual_lsu
-
-
-class TestCostModel:
-    def test_perfect_memory_ipc_is_inverse_cpi(self, machine):
-        model = CostModel(machine, IssueMode.COMPLEX)
-        breakdown = model.cycles(counters(instructions=7000))
-        assert breakdown.ipc == pytest.approx(1 / IssueMode.COMPLEX.base_cpi)
-
-    def test_misses_cost_cycles(self, machine):
-        model = CostModel(machine, IssueMode.SIMPLIFIED)
-        fast = model.ipc(counters(l1d_misses=0))
-        slow = model.ipc(counters(l1d_misses=100, l2_misses=100, mem=100))
-        assert slow < fast
-
-    def test_l2_hits_cheaper_than_memory(self, machine):
-        model = CostModel(machine, IssueMode.SIMPLIFIED)
-        l2_hits = model.ipc(counters(l1d_misses=100))  # all hit in L2
-        mem = model.ipc(counters(l1d_misses=100, l2_misses=100, mem=100))
-        assert mem < l2_hits
-
-    def test_l3_between_l2_and_memory(self, machine):
-        model = CostModel(machine, IssueMode.SIMPLIFIED)
-        l3 = model.ipc(counters(l1d_misses=100, l2_misses=100, l3_hits=100))
-        l2 = model.ipc(counters(l1d_misses=100))
-        mem = model.ipc(counters(l1d_misses=100, l2_misses=100, mem=100))
-        assert mem < l3 < l2
-
-    def test_simplified_mode_slower_than_complex(self, machine):
-        window = counters(l1d_misses=200, l2_misses=150, mem=150)
-        complex_ipc = CostModel(machine, IssueMode.COMPLEX).ipc(window)
-        simple_ipc = CostModel(machine, IssueMode.SIMPLIFIED).ipc(window)
-        assert simple_ipc < complex_ipc
-
-    def test_breakdown_sums(self, machine):
-        model = CostModel(machine, IssueMode.SIMPLIFIED)
-        window = counters(l1d_misses=10, l2_misses=4, l3_hits=3, mem=1)
-        breakdown = model.cycles(window)
-        assert breakdown.total_cycles == pytest.approx(
-            breakdown.base_cycles
-            + breakdown.l2_hit_cycles
-            + breakdown.l3_hit_cycles
-            + breakdown.memory_cycles
-        )
-        # 6 of the 10 L1 misses hit in L2.
-        assert breakdown.l2_hit_cycles == pytest.approx(6 * machine.l2_latency)
-
-    def test_zero_window(self, machine):
-        model = CostModel(machine)
-        assert model.cycles(CoreCounters()).ipc == 0.0
-
-    def test_counters_snapshot_and_mpki(self):
-        c = counters(instructions=2000, l2_misses=4)
-        snap = c.snapshot()
-        c.reset()
-        assert snap.mpki() == pytest.approx(2.0)
-        assert c.mpki() == 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.hierarchy import CoreCounters, MemoryHierarchy
 
 
 @pytest.fixture()
@@ -139,3 +139,14 @@ class TestMaintenance:
     def test_requires_a_core(self, tiny_machine):
         with pytest.raises(ValueError):
             MemoryHierarchy(tiny_machine, num_cores=0)
+
+
+class TestCoreCounters:
+    def test_snapshot_and_mpki(self):
+        counters = CoreCounters()
+        counters.instructions = 2000
+        counters.l2_demand_misses = 4
+        snap = counters.snapshot()
+        counters.reset()
+        assert snap.mpki() == pytest.approx(2.0)
+        assert counters.mpki() == 0.0
