@@ -37,8 +37,8 @@ A parity gate rides along with each timing: the batch run's counters,
 cache contents (resident lines per set, in LRU order) and clocks must
 be bit-identical to the scalar run's, and
 every native drive in this file must complete with zero
-``sim.batch_fallbacks`` (all configurations here are LRU, so the native
-engine must never fall back to the scalar loop).  A fast engine that drifts
+``sim.batch_fallbacks`` (the engine covers every machine the simulator
+builds, so it must never fall back to the scalar loop).  A fast engine that drifts
 is worse than no fast engine; CI fails on any divergence.
 
 Environment overrides (the CI smoke job shortens the runs):

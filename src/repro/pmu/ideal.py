@@ -33,22 +33,16 @@ class IdealTraceCollector(BatchEventConsumer):
         buffer_entries: hardware trace-buffer size; one overflow
             exception is taken per ``buffer_entries`` samples instead of
             one per sample.
-        record_prefetches: record prefetched lines with their true
-            addresses (wishlist item 3).  Disable to isolate the effect
-            of items 1-2.
+
+    Prefetched lines are always recorded with their true addresses
+    (wishlist item 3).
     """
 
-    def __init__(
-        self,
-        log_capacity: int,
-        buffer_entries: int = 128,
-        record_prefetches: bool = True,
-    ):
+    def __init__(self, log_capacity: int, buffer_entries: int = 128):
         if buffer_entries < 1:
             raise ValueError("buffer must hold at least one entry")
         self.log = TraceLog(log_capacity)
         self.buffer_entries = buffer_entries
-        self.record_prefetches = record_prefetches
         self.instructions = 0
         self.l1d_misses = 0
         self.dropped_events = 0   # always 0: wishlist item 2
@@ -74,11 +68,10 @@ class IdealTraceCollector(BatchEventConsumer):
             return
         self.l1d_misses += 1
         self._record(line)
-        if self.record_prefetches:
-            for pf_line in prefetched_lines:
-                if self.done:
-                    break
-                self._record(pf_line)
+        for pf_line in prefetched_lines:
+            if self.done:
+                break
+            self._record(pf_line)
 
     def _record(self, line: int) -> None:
         if not self.log.append(line):

@@ -38,11 +38,16 @@ from repro.sim.hierarchy import AccessResult
 
 __all__ = [
     "BatchEventConsumer",
+    "INFLIGHT_WINDOW",
     "PMUModel",
     "ProbeTrace",
     "TraceCollector",
     "finish_probe",
 ]
+
+#: Memory accesses within which two L1D misses are both in flight: a
+#: miss this close after the previous one may be dropped in complex mode.
+INFLIGHT_WINDOW = 2
 
 
 class BatchEventConsumer:
@@ -162,7 +167,7 @@ class TraceCollector(BatchEventConsumer):
         pmu_model: POWER5 or POWER5+ prefetch behaviour.
         drop_probability: chance that an L1D miss *adjacent to the
             previous miss* is swallowed in complex mode.  Adjacent means
-            within ``inflight_window`` memory accesses -- both misses
+            within :data:`INFLIGHT_WINDOW` memory accesses -- both misses
             would plausibly be in flight together.
         seed: RNG seed for reproducible drops.
     """
@@ -173,22 +178,18 @@ class TraceCollector(BatchEventConsumer):
         issue_mode: IssueMode = IssueMode.COMPLEX,
         pmu_model: PMUModel = PMUModel.POWER5,
         drop_probability: float = 0.35,
-        inflight_window: int = 2,
         seed: int = 1234,
     ):
         if not 0.0 <= drop_probability <= 1.0:
             raise ValueError("drop_probability must be in [0, 1]")
-        if inflight_window < 1:
-            raise ValueError("inflight_window must be >= 1")
         self.log = TraceLog(log_capacity)
         self.issue_mode = issue_mode
         self.pmu_model = pmu_model
         self.drop_probability = drop_probability
-        self.inflight_window = inflight_window
         self._rng = random.Random(seed)
         # Accesses since the last L1D miss; starting at the window means
         # no miss is in flight yet.
-        self._accesses_since_miss = inflight_window
+        self._accesses_since_miss = INFLIGHT_WINDOW
         self.instructions = 0
         self.l1d_misses = 0
         self.dropped_events = 0
@@ -255,7 +256,7 @@ class TraceCollector(BatchEventConsumer):
         """Dual-LSU drop model: only adjacent in-flight misses collide."""
         if not self.issue_mode.dual_lsu:
             return False
-        if self._accesses_since_miss >= self.inflight_window:
+        if self._accesses_since_miss >= INFLIGHT_WINDOW:
             return False
         return self._rng.random() < self.drop_probability
 

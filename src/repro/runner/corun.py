@@ -24,10 +24,11 @@ from typing import List, Optional, Sequence, Tuple
 from repro.obs import get_telemetry
 from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import NativeCorun, native_fallback_reason, record_drive
+from repro.sim.fastsim import NativeCorun, record_drive
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
+from repro.sim.native import native_available
 from repro.sim.prefetcher import PrefetcherConfig
 from repro.workloads.base import Workload
 
@@ -147,15 +148,11 @@ def corun(
 def native_runner(
     processes: Sequence[Process], hierarchy: MemoryHierarchy,
 ) -> Tuple[Optional[NativeCorun], Optional[str]]:
-    """``(runner, None)`` when the native engine covers every process,
-    else ``(None, reason)``: the whole interleave then runs inside one C
-    call per leg instead of the scalar heap."""
-    reason = next(
-        filter(None, (native_fallback_reason(p, hierarchy) for p in processes)),
-        None,
-    )
-    if reason is not None:
-        return None, reason
+    """``(runner, None)`` when the native engine loads, else ``(None,
+    "native_unavailable")``: with a runner the whole interleave runs
+    inside one C call per leg instead of the scalar heap."""
+    if not native_available():
+        return None, "native_unavailable"
     return NativeCorun(processes, hierarchy), None
 
 

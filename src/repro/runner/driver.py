@@ -17,7 +17,12 @@ from repro.sim.cpu import IssueMode
 from repro.sim.hierarchy import AccessResult, MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
-from repro.sim.prefetcher import PrefetcherConfig, StreamPrefetcher
+from repro.sim.prefetcher import (
+    L1_INSTALL_PROBABILITY,
+    LATE_PROBABILITY,
+    PrefetcherConfig,
+    StreamPrefetcher,
+)
 from repro.workloads.base import MemoryAccess, Workload
 
 __all__ = ["Process", "drive"]
@@ -70,8 +75,7 @@ class Process:
         # through its BatchAccessSource either way).
         self._stream: Optional[Iterator[MemoryAccess]] = None
         self.machine = allocator.machine
-        self._pf_config = prefetcher or PrefetcherConfig()
-        self.prefetcher = StreamPrefetcher(self._pf_config)
+        self.prefetcher = StreamPrefetcher(prefetcher or PrefetcherConfig())
         self._pf_rng = random.Random(f"prefetch/{pid}/{seed_offset}")
         self.instructions = 0
         self.accesses = 0
@@ -85,8 +89,6 @@ class Process:
         # Hot-path bindings: the per-access loop must not re-resolve these.
         self._page_table = allocator.page_table(pid)
         self._pf_random = self._pf_rng.random
-        self._pf_late = self._pf_config.late_probability
-        self._pf_install = self._pf_config.l1_install_probability
         # Set by the batch engine when it adopts this process's stream;
         # scalar step() keeps working through it (see repro.sim.fastsim).
         self._fastsim_source = None
@@ -129,9 +131,9 @@ class Process:
                 # late prefetches install nothing, timely ones always
                 # reach the L2 and sometimes the L1.
                 result.prefetched_lines.append(pf_line)
-                if pf_random() < self._pf_late:
+                if pf_random() < LATE_PROBABILITY:
                     continue
-                install_l1 = pf_random() < self._pf_install
+                install_l1 = pf_random() < L1_INSTALL_PROBABILITY
                 hierarchy.prefetch_fill(self.core, pf_line, install_l1=install_l1)
         hierarchy.counters[self.core].instructions += self._ipa
         self.instructions += self._ipa

@@ -38,9 +38,9 @@ native engine's co-run legs, each ending right after the next such
 access, and the hooks run in Python for exactly that access; the
 per-access feed -- instruction counts, the PMU trace channel and its
 exception charge -- stays in C.  The scalar heap over ``Process.step``
-is the bit-identical reference: it runs when the engine cannot
-(``REPRO_NATIVE=0``, a geometry C does not model) and while a probe
-whose collector has no C channel (the fault wrapper) is in flight.
+is the bit-identical reference: it runs when the engine is unavailable
+(no C compiler, ``REPRO_NATIVE=0``) and while a probe whose collector
+has no C channel (the fault wrapper) is in flight.
 """
 
 from __future__ import annotations

@@ -680,41 +680,46 @@ def table2_statistics(
     timeline_total = timeline_accesses or 60 * machine.l2_lines
     for name in chosen:
         workload = make_workload(name, machine)
-        row = _probe_and_compare(
-            workload, machine, offline, OnlineProbeConfig(), ProbeConfig()
-        )
-        probe = row.probe
-
-        # Columns a-b: the cycle cost model over the probe.
-        app_cycles = probe.probe.instructions * 1.0  # ~1 IPC of app progress
-        overhead = overhead_model.probe_overhead(
-            probe.probe, application_cycles=app_cycles
-        )
-
-        # Column d: phase length from the 8-color MPKI timeline.
-        interval_instructions = max(
-            1, timeline_total * workload.instructions_per_access // 24
-        )
-        series = mpki_timeline(
-            workload, machine, colors=list(range(8)),
-            total_accesses=timeline_total,
-            interval_instructions=interval_instructions,
-        )
-        boundaries = detect_boundaries(series)
-        phase_length = average_phase_length(
-            boundaries, len(series), interval_instructions
-        )
-
-        long_distance = None
-        if include_long_log:
-            long_probe_config = ProbeConfig(
-                log_entries=10 * ProbeConfig().resolved_log_entries(machine)
+        # The curve's runs, the timeline and the long-log probe all run
+        # this workload's one stream: it is generated once per row.
+        with shared_streams():
+            row = _probe_and_compare(
+                workload, machine, offline, OnlineProbeConfig(), ProbeConfig()
             )
-            long_probe = collect_trace(
-                workload, machine, OnlineProbeConfig(), long_probe_config
+            probe = row.probe
+
+            # Columns a-b: the cycle cost model over the probe, at ~1
+            # IPC of app progress.
+            app_cycles = probe.probe.instructions * 1.0
+            overhead = overhead_model.probe_overhead(
+                probe.probe, application_cycles=app_cycles
             )
-            long_probe.calibrate(8, row.real[8])
-            long_distance = mpki_distance(row.real, long_probe.result.best_mrc)
+
+            # Column d: phase length from the 8-color MPKI timeline.
+            interval_instructions = max(
+                1, timeline_total * workload.instructions_per_access // 24
+            )
+            series = mpki_timeline(
+                workload, machine, colors=list(range(8)),
+                total_accesses=timeline_total,
+                interval_instructions=interval_instructions,
+            )
+            boundaries = detect_boundaries(series)
+            phase_length = average_phase_length(
+                boundaries, len(series), interval_instructions
+            )
+
+            long_distance = None
+            if include_long_log:
+                log_entries = ProbeConfig().resolved_log_entries(machine)
+                long_probe = collect_trace(
+                    workload, machine, OnlineProbeConfig(),
+                    ProbeConfig(log_entries=10 * log_entries),
+                )
+                long_probe.calibrate(8, row.real[8])
+                long_distance = mpki_distance(
+                    row.real, long_probe.result.best_mrc
+                )
 
         rows.append(
             Table2Row(

@@ -6,7 +6,7 @@ prefetchers, and a software page-coloring cache-partitioning mechanism.
 This package reproduces that substrate as a trace-driven simulator:
 
 - :mod:`repro.sim.machine` -- machine geometry (Table 1) and scaling.
-- :mod:`repro.sim.cache` -- set-associative caches, several policies.
+- :mod:`repro.sim.cache` -- set-associative LRU caches.
 - :mod:`repro.sim.victim` -- the L3 victim cache.
 - :mod:`repro.sim.prefetcher` -- sequential stream prefetcher.
 - :mod:`repro.sim.hierarchy` -- the composed L1/L2/L3 hierarchy.

@@ -453,7 +453,9 @@ static i64 pf_observe_miss(NPf *pf, i64 vline, i64 *out)
     return 0;
 }
 
-#define PF_MAX_DEPTH 64   /* wrapper gates depth <= this */
+/* Bound of one access's prefetch buffers: the wrapper passes
+ * repro.sim.prefetcher.DEPTH, which a test keeps <= this. */
+#define PF_MAX_DEPTH 64
 
 /* ----------------------------------------------------------------- */
 /* Shared machine state                                               */
@@ -543,7 +545,6 @@ typedef struct {
     NMt mt;              /* drop RNG */
     /* ideal channel */
     i64 buffer_entries;
-    i64 record_prefetches;
     i64 buffered;
     /* collector counters */
     i64 l1d_misses, dropped, stale, exceptions;
@@ -606,8 +607,6 @@ static void pmu_ideal(NPmu *u, i64 line, int l1_hit,
         return;
     u->l1d_misses++;
     pmu_ideal_record(u, line);
-    if (!u->record_prefetches)
-        return;
     for (i64 j = 0; j < npf; j++) {
         if (pmu_full(u))
             break;

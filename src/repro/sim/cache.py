@@ -1,29 +1,21 @@
-"""Set-associative cache model.
+"""Set-associative LRU cache model.
 
 The building block for every level of the simulated hierarchy and for the
 Dinero-like associativity study.  Addresses are handled at cache-line
 granularity: callers pass *line numbers* (byte address >> log2(line)).
 
-Replacement policies: LRU (the paper's assumption throughout), FIFO,
-MRU and RANDOM are provided -- the paper notes (Section 2.1) that an MRC
-is policy-dependent, and the extra policies let tests and ablations
-demonstrate exactly that.
-
-Partitioning support: a cache can be restricted to a subset of its sets
-via ``allowed_sets`` masks per requestor, which is how page-coloring
-partitions materialize at the cache (see :mod:`repro.sim.coloring`).
+Every cache replaces its least recently used line, the paper's
+assumption throughout: the Mattson stack that RapidMRC builds its curves
+on models LRU (Section 3.2).
 """
 
 from __future__ import annotations
 
-import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-__all__ = ["CacheConfig", "SetAssociativeCache", "REPLACEMENT_POLICIES"]
-
-REPLACEMENT_POLICIES = ("lru", "fifo", "mru", "random")
+__all__ = ["CacheConfig", "SetAssociativeCache"]
 
 
 @dataclass(frozen=True)
@@ -34,13 +26,11 @@ class CacheConfig:
         size_bytes: total capacity.
         line_size: bytes per line.
         associativity: ways per set; use ``fully_associative`` for one set.
-        replacement: one of :data:`REPLACEMENT_POLICIES`.
     """
 
     size_bytes: int
     line_size: int
     associativity: int
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.line_size <= 0 or self.associativity <= 0:
@@ -49,11 +39,6 @@ class CacheConfig:
             raise ValueError(
                 f"size {self.size_bytes} does not divide into "
                 f"{self.associativity}-way sets of {self.line_size}B lines"
-            )
-        if self.replacement not in REPLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown replacement {self.replacement!r}; "
-                f"options: {REPLACEMENT_POLICIES}"
             )
 
     @property
@@ -65,14 +50,11 @@ class CacheConfig:
         return self.num_lines // self.associativity
 
     @classmethod
-    def fully_associative(
-        cls, size_bytes: int, line_size: int, replacement: str = "lru"
-    ) -> "CacheConfig":
+    def fully_associative(cls, size_bytes: int, line_size: int) -> "CacheConfig":
         return cls(
             size_bytes=size_bytes,
             line_size=line_size,
             associativity=size_bytes // line_size,
-            replacement=replacement,
         )
 
 
@@ -80,34 +62,28 @@ class SetAssociativeCache:
     """A set-associative cache over line numbers.
 
     Each set is an :class:`collections.OrderedDict` from line number to
-    ``None``; ordering encodes recency (last = most recent) or insertion
-    order (FIFO).  Lookups, promotions and evictions are all O(1).
+    ``None``; ordering encodes recency (last = most recent).  Lookups,
+    promotions and evictions are all O(1).
 
-    The sets and the RANDOM policy's RNG are built on first use
-    (:meth:`__getattr__`): the native engine adopts a cache Python never
-    touched as zero arrays, so most machines never build them at all.
+    The sets are built on first use (:meth:`__getattr__`): the native
+    engine adopts a cache Python never touched as zero arrays, so most
+    machines never build them at all.
     """
 
     _sets: List["OrderedDict[int, None]"]
-    _rng: random.Random
 
-    def __init__(self, config: CacheConfig, seed: int = 0):
+    def __init__(self, config: CacheConfig):
         self.config = config
-        self._seed = seed
 
     def __getattr__(self, name: str):
         # Called only while the attribute is missing, so a built set
-        # list or RNG is a plain instance attribute from then on.
-        if name == "_sets":
-            value = [OrderedDict() for _ in range(self.config.num_sets)]
-        elif name == "_rng":
-            value = random.Random(self._seed)
-        else:
+        # list is a plain instance attribute from then on.
+        if name != "_sets":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        setattr(self, name, value)
-        return value
+        self._sets = [OrderedDict() for _ in range(self.config.num_sets)]
+        return self._sets
 
     @property
     def touched(self) -> bool:
@@ -137,9 +113,14 @@ class SetAssociativeCache:
         """
         bucket = self._sets[self.set_index(line)]
         if line in bucket:
-            self._promote(bucket, line)
+            bucket.move_to_end(line)
             return True, None
-        return False, self._fill(bucket, line)
+        victim = None
+        if len(bucket) >= self.config.associativity:
+            victim = next(iter(bucket))
+            del bucket[victim]
+        bucket[line] = None
+        return False, victim
 
     def invalidate(self, line: int) -> bool:
         """Remove ``line`` if present.  Returns True if it was resident."""
@@ -148,31 +129,6 @@ class SetAssociativeCache:
             del bucket[line]
             return True
         return False
-
-    # -- internals -----------------------------------------------------------
-
-    def _promote(self, bucket: "OrderedDict[int, None]", line: int) -> None:
-        if self.config.replacement in ("lru", "mru"):
-            bucket.move_to_end(line)
-        # FIFO and RANDOM do not reorder on hit.
-
-    def _fill(self, bucket: "OrderedDict[int, None]", line: int) -> Optional[int]:
-        victim = None
-        if len(bucket) >= self.config.associativity:
-            victim = self._choose_victim(bucket)
-            del bucket[victim]
-        bucket[line] = None
-        return victim
-
-    def _choose_victim(self, bucket: "OrderedDict[int, None]") -> int:
-        policy = self.config.replacement
-        if policy in ("lru", "fifo"):
-            return next(iter(bucket))
-        if policy == "mru":
-            return next(reversed(bucket))
-        # random
-        keys = list(bucket)
-        return keys[self._rng.randrange(len(keys))]
 
     # -- introspection ----------------------------------------------------------
 

@@ -78,13 +78,6 @@ class ColorMapper:
         start = color * self._sets_per_color
         return list(range(start, start + self._sets_per_color))
 
-    def sets_of_colors(self, colors) -> List[int]:
-        """L2 set indices for a collection of colors."""
-        out: List[int] = []
-        for color in sorted(set(colors)):
-            out.extend(self.sets_of_color(color))
-        return out
-
     def _check_color(self, color: int) -> None:
         if not 0 <= color < self.num_colors:
             raise ValueError(

@@ -12,17 +12,17 @@ native
     through the engine's one run entry; co-runs and the dynamic
     manager's loop run multi-process legs, the manager's with a stop
     target per process at the next access where one of its hooks can
-    fire.  Its one way to serve a
-    collector is its own trace channel: the stock collectors' PMU model
-    runs inside C and logs straight into the collector's buffer.  It
-    covers LRU L1D/L2/L3 geometry with prefetch depth up to 64, and no
-    collector or a stock one.  The machine's state stays in C from one
-    drive to the next (its :class:`~repro.sim.native.NativeSession`).
+    fire.  Its one way to serve a collector is its own trace channel:
+    the stock collectors' PMU model runs inside C and logs straight into
+    the collector's buffer.  It covers every machine the simulator
+    builds, with no collector or a stock one.  The machine's state stays
+    in C from one drive to the next (its
+    :class:`~repro.sim.native.NativeSession`).
 
 scalar
-    Anything else -- a non-LRU cache, a deeper prefetcher, no C compiler
-    or ``REPRO_NATIVE=0``, a collector C does not model (the
-    fault-injecting wrapper, a subclass) -- first copies a live
+    No C compiler or ``REPRO_NATIVE=0`` (reason ``native_unavailable``),
+    or a collector C does not model (the fault-injecting wrapper, a
+    subclass; reason ``observer``): the drive first copies a live
     session's state back (``sim.native_copybacks{reason}``), then runs
     the scalar :func:`~repro.runner.driver.drive` unchanged and counts
     ``sim.batch_fallbacks{reason}``.
@@ -55,7 +55,6 @@ __all__ = [
     "BatchAccessSource",
     "NativeCorun",
     "drive_batch",
-    "native_fallback_reason",
     "record_drive",
 ]
 
@@ -160,37 +159,6 @@ def _source_for(process) -> BatchAccessSource:
     if source is None:
         source = BatchAccessSource(process)
     return source
-
-
-# ---------------------------------------------------------------------------
-# Eligibility
-# ---------------------------------------------------------------------------
-
-def native_fallback_reason(process, hierarchy: MemoryHierarchy) -> Optional[str]:
-    """Why the compiled engine cannot simulate this configuration, or None.
-
-    The engine hard-codes LRU for every cache level and bounds the
-    prefetcher geometry.  ``native_unavailable`` means the engine is
-    disabled (``REPRO_NATIVE=0``) or no C compiler could build it.
-    """
-    if (hierarchy.l1d[process.core].config.replacement != "lru"
-            or hierarchy.l2.config.replacement != "lru"):
-        return "replacement"
-    l3 = hierarchy.l3
-    if l3.enabled and not (
-        l3._cache is not None and l3._cache.config.replacement == "lru"
-    ):
-        return "l3_replacement"
-    config = process._pf_config
-    if config.enabled and not (
-        1 <= config.depth <= 64 and config.num_streams >= 1
-    ):
-        return "prefetch_geometry"
-    from repro.sim.native import native_available
-
-    if not native_available():
-        return "native_unavailable"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +275,8 @@ def drive_batch(
 
     With a ``collector``, every access is fed to it and the drive ends on
     the access that fills its log: ``drive(..., observer=collector.observe,
-    stop=lambda: collector.done)``.  Runs the native engine when it
-    covers the configuration and the collector, and the scalar driver
+    stop=lambda: collector.done)``.  Runs the native engine when the
+    library loads and models the collector, and the scalar driver
     otherwise (counting ``sim.batch_fallbacks{reason}``).  An observed
     native drive asks for its first chunk at the log's free entries (at
     most ``slab_size``) and doubles each refill up to ``slab_size``, so a
@@ -320,9 +288,10 @@ def drive_batch(
     started = time.perf_counter()
     from repro.sim import native
 
-    reason = native_fallback_reason(process, hierarchy)
-    if (reason is None and collector is not None
-            and native.channel_kind(collector) is None):
+    reason = None
+    if not native.native_available():
+        reason = "native_unavailable"
+    elif collector is not None and native.channel_kind(collector) is None:
         reason = "observer"
     if reason is not None:
         from repro.runner.driver import drive

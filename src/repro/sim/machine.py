@@ -29,7 +29,6 @@ class MachineConfig:
     """
 
     name: str = "POWER5"
-    cores_per_chip: int = 2
     frequency_hz: int = 1_500_000_000
     line_size: int = 128
 
@@ -49,8 +48,8 @@ class MachineConfig:
     num_colors: int = 16
 
     # Latency model (cycles) for the IPC cost model; representative
-    # POWER5-era numbers, not microarchitecturally exact.
-    l1_latency: int = 2
+    # POWER5-era numbers, not microarchitecturally exact.  An L1 hit
+    # costs no cycles beyond the issue mode's base CPI.
     l2_latency: int = 13
     l3_latency: int = 87
     memory_latency: int = 220
@@ -119,12 +118,6 @@ class MachineConfig:
     def power5(cls) -> "MachineConfig":
         """The full-size POWER5 of Table 1."""
         return cls()
-
-    @classmethod
-    def power5_plus(cls) -> "MachineConfig":
-        """POWER5+ as used for some experiments (identical geometry here;
-        it differs in PMU behaviour, which :mod:`repro.pmu` models)."""
-        return cls(name="POWER5+")
 
     @classmethod
     def scaled(cls, factor: int = 8, name: str = "") -> "MachineConfig":

@@ -65,6 +65,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs import get_telemetry
+from repro.sim.prefetcher import (
+    CONFIRM_AFTER,
+    DEPTH,
+    L1_INSTALL_PROBABILITY,
+    LATE_PROBABILITY,
+    NUM_STREAMS,
+    _Stream,
+)
 
 __all__ = [
     "MTStream",
@@ -171,8 +179,7 @@ class _NPmu(ctypes.Structure):
         ("since_miss", i64), ("inflight_window", i64),
         ("drop_p", f64), ("dual_lsu", i64), ("stale_on_prefetch", i64),
         ("mt", _NMt),
-        ("buffer_entries", i64), ("record_prefetches", i64),
-        ("buffered", i64),
+        ("buffer_entries", i64), ("buffered", i64),
         ("l1d_misses", i64), ("dropped", i64), ("stale", i64),
         ("exceptions", i64), ("exception_cost", i64),
     ]
@@ -580,11 +587,12 @@ class TraceChannel:
         u.exception_cost = exception_cost
         if kind == PMU_IDEAL:
             u.buffer_entries = collector.buffer_entries
-            u.record_prefetches = 1 if collector.record_prefetches else 0
             u.buffered = collector._buffered
             return
+        from repro.pmu.sampling import INFLIGHT_WINDOW
+
         u.since_miss = collector._accesses_since_miss
-        u.inflight_window = collector.inflight_window
+        u.inflight_window = INFLIGHT_WINDOW
         u.drop_p = collector.drop_probability
         u.dual_lsu = 1 if collector.issue_mode.dual_lsu else 0
         u.stale_on_prefetch = (
@@ -792,20 +800,18 @@ class NativeSession:
             list(table.values()), max(4096, len(table)),
         )
 
-        config = process._pf_config
-        pf = p.pf
-        pf.enabled = 1 if config.enabled else 0
-        pf.num_streams = config.num_streams
-        pf.depth = config.depth
-        pf.confirm_after = config.confirm_after
-        pf.late_p = process._pf_late
-        pf.install_p = process._pf_install
         prefetcher = slot.prefetcher
+        pf = p.pf
+        pf.enabled = 1 if prefetcher.config.enabled else 0
+        pf.num_streams = NUM_STREAMS
+        pf.depth = DEPTH
+        pf.confirm_after = CONFIRM_AFTER
+        pf.late_p = LATE_PROBABILITY
+        pf.install_p = L1_INSTALL_PROBABILITY
         streams = prefetcher._streams
         pf.count = len(streams)
         pf.clock = prefetcher._clock
-        size = max(config.num_streams, 1)
-        pf_arrs = np.zeros((4, size), dtype=np.int64)
+        pf_arrs = np.zeros((4, NUM_STREAMS), dtype=np.int64)
         for j, stream in enumerate(streams):
             pf_arrs[:, j] = (stream.next_line, stream.hits,
                              1 if stream.confirmed else 0, stream.last_use)
@@ -893,8 +899,6 @@ class NativeSession:
         self._run_args = {}
 
     def _commit_proc(self, slot: _Slot, hierarchy, allocator) -> None:
-        from repro.sim.prefetcher import _Stream
-
         p = slot.proc
         arrs = slot.arrs
         pid = slot.pid

@@ -8,11 +8,19 @@ into the L1D and L2.  The paper cares about two behavioural consequences:
   Section 3.1.1), with the fraction of affected log entries reported in
   Table 2 column (e).
 
-The model keeps a small table of streams.  A miss that extends a
-confirmed stream triggers prefetches of the next ``depth`` lines; a miss
-adjacent to a recent miss allocates a new stream.  Only ascending
+The model keeps a table of ``NUM_STREAMS`` streams.  A miss that extends
+a confirmed stream triggers prefetches of the next ``DEPTH`` lines; a
+miss adjacent to a recent miss allocates a new stream.  Only ascending
 streams are detected, matching the paper's repair strategy (repetitions
-are rewritten as *ascending* lines).
+are rewritten as *ascending* lines).  The geometry is one machine's,
+fixed: the paper only switches the prefetcher on or off (Figure 5e).
+
+Real prefetchers are imperfect: some prefetches arrive too late to help,
+and not every prefetch is installed all the way up into the L1.  Those
+imperfections matter here -- they are why real MRCs of prefetch-friendly
+applications still *decline* with cache size instead of flattening at
+zero, and why the PMU trace retains most demand events (an L2-only
+install leaves the later L1 miss visible, with a correct SDAR).
 """
 
 from __future__ import annotations
@@ -20,46 +28,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-__all__ = ["PrefetcherConfig", "StreamPrefetcher"]
+__all__ = [
+    "CONFIRM_AFTER",
+    "DEPTH",
+    "L1_INSTALL_PROBABILITY",
+    "LATE_PROBABILITY",
+    "NUM_STREAMS",
+    "PrefetcherConfig",
+    "StreamPrefetcher",
+]
+
+#: Stream-table entries (POWER5 tracked 8 streams).
+NUM_STREAMS = 8
+#: Lines fetched ahead once a stream is confirmed.
+DEPTH = 2
+#: Consecutive sequential misses needed to confirm a stream.
+CONFIRM_AFTER = 2
+#: Chance a prefetch arrives too late to be installed at all (the demand
+#: access misses as if never prefetched).
+LATE_PROBABILITY = 0.25
+#: Chance a timely prefetch is installed into the L1D as well as the L2;
+#: an L2-only install converts the would-be L2 miss into an L2 hit but
+#: keeps the L1 miss event.
+L1_INSTALL_PROBABILITY = 0.4
 
 
 @dataclass(frozen=True)
 class PrefetcherConfig:
-    """Stream-prefetcher parameters.
-
-    Real prefetchers are imperfect: some prefetches arrive too late to
-    help, and not every prefetch is installed all the way up into the
-    L1.  Those imperfections matter here -- they are why real MRCs of
-    prefetch-friendly applications still *decline* with cache size
-    instead of flattening at zero, and why the PMU trace retains most
-    demand events (an L2-only install leaves the later L1 miss visible,
-    with a correct SDAR).
+    """Stream-prefetcher switch.
 
     Args:
-        num_streams: stream-table entries (POWER5 tracked 8 streams).
-        depth: lines fetched ahead once a stream is confirmed.
-        confirm_after: consecutive sequential misses needed to confirm.
-        enabled: master switch (Figure 5e's "No prefetch" mode).
-        late_probability: chance a prefetch arrives too late to be
-            installed at all (the demand access misses as if never
-            prefetched).
-        l1_install_probability: chance a timely prefetch is installed
-            into the L1D as well as the L2; L2-only installs convert the
-            would-be L2 miss into an L2 hit but keep the L1 miss event.
+        enabled: Figure 5e's switch (off is the "No prefetch" mode).
     """
 
-    num_streams: int = 8
-    depth: int = 2
-    confirm_after: int = 2
     enabled: bool = True
-    late_probability: float = 0.25
-    l1_install_probability: float = 0.4
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.late_probability <= 1.0:
-            raise ValueError("late_probability must be in [0, 1]")
-        if not 0.0 <= self.l1_install_probability <= 1.0:
-            raise ValueError("l1_install_probability must be in [0, 1]")
 
 
 @dataclass
@@ -88,12 +90,10 @@ class StreamPrefetcher:
                 stream.hits += 1
                 stream.next_line = line + 1
                 stream.last_use = self._clock
-                if stream.hits >= self.config.confirm_after:
+                if stream.hits >= CONFIRM_AFTER:
                     stream.confirmed = True
                 if stream.confirmed:
-                    prefetches = [
-                        line + 1 + offset for offset in range(self.config.depth)
-                    ]
+                    prefetches = [line + 1 + offset for offset in range(DEPTH)]
                     stream.next_line = prefetches[-1] + 1
                     return prefetches
                 return []
@@ -102,7 +102,7 @@ class StreamPrefetcher:
 
     def _allocate(self, line: int) -> None:
         stream = _Stream(next_line=line + 1, last_use=self._clock)
-        if len(self._streams) < self.config.num_streams:
+        if len(self._streams) < NUM_STREAMS:
             self._streams.append(stream)
             return
         # Replace the least recently useful stream.

@@ -201,10 +201,11 @@ class TestRender:
         registry.counter("sim.batch_accesses", engine="native").inc(900)
         registry.counter("sim.batch_accesses", engine="scalar").inc(100)
         registry.counter("sim.batch_fallbacks", reason="observer").inc(2)
-        registry.counter("sim.batch_fallbacks", reason="replacement").inc()
+        registry.counter("sim.batch_fallbacks",
+                         reason="native_unavailable").inc()
         text = RunReport.from_telemetry(telemetry).render()
         assert ("simulation engine: native 900, scalar 100 accesses; "
-                "fallbacks: observer=2, replacement=1") in text
+                "fallbacks: native_unavailable=1, observer=2") in text
         assert "fallbacks: none" in RunReport().render()
 
     def test_render_stack_kernel_after_native_state(self):

@@ -31,12 +31,6 @@ class TestCompleteness:
         assert collector.log.entries().tolist() == [10, 11, 12]
         assert collector.stale_entries == 0
 
-    def test_prefetch_recording_optional(self):
-        collector = IdealTraceCollector(log_capacity=100,
-                                        record_prefetches=False)
-        collector.observe(miss(10, prefetched=[11, 12]))
-        assert collector.log.entries().tolist() == [10]
-
     def test_hits_and_ifetches_ignored(self):
         collector = IdealTraceCollector(log_capacity=10)
         collector.observe(hit(1))

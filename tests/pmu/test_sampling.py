@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pmu.sampling import PMUModel, TraceCollector
+from repro.pmu.sampling import INFLIGHT_WINDOW, PMUModel, TraceCollector
 from repro.sim.cpu import IssueMode
 from repro.sim.hierarchy import AccessResult
 
@@ -107,9 +107,7 @@ class TestMissedEvents:
         assert c.dropped_events == 0
 
     def test_complex_mode_drops_adjacent_misses(self):
-        c = collector(
-            issue_mode=IssueMode.COMPLEX, drop_probability=1.0, inflight_window=2
-        )
+        c = collector(issue_mode=IssueMode.COMPLEX, drop_probability=1.0)
         c.observe(miss(1))   # recorded (no previous miss in flight)
         c.observe(miss(2))   # adjacent -> dropped
         assert c.dropped_events == 1
@@ -117,11 +115,10 @@ class TestMissedEvents:
         assert c.l1d_misses == 2
 
     def test_separated_misses_not_dropped(self):
-        c = collector(
-            issue_mode=IssueMode.COMPLEX, drop_probability=1.0, inflight_window=1
-        )
+        c = collector(issue_mode=IssueMode.COMPLEX, drop_probability=1.0)
         c.observe(miss(1))
-        c.observe(hit(100))
+        for _ in range(INFLIGHT_WINDOW):
+            c.observe(hit(100))
         c.observe(miss(2))
         assert c.dropped_events == 0
         assert c.log.entries().tolist() == [1, 2]
@@ -138,9 +135,7 @@ class TestMissedEvents:
         assert run(3) == run(3)
 
     def test_drop_fraction(self):
-        c = collector(
-            issue_mode=IssueMode.COMPLEX, drop_probability=1.0, inflight_window=2
-        )
+        c = collector(issue_mode=IssueMode.COMPLEX, drop_probability=1.0)
         for line in range(4):
             c.observe(miss(line))
         probe = c.finish()
@@ -153,7 +148,3 @@ class TestValidation:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             collector(drop_probability=2.0)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            collector(inflight_window=0)

@@ -7,6 +7,8 @@ streams are generated afresh, on the native engine and with
 ``REPRO_NATIVE=0`` (where nothing is recorded).
 """
 
+import contextlib
+
 import pytest
 
 from repro.core.mrc import MissRateCurve, mpki_distance
@@ -133,3 +135,25 @@ def test_pooled_real_mrc_inside_a_scope():
     run = OFFLINE.warmup_accesses + OFFLINE.measure_accesses
     if native:
         assert _sources(telemetry) == {"generated": (len(SIZES) + 1) * run}
+
+
+def test_table2_row_equals_its_pieces_without_a_scope(engine, monkeypatch):
+    """A Table 2 row's curve, timeline and 10x-log probe run in one
+    scope: the same row as its pieces on their own streams, for fewer
+    generated accesses."""
+    def row_and_sources():
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            (row,) = experiments.table2_statistics(
+                MACHINE, names=["mcf"], offline=OFFLINE,
+                include_long_log=True)
+        return row, _sources(telemetry)
+
+    shared_row, shared = row_and_sources()
+    monkeypatch.setattr(experiments, "shared_streams", contextlib.nullcontext)
+    alone_row, alone = row_and_sources()
+    assert shared_row == alone_row
+    if engine == "native":
+        assert shared["generated"] < alone["generated"]
+    else:
+        assert shared == alone == {}

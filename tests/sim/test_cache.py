@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.cache import CacheConfig, SetAssociativeCache
 
 
-def small_cache(assoc=2, sets=4, replacement="lru"):
+def small_cache(assoc=2, sets=4):
     config = CacheConfig(
         size_bytes=128 * assoc * sets,
         line_size=128,
         associativity=assoc,
-        replacement=replacement,
     )
     return SetAssociativeCache(config)
 
@@ -25,10 +24,6 @@ class TestConfig:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=1000, line_size=128, associativity=4)
-
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            CacheConfig(1024, 128, 4, replacement="lifo")
 
     def test_nonpositive_dimensions(self):
         with pytest.raises(ValueError):
@@ -99,77 +94,30 @@ class TestLRUEviction:
         hit, _ = cache.access(0)
         assert hit  # line 1 did not evict line 0
 
-
-class TestOtherPolicies:
-    def test_fifo_ignores_recency(self):
-        cache = small_cache(assoc=2, sets=1, replacement="fifo")
-        cache.access(1)
-        cache.access(2)
-        cache.access(1)       # touch does not protect under FIFO
-        _, victim = cache.access(3)
-        assert victim == 1    # first-in evicted
-
-    def test_mru_evicts_most_recent(self):
-        cache = small_cache(assoc=2, sets=1, replacement="mru")
-        cache.access(1)
-        cache.access(2)
-        _, victim = cache.access(3)
-        assert victim == 2
-
-    def test_random_is_seeded(self):
-        def run(seed):
-            config = CacheConfig(128 * 4, 128, 4, replacement="random")
-            cache = SetAssociativeCache(config, seed=seed)
-            victims = []
-            for line in range(20):
-                _, victim = cache.access(line)
-                victims.append(victim)
-            return victims
-
-        assert run(1) == run(1)
-
-    def test_policies_differ_on_looping_traffic(self):
-        """Section 2.1: the MRC (hence hit behaviour) is policy-dependent.
-        A loop slightly larger than the cache: LRU gets zero hits, MRU
-        retains most of the loop."""
-        def hits(policy):
-            cache = small_cache(assoc=8, sets=1, replacement=policy)
-            hits = 0
-            for _ in range(20):
-                for line in range(9):  # 9-line loop, 8-line cache
-                    hit, _ = cache.access(line)
-                    hits += hit
-            return hits
-
-        assert hits("lru") == 0
-        assert hits("mru") > 100
+    def test_loop_one_line_larger_than_the_set_never_hits(self):
+        """Section 2.1's looping pathology: under LRU a loop one line
+        larger than the cache evicts each line just before its reuse."""
+        cache = small_cache(assoc=8, sets=1)
+        hits = 0
+        for _ in range(20):
+            for line in range(9):
+                hits += cache.access(line)[0]
+        assert hits == 0
 
 
 class TestLazySets:
-    """The sets and the RANDOM policy's RNG are built on first use."""
+    """The sets are built on first use."""
 
     def test_fresh_cache_builds_nothing(self):
-        cache = small_cache(replacement="random")
+        cache = small_cache()
         assert not cache.touched
-        assert set(vars(cache)) == {"config", "_seed"}
+        assert set(vars(cache)) == {"config"}
 
     def test_first_use_builds_the_sets(self):
         cache = small_cache(assoc=2, sets=4)
         assert cache.occupancy == 0
         assert cache.touched
         assert [list(bucket) for bucket in cache._sets] == [[]] * 4
-
-    def test_random_victims_equal_an_eagerly_seeded_rng(self):
-        import random
-
-        cache = small_cache(assoc=4, sets=1, replacement="random")
-        reference = random.Random(0)
-        resident = []
-        for line in range(20):
-            _, victim = cache.access(line)
-            if len(resident) == 4:
-                assert victim == resident.pop(reference.randrange(4))
-            resident.append(line)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -181,7 +129,7 @@ class TestLazySets:
         import copy
         import pickle
 
-        cache = small_cache(assoc=2, sets=2, replacement="random")
+        cache = small_cache(assoc=2, sets=2)
         if warm:
             for line in range(7):
                 cache.access(line)

@@ -46,11 +46,6 @@ class TestColorOfSet:
         with pytest.raises(ValueError):
             mapper.color_of_set(mapper.machine.l2_sets)
 
-    def test_sets_of_colors_union(self, mapper):
-        sets = mapper.sets_of_colors([0, 2])
-        assert len(sets) == 2 * mapper.machine.sets_per_color
-        assert sets == sorted(sets)
-
 
 class TestNthPage:
     def test_enumeration_is_consistent(self, mapper):

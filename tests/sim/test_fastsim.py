@@ -25,13 +25,8 @@ from repro.runner.corun import CorunSpec, corun
 from repro.runner.driver import Process, drive
 from repro.runner.offline import OfflineConfig, mpki_timeline, real_mrc
 from repro.runner.online import OnlineProbeConfig, collect_trace
-from repro.sim.cache import CacheConfig, SetAssociativeCache
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import (
-    DEFAULT_SLAB,
-    drive_batch,
-    native_fallback_reason,
-)
+from repro.sim.fastsim import DEFAULT_SLAB, drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -195,42 +190,15 @@ class TestDriveBatchBitIdentity:
         assert _state(hier_s, proc_s) == _state(hier_m, proc_m)
 
 
-def _non_lru_l2(hierarchy, process):
-    hierarchy.l2 = SetAssociativeCache(CacheConfig(
-        size_bytes=MACHINE.l2_size,
-        line_size=MACHINE.line_size,
-        associativity=MACHINE.l2_assoc,
-        replacement="random",
-    ))
-
-
-def _non_lru_l3(hierarchy, process):
-    l3 = hierarchy.l3
-    l3._cache = SetAssociativeCache(CacheConfig(
-        size_bytes=MACHINE.l3_size,
-        line_size=MACHINE.l3_line_size,
-        associativity=MACHINE.l3_assoc,
-        replacement="fifo",
-    ))
-
-
-def _deep_prefetch(hierarchy, process):
-    process._pf_config = dataclasses.replace(process._pf_config, depth=65)
-    process.prefetcher.config = process._pf_config
-
-
 class TestFallbackReasons:
-    """Every configuration native cannot take runs the scalar driver:
+    """Both reasons a drive skips native run the scalar driver:
     identical state, ``{"scalar": n}`` accesses, and one fallback
-    counted under the reason that skipped native (``replacement`` is
-    :meth:`TestEligibility.test_non_lru_falls_back_to_scalar`)."""
+    counted under the reason."""
 
-    def _compare(self, mutate=None, collector_type=None, accesses=6_000):
+    def _compare(self, collector_type=None, accesses=6_000):
         """``collector_type`` None runs unobserved drives."""
         def build():
             hierarchy, process = _build(MACHINE, "mcf", prefetch=True)
-            if mutate is not None:
-                mutate(hierarchy, process)
             collector = (collector_type or TraceCollector)(
                 log_capacity=1 << 20, seed=5)
             return hierarchy, process, collector
@@ -255,12 +223,6 @@ class TestFallbackReasons:
             "sim.batch_accesses", "engine") == {"scalar": executed_b}
         return report.counter_by_label("sim.batch_fallbacks", "reason")
 
-    def test_l3_replacement(self):
-        assert self._compare(_non_lru_l3) == {"l3_replacement": 1}
-
-    def test_prefetch_geometry(self):
-        assert self._compare(_deep_prefetch) == {"prefetch_geometry": 1}
-
     def test_native_unavailable(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         assert self._compare() == {"native_unavailable": 1}
@@ -276,30 +238,6 @@ class TestFallbackReasons:
 
 
 class TestEligibility:
-    def test_non_lru_falls_back_to_scalar(self):
-        """A non-LRU L2 is uncovered: drive_batch must fall back to the
-        scalar loop (identical results) and count the fallback."""
-        def build():
-            hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
-            _non_lru_l2(hierarchy, process)
-            return hierarchy, process
-
-        hier_s, proc_s = build()
-        drive(proc_s, hier_s, 8_000)
-
-        telemetry = Telemetry.in_memory()
-        hier_b, proc_b = build()
-        assert native_fallback_reason(proc_b, hier_b) == "replacement"
-        with use_telemetry(telemetry):
-            drive_batch(proc_b, hier_b, 8_000)
-        assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
-        report = RunReport.from_telemetry(telemetry)
-        assert report.counter_by_label(
-            "sim.batch_fallbacks", "reason"
-        ) == {"replacement": 1}
-        assert report.counter_by_label(
-            "sim.batch_accesses", "engine") == {"scalar": 8_000}
-
     def test_batch_path_counts_accesses(self):
         telemetry = Telemetry.in_memory()
         hierarchy, process = _build(MACHINE, "jbb", prefetch=False)

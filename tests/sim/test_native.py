@@ -38,7 +38,7 @@ from repro.runner.offline import OfflineConfig, real_mrc
 from repro.runner.online import OnlineProbeConfig, collect_trace
 from repro.sim import native
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import drive_batch, native_fallback_reason
+from repro.sim.fastsim import drive_batch
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -199,8 +199,11 @@ class TestNativeSoloIdentity:
         hier_s, proc_s = _build(MACHINE, name, prefetch=True)
         drive(proc_s, hier_s, 30_000)
         hier_b, proc_b = _build(MACHINE, name, prefetch=True)
-        assert native_fallback_reason(proc_b, hier_b) is None
-        drive_batch(proc_b, hier_b, 30_000)
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            drive_batch(proc_b, hier_b, 30_000)
+        assert RunReport.from_telemetry(telemetry).counter_by_label(
+            "sim.batch_accesses", "engine") == {"native": 30_000}
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
 
     def test_partitioned_with_prefetch(self):
@@ -475,16 +478,16 @@ class TestObservedRollback:
         assert coll.stale_entries > 0
         assert coll.log.entries()[-1] == coll.log.entries()[-2]
 
-    @pytest.mark.parametrize("record_prefetches", [True, False])
+    @pytest.mark.parametrize("prefetch", [True, False])
     @pytest.mark.parametrize("buffer_entries", [1, 128])
     @pytest.mark.parametrize("log_capacity", [1, 7, 333])
-    def test_ideal_channel(self, log_capacity, buffer_entries,
-                           record_prefetches):
+    def test_ideal_channel(self, log_capacity, buffer_entries, prefetch):
         _assert_channel_identical(
             lambda: IdealTraceCollector(
                 log_capacity=log_capacity, buffer_entries=buffer_entries,
-                record_prefetches=record_prefetches,
-            ))
+            ),
+            prefetch=prefetch,
+        )
 
     def test_already_full_log_still_runs_one_access(self):
         """Scalar parity: the stop predicate is only consulted after an
@@ -568,15 +571,13 @@ class TestObservedRollback:
     @settings(max_examples=15, deadline=None)
     @given(
         drop_probability=st.floats(min_value=0.0, max_value=1.0),
-        inflight_window=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_hypothesis_drop_model(self, drop_probability, inflight_window,
-                                   seed):
+    def test_hypothesis_drop_model(self, drop_probability, seed):
         _assert_channel_identical(
             lambda: TraceCollector(
                 log_capacity=400, drop_probability=drop_probability,
-                inflight_window=inflight_window, seed=seed,
+                seed=seed,
             ),
             accesses=20_000,
         )
@@ -657,13 +658,40 @@ class TestObservedRollback:
             py_probe.result.mrc.mpki)
 
 
+class TestEveryMachineRunsNative:
+    """Caches are LRU and the prefetcher's geometry is fixed, so no
+    machine the simulator builds sends a drive to the scalar reference:
+    only a missing library or a collector C does not model can."""
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    @pytest.mark.parametrize("l3", [True, False])
+    @pytest.mark.parametrize("scale", [1, 16, 32])
+    def test_drives_and_coruns_run_native(self, scale, l3, prefetch):
+        machine = MachineConfig.scaled(scale)
+        if not l3:
+            machine = machine.without_l3()
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            for collector in (None,
+                              TraceCollector(log_capacity=500, seed=5),
+                              IdealTraceCollector(log_capacity=500)):
+                hierarchy, process = _build(machine, "mcf",
+                                            prefetch=prefetch)
+                drive_batch(process, hierarchy, 3_000, collector=collector)
+            corun([CorunSpec(make_workload("mcf", machine)),
+                   CorunSpec(make_workload("art", machine))],
+                  machine, quota_accesses=2_000, prefetch_enabled=prefetch)
+        report = RunReport.from_telemetry(telemetry)
+        assert set(report.counter_by_label(
+            "sim.batch_accesses", "engine")) == {"native"}
+        assert report.counter_by_label("sim.batch_fallbacks", "reason") == {}
+
+
 class TestKillSwitch:
     def test_repro_native_0_disables_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         assert not native_available()
         hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
-        assert native_fallback_reason(
-            process, hierarchy) == "native_unavailable"
         telemetry = Telemetry.in_memory()
         with use_telemetry(telemetry):
             drive_batch(process, hierarchy, 2_000)

@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from repro.sim import native
+from repro.sim import native, prefetcher
 
 _SOURCE = os.path.join(os.path.dirname(native.__file__), "_native.c")
 
@@ -76,3 +76,10 @@ def test_constants_match_defines():
     python = {name: getattr(native, name) for name in dir(native)
               if re.fullmatch(r"STOP_\w+|PMU_\w+|HT_EMPTY", name)}
     assert python == {name: int(value) for name, value in defines.items()}
+
+
+def test_prefetch_depth_fits_the_engine_buffers():
+    """C sizes each access's prefetch buffers by ``PF_MAX_DEPTH`` and
+    never checks the depth the wrapper passes it."""
+    (bound,) = re.findall(r"#define\s+PF_MAX_DEPTH\s+(\d+)", _c_source())
+    assert 1 <= prefetcher.DEPTH <= int(bound)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.sim.prefetcher import PrefetcherConfig, StreamPrefetcher
+from repro.sim.prefetcher import (
+    DEPTH,
+    NUM_STREAMS,
+    PrefetcherConfig,
+    StreamPrefetcher,
+)
 
 
 class TestStreamDetection:
@@ -11,17 +16,17 @@ class TestStreamDetection:
         assert prefetcher.observe_miss(100) == []
 
     def test_ascending_stream_confirms_and_prefetches(self):
-        prefetcher = StreamPrefetcher(PrefetcherConfig(depth=2, confirm_after=2))
+        prefetcher = StreamPrefetcher()
         assert prefetcher.observe_miss(100) == []   # allocate
         fetched = prefetcher.observe_miss(101)      # confirm + fetch
         assert fetched == [102, 103]
 
     def test_stream_keeps_running_ahead(self):
-        prefetcher = StreamPrefetcher(PrefetcherConfig(depth=1, confirm_after=2))
+        prefetcher = StreamPrefetcher()
         prefetcher.observe_miss(50)
-        assert prefetcher.observe_miss(51) == [52]
-        # The stream now expects 53 (one past the prefetched 52).
-        assert prefetcher.observe_miss(53) == [54]
+        assert prefetcher.observe_miss(51) == [52, 53]
+        # The stream now expects 54 (one past the prefetched 53).
+        assert prefetcher.observe_miss(54) == [55, 56]
 
     def test_descending_misses_never_confirm(self):
         prefetcher = StreamPrefetcher()
@@ -43,22 +48,28 @@ class TestStreamDetection:
 
 class TestStreamTable:
     def test_table_capacity_bounded(self):
-        prefetcher = StreamPrefetcher(PrefetcherConfig(num_streams=4))
-        for line in [10, 200, 3000, 40_000, 500_000]:
-            prefetcher.observe_miss(line)
-        assert prefetcher.active_streams == 4
+        prefetcher = StreamPrefetcher()
+        for index in range(NUM_STREAMS + 1):
+            prefetcher.observe_miss(10 ** (index + 1))
+        assert prefetcher.active_streams == NUM_STREAMS
 
     def test_interleaved_streams_tracked_independently(self):
-        prefetcher = StreamPrefetcher(PrefetcherConfig(depth=1, confirm_after=2))
+        prefetcher = StreamPrefetcher()
         prefetcher.observe_miss(100)
         prefetcher.observe_miss(5000)
-        assert prefetcher.observe_miss(101) == [102]
-        assert prefetcher.observe_miss(5001) == [5002]
+        assert prefetcher.observe_miss(101) == [102, 103]
+        assert prefetcher.observe_miss(5001) == [5002, 5003]
 
     def test_issued_counter(self):
-        prefetcher = StreamPrefetcher(PrefetcherConfig(depth=3, confirm_after=2))
+        """Every miss a confirmed stream expects issues DEPTH lines."""
+        prefetcher = StreamPrefetcher()
         assert prefetcher.observe_miss(10) == []
-        assert prefetcher.observe_miss(11) == [12, 13, 14]
+        line, issued = 11, []
+        for _ in range(4):
+            fetched = prefetcher.observe_miss(line)
+            issued += fetched
+            line = fetched[-1] + 1
+        assert len(issued) == 4 * DEPTH
 
     def test_reset(self):
         prefetcher = StreamPrefetcher()
